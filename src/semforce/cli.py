@@ -18,9 +18,9 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound
+from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
-from .formulas import Dyadic2Var, Formula, Monadic, classify_fragment, parse_formula
+from .formulas import Formula, classify_fragment, parse_formula
 from .gen import random_monadic
 from .marking import init_marking, saturate
 from .models import Interpretation, Refuted, ValidUpTo, oracle_validity
@@ -96,7 +96,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     budget = domain_bound(classify_fragment(f), cfg)
     s = init_marking(build_initial_tree(f))
     s.open_supposition(s.tree.root, 0, kind="RR")
-    saturate(s, EngineConfig(max_individuals=budget))
+    saturate(s, budget)
     if s.dm is None and not s.unmarked_relevant_ground():
         s.commit_frames()
     text = render_dot(s) if args.format == "dot" else render_ascii(s)
@@ -107,12 +107,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _oracle_bound(f: Formula, flag: Optional[int]) -> Optional[int]:
     if flag is not None:
         return flag
-    fragment = classify_fragment(f)
-    if isinstance(fragment, Monadic):
-        return 2 ** fragment.n
-    if isinstance(fragment, Dyadic2Var):
-        return 2
-    return None
+    bounds = fragment_bounds(classify_fragment(f))
+    return None if bounds is None else bounds[1]
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -8,7 +8,7 @@ opposite. If every completion double-marks, rejecting the root is absurd; a
 quiescent consistent total marking is read back as a countermodel and checked
 against the model semantics before it is reported.
 
-The direct procedure suppposes one side of a conditional or disjunction root
+The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options.
 """
 
@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from .errors import FragmentError, ResourceLimitError, StateError
 from .formulas import (
+    KIND_OF,
     Dyadic2Var,
     Formula,
     FragmentClass,
@@ -33,12 +34,15 @@ from .marking import (
     TraceStep,
     capped_obligations,
     init_marking,
+    missing_instances,
     saturate,
 )
 from .models import Interpretation, evaluate, extract_model
+from .rules import DISCHARGE, PERMISSION
 from .tree import build_initial_tree
 
 DEFAULT_DYADIC_BOUND = 8
+DEFAULT_DYADIC_ORACLE_BOUND = 2
 
 
 @dataclass
@@ -75,35 +79,39 @@ class NoCountermodelUpTo:
 Verdict = Union[Valid, Invalid, NoCountermodelUpTo]
 
 
-def domain_bound(fragment: FragmentClass, cfg: Optional[EngineConfig] = None) -> int:
-    """Individuals the search may generate: configured, or the fragment default.
+def fragment_bounds(fragment: FragmentClass) -> Optional[tuple[int, int]]:
+    """Default (search individuals, oracle domain size) of a fragment; None
+    outside the monadic and dyadic two-variable fragments.
 
     Monadic formulas with n predicates need at most 2**n individuals for a
     countermodel, so that default makes closure conclusive. The dyadic
-    two-variable default is a working cap, not a guarantee.
+    two-variable defaults are working caps, not guarantees.
     """
+    if isinstance(fragment, Monadic):
+        conclusive = 2 ** fragment.n
+        return conclusive, conclusive
+    if isinstance(fragment, Dyadic2Var):
+        return DEFAULT_DYADIC_BOUND, DEFAULT_DYADIC_ORACLE_BOUND
+    return None
+
+
+def domain_bound(fragment: FragmentClass, cfg: Optional[EngineConfig] = None) -> int:
+    """Individuals the search may generate: configured, or the fragment default."""
     configured = cfg.max_individuals if cfg is not None else None
     if configured is not None:
         return configured
-    if isinstance(fragment, Monadic):
-        return 2 ** fragment.n
-    if isinstance(fragment, Dyadic2Var):
-        return DEFAULT_DYADIC_BOUND
-    raise FragmentError(
-        "outside the monadic and dyadic two-variable fragments an explicit "
-        "max_individuals bound is required"
-    )
-
-
-@dataclass
-class _Budget:
-    max_individuals: int
+    bounds = fragment_bounds(fragment)
+    if bounds is None:
+        raise FragmentError(
+            "outside the monadic and dyadic two-variable fragments an explicit "
+            "max_individuals bound is required"
+        )
+    return bounds[0]
 
 
 class _Search:
     def __init__(self, s: MarkingState, budget: int, branch_limit: int):
         self.s = s
-        self.cfg = _Budget(budget)
         self.budget = budget
         self.branch_limit = branch_limit
         self.branches = 0
@@ -119,7 +127,7 @@ class _Search:
         double-marked; False means an open total marking stands in s."""
         self._bump()
         s = self.s
-        res = saturate(s, self.cfg)
+        res = saturate(s, self.budget)
         if isinstance(res, DoubleMark):
             return True
         pending = capped_obligations(s, self.budget)
@@ -153,9 +161,8 @@ class _Search:
         """Budget-capped quantifier obligation: some existing individual must
         realize it. Try each; failures become certainties of the opposite."""
         s = self.s
-        node = s.tree.nodes[qnid]
         want = s.marked(qnid)
-        rule = "I∀" if node.kind == "forall" else "I∃"
+        rule = PERMISSION[s.tree.nodes[qnid].kind]
         for term in list(s.domain_registry):
             existing = None
             for c in s.tree.instance_children(qnid):
@@ -201,9 +208,9 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
         if evaluate(model, f, {}) != 0:
             raise StateError("internal check failed: extracted model does not refute the formula")
         return Invalid(model, s)
-    s.discharge(frame, "contradiction" if s.dm is not None else "exhausted")
+    search._close(frame)
     genuine = not search.capping_hit or (
-        isinstance(fragment, Monadic) and budget >= 2 ** fragment.n
+        isinstance(fragment, Monadic) and budget >= fragment_bounds(fragment)[0]
     )
     if genuine:
         return Valid(list(s.trace), s)
@@ -214,16 +221,10 @@ def _permission_pass(s: MarkingState) -> bool:
     """Materialize every missing registry instance of unmarked ground
     quantifiers so sweeps can reach marks inside them."""
     changed = False
-    for nid in s.relevant():
-        node = s.tree.nodes[nid]
-        if not node.is_quantifier or s.marked(nid) is not None or not s.tree.is_ground_node(nid):
-            continue
-        have = set(s.tree.instance_terms(nid))
-        rule = "I∀" if node.kind == "forall" else "I∃"
-        for term in list(s.domain_registry):
-            if term not in have:
-                s.instantiate(nid, term, rule)
-                changed = True
+    for nid, missing in missing_instances(s):
+        for term in missing:
+            s.instantiate(nid, term, PERMISSION[s.tree.nodes[nid].kind])
+            changed = True
     return changed
 
 
@@ -235,32 +236,19 @@ def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Val
         raise ValueError("direct forcing applies to conditional or disjunction roots only")
     cfg = cfg or EngineConfig()
     budget = domain_bound(classify_fragment(f), cfg)
-    inner = _Budget(budget)
-    if isinstance(f, Imp):
-        strategies = [(0, 1, 1, 1), (1, 0, 0, 0)]
-    else:
-        strategies = [(0, 0, 1, 1), (1, 0, 0, 1)]
-    for sup_idx, sup_val, goal_idx, goal_val in strategies:
+    for connective, sup_kind, sup_idx, goal_val in DISCHARGE:
+        if connective != KIND_OF[type(f)]:
+            continue
         tree = build_initial_tree(f)
         s = init_marking(tree)
-        if s.generic is None:
-            s.introduce_generic()
+        s.introduce_generic()
         root = tree.nodes[tree.root]
-        sup, goal = root.children[sup_idx], root.children[goal_idx]
-        frame = s.open_supposition(sup, sup_val)
-        failed = False
-        while True:
-            res = saturate(s, inner)
-            if isinstance(res, DoubleMark):
-                failed = True
-                break
+        sup, goal = root.children[sup_idx], root.children[1 - sup_idx]
+        frame = s.open_supposition(sup, 1 if sup_kind == "OA" else 0)
+        while not isinstance(saturate(s, budget), DoubleMark):
             if s.marked(goal) == goal_val:
-                break
+                s.discharge(frame, (goal, goal_val))
+                return Valid(list(s.trace), s)
             if not _permission_pass(s):
-                failed = True
                 break
-        if failed:
-            continue
-        s.discharge(frame, (goal, goal_val))
-        return Valid(list(s.trace), s)
     return None

@@ -9,7 +9,7 @@ enclosing quantifier binds it; any other occurrence is a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import FreeVariableError, ParseError
 
@@ -122,6 +122,10 @@ Formula = Union[Atom, Not, And, Or, Imp, Iff, Forall, Exists]
 
 BINARY = (And, Or, Imp, Iff)
 QUANTIFIERS = (Forall, Exists)
+
+# formula class <-> the node kind naming it in trees and rule tables
+KIND_OF = {Atom: "atom", Not: "not", And: "and", Or: "or", Imp: "imp", Iff: "iff", Forall: "forall", Exists: "exists"}
+CLASS_OF = {kind: cls for cls, kind in KIND_OF.items()}
 
 _OP_SYMBOL = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
@@ -319,108 +323,62 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------- analysis
 
 
+def subformulas(f: Formula) -> Iterator[tuple[Formula, frozenset[str]]]:
+    """Every subformula of f in preorder, left to right, with the names of
+    the variables bound above it. Iterative, so nesting depth is not limited
+    by the interpreter's recursion limit."""
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        yield g, bound
+        if isinstance(g, Not):
+            stack.append((g.sub, bound))
+        elif isinstance(g, BINARY):
+            stack.append((g.right, bound))
+            stack.append((g.left, bound))
+        elif isinstance(g, QUANTIFIERS):
+            stack.append((g.body, bound | {g.var}))
+
+
+def _atoms(f: Formula) -> Iterator[tuple[Atom, frozenset[str]]]:
+    return ((g, bound) for g, bound in subformulas(f) if isinstance(g, Atom))
+
+
 def free_variables(f: Formula) -> set[str]:
     """Names of variables with at least one free occurrence."""
-    out: set[str] = set()
-
-    def go(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                if isinstance(t, Var) and t.name not in bound:
-                    out.add(t.name)
-        elif isinstance(g, Not):
-            go(g.sub, bound)
-        elif isinstance(g, BINARY):
-            go(g.left, bound)
-            go(g.right, bound)
-        else:
-            go(g.body, bound | {g.var})
-
-    go(f, frozenset())
-    return out
+    return {t.name for g, bound in _atoms(f) for t in g.args if isinstance(t, Var) and t.name not in bound}
 
 
 def constants_of(f: Formula) -> list[str]:
     """Constant names in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def go(g: Formula) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                if isinstance(t, Const):
-                    seen.setdefault(t.name, None)
-        elif isinstance(g, Not):
-            go(g.sub)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        else:
-            go(g.body)
-
-    go(f)
-    return list(seen)
+    return list(dict.fromkeys(t.name for g, _ in _atoms(f) for t in g.args if isinstance(t, Const)))
 
 
 def identifiers_of(f: Formula) -> set[str]:
     """Every identifier used in f: predicates, constants, variable names."""
     out: set[str] = set()
-
-    def go(g: Formula) -> None:
+    for g, _ in subformulas(f):
         if isinstance(g, Atom):
             out.add(g.pred)
-            for t in g.args:
-                if isinstance(t, (Var, Const)):
-                    out.add(t.name)
-        elif isinstance(g, Not):
-            go(g.sub)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        else:
+            out.update(t.name for t in g.args if isinstance(t, (Var, Const)))
+        elif isinstance(g, QUANTIFIERS):
             out.add(g.var)
-            go(g.body)
-
-    go(f)
     return out
 
 
 def variable_names(f: Formula) -> set[str]:
     """Distinct variable names: binder names plus free Var occurrences."""
-    out: set[str] = set(free_variables(f))
-
-    def go(g: Formula) -> None:
-        if isinstance(g, Not):
-            go(g.sub)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        elif isinstance(g, QUANTIFIERS):
-            out.add(g.var)
-            go(g.body)
-
-    go(f)
-    return out
+    return free_variables(f) | {g.var for g, _ in subformulas(f) if isinstance(g, QUANTIFIERS)}
 
 
 def predicate_arities(f: Formula) -> dict[str, int]:
     """Predicate name -> arity; raises on inconsistent programmatic ASTs."""
     out: dict[str, int] = {}
-
-    def go(g: Formula) -> None:
-        if isinstance(g, Atom):
-            n = len(g.args)
-            prev = out.setdefault(g.pred, n)
-            if prev != n:
-                raise FreeVariableError(f"predicate {g.pred!r} used with arities {prev} and {n}")
-        elif isinstance(g, Not):
-            go(g.sub)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        else:
-            go(g.body)
-
-    go(f)
+    for g, _ in _atoms(f):
+        n = len(g.args)
+        prev = out.setdefault(g.pred, n)
+        if prev != n:
+            raise FreeVariableError(f"predicate {g.pred!r} used with arities {prev} and {n}")
     return out
 
 

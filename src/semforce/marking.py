@@ -14,7 +14,7 @@ dense and premise references stay meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import PremiseError, StateError
 from .formulas import (
@@ -27,8 +27,22 @@ from .formulas import (
     free_variables,
     identifiers_of,
 )
-from .rules import CATALOG, RuleSpec, rules_for, verify_derived_rule
-from .tree import ForcingTree
+from .rules import (
+    CATALOG,
+    CHILD_INDEX,
+    DISCHARGE,
+    GENERALIZATION,
+    GENERALIZATION_RULES,
+    INSTANTIATION,
+    INSTANTIATION_RULES,
+    MARKING_RULES,
+    PERMISSION,
+    WITNESS_RULES,
+    RuleSpec,
+    rules_for,
+    verify_derived_rule,
+)
+from .tree import ForcingTree, TreeNode
 
 __all__ = [
     "DoubleMark",
@@ -95,7 +109,6 @@ class Frame:
 @dataclass
 class Checkpoint:
     marks: dict
-    step_of: dict
     consensus: dict
     index: dict
     registry: tuple
@@ -108,17 +121,16 @@ class Checkpoint:
     generic: Optional[Var]
 
 
-_WITNESS_RULES = ("IR∀", "IA∃")
-_ALL_INST_RULES = ("IA∀", "IR∀", "I∀", "IA∃", "IR∃", "I∃")
-_KIND_TO_POS = {"not": (("a", 0),), "and": (("i", 0), ("d", 1)), "or": (("i", 0), ("d", 1)),
-                "imp": (("i", 0), ("d", 1)), "iff": (("i", 0), ("d", 1))}
+
+def _at(anchor: TreeNode, pos: str) -> int:
+    """The node at rule position pos of a connective node."""
+    return anchor.nid if pos == "k" else anchor.children[CHILD_INDEX[pos]]
 
 
 class MarkingState:
     def __init__(self, tree: ForcingTree):
         self.tree = tree
         self.marks: dict[int, tuple[Mark, Justification]] = {}
-        self.step_of: dict[int, int] = {}
         # formula key -> (value, first node marked with it); ground nodes only
         self.consensus: dict[Formula, tuple[Mark, int]] = {}
         # formula key -> node ids carrying that ground formula
@@ -143,6 +155,11 @@ class MarkingState:
         got = self.marks.get(nid)
         return None if got is None else got[0]
 
+    def step_of(self, nid: int) -> Optional[int]:
+        """The trace step that marked nid, None while it is unmarked."""
+        got = self.marks.get(nid)
+        return None if got is None else got[1].step
+
     def key(self, nid: int) -> Optional[Formula]:
         """Alpha-normalized node formula; None while placeholders are unfilled."""
         if nid in self._key_cache:
@@ -158,7 +175,7 @@ class MarkingState:
 
     def witness_child(self, qnid: int) -> Optional[int]:
         for c in self.tree.instance_children(qnid):
-            if self.inst_rule.get(c) in _WITNESS_RULES:
+            if self.inst_rule.get(c) in WITNESS_RULES:
                 return c
         return None
 
@@ -167,7 +184,6 @@ class MarkingState:
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
             marks=dict(self.marks),
-            step_of=dict(self.step_of),
             consensus=dict(self.consensus),
             index={k: list(v) for k, v in self.formula_index.items()},
             registry=tuple(self.domain_registry),
@@ -182,7 +198,6 @@ class MarkingState:
 
     def rollback(self, cp: Checkpoint) -> None:
         self.marks = dict(cp.marks)
-        self.step_of = dict(cp.step_of)
         self.consensus = dict(cp.consensus)
         self.formula_index = {k: list(v) for k, v in cp.index.items()}
         self.domain_registry = list(cp.registry)
@@ -206,18 +221,13 @@ class MarkingState:
                     siblings.remove(nid)
         tree._next_nid = cp.next_nid
 
-    def clone(self) -> "MarkingState":
-        import copy
-
-        return copy.deepcopy(self)
-
     # ----------------------------------------------------------- trace output
 
     def _record(self, node: Optional[int], value: Optional[Mark], rule: str, premise_nodes: tuple[int, ...],
                 premise_steps: Optional[tuple[int, ...]] = None) -> int:
         self._step += 1
         if premise_steps is None:
-            premise_steps = tuple(self.step_of[p] for p in premise_nodes if p in self.step_of)
+            premise_steps = tuple(self.marks[p][1].step for p in premise_nodes if p in self.marks)
         self.trace.append(TraceStep(self._step, node, value, rule, premise_steps))
         return self._step
 
@@ -261,17 +271,16 @@ class MarkingState:
         just = Justification(rule, premises, step)
         if current is not None:
             self.dm = DoubleMark(n, n)
-            self._record(n, None, "DM", (), (self.step_of[n], step))
+            self._record(n, None, "DM", (), (self.step_of(n), step))
             return
         k = self.key(n)
         self.marks[n] = (v, just)
-        self.step_of[n] = step
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)
         elif hit[0] != v:
             self.dm = DoubleMark(hit[1], n)
-            self._record(n, None, "DM", (), (self.step_of[hit[1]], step))
+            self._record(n, None, "DM", (), (self.step_of(hit[1]), step))
 
     def _validate(self, n: int, v: Mark, rule: str, premises: tuple[int, ...]) -> None:
         tree = self.tree
@@ -307,22 +316,19 @@ class MarkingState:
             src = premises[0]
             need(self.marked(src) == v, "source node does not carry the iterated value")
             need(self.key(src) == self.key(n), "iteration requires nodes associated with one formula")
-        elif rule in ("A∀", "R∃", "R∀", "A∃"):
+        elif rule in MARKING_RULES:
+            want_kind, want_v = MARKING_RULES[rule]
             parent = node.parent
             need(parent is not None, "no quantifier above this node")
             q = tree.nodes[parent]
-            want_kind = "forall" if rule in ("A∀", "R∀") else "exists"
-            want_parent = 1 if rule in ("A∀", "A∃") else 0
-            want_child = 1 if rule in ("A∀", "A∃") else 0
             need(q.kind == want_kind, f"parent is not a {want_kind} node")
-            need(self.marked(parent) == want_parent, "quantifier does not carry the required mark")
+            need(self.marked(parent) == want_v, "quantifier does not carry the required mark")
             need(node.fill_term is not None, "rule applies to instantiated branches only")
-            need(v == want_child, "wrong conclusion value")
-            if rule in ("R∀", "A∃"):
-                need(self.inst_rule.get(n) in _WITNESS_RULES, "rule applies to the fresh-witness branch only")
-        elif rule in ("Aa∃", "Ra∀", "Aa∀", "Ra∃"):
-            want_kind = "exists" if rule in ("Aa∃", "Ra∃") else "forall"
-            want_v = 1 if rule in ("Aa∃", "Aa∀") else 0
+            need(v == want_v, "wrong conclusion value")
+            if INSTANTIATION[want_kind, want_v].witness:
+                need(self.inst_rule.get(n) in WITNESS_RULES, "rule applies to the fresh-witness branch only")
+        elif rule in GENERALIZATION_RULES:
+            want_kind, want_v = GENERALIZATION_RULES[rule]
             need(node.kind == want_kind, f"rule applies to a {want_kind} node")
             need(v == want_v, "wrong conclusion value")
             need(len(premises) == 1, "rule cites one instance branch")
@@ -331,19 +337,16 @@ class MarkingState:
             need(child is not None and child.parent == n and child.fill_term is not None,
                  "premise is not an instance branch of this quantifier")
             need(self.marked(c) == want_v, "instance branch does not carry the required mark")
-            if rule in ("Aa∀", "Ra∃"):
+            if GENERALIZATION[want_kind, want_v][1]:
                 term = child.fill_term
                 need(isinstance(term, Var), "generalization requires a variable instance")
                 need(self.is_independent(term.name, c),
                      f"variable {term.name} is not independent in the instance branch")
         elif rule in CATALOG:
             spec = CATALOG[rule]
-            target_pos = None
-            anchor = None
-            if any(pos == "k" for pos, _ in spec.conclusions):
-                if node.kind == spec.connective:
-                    target_pos, anchor = "k", node
-            if target_pos is None:
+            if node.kind == spec.connective and any(pos == "k" for pos, _ in spec.conclusions):
+                target_pos, anchor = "k", node
+            else:
                 parent = node.parent
                 need(parent is not None and tree.nodes[parent].kind == spec.connective,
                      f"node is not positioned for a {spec.connective} rule")
@@ -354,15 +357,8 @@ class MarkingState:
                     target_pos = "i" if anchor.children[0] == n else "d"
             need(any(pos == target_pos and val == v for pos, val in spec.conclusions),
                  "rule does not conclude this mark at this position")
-
-            def at(pos: str) -> int:
-                if pos == "k":
-                    return anchor.nid
-                idx = dict(_KIND_TO_POS[anchor.kind])[pos]
-                return anchor.children[idx]
-
             for pos, val in spec.premises:
-                need(self.marked(at(pos)) == val, f"premise {pos}={val} does not hold")
+                need(self.marked(_at(anchor, pos)) == val, f"premise {pos}={val} does not hold")
         else:
             raise PremiseError(f"unknown rule identifier {rule!r}")
 
@@ -371,27 +367,19 @@ class MarkingState:
     def instantiate(self, qnid: int, term: Term, rule: str) -> int:
         """Create an instance branch of quantifier qnid filled with term, as one
         of the instantiation rules; witness rules also register the new constant."""
-        if rule not in _ALL_INST_RULES:
+        if rule not in INSTANTIATION_RULES:
             raise PremiseError(f"unknown instantiation rule {rule!r}")
         q = self.tree.nodes.get(qnid)
         if q is None or not q.is_quantifier:
             raise PremiseError(f"node {qnid} is not a quantifier node")
-        mark = self.marked(qnid)
-        if rule == "IA∀":
-            if not (q.kind == "forall" and mark == 1):
-                raise PremiseError("IA∀ applies to an accepted universal")
-        elif rule == "IR∃":
-            if not (q.kind == "exists" and mark == 0):
-                raise PremiseError("IR∃ applies to a rejected existential")
-        elif rule == "IR∀":
-            if not (q.kind == "forall" and mark == 0):
-                raise PremiseError("IR∀ applies to a rejected universal")
-        elif rule == "IA∃":
-            if not (q.kind == "exists" and mark == 1):
-                raise PremiseError("IA∃ applies to an accepted existential")
         # I∀/I∃ are permissions: an instance branch may exist without asserting
-        # anything, so they carry no mark precondition.
-        if rule in _WITNESS_RULES:
+        # anything, so they carry no mark precondition (want is None).
+        kind, want = INSTANTIATION_RULES[rule]
+        if q.kind != kind or want not in (None, self.marked(qnid)):
+            what = {None: "", 1: "accepted ", 0: "rejected "}[want]
+            what += "universal" if kind == "forall" else "existential"
+            raise PremiseError(f"{rule} applies to {'an' if what[0] in 'ae' else 'a'} {what}")
+        if rule in WITNESS_RULES:
             if not isinstance(term, Const):
                 raise PremiseError("a witness must be a fresh constant")
             used = {t.name for t in self.domain_registry} | self._reserved | set(self.witness_registry)
@@ -402,7 +390,7 @@ class MarkingState:
         for nid in self.tree.preorder(child):
             self._index_node(nid)
         self._record(child, None, rule, (qnid,))
-        if rule in _WITNESS_RULES:
+        if rule in WITNESS_RULES:
             fv = frozenset(free_variables(self.tree.node_formula(child)))
             self.witness_registry[term.name] = (child, fv)
             self.domain_registry.append(term)
@@ -452,7 +440,7 @@ class MarkingState:
         """
         if not self.scopes or self.scopes[-1] is not frame:
             raise StateError("only the innermost supposition can be discharged")
-        sup_step = self.step_of.get(frame.node)
+        sup_step = self.step_of(frame.node)
         if outcome in ("contradiction", "exhausted"):
             if outcome == "contradiction":
                 if self.dm is None:
@@ -465,12 +453,7 @@ class MarkingState:
                 self._record(frame.node, None, "RR-DM", (), cite)
                 return "RR-DM"
             rule = "OA-DM" if frame.kind == "OA" else "OR-DM"
-            self.set_mark(frame.node, 1 - frame.assumed, rule, ())
-            mark_step = self.step_of.get(frame.node)
-            for rec in reversed(self.trace):
-                if rec.step == mark_step:
-                    rec.premises = cite
-                    break
+            self._conclude(frame.node, 1 - frame.assumed, rule, cite)
             return rule
         target, want = outcome
         if self.marked(target) != want:
@@ -480,26 +463,20 @@ class MarkingState:
         if parent is None or parent != tparent:
             raise StateError("supposition and goal are not children of one connective")
         pnode = self.tree.nodes[parent]
-        left, right = pnode.children[0], pnode.children[1]
-        if pnode.kind == "imp" and frame.kind == "OA" and frame.node == left and target == right and want == 1:
-            rule = "OAi-Ad→"
-        elif pnode.kind == "imp" and frame.kind == "OR" and frame.node == right and target == left and want == 0:
-            rule = "ORd-Ri→"
-        elif pnode.kind == "or" and frame.kind == "OR" and frame.node == left and target == right and want == 1:
-            rule = "ORi-Ad∨"
-        elif pnode.kind == "or" and frame.kind == "OR" and frame.node == right and target == left and want == 1:
-            rule = "ORd-Ai∨"
-        else:
+        side = pnode.children.index(frame.node)
+        rule = DISCHARGE.get((pnode.kind, frame.kind, side, want))
+        if rule is None or pnode.children[1 - side] != target:
             raise StateError("no discharge rule matches this supposition/goal configuration")
-        goal_step = self.step_of[target]
+        goal_step = self.step_of(target)
         self.rollback(frame.checkpoint)
-        self.set_mark(parent, 1, rule, ())
-        mark_step = self.step_of.get(parent)
-        for rec in reversed(self.trace):
-            if rec.step == mark_step:
-                rec.premises = (sup_step, goal_step)
-                break
+        self._conclude(parent, 1, rule, (sup_step, goal_step))
         return rule
+
+    def _conclude(self, n: int, v: Mark, rule: str, cite: tuple[int, ...]) -> None:
+        """Mark n by a discharge rule, citing the steps of the closed scope.
+        Trace steps are dense and never truncated, so step k is trace[k - 1]."""
+        self.set_mark(n, v, rule, ())
+        self.trace[self.step_of(n) - 1].premises = cite
 
     def commit_frames(self) -> None:
         """Keep all provisional marks as final (a consistent completion stands)."""
@@ -521,50 +498,33 @@ class MarkingState:
                 out.append((t, v, rule, prem))
 
         if node.is_binary or node.kind == "not":
-            pos_map = dict(_KIND_TO_POS[node.kind])
-
-            def at(pos: str) -> int:
-                return n if pos == "k" else node.children[pos_map[pos]]
-
             for spec in rules_for(node.kind):
                 if not spec.conclusions:
                     continue
-                if all(self.marked(at(pos)) == val for pos, val in spec.premises):
-                    prem = tuple(at(pos) for pos, _ in spec.premises)
+                if all(self.marked(_at(node, pos)) == val for pos, val in spec.premises):
+                    prem = tuple(_at(node, pos) for pos, _ in spec.premises)
                     for pos, val in spec.conclusions:
-                        emit(at(pos), val, spec.name, prem)
+                        emit(_at(node, pos), val, spec.name, prem)
         elif node.is_quantifier:
             mark = self.marked(n)
             kids = tree.instance_children(n)
             if mark is not None:
-                down = {("forall", 1): "A∀", ("exists", 0): "R∃"}.get((node.kind, mark))
-                if down:
-                    for c in kids:
-                        emit(c, mark, down, (n,))
-                wit = {("forall", 0): "R∀", ("exists", 1): "A∃"}.get((node.kind, mark))
-                if wit:
+                inst = INSTANTIATION[node.kind, mark]
+                if inst.witness:
                     w = self.witness_child(n)
-                    if w is not None:
-                        emit(w, mark, wit, (n,))
+                    kids = [] if w is None else [w]
+                for c in kids:
+                    emit(c, mark, inst.marking, (n,))
             else:
                 for c in kids:
                     cv = self.marked(c)
                     if cv is None:
                         continue
-                    if node.kind == "exists" and cv == 1:
-                        emit(n, 1, "Aa∃", (c,))
-                        break
-                    if node.kind == "forall" and cv == 0:
-                        emit(n, 0, "Ra∀", (c,))
-                        break
+                    up, independent = GENERALIZATION[node.kind, cv]
                     term = tree.nodes[c].fill_term
-                    if isinstance(term, Var) and self.is_independent(term.name, c):
-                        if node.kind == "forall" and cv == 1:
-                            emit(n, 1, "Aa∀", (c,))
-                            break
-                        if node.kind == "exists" and cv == 0:
-                            emit(n, 0, "Ra∃", (c,))
-                            break
+                    if not independent or (isinstance(term, Var) and self.is_independent(term.name, c)):
+                        emit(n, cv, up, (c,))
+                        break
         mark = self.marked(n)
         if mark is not None:
             k = self.key(n)
@@ -577,23 +537,23 @@ class MarkingState:
     # ------------------------------------------------------------ traversal
 
     def relevant(self, order: str = "pre") -> list[int]:
-        tree = self.tree
+        """Nodes in preorder ("pre") or postorder, skipping a quantifier's
+        template subtree once the quantifier has instance children."""
+        nodes = self.tree.nodes
+        pre = order == "pre"
         out: list[int] = []
-
-        def walk(nid: int) -> None:
-            node = tree.nodes[nid]
+        stack = [self.tree.root]
+        while stack:
+            nid = stack.pop()
+            out.append(nid)
+            node = nodes[nid]
             kids = node.children
-            if node.is_quantifier and len(kids) > 1:
-                kids = kids[1:]
-            if order == "pre":
-                out.append(nid)
-            for c in kids:
-                walk(c)
-            if order != "pre":
-                out.append(nid)
-
-        walk(tree.root)
-        return out
+            if kids:
+                if node.is_quantifier and len(kids) > 1:
+                    kids = kids[1:]
+                # postorder is the reverse of a preorder that takes children right to left
+                stack += kids[::-1] if pre else kids
+        return out if pre else out[::-1]
 
     def unmarked_relevant_ground(self) -> list[int]:
         return [n for n in self.relevant() if self.marked(n) is None and self.tree.is_ground_node(n)]
@@ -636,38 +596,37 @@ def is_independent(s: MarkingState, var: str, n: int) -> bool:
 # ------------------------------------------------------------------ saturation
 
 
-def _budget_of(cfg) -> Optional[int]:
-    return getattr(cfg, "max_individuals", None) if cfg is not None else None
-
-
 def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     """Quantifiers whose fresh-witness rule is suppressed by the budget."""
     if budget is None or len(s.domain_registry) < budget:
         return []
+    # an instance already carrying the required value settles the obligation
+    return [
+        nid for nid in _marked_quantifiers(s, witness=True)
+        if s.witness_child(nid) is None and not any(s.marked(c) == s.marked(nid) for c in s.tree.instance_children(nid))
+    ]
+
+
+def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
+    """Marked quantifiers obliged to a fresh witness (witness=True) or to an
+    instance per individual (witness=False), in relevant order."""
     out = []
     for nid in s.relevant():
         node = s.tree.nodes[nid]
-        if not node.is_quantifier:
-            continue
-        mark = s.marked(nid)
-        if (node.kind, mark) not in (("forall", 0), ("exists", 1)):
-            continue
-        if s.witness_child(nid) is not None:
-            continue
-        # an instance already carrying the required value settles the obligation
-        if any(s.marked(c) == mark for c in s.tree.instance_children(nid)):
-            continue
-        out.append(nid)
+        if node.is_quantifier:
+            inst = INSTANTIATION.get((node.kind, s.marked(nid)))
+            if inst is not None and inst.witness == witness:
+                out.append(nid)
     return out
 
 
-def _marked_quantifiers(s: MarkingState, states: tuple[tuple[str, Mark], ...]) -> list[int]:
-    out = []
+def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:
+    """Unmarked ground quantifiers in relevant order, each with the registry
+    individuals it has no instance branch for yet (read when it is reached)."""
     for nid in s.relevant():
-        node = s.tree.nodes[nid]
-        if node.is_quantifier and (node.kind, s.marked(nid)) in states:
-            out.append(nid)
-    return out
+        if s.tree.nodes[nid].is_quantifier and s.marked(nid) is None and s.tree.is_ground_node(nid):
+            have = set(s.tree.instance_terms(nid))
+            yield nid, [t for t in s.domain_registry if t not in have]
 
 
 def _expand_obligations(s: MarkingState, budget: Optional[int]) -> bool:
@@ -676,34 +635,31 @@ def _expand_obligations(s: MarkingState, budget: Optional[int]) -> bool:
     generic variable enters only when nothing else will ever populate the
     registry, since models are nonempty."""
     changed = False
-    for nid in _marked_quantifiers(s, (("forall", 0), ("exists", 1))):
-        node = s.tree.nodes[nid]
+    for nid in _marked_quantifiers(s, witness=True):
         if s.witness_child(nid) is not None:
             continue
         if budget is not None and len(s.domain_registry) >= budget:
             continue
-        rule = "IR∀" if node.kind == "forall" else "IA∃"
-        mark_rule = "R∀" if node.kind == "forall" else "A∃"
-        child = s.instantiate(nid, Const(s.fresh_witness()), rule)
-        s.set_mark(child, s.marked(nid), mark_rule, (nid,))
+        mark = s.marked(nid)
+        inst = INSTANTIATION[s.tree.nodes[nid].kind, mark]
+        child = s.instantiate(nid, Const(s.fresh_witness()), inst.rule)
+        s.set_mark(child, mark, inst.marking, (nid,))
         changed = True
         if s.dm is not None:
             return changed
-    universal = _marked_quantifiers(s, (("forall", 1), ("exists", 0)))
+    universal = _marked_quantifiers(s, witness=False)
     if universal and not s.domain_registry:
         s.introduce_generic()
         changed = True
     for nid in universal:
-        node = s.tree.nodes[nid]
         mark = s.marked(nid)
+        inst = INSTANTIATION[s.tree.nodes[nid].kind, mark]
         have = set(s.tree.instance_terms(nid))
-        rule = "IA∀" if node.kind == "forall" else "IR∃"
-        mark_rule = "A∀" if node.kind == "forall" else "R∃"
         for term in list(s.domain_registry):
             if term in have:
                 continue
-            child = s.instantiate(nid, term, rule)
-            s.set_mark(child, mark, mark_rule, (nid,))
+            child = s.instantiate(nid, term, inst.rule)
+            s.set_mark(child, mark, inst.marking, (nid,))
             changed = True
             if s.dm is not None:
                 return changed
@@ -715,52 +671,34 @@ def _remote_instances(s: MarkingState) -> bool:
     elsewhere already carries that instance's formula with a mark that lets the
     quantifier itself be marked."""
     changed = False
-    for nid in s.relevant():
+    for nid, missing in missing_instances(s):
         if s.dm is not None:
             return changed
-        node = s.tree.nodes[nid]
-        if not node.is_quantifier or s.marked(nid) is not None or not s.tree.is_ground_node(nid):
-            continue
-        have = {t for t in s.tree.instance_terms(nid)}
-        for term in list(s.domain_registry):
-            if term in have:
-                continue
+        kind = s.tree.nodes[nid].kind
+        for term in missing:
             hit = s.consensus.get(s.instance_key(nid, term))
             if hit is None:
                 continue
             val, src = hit
-            up = None
-            if node.kind == "exists" and val == 1:
-                up = "Aa∃"
-            elif node.kind == "forall" and val == 0:
-                up = "Ra∀"
-            elif isinstance(term, Var):
-                if node.kind == "forall" and val == 1:
-                    up = "Aa∀"
-                elif node.kind == "exists" and val == 0:
-                    up = "Ra∃"
-            if up is None:
+            up, independent = GENERALIZATION[kind, val]
+            if independent and not isinstance(term, Var):
                 continue
-            rule = "I∀" if node.kind == "forall" else "I∃"
-            child = s.instantiate(nid, term, rule)
+            child = s.instantiate(nid, term, PERMISSION[kind])
             s.set_mark(child, val, "IA" if val == 1 else "IR", (src,))
-            if s.dm is None and up in ("Aa∀", "Ra∃") and not s.is_independent(term.name, child):
-                changed = True
-                break
-            if s.dm is None:
+            if s.dm is None and not (independent and not s.is_independent(term.name, child)):
                 s.set_mark(nid, val, up, (child,))
             changed = True
             break
     return changed
 
 
-def saturate(s: MarkingState, cfg=None, order: str = "pre") -> Union[Quiescent, DoubleMark]:
+def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Union[Quiescent, DoubleMark]:
     """Apply forced rules to fixpoint: rule sweeps in the given traversal order,
     then instantiation obligations, then remote instances; stop at the first
-    double mark. Fresh witnesses respect cfg.max_individuals when set."""
+    double mark. Fresh witnesses stop once the registry holds budget
+    individuals, when budget is set."""
     if s.dm is not None:
         return s.dm
-    budget = _budget_of(cfg)
     while True:
         changed = False
         while True:

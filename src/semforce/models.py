@@ -14,16 +14,14 @@ from typing import Iterator, Optional, Union
 
 from .errors import FreeVariableError, StateError
 from .formulas import (
-    And,
+    BINARY,
+    KIND_OF,
     Atom,
     Const,
     Exists,
     Forall,
     Formula,
-    Iff,
-    Imp,
     Not,
-    Or,
     Var,
     alpha_normalize,
     constants_of,
@@ -31,6 +29,7 @@ from .formulas import (
     identifiers_of,
     predicate_arities,
 )
+from .rules import TRUTH_TABLE
 from .tree import ForcingTree
 
 Element = str
@@ -105,14 +104,8 @@ def evaluate(i: Interpretation, f: Formula, env: Optional[Env] = None) -> int:
                 v = int(vals in i.dyadic.get(g.pred, frozenset()))
         elif isinstance(g, Not):
             v = 1 - go(g.sub, e)
-        elif isinstance(g, And):
-            v = min(go(g.left, e), go(g.right, e))
-        elif isinstance(g, Or):
-            v = max(go(g.left, e), go(g.right, e))
-        elif isinstance(g, Imp):
-            v = max(1 - go(g.left, e), go(g.right, e))
-        elif isinstance(g, Iff):
-            v = int(go(g.left, e) == go(g.right, e))
+        elif isinstance(g, BINARY):
+            v = TRUTH_TABLE[KIND_OF[type(g)]](go(g.left, e), go(g.right, e))
         elif isinstance(g, Forall):
             v = int(all(go(g.body, _bind(e, g.var, d)) for d in i.domain))
         elif isinstance(g, Exists):
@@ -164,6 +157,8 @@ def enumerate_interpretations(sig: Signature, domain_size: int) -> Iterator[Inte
 
 def oracle_validity(f: Formula, max_domain: int) -> OracleResult:
     """Exhaustive refutation search over all domains up to max_domain."""
+    if max_domain < 1:
+        raise ValueError("models are nonempty: max_domain must be at least 1")
     if free_variables(f):
         raise FreeVariableError("the oracle decides closed formulas only")
     sig = signature_of(f)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .formulas import Atom, Slot, format_formula
+from .formulas import format_formula
 from .marking import MarkingState, TraceStep
 
 _OP_LABEL = {"not": "~", "and": "&", "or": "|", "imp": "->", "iff": "<->"}
@@ -22,7 +22,7 @@ def _mark_text(s: MarkingState, nid: int, floor: Optional[int]) -> str:
     v = s.marked(nid)
     if v is None:
         return "[?]"
-    if floor is not None and s.step_of.get(nid, 0) >= floor:
+    if floor is not None and s.step_of(nid) >= floor:
         return f"[{v}?]"
     return f"[{v}]"
 
@@ -30,11 +30,7 @@ def _mark_text(s: MarkingState, nid: int, floor: Optional[int]) -> str:
 def _node_label(s: MarkingState, nid: int) -> str:
     node = s.tree.nodes[nid]
     if node.kind == "atom":
-        shape = node.atom_shape
-        args = tuple(
-            node.slot_fill.get(a.qid, a) if isinstance(a, Slot) else a for a in shape.args
-        )
-        return format_formula(Atom(shape.pred, args))
+        return format_formula(s.tree.node_formula(nid))
     if node.is_quantifier:
         return f"{node.kind} {node.var}"
     return _OP_LABEL[node.kind]
@@ -83,7 +79,7 @@ def render_dot(s: MarkingState) -> str:
         else:
             fill = "white"
         style = "filled"
-        if v is not None and floor is not None and s.step_of.get(nid, 0) >= floor:
+        if v is not None and floor is not None and s.step_of(nid) >= floor:
             style = "filled,dashed"
         label = _node_label(s, nid)
         if v is not None:

@@ -1,21 +1,30 @@
-"""Mark-forcing rules for the propositional connectives.
+"""The rule catalog of the tree calculus: connective and quantifier rules.
 
-Every rule relates the mark of a connective node ("k") to the marks of its
-children ("i"/"d" for binary, "a" for negation). The catalog is exactly the
-primitive and derived sets of the tree calculus; note the deliberate gap at
+Every connective rule relates the mark of a connective node ("k") to the marks
+of its children ("i"/"d" for binary, "a" for negation). The catalog is exactly
+the primitive and derived sets of the tree calculus; note the deliberate gap at
 disjunction: an accepted `|` with rejected right child does not force the left
 child (no such rule exists), the search layer compensates by branching.
+
+The quantifier rules live in three tables keyed by quantifier kind and mark:
+`INSTANTIATION` (which instance branches a marked quantifier gets and the rule
+that marks them), `GENERALIZATION` (which instance mark marks an unmarked
+quantifier, and whether the instance variable must be independent) and
+`PERMISSION` (the rule that adds an instance branch asserting nothing).
+`DISCHARGE` names the rule that closes a supposition on one side of a
+conditional or disjunction once the other side's goal mark is forced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Union
+from typing import Optional, Union
 
-PREMISE_POSITIONS = ("k", "i", "d", "a")
+# child index of each non-"k" position
+CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
 
-_TRUTH_TABLE = {
+TRUTH_TABLE = {
     "and": lambda i, d: i & d,
     "or": lambda i, d: i | d,
     "imp": lambda i, d: (1 - i) | d,
@@ -87,13 +96,64 @@ for _r in _RULES:
     _BY_CONNECTIVE.setdefault(_r.connective, ())
     _BY_CONNECTIVE[_r.connective] += (_r,)
 
+
+@dataclass(frozen=True)
+class Instantiation:
+    """What a quantifier of one kind carrying one mark obliges: instance
+    branches made by `rule` (one fresh witness when `witness`, else one per
+    individual), each marked like the quantifier by `marking`."""
+
+    rule: str
+    marking: str
+    witness: bool
+
+
+INSTANTIATION: dict[tuple[str, int], Instantiation] = {
+    ("forall", 1): Instantiation("IA∀", "A∀", witness=False),
+    ("exists", 0): Instantiation("IR∃", "R∃", witness=False),
+    ("forall", 0): Instantiation("IR∀", "R∀", witness=True),
+    ("exists", 1): Instantiation("IA∃", "A∃", witness=True),
+}
+
+# (kind, instance mark) -> (rule giving the unmarked quantifier that mark,
+# whether the instance must be an independent variable)
+GENERALIZATION: dict[tuple[str, int], tuple[str, bool]] = {
+    ("exists", 1): ("Aa∃", False),
+    ("forall", 0): ("Ra∀", False),
+    ("forall", 1): ("Aa∀", True),
+    ("exists", 0): ("Ra∃", True),
+}
+
+# kind -> rule adding an instance branch that asserts nothing
+PERMISSION = {"forall": "I∀", "exists": "I∃"}
+
+# rule name -> the (kind, mark) its table entry is keyed by; a permission
+# applies to any mark, so its mark is None
+INSTANTIATION_RULES: dict[str, tuple[str, Optional[int]]] = {
+    **{e.rule: km for km, e in INSTANTIATION.items()},
+    **{rule: (kind, None) for kind, rule in PERMISSION.items()},
+}
+MARKING_RULES = {e.marking: km for km, e in INSTANTIATION.items()}
+GENERALIZATION_RULES = {rule: km for km, (rule, _) in GENERALIZATION.items()}
+WITNESS_RULES = frozenset(e.rule for e in INSTANTIATION.values() if e.witness)
+
+# (connective, supposition kind, supposed child, goal mark) -> the rule that
+# accepts the connective once the supposition forced the goal mark on the
+# other child
+DISCHARGE = {
+    ("imp", "OA", 0, 1): "OAi-Ad→",
+    ("imp", "OR", 1, 0): "ORd-Ri→",
+    ("or", "OR", 0, 1): "ORi-Ad∨",
+    ("or", "OR", 1, 1): "ORd-Ai∨",
+}
+
 # identifiers that are rules of the calculus but not propositional forcings
 NON_PROPOSITIONAL = frozenset(
     {
-        "A∀", "Aa∃", "Aa∀", "Ra∃", "R∀", "Ra∀", "R∃", "A∃",
-        "IA∀", "IR∀", "I∀", "IA∃", "IR∃", "I∃",
+        *INSTANTIATION_RULES, *MARKING_RULES, *GENERALIZATION_RULES,
+        *DISCHARGE.values(),
         "IA", "IR",
-        "OA-DM", "OR-DM", "RR-DM", "OAi-Ad→", "ORd-Ri→", "ORi-Ad∨", "ORd-Ai∨",
+        "OA-DM", "OR-DM", "RR-DM",
         "RR", "DM", "OA", "OR", "m",
     }
 )
@@ -109,7 +169,7 @@ def _worlds(connective: str):
         for a in (0, 1):
             yield {"k": 1 - a, "a": a}
     else:
-        tt = _TRUTH_TABLE[connective]
+        tt = TRUTH_TABLE[connective]
         for i, d in product((0, 1), repeat=2):
             yield {"k": tt(i, d), "i": i, "d": d}
 
@@ -130,7 +190,7 @@ def verify_derived_rule(rule: Union[str, RuleSpec]) -> bool:
             raise ValueError(f"unknown rule identifier {rule!r}")
     else:
         spec = rule
-    if spec.connective not in ("not", *_TRUTH_TABLE):
+    if spec.connective not in ("not", *TRUTH_TABLE):
         raise ValueError(f"unknown connective {spec.connective!r}")
     for world in _worlds(spec.connective):
         premises_hold = all(world[pos] == v for pos, v in spec.premises)

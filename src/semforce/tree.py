@@ -14,15 +14,13 @@ from typing import Iterator, Optional
 
 from .errors import FreeVariableError, StateError
 from .formulas import (
-    And,
+    BINARY,
+    CLASS_OF,
+    KIND_OF,
+    QUANTIFIERS,
     Atom,
-    Exists,
-    Forall,
     Formula,
-    Iff,
-    Imp,
     Not,
-    Or,
     Slot,
     Term,
     Var,
@@ -30,10 +28,8 @@ from .formulas import (
     is_ground,
 )
 
-_KIND_OF = {Atom: "atom", Not: "not", And: "and", Or: "or", Imp: "imp", Iff: "iff", Forall: "forall", Exists: "exists"}
-_BINARY_KINDS = frozenset({"and", "or", "imp", "iff"})
-_QUANT_KINDS = frozenset({"forall", "exists"})
-_CLASS_OF = {"not": Not, "and": And, "or": Or, "imp": Imp, "iff": Iff, "forall": Forall, "exists": Exists}
+_BINARY_KINDS = frozenset(KIND_OF[c] for c in BINARY)
+_QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
 
 
 @dataclass
@@ -68,7 +64,7 @@ def _subst_slot(f: Formula, qid: int, term: Term) -> Formula:
         return Atom(f.pred, tuple(term if isinstance(t, Slot) and t.qid == qid else t for t in f.args))
     if isinstance(f, Not):
         return Not(_subst_slot(f.sub, qid, term))
-    if isinstance(f, (And, Or, Imp, Iff)):
+    if isinstance(f, BINARY):
         return type(f)(_subst_slot(f.left, qid, term), _subst_slot(f.right, qid, term))
     return type(f)(f.var, _subst_slot(f.body, qid, term))
 
@@ -103,7 +99,7 @@ class ForcingTree:
         is_template: bool,
         fill_term: Optional[Term],
     ) -> int:
-        kind = _KIND_OF[type(f)]
+        kind = KIND_OF[type(f)]
         if kind == "atom":
             args = tuple(Slot(env[t.name]) if isinstance(t, Var) and t.name in env else t for t in f.args)
             node = self._new_node(
@@ -170,10 +166,10 @@ class ForcingTree:
         elif node.kind == "not":
             f = Not(self.node_formula(node.children[0]))
         elif node.is_binary:
-            f = _CLASS_OF[node.kind](self.node_formula(node.children[0]), self.node_formula(node.children[1]))
+            f = CLASS_OF[node.kind](self.node_formula(node.children[0]), self.node_formula(node.children[1]))
         else:
             body = _subst_slot(self.node_formula(node.children[0]), node.qid, Var(node.var))
-            f = _CLASS_OF[node.kind](node.var, body)
+            f = CLASS_OF[node.kind](node.var, body)
         self._formula_cache[nid] = f
         return f
 
@@ -194,33 +190,6 @@ class ForcingTree:
             nid = stack.pop()
             yield nid
             stack.extend(reversed(self.nodes[nid].children))
-
-    def postorder(self, start: Optional[int] = None) -> Iterator[int]:
-        for nid in reversed(list(self._rpostorder(start))):
-            yield nid
-
-    def _rpostorder(self, start: Optional[int]) -> Iterator[int]:
-        stack = [self.root if start is None else start]
-        while stack:
-            nid = stack.pop()
-            yield nid
-            stack.extend(self.nodes[nid].children)
-
-    def relevant_nodes(self) -> Iterator[int]:
-        """Preorder walk that skips a quantifier's template subtree once the
-        quantifier has instance children (the template is superseded)."""
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            yield nid
-            node = self.nodes[nid]
-            kids = node.children
-            if node.is_quantifier and len(kids) > 1:
-                kids = kids[1:]
-            stack.extend(reversed(kids))
-
-    def subtree_nodes(self, start: int) -> list[int]:
-        return list(self.preorder(start))
 
     def profundity(self, nid: Optional[int] = None) -> int:
         """Height of the subtree: 0 at atom nodes, else 1 + max over children."""

@@ -133,6 +133,30 @@ def test_oracle_valid_and_refuted(capsys):
     assert model["domain"]
 
 
+def test_oracle_default_bound_follows_the_fragment(capsys):
+    code, out, _ = run(capsys, "oracle", "forall x. R(x,x) -> R(a,a)")
+    assert code == 0
+    assert out.strip() == "valid up to domain size 2"
+    code, out, _ = run(capsys, "oracle", "forall x. (P(x) & Q(x)) -> P(a)")
+    assert code == 0
+    assert out.strip() == "valid up to domain size 4"
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_oracle_rejects_an_empty_domain_bound(capsys, bound):
+    code, out, err = run(capsys, "oracle", "P(a) & ~P(a)", "--max-domain", bound)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "max_domain must be at least 1" in err
+
+
+def test_corpus_rejects_an_empty_domain_bound(capsys):
+    code, out, err = run(capsys, "corpus", "--max-domain", "0")
+    assert code == EXIT_DATA
+    assert "ok" not in out
+    assert "max_domain must be at least 1" in err
+
+
 def test_oracle_outside_fragment_requires_a_bound(capsys):
     code, _, err = run(capsys, "oracle", OUTSIDE)
     assert code == 65

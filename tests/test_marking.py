@@ -184,6 +184,18 @@ def test_witness_rules_check_the_quantifier_mark():
         s.instantiate(s.tree.root, Const("w9"), "IA∀")
 
 
+@pytest.mark.parametrize(
+    "src, rule, what",
+    [("exists x. P(x)", "I∀", "a universal"), ("forall x. P(x)", "I∃", "an existential")],
+)
+def test_permission_rules_check_the_quantifier_kind(src, rule, what):
+    s = state_for(src)
+    with pytest.raises(PremiseError, match=f"{rule} applies to {what}"):
+        s.instantiate(s.tree.root, Const("a"), rule)
+    assert s.tree.instance_children(s.tree.root) == []
+    assert s.trace == []
+
+
 def test_downward_witness_rule_applies_to_the_witness_branch_only():
     s = state_for("forall x. P(x)")
     root = s.tree.root
