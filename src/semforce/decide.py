@@ -15,7 +15,7 @@ and tries to force the other side's discharge mark without options.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import FragmentError, ResourceLimitError, StateError
 from .formulas import (
@@ -76,7 +76,7 @@ class NoCountermodelUpTo:
     state: MarkingState
 
 
-Verdict = Union[Valid, Invalid, NoCountermodelUpTo]
+Verdict = Valid | Invalid | NoCountermodelUpTo
 
 
 def fragment_bounds(fragment: FragmentClass) -> Optional[tuple[int, int]]:
@@ -202,7 +202,12 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     s = init_marking(tree)
     search = _Search(s, budget, cfg.branch_limit)
     frame = s.open_supposition(tree.root, 0, kind="RR")
-    if not search.explore():
+    try:
+        closed = search.explore()
+    except RecursionError:
+        # each nested supposition costs a few interpreter frames
+        raise ResourceLimitError("search nesting exceeds the interpreter's recursion limit") from None
+    if not closed:
         s.commit_frames()
         model = extract_model(s)
         if evaluate(model, f, {}) != 0:

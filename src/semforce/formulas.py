@@ -9,7 +9,7 @@ enclosing quantifier binds it; any other occurrence is a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import FreeVariableError, ParseError
 
@@ -42,7 +42,7 @@ class Slot:
         return "_"
 
 
-Term = Union[Var, Const, Slot]
+Term = Var | Const | Slot
 
 # ------------------------------------------------------------------- formulas
 
@@ -118,7 +118,7 @@ class Exists:
         return format_formula(self)
 
 
-Formula = Union[Atom, Not, And, Or, Imp, Iff, Forall, Exists]
+Formula = Atom | Not | And | Or | Imp | Iff | Forall | Exists
 
 BINARY = (And, Or, Imp, Iff)
 QUANTIFIERS = (Forall, Exists)
@@ -408,7 +408,7 @@ class Outside:
     pass
 
 
-FragmentClass = Union[Monadic, Dyadic2Var, Outside]
+FragmentClass = Monadic | Dyadic2Var | Outside
 
 OUTSIDE = Outside()
 

@@ -6,15 +6,18 @@ iteration between nodes sharing one formula, and supposition scopes whose
 absorbed marks are rolled back on discharge. A contradiction is a double mark:
 two nodes associated with the same ground formula carrying opposite values.
 
-State mutates in place; `checkpoint`/`rollback` give the search cheap undo.
-Rolled-back trace steps are kept, flagged absorbed, so step numbering stays
-dense and premise references stay meaningful.
+Each alpha-normalized ground formula is interned once to a small int, its
+formula class; iteration, consensus and the double-mark test key on that int.
+State mutates in place. Every insertion pushes one entry on an undo trail, so
+`checkpoint` is O(1) and `rollback` costs the changes made since. Rolled-back
+trace steps are kept, flagged absorbed, so step numbering stays dense and
+premise references stay meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import PremiseError, StateError
 from .formulas import (
@@ -108,12 +111,7 @@ class Frame:
 
 @dataclass
 class Checkpoint:
-    marks: dict
-    consensus: dict
-    index: dict
-    registry: tuple
-    witnesses: dict
-    inst_rule: dict
+    trail_len: int
     scopes_len: int
     trace_len: int
     next_nid: int
@@ -131,10 +129,10 @@ class MarkingState:
     def __init__(self, tree: ForcingTree):
         self.tree = tree
         self.marks: dict[int, tuple[Mark, Justification]] = {}
-        # formula key -> (value, first node marked with it); ground nodes only
-        self.consensus: dict[Formula, tuple[Mark, int]] = {}
-        # formula key -> node ids carrying that ground formula
-        self.formula_index: dict[Formula, list[int]] = {}
+        # formula class -> (value, first node marked with it); ground nodes only
+        self.consensus: dict[int, tuple[Mark, int]] = {}
+        # formula class -> node ids carrying that ground formula
+        self.formula_index: dict[int, list[int]] = {}
         self.domain_registry: list[Term] = [Const(c) for c in constants_of(tree.source)]
         self.witness_registry: dict[str, tuple[int, frozenset[str]]] = {}
         self.inst_rule: dict[int, str] = {}
@@ -145,9 +143,29 @@ class MarkingState:
         self._step = 0
         self._witness_counter = 0
         self._reserved = identifiers_of(tree.source)
-        self._key_cache: dict[int, Optional[Formula]] = {}
+        # interned formula classes; kept across rollbacks, since a class id
+        # stays a correct name for its formula
+        self._classes: dict[Formula, int] = {}
+        # formula class -> how many of its nodes are marked
+        self._marked_in: list[int] = []
+        self._key_cache: dict[int, Optional[int]] = {}
+        self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
+        # (undo, argument) pairs, one per insertion, popped by rollback
+        self._trail: list[tuple] = []
+        marks, counts, keys = self.marks, self._marked_in, self._key_cache
+
+        def unmark(nid: int) -> None:
+            del marks[nid]
+            counts[keys[nid]] -= 1
+
+        # a closure, not a bound method: a trail entry that referred back to
+        # the state would keep every finished state alive until the cycle
+        # collector runs
+        self._unmark = unmark
         for nid in tree.preorder():
             self._index_node(nid)
+        # no checkpoint precedes construction, so nothing so far is ever undone
+        self._trail.clear()
 
     # ------------------------------------------------------------- inspection
 
@@ -160,18 +178,39 @@ class MarkingState:
         got = self.marks.get(nid)
         return None if got is None else got[1].step
 
-    def key(self, nid: int) -> Optional[Formula]:
-        """Alpha-normalized node formula; None while placeholders are unfilled."""
-        if nid in self._key_cache:
+    def key(self, nid: int) -> Optional[int]:
+        """Formula class of the node's alpha-normalized formula; None while
+        placeholders are unfilled."""
+        try:
             return self._key_cache[nid]
-        k = alpha_normalize(self.tree.node_formula(nid)) if self.tree.is_ground_node(nid) else None
+        except KeyError:
+            pass
+        k = None
+        if self.tree.is_ground_node(nid):
+            f = alpha_normalize(self.tree.node_formula(nid))
+            k = self._classes.get(f)
+            if k is None:
+                k = self._classes[f] = len(self._marked_in)
+                self._marked_in.append(0)
         self._key_cache[nid] = k
         return k
 
+    def class_of(self, f: Formula) -> Optional[int]:
+        """Formula class of an alpha-normalized formula; None when no node has
+        carried it."""
+        return self._classes.get(f)
+
     def _index_node(self, nid: int) -> None:
         k = self.key(nid)
-        if k is not None:
-            self.formula_index.setdefault(k, []).append(nid)
+        if k is None:
+            return
+        members = self.formula_index.get(k)
+        if members is None:
+            self.formula_index[k] = [nid]
+            self._trail.append((self.formula_index.pop, k))
+        else:
+            members.append(nid)
+            self._trail.append((members.pop, -1))
 
     def witness_child(self, qnid: int) -> Optional[int]:
         for c in self.tree.instance_children(qnid):
@@ -183,12 +222,7 @@ class MarkingState:
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
-            marks=dict(self.marks),
-            consensus=dict(self.consensus),
-            index={k: list(v) for k, v in self.formula_index.items()},
-            registry=tuple(self.domain_registry),
-            witnesses=dict(self.witness_registry),
-            inst_rule=dict(self.inst_rule),
+            trail_len=len(self._trail),
             scopes_len=len(self.scopes),
             trace_len=len(self.trace),
             next_nid=self.tree._next_nid,
@@ -197,29 +231,21 @@ class MarkingState:
         )
 
     def rollback(self, cp: Checkpoint) -> None:
-        self.marks = dict(cp.marks)
-        self.consensus = dict(cp.consensus)
-        self.formula_index = {k: list(v) for k, v in cp.index.items()}
-        self.domain_registry = list(cp.registry)
-        self.witness_registry = dict(cp.witnesses)
-        self.inst_rule = dict(cp.inst_rule)
+        """Undo everything since cp. Checkpoints are rolled back innermost
+        first; popping the trail restores every dict's key order too."""
+        trail = self._trail
+        if len(trail) < cp.trail_len:
+            raise StateError("an enclosing checkpoint was already rolled back")
+        for _ in range(len(trail) - cp.trail_len):
+            undo, arg = trail.pop()
+            undo(arg)
         del self.scopes[cp.scopes_len:]
         for rec in self.trace[cp.trace_len:]:
             rec.absorbed = True
         self.dm = cp.dm
         self.generic = cp.generic
-        tree = self.tree
-        for nid in range(cp.next_nid, tree._next_nid):
-            node = tree.nodes.pop(nid, None)
-            if node is None:
-                continue
+        for nid in self.tree.truncate(cp.next_nid):
             self._key_cache.pop(nid, None)
-            tree._formula_cache.pop(nid, None)
-            if node.parent is not None and node.parent in tree.nodes:
-                siblings = tree.nodes[node.parent].children
-                if nid in siblings:
-                    siblings.remove(nid)
-        tree._next_nid = cp.next_nid
 
     # ----------------------------------------------------------- trace output
 
@@ -248,6 +274,7 @@ class MarkingState:
             n += 1
         self.generic = Var(f"v{n}")
         self.domain_registry.append(self.generic)
+        self._trail.append((self.domain_registry.pop, -1))
         return self.generic
 
     # ------------------------------------------------------------ set_mark
@@ -275,9 +302,13 @@ class MarkingState:
             return
         k = self.key(n)
         self.marks[n] = (v, just)
+        self._marked_in[k] += 1
+        trail = self._trail
+        trail.append((self._unmark, n))
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)
+            trail.append((self.consensus.pop, k))
         elif hit[0] != v:
             self.dm = DoubleMark(hit[1], n)
             self._record(n, None, "DM", (), (self.step_of(hit[1]), step))
@@ -287,7 +318,7 @@ class MarkingState:
         if n not in tree.nodes:
             raise PremiseError(f"unknown node {n}")
         node = tree.nodes[n]
-        if not tree.is_ground_node(n):
+        if self.key(n) is None:
             raise PremiseError(f"node {n} has unfilled placeholders and cannot be marked")
 
         def need(cond: bool, msg: str) -> None:
@@ -386,14 +417,18 @@ class MarkingState:
             if term.name in used:
                 raise PremiseError(f"witness {term.name!r} is not fresh")
         child = self.tree.instantiate(qnid, term)
+        trail = self._trail
         self.inst_rule[child] = rule
+        trail.append((self.inst_rule.pop, child))
         for nid in self.tree.preorder(child):
             self._index_node(nid)
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
             fv = frozenset(free_variables(self.tree.node_formula(child)))
             self.witness_registry[term.name] = (child, fv)
+            trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
+            trail.append((self.domain_registry.pop, -1))
         return child
 
     # ----------------------------------------------------------- independence
@@ -429,7 +464,7 @@ class MarkingState:
         self.set_mark(n, v, kind if kind in ("OA", "OR", "RR") else ("OA" if v == 1 else "OR"))
         return frame
 
-    def discharge(self, frame: Frame, outcome: Union[str, tuple[int, Mark]]) -> str:
+    def discharge(self, frame: Frame, outcome: str | tuple[int, Mark]) -> str:
         """Close the top frame: roll back its absorbed marks and assert the one
         conclusion the discharge rule licenses. Returns the rule applied.
 
@@ -494,7 +529,7 @@ class MarkingState:
         def emit(t: int, v: Mark, rule: str, prem: tuple[int, ...]) -> None:
             # a conclusion against an existing opposite mark must surface as a
             # double mark, so only same-value repeats are dropped
-            if self.marked(t) != v and tree.is_ground_node(t):
+            if self.marked(t) != v and self.key(t) is not None:
                 out.append((t, v, rule, prem))
 
         if node.is_binary or node.kind == "not":
@@ -528,17 +563,26 @@ class MarkingState:
         mark = self.marked(n)
         if mark is not None:
             k = self.key(n)
-            rule = "IA" if mark == 1 else "IR"
-            for other in self.formula_index.get(k, ()):
-                if other != n:
-                    emit(other, mark, rule, (n,))
+            members = self.formula_index.get(k, ())
+            # without a double mark, a class whose members are all marked
+            # holds one value, so iterating into it would only repeat marks
+            if self._marked_in[k] < len(members) or self.dm is not None:
+                rule = "IA" if mark == 1 else "IR"
+                for other in members:
+                    if other != n:
+                        emit(other, mark, rule, (n,))
         return out
 
     # ------------------------------------------------------------ traversal
 
     def relevant(self, order: str = "pre") -> list[int]:
         """Nodes in preorder ("pre") or postorder, skipping a quantifier's
-        template subtree once the quantifier has instance children."""
+        template subtree once the quantifier has instance children. The list
+        is cached per tree version and shared: callers must not mutate it."""
+        version = self.tree.version
+        hit = self._relevant_cache.get(order)
+        if hit is not None and hit[0] == version:
+            return hit[1]
         nodes = self.tree.nodes
         pre = order == "pre"
         out: list[int] = []
@@ -553,18 +597,22 @@ class MarkingState:
                     kids = kids[1:]
                 # postorder is the reverse of a preorder that takes children right to left
                 stack += kids[::-1] if pre else kids
-        return out if pre else out[::-1]
+        if not pre:
+            out.reverse()
+        self._relevant_cache[order] = (version, out)
+        return out
 
     def unmarked_relevant_ground(self) -> list[int]:
-        return [n for n in self.relevant() if self.marked(n) is None and self.tree.is_ground_node(n)]
+        return [n for n in self.relevant() if self.marked(n) is None and self.key(n) is not None]
 
-    def instance_key(self, qnid: int, term: Term) -> Formula:
-        """The formula key an instance branch of qnid filled with term would carry."""
+    def instance_key(self, qnid: int, term: Term) -> Optional[int]:
+        """The formula class an instance branch of qnid filled with term would
+        carry; None when no node has carried that formula."""
         from .tree import _subst_slot
 
         q = self.tree.nodes[qnid]
         template = self.tree.node_formula(q.children[0])
-        return alpha_normalize(_subst_slot(template, q.qid, term))
+        return self.class_of(alpha_normalize(_subst_slot(template, q.qid, term)))
 
 
 def init_marking(t: ForcingTree) -> MarkingState:
@@ -585,7 +633,7 @@ def open_supposition(s: MarkingState, n: int, v: Mark) -> Frame:
     return s.open_supposition(n, v)
 
 
-def discharge(s: MarkingState, scope: Frame, outcome: Union[str, tuple[int, Mark]]) -> str:
+def discharge(s: MarkingState, scope: Frame, outcome: str | tuple[int, Mark]) -> str:
     return s.discharge(scope, outcome)
 
 
@@ -624,7 +672,7 @@ def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:
     """Unmarked ground quantifiers in relevant order, each with the registry
     individuals it has no instance branch for yet (read when it is reached)."""
     for nid in s.relevant():
-        if s.tree.nodes[nid].is_quantifier and s.marked(nid) is None and s.tree.is_ground_node(nid):
+        if s.tree.nodes[nid].is_quantifier and s.marked(nid) is None and s.key(nid) is not None:
             have = set(s.tree.instance_terms(nid))
             yield nid, [t for t in s.domain_registry if t not in have]
 
@@ -692,7 +740,7 @@ def _remote_instances(s: MarkingState) -> bool:
     return changed
 
 
-def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Union[Quiescent, DoubleMark]:
+def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Quiescent | DoubleMark:
     """Apply forced rules to fixpoint: rule sweeps in the given traversal order,
     then instantiation obligations, then remote instances; stop at the first
     double mark. Fresh witnesses stop once the registry holds budget

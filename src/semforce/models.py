@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import FreeVariableError, StateError
 from .formulas import (
@@ -63,7 +63,7 @@ class Refuted:
     interpretation: Interpretation
 
 
-OracleResult = Union[ValidUpTo, Refuted]
+OracleResult = ValidUpTo | Refuted
 
 
 def signature_of(f: Formula) -> Signature:
@@ -195,7 +195,7 @@ def extract_model(s) -> Interpretation:
     dyadic: dict[str, frozenset] = {}
 
     def marked_one(atom: Atom) -> bool:
-        hit = s.consensus.get(alpha_normalize(atom))
+        hit = s.consensus.get(s.class_of(alpha_normalize(atom)))
         return hit is not None and hit[0] == 1
 
     for pred, arity in sorted(arities.items()):

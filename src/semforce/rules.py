@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import Optional
 
 # child index of each non-"k" position
 CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
@@ -174,7 +174,7 @@ def _worlds(connective: str):
             yield {"k": tt(i, d), "i": i, "d": d}
 
 
-def verify_derived_rule(rule: Union[str, RuleSpec]) -> bool:
+def verify_derived_rule(rule: str | RuleSpec) -> bool:
     """Check a propositional rule against the classical truth tables.
 
     True iff in every total assignment consistent with the connective's truth

@@ -77,6 +77,9 @@ class ForcingTree:
         self._next_nid = 1
         self._next_qid = 1
         self._formula_cache: dict[int, Formula] = {}
+        # bumped whenever nodes are added or removed after construction; it
+        # only increases, so a (version, value) pair never goes stale
+        self.version = 0
         self.source = formula
         self.root = self._build(formula, parent=None, env={}, slot_fill={}, is_template=False, fill_term=None)
 
@@ -134,7 +137,27 @@ class ForcingTree:
             raise StateError(f"node {qnid} is not a quantifier node")
         if not q.children:
             raise StateError(f"quantifier node {qnid} has no template child")
+        self.version += 1
         return self._clone(q.children[0], q.nid, {q.qid: term}, fill_term=term, as_template=False)
+
+    def truncate(self, next_nid: int) -> list[int]:
+        """Remove every node numbered next_nid or above, so that the next node
+        created is numbered next_nid again; returns the removed ids."""
+        removed = []
+        for nid in range(next_nid, self._next_nid):
+            node = self.nodes.pop(nid, None)
+            if node is None:
+                continue
+            removed.append(nid)
+            self._formula_cache.pop(nid, None)
+            if node.parent is not None and node.parent in self.nodes:
+                siblings = self.nodes[node.parent].children
+                if nid in siblings:
+                    siblings.remove(nid)
+        if removed:
+            self.version += 1
+        self._next_nid = next_nid
+        return removed
 
     def _clone(self, src_nid: int, parent: int, extra_fill: dict[int, Term], fill_term: Optional[Term], as_template: bool) -> int:
         src = self.nodes[src_nid]

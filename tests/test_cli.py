@@ -94,6 +94,18 @@ def test_resource_limit_exit_code(capsys):
     assert err
 
 
+def test_search_depth_limit_exit_code(capsys, monkeypatch):
+    from semforce.decide import _Search
+
+    def too_deep(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(_Search, "explore", too_deep)
+    code, _, err = run(capsys, "check", ILLUSTRATIONS[6])
+    assert code == EXIT_INTERNAL == 70
+    assert "recursion limit" in err
+
+
 def test_render_ascii_shows_committed_marks(capsys):
     code, out, _ = run(capsys, "render", ILLUSTRATIONS[1])
     assert code == 0

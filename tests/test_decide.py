@@ -127,6 +127,43 @@ def test_branch_limit_aborts_the_search():
         decide(parse_formula(ILLUSTRATIONS[6]), EngineConfig(branch_limit=1))
 
 
+def test_a_search_too_deep_for_the_interpreter_is_a_resource_limit(monkeypatch):
+    from semforce import ResourceLimitError
+    from semforce.decide import _Search
+
+    def too_deep(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(_Search, "explore", too_deep)
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        decide(parse_formula(ILLUSTRATIONS[6]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_a_decided_state_is_freed_without_the_cycle_collector(k):
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        verdict = decide(parse_formula(ILLUSTRATIONS[k]))
+        state = weakref.ref(verdict.state)
+        del verdict
+        assert state() is None
+    finally:
+        gc.enable()
+
+
+def test_the_renamed_deep_dyadic_formula_completes():
+    # a deep instance search that once ran for 38 s
+    f = parse_formula("exists y. exists x. exists y. forall x. forall x. R(x,x)")
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid)
+    assert len(verdict.state.tree.nodes) == 4382
+    assert len(verdict.state.trace) == 4346
+    assert evaluate(verdict.model, f, {}) == 0
+
+
 def test_random_formulas_agree_with_the_oracle_at_budget_two(rng):
     from conftest import random_formula
     from semforce import Refuted, ValidUpTo, oracle_validity

@@ -149,3 +149,27 @@ def test_alpha_normalize_random_rename_invariance(rng):
 def test_predicate_arities():
     f = parse_formula(ILLUSTRATIONS[1])
     assert predicate_arities(f) == {"P": 1, "R": 2}
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # module-level typing.Union aliases stay in typing's cache and would pin
+    # every class of each earlier import in memory
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import gc, sys, weakref
+import semforce
+first = weakref.ref(sys.modules["semforce.formulas"].Atom)
+for name in [m for m in sys.modules if m == "semforce" or m.startswith("semforce.")]:
+    del sys.modules[name]
+del semforce
+import semforce
+gc.collect()
+assert first() is None, "the first import is still alive"
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

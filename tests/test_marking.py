@@ -277,6 +277,80 @@ def test_rollback_restores_marks_registry_and_tree():
     assert s.fresh_witness() == "w2"
 
 
+def snapshot(s):
+    """Every structure rollback restores, with its key order."""
+    return {
+        "marks": list(s.marks.items()),
+        "consensus": list(s.consensus.items()),
+        "index": [(k, list(v)) for k, v in s.formula_index.items()],
+        "inst_rule": list(s.inst_rule.items()),
+        "witnesses": list(s.witness_registry.items()),
+        "registry": list(s.domain_registry),
+        "dm": s.dm,
+        "generic": s.generic,
+        "nodes": list(s.tree.nodes),
+        "relevant": list(s.relevant()),
+    }
+
+
+def assert_class_counts(s):
+    # the IA/IR fan-out skip relies on these counts
+    for k, members in s.formula_index.items():
+        assert s._marked_in[k] == sum(s.marked(n) is not None for n in members)
+
+
+def test_nested_rollbacks_restore_every_structure_in_order():
+    s = state_for("forall x. P(x) | forall y. Q(y)")
+    q1, q2 = s.tree.nodes[s.tree.root].children
+    cp1 = s.checkpoint()
+    snap1 = snapshot(s)
+    s.set_mark(q1, 0, "OR")
+    w1 = s.instantiate(q1, Const(s.fresh_witness()), "IR∀")
+    s.set_mark(w1, 0, "R∀", (q1,))
+
+    cp2 = s.checkpoint()
+    snap2 = snapshot(s)
+    s.set_mark(q2, 0, "OR")
+    w2 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
+    s.instantiate(q1, s.introduce_generic(), "I∀")
+    s.set_mark(w2, 1, "m")
+    assert_class_counts(s)
+    s.set_mark(w2, 0, "m")
+    assert s.dm is not None and s.generic is not None
+    assert snapshot(s) != snap2
+
+    s.rollback(cp2)
+    assert snapshot(s) == snap2
+    assert_class_counts(s)
+    s.introduce_generic()
+    s.set_mark(w1, 1, "m")
+    assert s.dm is not None
+
+    s.rollback(cp1)
+    assert snapshot(s) == snap1
+    assert_class_counts(s)
+    with pytest.raises(StateError):
+        s.rollback(cp2)
+
+
+def test_relevant_follows_the_tree_after_a_rollback():
+    s = state_for("forall x. P(x) & forall y. Q(y)")
+    root = s.tree.root
+    q1, q2 = s.tree.nodes[root].children
+    t1, t2 = s.tree.nodes[q1].children[0], s.tree.nodes[q2].children[0]
+    cp = s.checkpoint()
+    a = s.instantiate(q1, Const("c"), "I∀")
+    assert s.relevant() == [root, q1, a, q2, t2]
+    assert s.relevant("post") == [a, q1, t2, q2, root]
+    size = len(s.tree.nodes)
+    s.rollback(cp)
+    # same node count and same next id, over a different tree
+    b = s.instantiate(q2, Const("c"), "I∀")
+    assert b == a and len(s.tree.nodes) == size
+    assert s.relevant() == [root, q1, t1, q2, b]
+    assert s.relevant("post") == [t1, q1, b, q2, root]
+
+
 # ------------------------------------------------------ suppositions
 
 
