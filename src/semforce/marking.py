@@ -12,6 +12,25 @@ State mutates in place. Every insertion pushes one entry on an undo trail, so
 `checkpoint` is O(1) and `rollback` costs the changes made since. Rolled-back
 trace steps are kept, flagged absorbed, so step numbering stays dense and
 premise references stay meaningful.
+
+Saturation visits only dirty anchors. The invariant, while no double mark
+stands: a node that is not dirty has an empty `forced_for_anchor` output. An
+anchor's output reads the marks of itself and its children, its instance
+children, the members of its formula class and the open frames, so four hooks
+keep the invariant:
+
+- `set_mark` on n dirties n and its parent (class-mates only lose
+  conclusions by a new mark);
+- `_index_node` on a new node (construction, `instantiate`) dirties the node,
+  its parent and, when one of them is marked, its class-mates, which can now
+  iterate (IA/IR) into it;
+- the trail's unmark, run by `rollback`, dirties the node, its parent and,
+  when one of them is still marked, its class-mates;
+- closing a frame with free variables (`rollback`, `commit_frames`) dirties
+  every node, since independence for generalization may hold again.
+
+Everything else a rollback undoes (nodes, witnesses, a double mark) only
+removes conclusions.
 """
 
 from __future__ import annotations
@@ -34,6 +53,7 @@ from .rules import (
     CATALOG,
     CHILD_INDEX,
     DISCHARGE,
+    DISCHARGE_RULES,
     GENERALIZATION,
     GENERALIZATION_RULES,
     INSTANTIATION,
@@ -150,17 +170,33 @@ class MarkingState:
         self._marked_in: list[int] = []
         self._key_cache: dict[int, Optional[int]] = {}
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
+        # anchors whose forced_for_anchor output may be non-empty (module docstring)
+        self._dirty: set[int] = set()
         # (undo, argument) pairs, one per insertion, popped by rollback
         self._trail: list[tuple] = []
         marks, counts, keys = self.marks, self._marked_in, self._key_cache
+        nodes, index, dirty = tree.nodes, self.formula_index, self._dirty
+
+        def touch(nid: int) -> None:
+            """Dirty nid, its parent and, when one of them is marked, its
+            class-mates: every anchor that reads nid's existence or mark."""
+            dirty.add(nid)
+            parent = nodes[nid].parent
+            if parent is not None:
+                dirty.add(parent)
+            k = keys[nid]
+            if k is not None and counts[k]:
+                dirty.update(index[k])
 
         def unmark(nid: int) -> None:
             del marks[nid]
             counts[keys[nid]] -= 1
+            touch(nid)
 
-        # a closure, not a bound method: a trail entry that referred back to
+        # closures, not bound methods: a trail entry that referred back to
         # the state would keep every finished state alive until the cycle
         # collector runs
+        self._touch = touch
         self._unmark = unmark
         for nid in tree.preorder():
             self._index_node(nid)
@@ -202,15 +238,15 @@ class MarkingState:
 
     def _index_node(self, nid: int) -> None:
         k = self.key(nid)
-        if k is None:
-            return
-        members = self.formula_index.get(k)
-        if members is None:
-            self.formula_index[k] = [nid]
-            self._trail.append((self.formula_index.pop, k))
-        else:
-            members.append(nid)
-            self._trail.append((members.pop, -1))
+        if k is not None:
+            members = self.formula_index.get(k)
+            if members is None:
+                self.formula_index[k] = [nid]
+                self._trail.append((self.formula_index.pop, k))
+            else:
+                members.append(nid)
+                self._trail.append((members.pop, -1))
+        self._touch(nid)
 
     def witness_child(self, qnid: int) -> Optional[int]:
         for c in self.tree.instance_children(qnid):
@@ -239,13 +275,22 @@ class MarkingState:
         for _ in range(len(trail) - cp.trail_len):
             undo, arg = trail.pop()
             undo(arg)
-        del self.scopes[cp.scopes_len:]
+        self._close_frames(cp.scopes_len)
         for rec in self.trace[cp.trace_len:]:
             rec.absorbed = True
         self.dm = cp.dm
         self.generic = cp.generic
         for nid in self.tree.truncate(cp.next_nid):
             self._key_cache.pop(nid, None)
+            self._dirty.discard(nid)
+
+    def _close_frames(self, keep: int) -> None:
+        """Drop the frames above the first keep. Once a frame naming a free
+        variable is gone, generalization over that variable may be licensed
+        again, at any quantifier, so every node is dirtied."""
+        if any(frame.free_vars for frame in self.scopes[keep:]):
+            self._dirty.update(self.tree.nodes)
+        del self.scopes[keep:]
 
     # ----------------------------------------------------------- trace output
 
@@ -303,6 +348,11 @@ class MarkingState:
         k = self.key(n)
         self.marks[n] = (v, just)
         self._marked_in[k] += 1
+        # the anchors that read this mark; class-mates only lose conclusions
+        self._dirty.add(n)
+        parent = self.tree.nodes[n].parent
+        if parent is not None:
+            self._dirty.add(parent)
         trail = self._trail
         trail.append((self._unmark, n))
         hit = self.consensus.get(k)
@@ -337,10 +387,10 @@ class MarkingState:
             need(v == 0, "a failed acceptance option concludes 0")
         elif rule == "OR-DM":
             need(v == 1, "a failed rejection option concludes 1")
-        elif rule in ("OAi-Ad→", "ORd-Ri→"):
-            need(node.kind == "imp" and v == 1, "discharge concludes acceptance of the conditional")
-        elif rule in ("ORi-Ad∨", "ORd-Ai∨"):
-            need(node.kind == "or" and v == 1, "discharge concludes acceptance of the disjunction")
+        elif rule in DISCHARGE_RULES:
+            kind = DISCHARGE_RULES[rule]
+            what = "conditional" if kind == "imp" else "disjunction"
+            need(node.kind == kind and v == 1, f"discharge concludes acceptance of the {what}")
         elif rule in ("IA", "IR"):
             need(v == (1 if rule == "IA" else 0), "iteration keeps the source value")
             need(len(premises) == 1, "iteration cites one source node")
@@ -515,7 +565,7 @@ class MarkingState:
 
     def commit_frames(self) -> None:
         """Keep all provisional marks as final (a consistent completion stands)."""
-        self.scopes.clear()
+        self._close_frames(0)
 
     # --------------------------------------------------- forced consequences
 
@@ -602,6 +652,18 @@ class MarkingState:
         self._relevant_cache[order] = (version, out)
         return out
 
+    def relevant_quantifiers(self) -> list[int]:
+        """The quantifier nodes of relevant() in preorder, cached per tree
+        version beside it; shared, so callers must not mutate it."""
+        version = self.tree.version
+        hit = self._relevant_cache.get("quantifiers")
+        if hit is not None and hit[0] == version:
+            return hit[1]
+        nodes = self.tree.nodes
+        out = [nid for nid in self.relevant() if nodes[nid].is_quantifier]
+        self._relevant_cache["quantifiers"] = (version, out)
+        return out
+
     def unmarked_relevant_ground(self) -> list[int]:
         return [n for n in self.relevant() if self.marked(n) is None and self.key(n) is not None]
 
@@ -659,20 +721,18 @@ def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
     """Marked quantifiers obliged to a fresh witness (witness=True) or to an
     instance per individual (witness=False), in relevant order."""
     out = []
-    for nid in s.relevant():
-        node = s.tree.nodes[nid]
-        if node.is_quantifier:
-            inst = INSTANTIATION.get((node.kind, s.marked(nid)))
-            if inst is not None and inst.witness == witness:
-                out.append(nid)
+    for nid in s.relevant_quantifiers():
+        inst = INSTANTIATION.get((s.tree.nodes[nid].kind, s.marked(nid)))
+        if inst is not None and inst.witness == witness:
+            out.append(nid)
     return out
 
 
 def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:
     """Unmarked ground quantifiers in relevant order, each with the registry
     individuals it has no instance branch for yet (read when it is reached)."""
-    for nid in s.relevant():
-        if s.tree.nodes[nid].is_quantifier and s.marked(nid) is None and s.key(nid) is not None:
+    for nid in s.relevant_quantifiers():
+        if s.marked(nid) is None and s.key(nid) is not None:
             have = set(s.tree.instance_terms(nid))
             yield nid, [t for t in s.domain_registry if t not in have]
 
@@ -744,18 +804,30 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
     """Apply forced rules to fixpoint: rule sweeps in the given traversal order,
     then instantiation obligations, then remote instances; stop at the first
     double mark. Fresh witnesses stop once the registry holds budget
-    individuals, when budget is set."""
+    individuals, when budget is set.
+
+    A sweep skips the anchors that are not dirty: by the invariant in the
+    module docstring they would conclude nothing, so the firings and their
+    order are those of a sweep over every relevant node. A dirty anchor is
+    cleared just before its visit, and the hooks dirty it again if its own
+    conclusions change its inputs."""
     if s.dm is not None:
         return s.dm
+    dirty = s._dirty
     while True:
         changed = False
         while True:
             swept = False
             for nid in s.relevant(order):
+                if nid not in dirty:
+                    continue
+                dirty.remove(nid)
                 for t, v, rule, prem in s.forced_for_anchor(nid):
                     s.set_mark(t, v, rule, prem)
                     swept = True
                     if s.dm is not None:
+                        # the rest of nid's conclusions were not applied
+                        dirty.add(nid)
                         return s.dm
             if not swept:
                 break

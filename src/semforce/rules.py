@@ -146,6 +146,8 @@ DISCHARGE = {
     ("or", "OR", 0, 1): "ORi-Ad∨",
     ("or", "OR", 1, 1): "ORd-Ai∨",
 }
+# discharge rule -> the connective it accepts
+DISCHARGE_RULES = {rule: key[0] for key, rule in DISCHARGE.items()}
 
 # identifiers that are rules of the calculus but not propositional forcings
 NON_PROPOSITIONAL = frozenset(

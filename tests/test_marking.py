@@ -1,27 +1,38 @@
 """Marking engine: rule validation, double marks, suppositions, saturation."""
 
+import random
+import sys
+
 import pytest
 
-from conftest import ILLUSTRATIONS
+from conftest import ILLUSTRATIONS, random_formula
 
 from semforce import (
     Const,
     DoubleMark,
+    Imp,
+    Invalid,
+    Or,
     PremiseError,
     Quiescent,
     StateError,
     Var,
     build_initial_tree,
+    decide,
+    direct_force,
     discharge,
     forced_consequences,
     format_formula,
     init_marking,
+    marking,
     open_supposition,
     parse_formula,
     saturate,
     set_mark,
 )
-from semforce.formulas import Atom
+from semforce.cli import model_json
+from semforce.formulas import Atom, Dyadic2Var, classify_fragment
+from semforce.gen import random_monadic
 
 
 def state_for(src):
@@ -474,3 +485,174 @@ def test_saturation_leaves_of_the_first_worked_formula():
 def test_set_mark_helper_returns_the_state():
     s = state_for("P(a)")
     assert set_mark(s, s.tree.root, 1, "m") is s
+
+
+# ------------------------------------------------------------- dirty anchors
+
+
+def full_sweep_saturate(s, budget=None, order="pre"):
+    """saturate as a sweep over every relevant node, with no dirty set: the
+    reference the dirty-anchor sweep must match firing for firing."""
+    if s.dm is not None:
+        return s.dm
+    while True:
+        changed = False
+        while True:
+            swept = False
+            for nid in s.relevant(order):
+                for t, v, rule, prem in s.forced_for_anchor(nid):
+                    s.set_mark(t, v, rule, prem)
+                    swept = True
+                    if s.dm is not None:
+                        return s.dm
+            if not swept:
+                break
+            changed = True
+        if marking._expand_obligations(s, budget):
+            changed = True
+        if s.dm is not None:
+            return s.dm
+        if marking._remote_instances(s):
+            changed = True
+        if s.dm is not None:
+            return s.dm
+        if not changed:
+            return Quiescent()
+
+
+def behaviour(f):
+    """Everything a decision shows: verdict, trace, countermodel, bound, tree
+    size, and the direct-mode trace of a conditional or disjunction."""
+    v = decide(f)
+    out = [
+        type(v).__name__,
+        [(t.step, t.node, t.value, t.rule, t.premises, t.absorbed) for t in v.state.trace],
+        model_json(v.model) if isinstance(v, Invalid) else getattr(v, "bound", None),
+        len(v.state.tree.nodes),
+    ]
+    if isinstance(f, (Imp, Or)):
+        d = direct_force(f)
+        out.append(None if d is None else [(t.step, t.rule, t.premises) for t in d.trace])
+    return out
+
+
+def differential_formulas():
+    out = [parse_formula(src) for src in ILLUSTRATIONS.values()]
+    rng = random.Random(424242)
+    out += [random_monadic(rng, preds=("P", "Q"), max_complexity=6) for _ in range(150)]
+    rng = random.Random(7)
+    dyadic = []
+    while len(dyadic) < 40:
+        f = random_formula(rng, rng.randint(2, 6))
+        if isinstance(classify_fragment(f), Dyadic2Var):
+            dyadic.append(f)
+    return out + dyadic
+
+
+def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
+    formulas = differential_formulas()
+    quiet = []
+
+    def checked(s, budget=None, order="pre"):
+        out = saturate(s, budget, order)
+        if isinstance(out, Quiescent):
+            quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant(order)))
+        return out
+
+    # the package attribute `decide` is the function; the module binds saturate
+    decide_module = sys.modules["semforce.decide"]
+    monkeypatch.setattr(decide_module, "saturate", checked)
+    engine = [behaviour(f) for f in formulas]
+    assert quiet and all(quiet)
+    monkeypatch.setattr(decide_module, "saturate", full_sweep_saturate)
+    reference = [behaviour(f) for f in formulas]
+    for f, got, want in zip(formulas, engine, reference):
+        assert got == want, format_formula(f)
+
+
+def assert_dirty_covers(s):
+    """The dirty-anchor invariant: a node that is not dirty concludes nothing."""
+    assert s.dm is None
+    for nid in s.tree.nodes:
+        if s.forced_for_anchor(nid):
+            assert nid in s._dirty, nid
+
+
+def test_unmarking_dirties_a_marked_class_mate():
+    s = state_for("P(a) | (Q(b) & P(a))")
+    p1, conj = s.tree.nodes[s.tree.root].children
+    p2 = s.tree.nodes[conj].children[1]
+    assert s.key(p1) == s.key(p2)
+    s.set_mark(p1, 1, "m")
+    cp = s.checkpoint()
+    s.set_mark(p2, 1, "m")
+    assert isinstance(saturate(s), Quiescent)
+    assert p1 not in s._dirty
+    s.rollback(cp)
+    # p1 can iterate into its unmarked class-mate again
+    assert (p2, 1, "IA", (p1,)) in s.forced_for_anchor(p1)
+    assert_dirty_covers(s)
+
+
+def test_a_double_mark_found_mid_visit_leaves_the_anchor_dirty():
+    s = state_for("P(a) & Q(b)")
+    root = s.tree.root
+    left = s.tree.nodes[root].children[0]
+    s.set_mark(left, 0, "m")
+    s.set_mark(root, 1, "OA")
+    cp = s.checkpoint()
+    # A∧ concludes left=1 against its standing 0: no mark changes
+    assert isinstance(saturate(s), DoubleMark)
+    s.rollback(cp)
+    assert root in s._dirty
+    assert_dirty_covers(s)
+    assert isinstance(saturate(s), DoubleMark)
+
+
+def test_instantiation_and_rollback_keep_the_dirty_invariant():
+    s = state_for("forall x. (P(x) -> Q(x)) & P(a)")
+    q, pa = s.tree.nodes[s.tree.root].children
+    s.set_mark(q, 1, "OA")
+    assert isinstance(saturate(s), Quiescent)
+    cp = s.checkpoint()
+    c = s.instantiate(q, Const("b"), "I∀")
+    assert_dirty_covers(s)
+    s.set_mark(pa, 1, "m")
+    assert_dirty_covers(s)
+    assert isinstance(saturate(s), Quiescent)
+    assert_dirty_covers(s)
+    s.rollback(cp)
+    assert c not in s.tree.nodes and c not in s._dirty
+    assert_dirty_covers(s)
+    assert isinstance(saturate(s), Quiescent)
+    assert_dirty_covers(s)
+
+
+def test_closing_a_frame_over_the_generic_variable_dirties_every_anchor():
+    s = state_for("forall x. P(x) & forall y. Q(y)")
+    q1, q2 = s.tree.nodes[s.tree.root].children
+    g = s.introduce_generic()
+    c1 = s.instantiate(q1, g, "I∀")
+    c2 = s.instantiate(q2, g, "I∀")
+    s.set_mark(c1, 1, "m")
+    frame = s.open_supposition(c2, 0)
+    assert frame.free_vars == {g.name}
+    # the open frame blocks Aa∀ over the generic variable at q1
+    assert isinstance(saturate(s), Quiescent)
+    assert s.marked(q1) is None and q1 not in s._dirty
+    s.rollback(frame.checkpoint)
+    assert s.forced_for_anchor(q1) == [(q1, 1, "Aa∀", (c1,))]
+    assert_dirty_covers(s)
+    assert isinstance(saturate(s), Quiescent)
+    assert s.marked(q1) == 1
+
+
+def test_discharge_rule_messages_name_the_connective():
+    s = state_for("(P(a) -> Q(a)) & (P(a) | Q(a))")
+    imp, disj = s.tree.nodes[s.tree.root].children
+    with pytest.raises(PremiseError, match="acceptance of the conditional"):
+        s.set_mark(disj, 1, "OAi-Ad→")
+    with pytest.raises(PremiseError, match="acceptance of the disjunction"):
+        s.set_mark(imp, 1, "ORd-Ai∨")
+    with pytest.raises(PremiseError, match="acceptance of the disjunction"):
+        s.set_mark(disj, 0, "ORi-Ad∨")
