@@ -164,16 +164,15 @@ class _Search:
         want = s.marked(qnid)
         rule = PERMISSION[s.tree.nodes[qnid].kind]
         for term in list(s.domain_registry):
-            existing = None
-            for c in s.tree.instance_children(qnid):
-                if s.tree.nodes[c].fill_term == term:
-                    existing = c
-                    break
-            if existing is not None and s.marked(existing) is not None:
-                if s.marked(existing) == want:
-                    return self.explore()
-                continue
-            child = existing if existing is not None else s.instantiate(qnid, term, rule)
+            # capped_obligations left out quantifiers with an instance marked
+            # want, so a marked instance here carries the opposite value
+            terms = s.tree.instance_terms(qnid)
+            if term in terms:
+                child = s.tree.instance_children(qnid)[terms.index(term)]
+                if s.marked(child) is not None:
+                    continue
+            else:
+                child = s.instantiate(qnid, term, rule)
             frame = s.open_supposition(child, want)
             if not self.explore():
                 return False

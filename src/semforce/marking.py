@@ -93,7 +93,6 @@ Mark = int
 class Justification:
     rule: str
     premises: tuple[int, ...] = ()
-    step: Optional[int] = None
 
 
 @dataclass
@@ -148,7 +147,8 @@ def _at(anchor: TreeNode, pos: str) -> int:
 class MarkingState:
     def __init__(self, tree: ForcingTree):
         self.tree = tree
-        self.marks: dict[int, tuple[Mark, Justification]] = {}
+        # node -> (value, the trace step that marked it)
+        self.marks: dict[int, tuple[Mark, int]] = {}
         # formula class -> (value, first node marked with it); ground nodes only
         self.consensus: dict[int, tuple[Mark, int]] = {}
         # formula class -> node ids carrying that ground formula
@@ -212,7 +212,7 @@ class MarkingState:
     def step_of(self, nid: int) -> Optional[int]:
         """The trace step that marked nid, None while it is unmarked."""
         got = self.marks.get(nid)
-        return None if got is None else got[1].step
+        return None if got is None else got[1]
 
     def key(self, nid: int) -> Optional[int]:
         """Formula class of the node's alpha-normalized formula; None while
@@ -298,7 +298,7 @@ class MarkingState:
                 premise_steps: Optional[tuple[int, ...]] = None) -> int:
         self._step += 1
         if premise_steps is None:
-            premise_steps = tuple(self.marks[p][1].step for p in premise_nodes if p in self.marks)
+            premise_steps = tuple(self.marks[p][1] for p in premise_nodes if p in self.marks)
         self.trace.append(TraceStep(self._step, node, value, rule, premise_steps))
         return self._step
 
@@ -340,13 +340,12 @@ class MarkingState:
         if current == v:
             return
         step = self._record(n, v, rule, premises)
-        just = Justification(rule, premises, step)
         if current is not None:
             self.dm = DoubleMark(n, n)
             self._record(n, None, "DM", (), (self.step_of(n), step))
             return
         k = self.key(n)
-        self.marks[n] = (v, just)
+        self.marks[n] = (v, step)
         self._marked_in[k] += 1
         # the anchors that read this mark; class-mates only lose conclusions
         self._dirty.add(n)
@@ -501,17 +500,19 @@ class MarkingState:
         if self.marked(n) is not None:
             raise StateError(f"node {n} is already marked")
         kind = kind or ("OA" if v == 1 else "OR")
-        cp = self.checkpoint()
+        if kind not in ("OA", "OR", "RR"):
+            raise PremiseError(f"unknown supposition kind {kind!r}")
         frame = Frame(
             node=n,
             assumed=v,
             opened_at=self._step + 1,
             free_vars=frozenset(free_variables(self.tree.node_formula(n))),
             kind=kind,
-            checkpoint=cp,
+            checkpoint=self.checkpoint(),
         )
+        # the frame opens only once its mark stands
+        self.set_mark(n, v, kind)
         self.scopes.append(frame)
-        self.set_mark(n, v, kind if kind in ("OA", "OR", "RR") else ("OA" if v == 1 else "OR"))
         return frame
 
     def discharge(self, frame: Frame, outcome: str | tuple[int, Mark]) -> str:
@@ -670,11 +671,7 @@ class MarkingState:
     def instance_key(self, qnid: int, term: Term) -> Optional[int]:
         """The formula class an instance branch of qnid filled with term would
         carry; None when no node has carried that formula."""
-        from .tree import _subst_slot
-
-        q = self.tree.nodes[qnid]
-        template = self.tree.node_formula(q.children[0])
-        return self.class_of(alpha_normalize(_subst_slot(template, q.qid, term)))
+        return self.class_of(alpha_normalize(self.tree.instance_formula(qnid, term)))
 
 
 def init_marking(t: ForcingTree) -> MarkingState:

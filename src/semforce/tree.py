@@ -1,10 +1,14 @@
 """Forcing trees: one node per connective, quantifier, and atom occurrence.
 
-A quantifier node's first child is its template (the body with an unfilled
-placeholder for the bound position). Instantiating the quantifier with a term
-clones the template subtree with that placeholder filled; the clone becomes a
-new instance child. Clones share the template's placeholder ids, so a nested
-quantifier inside an instance can itself be instantiated independently.
+Every node carries the formula it stands for, set once when the node is
+created. A bound position that no instantiation has filled yet is a `Slot`
+placeholder naming its quantifier, so a node is ground exactly when its
+formula holds no `Slot`. A quantifier node's first child is its template
+(the body with the quantifier's own placeholder). Instantiating the quantifier
+with a term clones the template subtree with that placeholder filled; the
+clone becomes a new instance child. Clones share the template's placeholder
+ids, so a nested quantifier inside an instance can itself be instantiated
+independently.
 """
 
 from __future__ import annotations
@@ -38,13 +42,12 @@ class TreeNode:
     parent: Optional[int]
     kind: str
     children: list[int] = field(default_factory=list)
-    # atom nodes: the argument pattern, with Slot placeholders for bound positions
-    atom_shape: Optional[Atom] = None
+    # the formula this node stands for, with a Slot at every bound position no
+    # instantiation on the path above has filled; set once the children exist
+    formula: Optional[Formula] = None
     # quantifier nodes: bound-variable name and the placeholder id it fills
     var: Optional[str] = None
     qid: Optional[int] = None
-    # placeholder fills inherited from instantiations on the path above
-    slot_fill: dict[int, Term] = field(default_factory=dict)
     # True for the first child of a quantifier node
     is_template: bool = False
     # instance children: the term the parent quantifier was instantiated with
@@ -76,12 +79,11 @@ class ForcingTree:
         self.nodes: dict[int, TreeNode] = {}
         self._next_nid = 1
         self._next_qid = 1
-        self._formula_cache: dict[int, Formula] = {}
         # bumped whenever nodes are added or removed after construction; it
         # only increases, so a (version, value) pair never goes stale
         self.version = 0
         self.source = formula
-        self.root = self._build(formula, parent=None, env={}, slot_fill={}, is_template=False, fill_term=None)
+        self.root = self._build(formula, parent=None, env={})
 
     # ------------------------------------------------------------ construction
 
@@ -93,41 +95,31 @@ class ForcingTree:
             self.nodes[node.parent].children.append(node.nid)
         return node
 
-    def _build(
-        self,
-        f: Formula,
-        parent: Optional[int],
-        env: dict[str, int],
-        slot_fill: dict[int, Term],
-        is_template: bool,
-        fill_term: Optional[Term],
-    ) -> int:
+    def _build(self, f: Formula, parent: Optional[int], env: dict[str, int], is_template: bool = False) -> int:
         kind = KIND_OF[type(f)]
         if kind == "atom":
             args = tuple(Slot(env[t.name]) if isinstance(t, Var) and t.name in env else t for t in f.args)
-            node = self._new_node(
-                parent=parent, kind=kind, atom_shape=Atom(f.pred, args),
-                slot_fill=dict(slot_fill), is_template=is_template, fill_term=fill_term,
-            )
-            return node.nid
+            return self._new_node(parent=parent, kind=kind, formula=Atom(f.pred, args), is_template=is_template).nid
+        node = self._new_node(parent=parent, kind=kind, is_template=is_template)
         if kind in _QUANT_KINDS:
-            qid = self._next_qid
+            node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
-            node = self._new_node(
-                parent=parent, kind=kind, var=f.var, qid=qid,
-                slot_fill=dict(slot_fill), is_template=is_template, fill_term=fill_term,
-            )
-            self._build(f.body, node.nid, {**env, f.var: qid}, slot_fill, is_template=True, fill_term=None)
-            return node.nid
-        node = self._new_node(
-            parent=parent, kind=kind, slot_fill=dict(slot_fill), is_template=is_template, fill_term=fill_term,
-        )
-        if kind == "not":
-            self._build(f.sub, node.nid, env, slot_fill, is_template=False, fill_term=None)
+            self._build(f.body, node.nid, {**env, f.var: node.qid}, is_template=True)
+        elif kind == "not":
+            self._build(f.sub, node.nid, env)
         else:
-            self._build(f.left, node.nid, env, slot_fill, is_template=False, fill_term=None)
-            self._build(f.right, node.nid, env, slot_fill, is_template=False, fill_term=None)
+            self._build(f.left, node.nid, env)
+            self._build(f.right, node.nid, env)
+        node.formula = self._compose(node)
         return node.nid
+
+    def _compose(self, node: TreeNode) -> Formula:
+        """A connective's or quantifier's formula from its children's; a
+        quantifier binds its own placeholder back to its variable."""
+        if node.is_quantifier:
+            body = _subst_slot(self.nodes[node.children[0]].formula, node.qid, Var(node.var))
+            return CLASS_OF[node.kind](node.var, body)
+        return CLASS_OF[node.kind](*(self.nodes[c].formula for c in node.children))
 
     def instantiate(self, qnid: int, term: Term) -> int:
         """Clone the template subtree of quantifier node qnid with its bound
@@ -138,18 +130,15 @@ class ForcingTree:
         if not q.children:
             raise StateError(f"quantifier node {qnid} has no template child")
         self.version += 1
-        return self._clone(q.children[0], q.nid, {q.qid: term}, fill_term=term, as_template=False)
+        return self._clone(q.children[0], q.nid, q.qid, term, fill_term=term, as_template=False)
 
     def truncate(self, next_nid: int) -> list[int]:
         """Remove every node numbered next_nid or above, so that the next node
         created is numbered next_nid again; returns the removed ids."""
         removed = []
         for nid in range(next_nid, self._next_nid):
-            node = self.nodes.pop(nid, None)
-            if node is None:
-                continue
+            node = self.nodes.pop(nid)
             removed.append(nid)
-            self._formula_cache.pop(nid, None)
             if node.parent is not None and node.parent in self.nodes:
                 siblings = self.nodes[node.parent].children
                 if nid in siblings:
@@ -159,17 +148,20 @@ class ForcingTree:
         self._next_nid = next_nid
         return removed
 
-    def _clone(self, src_nid: int, parent: int, extra_fill: dict[int, Term], fill_term: Optional[Term], as_template: bool) -> int:
+    def _clone(self, src_nid: int, parent: int, qid: int, term: Term, fill_term: Optional[Term], as_template: bool) -> int:
+        """Copy src_nid's subtree under parent with placeholder qid filled by term."""
         src = self.nodes[src_nid]
         node = self._new_node(
-            parent=parent, kind=src.kind, atom_shape=src.atom_shape, var=src.var, qid=src.qid,
-            slot_fill={**src.slot_fill, **extra_fill}, is_template=as_template, fill_term=fill_term,
+            parent=parent, kind=src.kind, var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,
         )
+        if src.kind == "atom":
+            node.formula = _subst_slot(src.formula, qid, term)
+            return node.nid
         for i, c in enumerate(src.children):
-            child_is_template = src.is_quantifier and i == 0
             # instance branches inside the copied subtree stay instance
             # branches of the copied quantifier, so their fill survives
-            self._clone(c, node.nid, extra_fill, fill_term=self.nodes[c].fill_term, as_template=child_is_template)
+            self._clone(c, node.nid, qid, term, fill_term=self.nodes[c].fill_term, as_template=src.is_quantifier and i == 0)
+        node.formula = self._compose(node)
         return node.nid
 
     # --------------------------------------------------------------- formulas
@@ -177,27 +169,16 @@ class ForcingTree:
     def node_formula(self, nid: int) -> Formula:
         """The formula this node stands for; unfilled placeholders print as `_`
         and make the node non-ground. Stable over the node's lifetime."""
-        cached = self._formula_cache.get(nid)
-        if cached is not None:
-            return cached
-        node = self.nodes[nid]
-        if node.kind == "atom":
-            f: Formula = Atom(
-                node.atom_shape.pred,
-                tuple(node.slot_fill.get(t.qid, t) if isinstance(t, Slot) else t for t in node.atom_shape.args),
-            )
-        elif node.kind == "not":
-            f = Not(self.node_formula(node.children[0]))
-        elif node.is_binary:
-            f = CLASS_OF[node.kind](self.node_formula(node.children[0]), self.node_formula(node.children[1]))
-        else:
-            body = _subst_slot(self.node_formula(node.children[0]), node.qid, Var(node.var))
-            f = CLASS_OF[node.kind](node.var, body)
-        self._formula_cache[nid] = f
-        return f
+        return self.nodes[nid].formula
+
+    def instance_formula(self, qnid: int, term: Term) -> Formula:
+        """The formula an instance branch of quantifier qnid filled with term
+        carries, whether or not that branch exists."""
+        q = self.nodes[qnid]
+        return _subst_slot(self.nodes[q.children[0]].formula, q.qid, term)
 
     def is_ground_node(self, nid: int) -> bool:
-        return is_ground(self.node_formula(nid))
+        return is_ground(self.nodes[nid].formula)
 
     def instance_children(self, qnid: int) -> list[int]:
         return self.nodes[qnid].children[1:]

@@ -372,6 +372,25 @@ def test_open_supposition_rejects_marked_nodes():
         open_supposition(s, s.tree.root, 0)
 
 
+def test_a_refused_supposition_opens_no_frame():
+    s = state_for("P(a) -> Q(b)")
+    left = s.tree.nodes[s.tree.root].children[0]
+    with pytest.raises(PremiseError, match="rejection option assumes 0"):
+        s.open_supposition(left, 1, kind="OR")
+    assert not s.scopes and s.marked(left) is None and not s.trace
+    # the node can still be supposed afterwards
+    frame = s.open_supposition(left, 1)
+    assert s.scopes == [frame] and s.trace[-1].rule == "OA"
+
+
+def test_an_unknown_supposition_kind_is_refused():
+    s = state_for("P(a) -> Q(b)")
+    left = s.tree.nodes[s.tree.root].children[0]
+    with pytest.raises(PremiseError, match="unknown supposition kind 'XX'"):
+        s.open_supposition(left, 1, kind="XX")
+    assert not s.scopes and s.marked(left) is None and not s.trace
+
+
 def test_contradiction_discharge_concludes_the_opposite_value():
     s = state_for("P(a) & ~P(a)")
     frame = open_supposition(s, s.tree.root, 1)

@@ -8,6 +8,7 @@ from semforce import (
     Var,
     build_initial_tree,
     complexity,
+    init_marking,
     instantiate_branch,
     node_formula,
     parse_formula,
@@ -87,3 +88,39 @@ def test_instance_shares_quantifier_shape():
     t_q = t.nodes[template].children[1]
     i_q = t.nodes[child].children[1]
     assert node_formula(t, t_q) == node_formula(t, i_q) == parse_formula("Q(c)")
+
+
+def test_clone_keeps_an_instance_branch_inside_the_template():
+    t = build_initial_tree(parse_formula("forall x. (P(x) & exists y. Q(y))"))
+    template = t.nodes[t.root].children[0]
+    inner = t.nodes[template].children[1]
+    inner_instance = instantiate_branch(t, inner, Const("c"))
+    assert node_formula(t, inner_instance) == parse_formula("Q(c)")
+    clone = instantiate_branch(t, t.root, Const("a"))
+    assert node_formula(t, clone) == parse_formula("P(a) & exists y. Q(y)")
+    cloned_inner = t.nodes[clone].children[1]
+    assert t.nodes[cloned_inner].qid == t.nodes[inner].qid
+    # the copied quantifier keeps its template and its instance branch
+    cloned_template, cloned_instance = t.nodes[cloned_inner].children
+    assert t.nodes[cloned_template].is_template and not t.is_ground_node(cloned_template)
+    assert t.instance_terms(cloned_inner) == [Const("c")]
+    assert not t.nodes[cloned_instance].is_template
+    assert node_formula(t, cloned_inner) == parse_formula("exists y. Q(y)")
+    assert node_formula(t, cloned_instance) == parse_formula("Q(c)")
+    assert node_formula(t, t.root) == parse_formula("forall x. (P(x) & exists y. Q(y))")
+
+
+@pytest.mark.parametrize("k", sorted(ILLUSTRATIONS))
+def test_instance_formula_is_the_formula_of_the_instance_branch(k):
+    f = parse_formula(ILLUSTRATIONS[k])
+    t = build_initial_tree(f)
+    registry = init_marking(t).domain_registry + [Const("w1"), Var("v1")]
+    quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier]
+    # instantiating in node order copies earlier instance branches into later
+    # clones, and the clones' own quantifiers get a second round
+    for _ in range(2):
+        for q in quantifiers:
+            for term in registry:
+                expected = t.instance_formula(q, term)
+                assert node_formula(t, t.instantiate(q, term)) == expected
+        quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
