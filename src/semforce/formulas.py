@@ -277,10 +277,15 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a formula AST.
 
-    Raises ParseError (with position) on syntax errors, arity conflicts, and
-    arities above 2.
+    Raises ParseError (with position) on syntax errors, arity conflicts,
+    arities above 2, and nesting deeper than the interpreter's recursion limit
+    lets the recursive-descent parser go.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
 
 
 # -------------------------------------------------------------------- printer

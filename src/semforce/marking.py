@@ -6,8 +6,10 @@ iteration between nodes sharing one formula, and supposition scopes whose
 absorbed marks are rolled back on discharge. A contradiction is a double mark:
 two nodes associated with the same ground formula carrying opposite values.
 
-Each alpha-normalized ground formula is interned once to a small int, its
-formula class; iteration, consensus and the double-mark test key on that int.
+A ground node's formula class is its tree's shape id (`tree.py`): formulas
+equal up to renaming of bound variables share it, and it is composed when
+the node is created. Iteration, consensus and the double-mark test key on
+that int.
 State mutates in place. Every insertion pushes one entry on an undo trail, so
 `checkpoint` is O(1) and `rollback` costs the changes made since. Rolled-back
 trace steps are kept, flagged absorbed, so step numbering stays dense and
@@ -44,7 +46,9 @@ from .formulas import (
     Formula,
     Term,
     Var,
-    alpha_normalize,
+    # not called here: the name stays importable because perfbench/tracer.py
+    # patches marking.alpha_normalize by attribute
+    alpha_normalize,  # noqa: F401
     constants_of,
     free_variables,
     identifiers_of,
@@ -163,34 +167,29 @@ class MarkingState:
         self._step = 0
         self._witness_counter = 0
         self._reserved = identifiers_of(tree.source)
-        # interned formula classes; kept across rollbacks, since a class id
-        # stays a correct name for its formula
-        self._classes: dict[Formula, int] = {}
         # formula class -> how many of its nodes are marked
         self._marked_in: list[int] = []
-        self._key_cache: dict[int, Optional[int]] = {}
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
         # (undo, argument) pairs, one per insertion, popped by rollback
         self._trail: list[tuple] = []
-        marks, counts, keys = self.marks, self._marked_in, self._key_cache
+        marks, counts = self.marks, self._marked_in
         nodes, index, dirty = tree.nodes, self.formula_index, self._dirty
 
         def touch(nid: int) -> None:
             """Dirty nid, its parent and, when one of them is marked, its
             class-mates: every anchor that reads nid's existence or mark."""
+            node = nodes[nid]
             dirty.add(nid)
-            parent = nodes[nid].parent
-            if parent is not None:
-                dirty.add(parent)
-            k = keys[nid]
-            if k is not None and counts[k]:
-                dirty.update(index[k])
+            if node.parent is not None:
+                dirty.add(node.parent)
+            if node.ground and counts[node.shape]:
+                dirty.update(index[node.shape])
 
         def unmark(nid: int) -> None:
             del marks[nid]
-            counts[keys[nid]] -= 1
+            counts[nodes[nid].shape] -= 1
             touch(nid)
 
         # closures, not bound methods: a trail entry that referred back to
@@ -215,30 +214,21 @@ class MarkingState:
         return None if got is None else got[1]
 
     def key(self, nid: int) -> Optional[int]:
-        """Formula class of the node's alpha-normalized formula; None while
-        placeholders are unfilled."""
-        try:
-            return self._key_cache[nid]
-        except KeyError:
-            pass
-        k = None
-        if self.tree.is_ground_node(nid):
-            f = alpha_normalize(self.tree.node_formula(nid))
-            k = self._classes.get(f)
-            if k is None:
-                k = self._classes[f] = len(self._marked_in)
-                self._marked_in.append(0)
-        self._key_cache[nid] = k
-        return k
+        """Formula class of the node; None while placeholders are unfilled."""
+        node = self.tree.nodes[nid]
+        return node.shape if node.ground else None
 
     def class_of(self, f: Formula) -> Optional[int]:
-        """Formula class of an alpha-normalized formula; None when no node has
-        carried it."""
-        return self._classes.get(f)
+        """Formula class of a ground formula, up to renaming of bound
+        variables; None when no node has carried it."""
+        return self.tree.class_of(f)
 
     def _index_node(self, nid: int) -> None:
         k = self.key(nid)
         if k is not None:
+            counts = self._marked_in
+            if k >= len(counts):
+                counts += [0] * (k + 1 - len(counts))
             members = self.formula_index.get(k)
             if members is None:
                 self.formula_index[k] = [nid]
@@ -281,7 +271,6 @@ class MarkingState:
         self.dm = cp.dm
         self.generic = cp.generic
         for nid in self.tree.truncate(cp.next_nid):
-            self._key_cache.pop(nid, None)
             self._dirty.discard(nid)
 
     def _close_frames(self, keep: int) -> None:
@@ -671,7 +660,7 @@ class MarkingState:
     def instance_key(self, qnid: int, term: Term) -> Optional[int]:
         """The formula class an instance branch of qnid filled with term would
         carry; None when no node has carried that formula."""
-        return self.class_of(alpha_normalize(self.tree.instance_formula(qnid, term)))
+        return self.tree.instance_class(qnid, term)
 
 
 def init_marking(t: ForcingTree) -> MarkingState:

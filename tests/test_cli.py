@@ -82,6 +82,21 @@ def test_parse_error_exit_code(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "text", ["~" * 3000 + "P(a)", "(" * 600 + "P(a)" + ")" * 600], ids=["negations", "parentheses"]
+)
+def test_nesting_too_deep_to_parse_is_a_parse_error(capsys, text):
+    code, _, err = run(capsys, "check", text)
+    assert code == EXIT_PARSE
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_six_hundred_negations_are_checked(capsys):
+    code, out, _ = run(capsys, "check", "~" * 600 + "P(a)")
+    assert code == EXIT_INVALID
+    assert out.splitlines()[0] == "invalid"
+
+
 def test_fragment_error_exit_code(capsys):
     code, _, err = run(capsys, "check", OUTSIDE)
     assert code == EXIT_DATA == 65

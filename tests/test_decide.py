@@ -139,6 +139,20 @@ def test_a_search_too_deep_for_the_interpreter_is_a_resource_limit(monkeypatch):
         decide(parse_formula(ILLUSTRATIONS[6]))
 
 
+def test_six_hundred_negations_decide_at_the_default_recursion_limit():
+    # the tree build and evaluate recurse once per level, which 600 levels
+    # fit; formula classes must not add a walk that recurses deeper
+    f = parse_formula("~" * 600 + "P(a)")
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid)
+    assert evaluate(verdict.model, f) == 0
+
+
+def test_a_four_hundred_link_implication_chain_is_valid():
+    links = " & ".join(f"(P(c{i}) -> P(c{i + 1}))" for i in range(400))
+    assert isinstance(decide(parse_formula(f"({links}) -> P(c0) -> P(c400)")), Valid)
+
+
 @pytest.mark.parametrize("k", [1, 2, 6])
 def test_a_decided_state_is_freed_without_the_cycle_collector(k):
     import gc

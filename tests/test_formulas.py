@@ -83,6 +83,11 @@ def test_parse_errors_carry_position():
         assert e.position is not None
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula("~" * 3000 + "P(a)")
+
+
 def test_arity_conflict_rejected():
     with pytest.raises(ParseError):
         parse_formula("P(a) & P(a,b)")

@@ -31,7 +31,7 @@ from semforce import (
     set_mark,
 )
 from semforce.cli import model_json
-from semforce.formulas import Atom, Dyadic2Var, classify_fragment
+from semforce.formulas import Atom, Dyadic2Var, alpha_normalize, classify_fragment, is_ground
 from semforce.gen import random_monadic
 
 
@@ -675,3 +675,69 @@ def test_discharge_rule_messages_name_the_connective():
         s.set_mark(imp, 1, "ORd-Ai∨")
     with pytest.raises(PremiseError, match="acceptance of the disjunction"):
         s.set_mark(disj, 0, "ORi-Ad∨")
+
+
+# ------------------------------------------------------------ formula classes
+
+
+def assert_classes_match_alpha_normalization(s, terms):
+    """The composed classes against the formula walks they replace: the
+    ground flag against is_ground, class equality against alpha_normalize,
+    and instance_key against class_of. Returns how many instance_key calls
+    named a class."""
+    t = s.tree
+    classes_of_form, forms_of_class = {}, {}
+    for n in t.nodes:
+        f = t.node_formula(n)
+        assert t.is_ground_node(n) == is_ground(f), format_formula(f)
+        if t.is_ground_node(n):
+            norm = alpha_normalize(f)
+            classes_of_form.setdefault(norm, set()).add(s.key(n))
+            forms_of_class.setdefault(s.key(n), set()).add(norm)
+            assert s.class_of(f) == s.key(n)
+        else:
+            assert s.key(n) is None
+    # key(a) == key(b) exactly when the normalized formulas are equal
+    assert all(len(v) == 1 for v in classes_of_form.values())
+    assert all(len(v) == 1 for v in forms_of_class.values())
+    named = 0
+    for q in t.nodes:
+        if t.nodes[q].is_quantifier:
+            for term in terms:
+                got = s.instance_key(q, term)
+                assert got == s.class_of(alpha_normalize(t.instance_formula(q, term))), (q, term)
+                named += got is not None
+    return named
+
+
+def test_formula_classes_match_alpha_normalization_after_decide():
+    # deciding first leaves instances, witnesses and the generic variable in
+    # the trees, and instance_key's memo filled
+    named = 0
+    for f in differential_formulas():
+        s = decide(f).state
+        named += assert_classes_match_alpha_normalization(s, s.domain_registry)
+    assert named
+
+
+NESTED = [
+    "forall x. exists y. (R(x,y) & forall x. (R(y,x) | P(x)))",
+    "forall x. (P(x) & exists y. (R(x,y) -> forall z. R(z,x)))",
+    "exists x. forall y. forall z. (R(x,z) <-> ~R(z,y))",
+]
+
+
+@pytest.mark.parametrize("src", list(ILLUSTRATIONS.values()) + NESTED)
+def test_formula_classes_match_alpha_normalization_under_any_instantiation(src):
+    # unlike a search, this instantiates quantifiers that are not ground;
+    # innermost first, so that a clone of an outer template copies instance
+    # branches that reach binders above their own quantifier
+    t = build_initial_tree(parse_formula(src))
+    terms = [Const("a"), Const("w1"), Var("v1")]
+    quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier]
+    for _ in range(2):
+        for q in reversed(quantifiers):
+            for term in terms:
+                t.instantiate(q, term)
+        quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
+    assert assert_classes_match_alpha_normalization(init_marking(t), terms)
