@@ -85,6 +85,20 @@ def _subst_slot(f: Formula, qid: int, term: Term) -> Formula:
     return type(f)(f.var, _subst_slot(f.body, qid, term))
 
 
+def _atom_key(pred: str, args: tuple, levels: dict[str, int], depth: int) -> tuple:
+    """The shape key of an atom `depth` binders deep: a variable whose
+    quantifier has levels[name] binders above it becomes its de Bruijn index."""
+    return ("atom", pred, tuple(
+        depth - 1 - levels[t.name] if isinstance(t, Var) and t.name in levels else t for t in args
+    ))
+
+
+def _compound_key(kind: str, ids) -> tuple:
+    """The shape key of a connective (its children's ids) or of a quantifier
+    (its template's id)."""
+    return (kind, *ids)
+
+
 def _fill(args: tuple, index: int, term: Term) -> tuple:
     """An atom shape's arguments with de Bruijn index `index` filled by term;
     the indices pointing above it lose the binder that was filled."""
@@ -109,7 +123,7 @@ class ForcingTree:
         self._reach: list[int] = []
         # (template shape, term) -> (instance shape or None, shapes interned then)
         self._instance_memo: dict[tuple[int, Term], tuple[Optional[int], int]] = {}
-        self.root = self._build(formula, parent=None, env={}, depth=0)
+        self.root = self._build(formula, parent=None, slots={}, levels={}, depth=0)
 
     # ------------------------------------------------------------ construction
 
@@ -121,35 +135,28 @@ class ForcingTree:
             self.nodes[node.parent].children.append(node.nid)
         return node
 
-    def _build(self, f: Formula, parent: Optional[int], env: dict[str, tuple[int, int]], depth: int,
+    def _build(self, f: Formula, parent: Optional[int], slots: dict[str, int], levels: dict[str, int], depth: int,
                is_template: bool = False) -> int:
-        """Build f's subtree under parent. env maps each bound variable to its
-        quantifier's placeholder id and to the number of binders above that
-        quantifier; depth is the number of binders above f."""
+        """Build f's subtree under parent. slots maps each bound variable to
+        its quantifier's placeholder id, levels to the number of binders above
+        that quantifier; depth is the number of binders above f."""
         kind = KIND_OF[type(f)]
         if kind == "atom":
-            args, shape_args = [], []
-            for t in f.args:
-                bound = env.get(t.name) if isinstance(t, Var) else None
-                if bound is None:
-                    args.append(t)
-                    shape_args.append(t)
-                else:
-                    args.append(Slot(bound[0]))
-                    shape_args.append(depth - 1 - bound[1])
-            node = self._new_node(parent=parent, kind=kind, formula=Atom(f.pred, tuple(args)), is_template=is_template)
-            self._set_shape(node, (kind, f.pred, tuple(shape_args)))
+            args = tuple(Slot(slots[t.name]) if isinstance(t, Var) and t.name in slots else t for t in f.args)
+            node = self._new_node(parent=parent, kind=kind, formula=Atom(f.pred, args), is_template=is_template)
+            self._set_shape(node, _atom_key(f.pred, f.args, levels, depth))
             return node.nid
         node = self._new_node(parent=parent, kind=kind, is_template=is_template)
         if kind in _QUANT_KINDS:
             node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
-            self._build(f.body, node.nid, {**env, f.var: (node.qid, depth)}, depth + 1, is_template=True)
+            self._build(f.body, node.nid, {**slots, f.var: node.qid}, {**levels, f.var: depth}, depth + 1,
+                        is_template=True)
         elif kind == "not":
-            self._build(f.sub, node.nid, env, depth)
+            self._build(f.sub, node.nid, slots, levels, depth)
         else:
-            self._build(f.left, node.nid, env, depth)
-            self._build(f.right, node.nid, env, depth)
+            self._build(f.left, node.nid, slots, levels, depth)
+            self._build(f.right, node.nid, slots, levels, depth)
         self._compose(node)
         return node.nid
 
@@ -161,11 +168,11 @@ class ForcingTree:
         if node.is_quantifier:
             template = nodes[node.children[0]]
             node.formula = CLASS_OF[node.kind](node.var, _subst_slot(template.formula, node.qid, Var(node.var)))
-            self._set_shape(node, (node.kind, template.shape))
+            self._set_shape(node, _compound_key(node.kind, (template.shape,)))
         else:
             kids = [nodes[c] for c in node.children]
             node.formula = CLASS_OF[node.kind](*(k.formula for k in kids))
-            self._set_shape(node, (node.kind, *(k.shape for k in kids)))
+            self._set_shape(node, _compound_key(node.kind, [k.shape for k in kids]))
 
     def _set_shape(self, node: TreeNode, key: tuple) -> None:
         sid = self._shape_ids.get(key)
@@ -266,13 +273,9 @@ class ForcingTree:
             g, env, depth, expanded = stack.pop()
             kind = KIND_OF[type(g)]
             if kind == "atom":
-                args = []
-                for t in g.args:
-                    if isinstance(t, Slot):
-                        return None
-                    level = env.get(t.name) if isinstance(t, Var) else None
-                    args.append(t if level is None else depth - 1 - level)
-                key = (kind, g.pred, tuple(args))
+                if any(isinstance(t, Slot) for t in g.args):
+                    return None
+                key = _atom_key(g.pred, g.args, env, depth)
             elif not expanded:
                 stack.append((g, env, depth, True))
                 if kind in _QUANT_KINDS:
@@ -285,7 +288,7 @@ class ForcingTree:
                 continue
             else:
                 n = 2 if kind in _BINARY_KINDS else 1
-                key = (kind, *done[-n:])
+                key = _compound_key(kind, done[-n:])
                 del done[-n:]
             sid = ids.get(key)
             if sid is None:

@@ -10,7 +10,7 @@ bundled corpus, the record holds:
 - the final node count of the decision's tree;
 - for conditional and disjunction roots, the `direct_force` trace.
 
-Each call runs under an alarm (10 s by default), so a runaway search shows as
+Each call runs under a 10 s alarm, so a runaway search shows as
 `alarm` instead of stalling the dump. One line per formula gives its source,
 its index, a 12-digit digest of its record, its verdict class (or the
 exception) and the start of its text; the last line is the sha256 over every
@@ -18,13 +18,13 @@ full record. A diff of two dumps names the formulas whose behaviour changed.
 
     PYTHONPATH=src PYTHONHASHSEED=0 python3 tools/behaviour_dump.py > dump.txt
 
-The workloads come from `perfbench/workloads.py`, imported by path; nothing
-under `perfbench/` is changed.
+The seed (424242) and the alarm are fixed, so any two dumps compare line by
+line. The workloads come from `perfbench/workloads.py`, imported by path;
+nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import importlib.util
 import signal
@@ -33,6 +33,8 @@ from importlib import resources
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 424242
+ALARM_S = 10.0
 
 
 class Alarm(Exception):
@@ -52,9 +54,9 @@ def load_workloads():
     return module
 
 
-def under_alarm(seconds: float, fn, *args):
+def under_alarm(fn, *args):
     """fn(*args), or ("raise", name) when it raises or outlasts the alarm."""
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, ALARM_S)
     try:
         return fn(*args)
     except Alarm:
@@ -65,10 +67,10 @@ def under_alarm(seconds: float, fn, *args):
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
-def behaviour(sf, text: str, seconds: float) -> list:
+def behaviour(sf, text: str) -> list:
     from semforce.cli import model_json
 
-    f = under_alarm(seconds, sf.parse_formula, text)
+    f = under_alarm(sf.parse_formula, text)
     if isinstance(f, tuple):
         return [("raise", "parse", f[1])]
 
@@ -82,41 +84,37 @@ def behaviour(sf, text: str, seconds: float) -> list:
             len(v.state.tree.nodes),
         ]
 
-    out = [under_alarm(seconds, decided)]
+    out = [under_alarm(decided)]
     if isinstance(f, (sf.Imp, sf.Or)):
 
         def direct():
             d = sf.direct_force(f)
             return None if d is None else [(t.step, t.node, t.value, t.rule, t.premises) for t in d.trace]
 
-        out.append(under_alarm(seconds, direct))
+        out.append(under_alarm(direct))
     return out
 
 
-def sources(sf, seed: int) -> list[tuple[str, list[str]]]:
+def sources(sf) -> list[tuple[str, list[str]]]:
     from semforce.cli import _parse_corpus
 
     wl = load_workloads()
     fm, gen = sys.modules["semforce.formulas"], sys.modules["semforce.gen"]
-    out = [(name, [item.text for item in wl.generate(name, seed, fm, gen)]) for name in wl.WORKLOADS]
+    out = [(name, [item.text for item in wl.generate(name, SEED, fm, gen)]) for name in wl.WORKLOADS]
     corpus = resources.files("semforce").joinpath("data/illustrations.corpus").read_text()
     out.append(("corpus", [text for text, _ in _parse_corpus(corpus)]))
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=424242, help="workload seed (default 424242)")
-    ap.add_argument("--alarm", type=float, default=10.0, help="seconds allowed per call (default 10)")
-    args = ap.parse_args(argv)
+def main() -> int:
     import semforce as sf
     import semforce.gen  # noqa: F401  (the workloads read semforce.gen)
 
     signal.signal(signal.SIGALRM, _on_alarm)
     total = hashlib.sha256()
-    for name, texts in sources(sf, args.seed):
+    for name, texts in sources(sf):
         for k, text in enumerate(texts):
-            got = behaviour(sf, text, args.alarm)
+            got = behaviour(sf, text)
             record = repr(got).encode()
             total.update(record)
             digest = hashlib.sha256(record).hexdigest()[:12]
