@@ -371,11 +371,6 @@ def identifiers_of(f: Formula) -> set[str]:
     return out
 
 
-def variable_names(f: Formula) -> set[str]:
-    """Distinct variable names: binder names plus free Var occurrences."""
-    return free_variables(f) | {g.var for g, _ in subformulas(f) if isinstance(g, QUANTIFIERS)}
-
-
 def predicate_arities(f: Formula) -> dict[str, int]:
     """Predicate name -> arity; raises on inconsistent programmatic ASTs."""
     out: dict[str, int] = {}
@@ -420,14 +415,51 @@ OUTSIDE = Outside()
 
 def classify_fragment(f: Formula) -> FragmentClass:
     """Monadic(n) with n distinct monadic predicates; Dyadic2Var(n) when some
-    dyadic predicate occurs but at most two distinct variable names do; else
-    Outside."""
+    dyadic predicate occurs and f is two-variable after renaming; else
+    Outside.
+
+    f is two-variable after renaming exactly when no subformula has more than
+    two free variables: renaming top-down, each quantifier's variable can take
+    whichever of two names its body's other free variable does not carry."""
     arities = predicate_arities(f)
     if all(a == 1 for a in arities.values()):
         return Monadic(len(arities))
-    if len(variable_names(f)) <= 2:
+    if _at_most_two_free(f):
         return Dyadic2Var(len(arities))
     return OUTSIDE
+
+
+def _at_most_two_free(f: Formula) -> bool:
+    """Whether no subformula of f has more than two free variables, in one
+    iterative postorder pass over f."""
+    done: list[frozenset[str]] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if isinstance(g, Atom):
+            free = frozenset(t.name for t in g.args if isinstance(t, Var))
+        elif not expanded:
+            stack.append((g, True))
+            if isinstance(g, Not):
+                stack.append((g.sub, False))
+            elif isinstance(g, BINARY):
+                stack.append((g.right, False))
+                stack.append((g.left, False))
+            else:
+                stack.append((g.body, False))
+            continue
+        elif isinstance(g, BINARY):
+            right = done.pop()
+            free = done.pop() | right
+        elif isinstance(g, QUANTIFIERS):
+            free = done.pop() - {g.var}
+        else:
+            # a negation has its operand's free variables
+            continue
+        if len(free) > 2:
+            return False
+        done.append(free)
+    return True
 
 
 def alpha_normalize(f: Formula) -> Formula:

@@ -33,6 +33,20 @@ keep the invariant:
 
 Everything else a rollback undoes (nodes, witnesses, a double mark) only
 removes conclusions.
+
+Quantifier obligations are kept current the same way, not found by a scan
+per saturation round. Three maps hold them:
+
+- `_witness`, quantifier → its first fresh-witness instance child, set by
+  `instantiate` and undone by a trail entry (`witness_child` reads it);
+- `_obliged`, marked quantifier → whether its obligation is one fresh witness
+  (`INSTANTIATION[kind, value].witness`) rather than an instance per
+  individual, set by `set_mark`;
+- `_settled`, (quantifier, value) → how many of its instance children carry
+  value, raised by `set_mark` on an instance branch.
+
+The trail's unmark undoes the last two, so they need no trail entries of
+their own.
 """
 
 from __future__ import annotations
@@ -172,10 +186,15 @@ class MarkingState:
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
+        # quantifier obligations, kept current by the hooks (module docstring)
+        self._witness: dict[int, int] = {}
+        self._obliged: dict[int, bool] = {}
+        self._settled: dict[tuple[int, Mark], int] = {}
         # (undo, argument) pairs, one per insertion, popped by rollback
         self._trail: list[tuple] = []
         marks, counts = self.marks, self._marked_in
         nodes, index, dirty = tree.nodes, self.formula_index, self._dirty
+        obliged, settled = self._obliged, self._settled
 
         def touch(nid: int) -> None:
             """Dirty nid, its parent and, when one of them is marked, its
@@ -188,8 +207,18 @@ class MarkingState:
                 dirty.update(index[node.shape])
 
         def unmark(nid: int) -> None:
-            del marks[nid]
-            counts[nodes[nid].shape] -= 1
+            value = marks.pop(nid)[0]
+            node = nodes[nid]
+            counts[node.shape] -= 1
+            if node.is_quantifier:
+                del obliged[nid]
+            if node.fill_term is not None:
+                key = (node.parent, value)
+                left = settled[key] - 1
+                if left:
+                    settled[key] = left
+                else:
+                    del settled[key]
             touch(nid)
 
         # closures, not bound methods: a trail entry that referred back to
@@ -239,10 +268,8 @@ class MarkingState:
         self._touch(nid)
 
     def witness_child(self, qnid: int) -> Optional[int]:
-        for c in self.tree.instance_children(qnid):
-            if self.inst_rule.get(c) in WITNESS_RULES:
-                return c
-        return None
+        """The first fresh-witness instance child of qnid, None while it has none."""
+        return self._witness.get(qnid)
 
     # ------------------------------------------------------- undo bookkeeping
 
@@ -333,12 +360,19 @@ class MarkingState:
             self.dm = DoubleMark(n, n)
             self._record(n, None, "DM", (), (self.step_of(n), step))
             return
-        k = self.key(n)
+        node = self.tree.nodes[n]
+        k = node.shape
         self.marks[n] = (v, step)
         self._marked_in[k] += 1
+        # the obligation maps; unmark undoes both
+        if node.is_quantifier:
+            self._obliged[n] = INSTANTIATION[node.kind, v].witness
+        parent = node.parent
+        if node.fill_term is not None:
+            settled = self._settled
+            settled[parent, v] = settled.get((parent, v), 0) + 1
         # the anchors that read this mark; class-mates only lose conclusions
         self._dirty.add(n)
-        parent = self.tree.nodes[n].parent
         if parent is not None:
             self._dirty.add(parent)
         trail = self._trail
@@ -462,6 +496,10 @@ class MarkingState:
             self._index_node(nid)
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
+            # witness_child names the first witness; a later one leaves it
+            if qnid not in self._witness:
+                self._witness[qnid] = child
+                trail.append((self._witness.pop, qnid))
             fv = frozenset(free_variables(self.tree.node_formula(child)))
             self.witness_registry[term.name] = (child, fv)
             trail.append((self.witness_registry.pop, term.name))
@@ -697,21 +735,20 @@ def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     if budget is None or len(s.domain_registry) < budget:
         return []
     # an instance already carrying the required value settles the obligation
+    witness, settled, marks = s._witness, s._settled, s.marks
     return [
         nid for nid in _marked_quantifiers(s, witness=True)
-        if s.witness_child(nid) is None and not any(s.marked(c) == s.marked(nid) for c in s.tree.instance_children(nid))
+        if nid not in witness and (nid, marks[nid][0]) not in settled
     ]
 
 
 def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
     """Marked quantifiers obliged to a fresh witness (witness=True) or to an
     instance per individual (witness=False), in relevant order."""
-    out = []
-    for nid in s.relevant_quantifiers():
-        inst = INSTANTIATION.get((s.tree.nodes[nid].kind, s.marked(nid)))
-        if inst is not None and inst.witness == witness:
-            out.append(nid)
-    return out
+    obliged = s._obliged
+    if not obliged:
+        return []
+    return [nid for nid in s.relevant_quantifiers() if obliged.get(nid) is witness]
 
 
 def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:
@@ -730,9 +767,10 @@ def _expand_obligations(s: MarkingState, budget: Optional[int]) -> bool:
     registry, since models are nonempty."""
     changed = False
     for nid in _marked_quantifiers(s, witness=True):
-        if s.witness_child(nid) is not None:
-            continue
+        # only this loop adds individuals, so the budget stays reached
         if budget is not None and len(s.domain_registry) >= budget:
+            break
+        if s.witness_child(nid) is not None:
             continue
         mark = s.marked(nid)
         inst = INSTANTIATION[s.tree.nodes[nid].kind, mark]

@@ -103,6 +103,16 @@ def test_fragment_error_exit_code(capsys):
     assert err
 
 
+def test_a_formula_two_variable_after_renaming_is_checked(capsys):
+    # three variable names, but no subformula has more than two free
+    src = "forall x. P(x,x) & forall y. forall z. R(y,z) -> P(a,a)"
+    code, out, _ = run(capsys, "check", src)
+    assert code == EXIT_VALID
+    assert out.splitlines()[0] == "valid"
+    code, _, _ = run(capsys, "oracle", src, "--max-domain", "2")
+    assert code == EXIT_VALID
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(capsys, "check", ILLUSTRATIONS[6], "--branch-limit", "1")
     assert code == EXIT_INTERNAL == 70

@@ -123,9 +123,12 @@ def test_fragment_classification():
     assert classify_fragment(parse_formula("forall x. P(x) -> Q(x)")) == Monadic(2)
     assert classify_fragment(parse_formula(ILLUSTRATIONS[6])) == Dyadic2Var(1)
     assert classify_fragment(parse_formula(ILLUSTRATIONS[1])) == Dyadic2Var(2)
-    # three distinct variables with a dyadic predicate leaves both fragments
+    # a subformula with three free variables and a dyadic predicate leaves both fragments
     f = parse_formula("forall x. forall y. forall z. (R(x,y) -> R(y,z))")
     assert isinstance(classify_fragment(f), Outside)
+    # three names, but two-variable after renaming z to y
+    f = parse_formula("exists x. exists y. (forall z. R(x,z) <-> S(y,y))")
+    assert classify_fragment(f) == Dyadic2Var(2)
 
 
 def test_monadic_counts_distinct_predicates():

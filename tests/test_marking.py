@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from semforce import (
 from semforce.cli import model_json
 from semforce.formulas import Atom, Dyadic2Var, alpha_normalize, classify_fragment, is_ground
 from semforce.gen import random_monadic
+from semforce.rules import INSTANTIATION, WITNESS_RULES
 
 
 def state_for(src):
@@ -587,6 +589,114 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
     reference = [behaviour(f) for f in formulas]
     for f, got, want in zip(formulas, engine, reference):
         assert got == want, format_formula(f)
+
+
+# Full scans of the relevant quantifiers and their instance children: the
+# reference the obligation maps are checked against.
+
+
+def scanned_marked_quantifiers(s, witness):
+    out = []
+    for nid in s.relevant_quantifiers():
+        inst = INSTANTIATION.get((s.tree.nodes[nid].kind, s.marked(nid)))
+        if inst is not None and inst.witness == witness:
+            out.append(nid)
+    return out
+
+
+def scanned_witness_child(s, qnid):
+    for c in s.tree.instance_children(qnid):
+        if s.inst_rule.get(c) in WITNESS_RULES:
+            return c
+    return None
+
+
+def scanned_capped_obligations(s, budget):
+    if budget is None or len(s.domain_registry) < budget:
+        return []
+    return [
+        nid for nid in scanned_marked_quantifiers(s, witness=True)
+        if scanned_witness_child(s, nid) is None
+        and not any(s.marked(c) == s.marked(nid) for c in s.tree.instance_children(nid))
+    ]
+
+
+def assert_obligations_match_a_scan(s, budget):
+    nodes = s.tree.nodes
+    assert s._obliged == {
+        n: INSTANTIATION[nodes[n].kind, v].witness for n, (v, _) in s.marks.items() if nodes[n].is_quantifier
+    }
+    assert s._settled == Counter(
+        (nodes[n].parent, v) for n, (v, _) in s.marks.items() if nodes[n].fill_term is not None
+    )
+    for witness in (True, False):
+        assert marking._marked_quantifiers(s, witness) == scanned_marked_quantifiers(s, witness)
+    for q in s.relevant_quantifiers():
+        assert s.witness_child(q) == scanned_witness_child(s, q)
+    # at the registry's size as well, so the scan runs below the budget too
+    for b in (budget, len(s.domain_registry)):
+        assert marking.capped_obligations(s, b) == scanned_capped_obligations(s, b)
+
+
+def test_obligation_maps_match_a_full_scan(monkeypatch):
+    checks = []
+
+    def checked_saturate(s, budget=None, order="pre"):
+        out = saturate(s, budget, order)
+        assert_obligations_match_a_scan(s, budget)
+        checks.append(bool(s._obliged))
+        return out
+
+    def checked_capped(s, budget):
+        assert_obligations_match_a_scan(s, budget)
+        return marking.capped_obligations(s, budget)
+
+    decide_module = sys.modules["semforce.decide"]
+    monkeypatch.setattr(decide_module, "saturate", checked_saturate)
+    monkeypatch.setattr(decide_module, "capped_obligations", checked_capped)
+    for f in differential_formulas():
+        decide(f)
+    assert any(checks) and not all(checks)
+
+
+def obligation_maps(s):
+    return [list(m.items()) for m in (s._witness, s._obliged, s._settled)]
+
+
+def test_rollback_restores_the_obligation_maps():
+    s = state_for("exists x. P(x) | forall y. Q(y)")
+    q1, q2 = s.tree.nodes[s.tree.root].children
+    s.set_mark(q1, 1, "OA")
+    w1 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
+    s.set_mark(w1, 1, "A∃", (q1,))
+    before = obligation_maps(s)
+    assert before == [[(q1, w1)], [(q1, True)], [((q1, 1), 1)]]
+    cp = s.checkpoint()
+    w2 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
+    # a second witness leaves the first one named
+    assert s.witness_child(q1) == w1
+    s.set_mark(w2, 0, "m")
+    s.set_mark(q2, 0, "OR")
+    w3 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
+    s.set_mark(w3, 0, "R∀", (q2,))
+    assert obligation_maps(s) == [
+        [(q1, w1), (q2, w3)], [(q1, True), (q2, True)], [((q1, 1), 1), ((q1, 0), 1), ((q2, 0), 1)],
+    ]
+    s.rollback(cp)
+    assert obligation_maps(s) == before
+    assert_obligations_match_a_scan(s, 2)
+
+
+def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation():
+    s = state_for("exists x. P(x) | Q(a)")
+    q = s.tree.nodes[s.tree.root].children[0]
+    s.set_mark(q, 1, "OA")
+    c = s.instantiate(q, Const("a"), "I∃")
+    s.set_mark(c, 0, "m")
+    assert marking.capped_obligations(s, 1) == [q]
+    s.set_mark(s.instantiate(q, s.introduce_generic(), "I∃"), 1, "m")
+    assert marking.capped_obligations(s, 1) == []
+    assert_obligations_match_a_scan(s, 1)
 
 
 def assert_dirty_covers(s):
