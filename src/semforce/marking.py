@@ -69,18 +69,18 @@ from .formulas import (
 )
 from .rules import (
     CATALOG,
-    CHILD_INDEX,
     DISCHARGE,
     DISCHARGE_RULES,
+    FORCING,
     GENERALIZATION,
     GENERALIZATION_RULES,
     INSTANTIATION,
     INSTANTIATION_RULES,
     MARKING_RULES,
     PERMISSION,
+    POSITION,
     WITNESS_RULES,
     RuleSpec,
-    rules_for,
     verify_derived_rule,
 )
 from .tree import ForcingTree, TreeNode
@@ -159,7 +159,27 @@ class Checkpoint:
 
 def _at(anchor: TreeNode, pos: str) -> int:
     """The node at rule position pos of a connective node."""
-    return anchor.nid if pos == "k" else anchor.children[CHILD_INDEX[pos]]
+    return anchor.nid if pos == "k" else anchor.children[POSITION[pos] - 1]
+
+
+def _pattern(
+    marks: dict[int, tuple[Mark, int]], anchor: TreeNode
+) -> tuple[tuple[int, ...], tuple[Optional[Mark], ...]]:
+    """The nodes at (anchor, *children) of a connective node and their marks,
+    None for unmarked: the key of its `FORCING` entry."""
+    n = anchor.nid
+    kids = anchor.children
+    got = marks.get(n)
+    k = got[0] if got else None
+    if len(kids) == 1:
+        a = kids[0]
+        got = marks.get(a)
+        return (n, a), (k, got[0] if got else None)
+    i, d = kids
+    got = marks.get(i)
+    mi = got[0] if got else None
+    got = marks.get(d)
+    return (n, i, d), (k, mi, got[0] if got else None)
 
 
 class MarkingState:
@@ -393,6 +413,9 @@ class MarkingState:
         if self.key(n) is None:
             raise PremiseError(f"node {n} has unfilled placeholders and cannot be marked")
 
+        if rule in CATALOG and self._forces(node, v, rule):
+            return
+
         def need(cond: bool, msg: str) -> None:
             if not cond:
                 raise PremiseError(f"{rule}: {msg}")
@@ -446,6 +469,7 @@ class MarkingState:
                 need(self.is_independent(term.name, c),
                      f"variable {term.name} is not independent in the instance branch")
         elif rule in CATALOG:
+            # _forces refused the step; this only words the first reason
             spec = CATALOG[rule]
             if node.kind == spec.connective and any(pos == "k" for pos, _ in spec.conclusions):
                 target_pos, anchor = "k", node
@@ -464,6 +488,27 @@ class MarkingState:
                 need(self.marked(_at(anchor, pos)) == val, f"premise {pos}={val} does not hold")
         else:
             raise PremiseError(f"unknown rule identifier {rule!r}")
+
+    def _forces(self, node: TreeNode, v: Mark, rule: str) -> bool:
+        """Whether catalog rule concludes v at node from the current marks. A
+        rule concluding k anchors at the node itself, one concluding a child
+        at its parent."""
+        if self._lists(node, 0, rule, v):
+            return True
+        if node.parent is None:
+            return False
+        anchor = self.tree.nodes[node.parent]
+        return self._lists(anchor, 1 + anchor.children.index(node.nid), rule, v)
+
+    def _lists(self, anchor: TreeNode, index: int, rule: str, v: Mark) -> bool:
+        """Whether the `FORCING` entry for anchor's current marks lists rule
+        concluding v at position index of (anchor, *children)."""
+        table = FORCING.get(anchor.kind)
+        if table is not None:
+            for name, _, conclusions in table[_pattern(self.marks, anchor)[1]]:
+                if name == rule and (index, v) in conclusions:
+                    return True
+        return False
 
     # -------------------------------------------------------- instantiation
 
@@ -599,25 +644,29 @@ class MarkingState:
 
     def forced_for_anchor(self, n: int) -> list[tuple[int, Mark, str, tuple[int, ...]]]:
         """One-rule conclusions available from node n's current configuration,
-        for currently existing, unmarked, ground nodes."""
+        for currently existing, unmarked, ground nodes: the rules its
+        `FORCING` entry lists (connectives), instantiation and generalization
+        (quantifiers), then iteration into its formula class (marked nodes).
+        A conclusion against an existing opposite mark must surface as a
+        double mark, so only same-value repeats are dropped."""
         tree = self.tree
-        node = tree.nodes[n]
+        nodes = tree.nodes
+        node = nodes[n]
         out: list[tuple[int, Mark, str, tuple[int, ...]]] = []
 
         def emit(t: int, v: Mark, rule: str, prem: tuple[int, ...]) -> None:
-            # a conclusion against an existing opposite mark must surface as a
-            # double mark, so only same-value repeats are dropped
             if self.marked(t) != v and self.key(t) is not None:
                 out.append((t, v, rule, prem))
 
-        if node.is_binary or node.kind == "not":
-            for spec in rules_for(node.kind):
-                if not spec.conclusions:
-                    continue
-                if all(self.marked(_at(node, pos)) == val for pos, val in spec.premises):
-                    prem = tuple(_at(node, pos) for pos, _ in spec.premises)
-                    for pos, val in spec.conclusions:
-                        emit(_at(node, pos), val, spec.name, prem)
+        table = FORCING.get(node.kind)
+        if table is not None:
+            at, vals = _pattern(self.marks, node)
+            for rule, premises, conclusions in table[vals]:
+                prem = tuple(map(at.__getitem__, premises))
+                for index, v in conclusions:
+                    t = at[index]
+                    if vals[index] != v and nodes[t].ground:
+                        out.append((t, v, rule, prem))
         elif node.is_quantifier:
             mark = self.marked(n)
             kids = tree.instance_children(n)

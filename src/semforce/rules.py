@@ -13,6 +13,14 @@ quantifier, and whether the instance variable must be independent) and
 `PERMISSION` (the rule that adds an instance branch asserting nothing).
 `DISCHARGE` names the rule that closes a supposition on one side of a
 conditional or disjunction once the other side's goal mark is forced.
+
+`FORCING` is the propositional part of the catalog read as a function of
+marks. It is derived from `_RULES` at import, which stays the one statement
+of the calculus: per connective, the key is the marks at (k, i, d), or (k, a)
+for negation, with None for unmarked, and the entry lists in catalog order
+the rules whose premises hold there. Positions in an entry are indices into
+(anchor, *children) (`POSITION`). A rule with no conclusions (`A↔`) is left
+out, as it forces nothing by itself.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-# child index of each non-"k" position
-CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
+# index of each rule position in (anchor, *children)
+POSITION = {"k": 0, "i": 1, "d": 2, "a": 1}
 
 TRUTH_TABLE = {
     "and": lambda i, d: i & d,
@@ -163,6 +171,31 @@ NON_PROPOSITIONAL = frozenset(
 
 def rules_for(connective: str) -> tuple[RuleSpec, ...]:
     return _BY_CONNECTIVE.get(connective, ())
+
+
+# one entry of FORCING: (rule name, premise indices, (index, mark) conclusions)
+Forcing = tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def _forcing_table(connective: str) -> dict[tuple[Optional[int], ...], tuple[Forcing, ...]]:
+    """Every mark pattern of a connective node and its children, mapped to the
+    catalog rules with conclusions whose premises hold there. A rule holds
+    where its premise positions carry their marks and the others anything."""
+    positions = ("k", "a") if connective == "not" else ("k", "i", "d")
+    table: dict[tuple[Optional[int], ...], list[Forcing]] = {
+        marks: [] for marks in product((None, 0, 1), repeat=len(positions))
+    }
+    for s in rules_for(connective):
+        if not s.conclusions:
+            continue
+        held = dict(s.premises)
+        entry = (s.name, tuple(POSITION[p] for p, _ in s.premises), tuple((POSITION[p], v) for p, v in s.conclusions))
+        for marks in product(*[(held[p],) if p in held else (None, 0, 1) for p in positions]):
+            table[marks].append(entry)
+    return {marks: tuple(entries) for marks, entries in table.items()}
+
+
+FORCING = {connective: _forcing_table(connective) for connective in _BY_CONNECTIVE}
 
 
 def _worlds(connective: str):

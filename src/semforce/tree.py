@@ -70,10 +70,6 @@ class TreeNode:
     def is_quantifier(self) -> bool:
         return self.kind in _QUANT_KINDS
 
-    @property
-    def is_binary(self) -> bool:
-        return self.kind in _BINARY_KINDS
-
 
 def _subst_slot(f: Formula, qid: int, term: Term) -> Formula:
     if isinstance(f, Atom):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ILLUSTRATIONS
 
+from semforce import models
 from semforce.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -192,6 +193,31 @@ def test_corpus_rejects_an_empty_domain_bound(capsys):
     assert code == EXIT_DATA
     assert "ok" not in out
     assert "max_domain must be at least 1" in err
+
+
+REFUSED = "forall x. (R(x,x) | ~R(x,x)) & (S(a,a) | ~S(a,a))"
+
+
+def test_oracle_refuses_a_domain_past_its_limit(capsys, monkeypatch):
+    calls = []
+    evaluate = models.evaluate
+    monkeypatch.setattr(models, "evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    code, out, err = run(capsys, "oracle", REFUSED, "--max-domain", "3")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert f"786948 interpretations up to domain size 3, over its limit of {models.ORACLE_LIMIT}" in err
+    # only the 516 interpretations of sizes 1 and 2 were evaluated
+    assert len(calls) == 516
+
+
+def test_corpus_refuses_a_domain_past_the_oracle_limit(tmp_path, capsys):
+    path = tmp_path / "big.corpus"
+    path.write_text(REFUSED + "  # expect: valid\n")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "corpus", str(path), "--max-domain", "3")
+    assert code == EXIT_DATA
+    assert "over its limit" in err
 
 
 def test_oracle_outside_fragment_requires_a_bound(capsys):

@@ -3,6 +3,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -34,7 +35,7 @@ from semforce import (
 from semforce.cli import model_json
 from semforce.formulas import Atom, Dyadic2Var, alpha_normalize, classify_fragment, is_ground
 from semforce.gen import random_monadic
-from semforce.rules import INSTANTIATION, WITNESS_RULES
+from semforce.rules import CATALOG, GENERALIZATION, INSTANTIATION, WITNESS_RULES, rules_for
 
 
 def state_for(src):
@@ -105,6 +106,109 @@ def test_unknown_rule_identifier_is_rejected():
     s = state_for("P(a)")
     with pytest.raises(PremiseError, match="unknown rule"):
         s.set_mark(s.tree.root, 1, "XYZ")
+
+
+def test_a_rule_whose_premises_hold_still_needs_its_conclusion_here():
+    s = state_for("P(a) <-> Q(b)")
+    root = s.tree.root
+    left, right = s.tree.nodes[root].children
+    s.set_mark(root, 1, "OA")
+    s.set_mark(left, 1, "m")
+    # AiA↔ holds (i=1, k=1) but concludes d=1: not i, and not d=0
+    with pytest.raises(PremiseError, match="does not conclude"):
+        s.set_mark(left, 1, "AiA↔", (left, root))
+    with pytest.raises(PremiseError, match="does not conclude"):
+        s.set_mark(right, 0, "AiA↔", (left, root))
+    # a rule concluding a child anchors at the parent, and the root has none
+    with pytest.raises(PremiseError, match="not positioned"):
+        s.set_mark(root, 0, "AiA↔", (left, root))
+    s.set_mark(right, 1, "AiA↔", (left, root))
+    assert s.marked(right) == 1
+
+
+def test_a_rule_of_another_connective_is_not_positioned():
+    s = state_for("P(a) & Q(b)")
+    root = s.tree.root
+    left = s.tree.nodes[root].children[0]
+    s.set_mark(root, 0, "RR")
+    # R∨ and R∼ would conclude a rejected child, but the parent is a conjunction
+    with pytest.raises(PremiseError, match="not positioned for a or rule"):
+        s.set_mark(left, 0, "R∨", (root,))
+    with pytest.raises(PremiseError, match="not positioned for a not rule"):
+        s.set_mark(left, 1, "R∼", (root,))
+
+
+def test_a_failed_premise_is_named():
+    s = state_for("(P(a) & Q(b)) <-> R(c)")
+    root = s.tree.root
+    conj, atom = s.tree.nodes[root].children
+    s.set_mark(root, 1, "OA")
+    # a rule concluding k anchors at the node itself, so Ri∧ reads conj's
+    # own left child, which is unmarked
+    with pytest.raises(PremiseError, match="premise i=0 does not hold"):
+        s.set_mark(conj, 0, "Ri∧", ())
+    # AiA↔ needs i=1 at the root
+    with pytest.raises(PremiseError, match="premise i=1 does not hold"):
+        s.set_mark(atom, 1, "AiA↔", (conj, root))
+
+
+CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
+
+
+def generic_at(anchor, pos):
+    return anchor.nid if pos == "k" else anchor.children[CHILD_INDEX[pos]]
+
+
+def generic_catalog_check(s, n, v, rule):
+    """The catalog branch of `_validate` before the forcing table, matching
+    the cited rule's premises one by one: the rejection message, or None."""
+    tree = s.tree
+    node = tree.nodes[n]
+    spec = CATALOG[rule]
+    if node.kind == spec.connective and any(pos == "k" for pos, _ in spec.conclusions):
+        target_pos, anchor = "k", node
+    else:
+        parent = node.parent
+        if not (parent is not None and tree.nodes[parent].kind == spec.connective):
+            return f"{rule}: node is not positioned for a {spec.connective} rule"
+        anchor = tree.nodes[parent]
+        if spec.connective == "not":
+            target_pos = "a"
+        else:
+            target_pos = "i" if anchor.children[0] == n else "d"
+    if not any(pos == target_pos and val == v for pos, val in spec.conclusions):
+        return f"{rule}: rule does not conclude this mark at this position"
+    for pos, val in spec.premises:
+        if s.marked(generic_at(anchor, pos)) != val:
+            return f"{rule}: premise {pos}={val} does not hold"
+    return None
+
+
+@pytest.mark.parametrize("src", [
+    "~(P(a) & Q(b))", "~(P(a) | Q(b))", "~(P(a) -> Q(b))", "~(P(a) <-> Q(b))", "~~P(a)", "~P(a) & ~Q(b)",
+])
+def test_catalog_steps_are_judged_as_by_the_generic_match(src):
+    # every mark pattern on the tree, set by options and leaf marks, and
+    # every catalog step on every node: the same acceptance and message
+    base = state_for(src)
+    nids = list(base.tree.preorder())
+    judged = Counter()
+    for pattern in product((None, 0, 1), repeat=len(nids)):
+        s = state_for(src)
+        for nid, v in zip(nids, pattern):
+            if v is not None:
+                s.set_mark(nid, v, "m" if s.tree.nodes[nid].kind == "atom" else ("OA" if v else "OR"))
+        for n in nids:
+            for rule in CATALOG:
+                for v in (0, 1):
+                    try:
+                        s._validate(n, v, rule, ())
+                        got = None
+                    except PremiseError as exc:
+                        got = str(exc)
+                    assert got == generic_catalog_check(s, n, v, rule), (pattern, n, v, rule)
+                    judged[got is None] += 1
+    assert judged[True] and judged[False]
 
 
 def test_iteration_shares_a_value_between_same_formula_nodes():
@@ -657,6 +761,74 @@ def test_obligation_maps_match_a_full_scan(monkeypatch):
     for f in differential_formulas():
         decide(f)
     assert any(checks) and not all(checks)
+
+
+def generic_forced_for_anchor(s, n):
+    """`forced_for_anchor` before the forcing table: every rule of the
+    connective matched premise by premise, then the quantifier rules and
+    iteration."""
+    tree = s.tree
+    node = tree.nodes[n]
+    out = []
+
+    def emit(t, v, rule, prem):
+        if s.marked(t) != v and s.key(t) is not None:
+            out.append((t, v, rule, prem))
+
+    if node.kind in ("and", "or", "imp", "iff", "not"):
+        for spec in rules_for(node.kind):
+            if not spec.conclusions:
+                continue
+            if all(s.marked(generic_at(node, pos)) == val for pos, val in spec.premises):
+                prem = tuple(generic_at(node, pos) for pos, _ in spec.premises)
+                for pos, val in spec.conclusions:
+                    emit(generic_at(node, pos), val, spec.name, prem)
+    elif node.is_quantifier:
+        mark = s.marked(n)
+        kids = tree.instance_children(n)
+        if mark is not None:
+            inst = INSTANTIATION[node.kind, mark]
+            if inst.witness:
+                w = s.witness_child(n)
+                kids = [] if w is None else [w]
+            for c in kids:
+                emit(c, mark, inst.marking, (n,))
+        else:
+            for c in kids:
+                cv = s.marked(c)
+                if cv is None:
+                    continue
+                up, independent = GENERALIZATION[node.kind, cv]
+                term = tree.nodes[c].fill_term
+                if not independent or (isinstance(term, Var) and s.is_independent(term.name, c)):
+                    emit(n, cv, up, (c,))
+                    break
+    mark = s.marked(n)
+    if mark is not None:
+        k = s.key(n)
+        members = s.formula_index.get(k, ())
+        if s._marked_in[k] < len(members) or s.dm is not None:
+            rule = "IA" if mark == 1 else "IR"
+            for other in members:
+                if other != n:
+                    emit(other, mark, rule, (n,))
+    return out
+
+
+def test_forcing_table_matches_the_generic_rule_loop(monkeypatch):
+    original = marking.MarkingState.forced_for_anchor
+    fired = Counter()
+
+    def checked(s, n):
+        out = original(s, n)
+        assert out == generic_forced_for_anchor(s, n), n
+        fired[s.tree.nodes[n].kind] += len(out)
+        return out
+
+    monkeypatch.setattr(marking.MarkingState, "forced_for_anchor", checked)
+    for f in differential_formulas():
+        decide(f)
+    assert all(fired[kind] for kind in ("and", "or", "imp", "iff", "not", "forall", "exists", "atom")), fired
 
 
 def obligation_maps(s):

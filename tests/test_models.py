@@ -30,6 +30,7 @@ from semforce import (
     signature_of,
 )
 from semforce.formulas import format_formula
+from semforce.models import ORACLE_LIMIT, interpretation_count
 from semforce.marking import init_marking, saturate
 
 TWO = Interpretation(
@@ -122,6 +123,31 @@ def test_oracle_refutes_with_the_smallest_domain():
     out = oracle_validity(parse_formula(ILLUSTRATIONS[6]), 3)
     assert isinstance(out, Refuted)
     assert len(out.interpretation.domain) == 2
+
+
+@pytest.mark.parametrize("src", ["P(a) & R(a,a)", "forall x. (P(x) | Q(x))", "R(a,b) -> S(b,a)", "P(a) | ~P(b)"])
+def test_interpretation_count_matches_the_enumeration(src):
+    sig = signature_of(parse_formula(src))
+    for size in (1, 2):
+        assert interpretation_count(sig, size) == sum(1 for _ in enumerate_interpretations(sig, size))
+
+
+def test_oracle_refuses_by_size_before_enumerating():
+    # 1·2^2 + 2·2^8 = 516 interpretations up to size 2; size 3 adds 3·2^18
+    f = parse_formula("forall x. (R(x,x) | ~R(x,x)) & (S(a,a) | ~S(a,a))")
+    assert oracle_validity(f, 2) == ValidUpTo(2)
+    refusal = f"786948 interpretations up to domain size 3, over its limit of {ORACLE_LIMIT}"
+    with pytest.raises(ValueError, match=refusal):
+        oracle_validity(f, 3)
+    # the count stops at the first size past the limit, whatever the bound
+    with pytest.raises(ValueError, match="up to domain size 4,"):
+        oracle_validity(parse_formula("R(a,a) | ~R(a,a)"), 10**9)
+
+
+def test_oracle_answers_from_a_domain_below_the_limit():
+    # refuted on one element, so sizes past the limit are never faced
+    out = oracle_validity(parse_formula("P(a) & ~P(a)"), 10**9)
+    assert isinstance(out, Refuted) and len(out.interpretation.domain) == 1
 
 
 def test_oracle_rejects_open_formulas():

@@ -1,9 +1,11 @@
 """The rule catalog and the exhaustive soundness checker."""
 
+from itertools import product
+
 import pytest
 
 from semforce import RuleSpec, verify_derived_rule
-from semforce.rules import CATALOG, NON_PROPOSITIONAL, rules_for
+from semforce.rules import CATALOG, FORCING, NON_PROPOSITIONAL, POSITION, rules_for
 
 
 def test_catalog_size_per_connective():
@@ -78,3 +80,57 @@ def test_biconditional_family():
     assert verify_derived_rule("AiRd↔")
     assert verify_derived_rule("RiAd↔")
     assert verify_derived_rule("A↔")
+
+
+# ------------------------------------------------------------- forcing table
+
+CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
+
+
+def generic_match(connective, marks):
+    """The rule-by-rule premise match the forcing table replaced, on a
+    connective node 1 with children 2 and 3 (2 alone under negation):
+    (rule, premise nodes, conclusions) in catalog order."""
+    children = [2] if connective == "not" else [2, 3]
+    marked = dict(zip([1, *children], marks))
+
+    def at(pos):
+        return 1 if pos == "k" else children[CHILD_INDEX[pos]]
+
+    out = []
+    for spec in rules_for(connective):
+        if not spec.conclusions:
+            continue
+        if all(marked[at(pos)] == val for pos, val in spec.premises):
+            prem = tuple(at(pos) for pos, _ in spec.premises)
+            out.append((spec.name, prem, tuple((at(pos), val) for pos, val in spec.conclusions)))
+    return out
+
+
+@pytest.mark.parametrize("connective", ["and", "or", "imp", "iff", "not"])
+def test_forcing_table_equals_the_generic_match(connective):
+    arity = 2 if connective == "not" else 3
+    table = FORCING[connective]
+    patterns = list(product((None, 0, 1), repeat=arity))
+    assert sorted(table, key=repr) == sorted(patterns, key=repr)
+    nodes = (1, 2) if connective == "not" else (1, 2, 3)
+    fired = set()
+    for marks in patterns:
+        got = [
+            (name, tuple(nodes[p] for p in prem), tuple((nodes[p], v) for p, v in concl))
+            for name, prem, concl in table[marks]
+        ]
+        assert got == generic_match(connective, marks), marks
+        fired.update(name for name, _, _ in got)
+    # every rule with conclusions fires somewhere; A↔ is left out
+    assert fired == {s.name for s in rules_for(connective) if s.conclusions}
+
+
+def test_forcing_table_positions():
+    assert FORCING.keys() == {"and", "or", "imp", "iff", "not"}
+    assert POSITION == {"k": 0, "i": 1, "d": 2, "a": 1}
+    # accepted conjunction with accepted left child: A∧, then AiAd∧ does not
+    # hold (d unmarked), then nothing else
+    assert FORCING["and"][1, 1, None] == (("A∧", (0,), ((1, 1), (2, 1))),)
+    assert FORCING["iff"][1, None, None] == ()
+    assert FORCING["not"][None, 0] == (("Ra∼", (1,), ((0, 1),)),)
