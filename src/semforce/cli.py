@@ -23,7 +23,7 @@ from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
 from .formulas import Formula, classify_fragment, parse_formula
 from .gen import random_monadic
 from .marking import init_marking, saturate
-from .models import Interpretation, Refuted, ValidUpTo, oracle_validity
+from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
 from .render import render_ascii, render_dot, render_trace
 from .tree import build_initial_tree
 
@@ -151,7 +151,9 @@ def _verdict_word(verdict) -> str:
     return f"no-countermodel<={verdict.bound}"
 
 
-def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain: Optional[int]) -> tuple[bool, str]:
+def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain: Optional[int]) -> tuple[str, str]:
+    """The entry's status (ok, FAIL or refused, when the oracle refuses its
+    domain size) and its line."""
     f = parse_formula(text)
     verdict = decide(f, cfg)
     word = _verdict_word(verdict)
@@ -160,7 +162,11 @@ def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain
         problems.append(f"expected {expect}")
     bound = _oracle_bound(f, max_domain)
     if bound is not None:
-        oracle = oracle_validity(f, bound)
+        try:
+            oracle = oracle_validity(f, bound)
+        except OracleLimitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return "refused", f"refused {word:<22} {text} (the oracle refused its domain size)"
         if isinstance(verdict, Valid) and isinstance(oracle, Refuted):
             problems.append(f"oracle refutes with {len(oracle.interpretation.domain)} individuals")
         elif isinstance(verdict, Invalid) and isinstance(oracle, ValidUpTo):
@@ -169,9 +175,9 @@ def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain
         elif isinstance(verdict, NoCountermodelUpTo) and isinstance(oracle, Refuted):
             if len(oracle.interpretation.domain) <= verdict.bound:
                 problems.append("oracle refutes within the search budget")
-    ok = not problems
-    note = "" if ok else " (" + "; ".join(problems) + ")"
-    return ok, f"{'ok  ' if ok else 'FAIL'} {word:<22} {text}{note}"
+    status = "FAIL" if problems else "ok"
+    note = " (" + "; ".join(problems) + ")" if problems else ""
+    return status, f"{status:<4} {word:<22} {text}{note}"
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -204,14 +210,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 print(f"cannot read corpus: {exc}", file=sys.stderr)
                 return EXIT_DATA
         entries = _parse_corpus(text)
-    failures = 0
+    counts = {"ok": 0, "FAIL": 0, "refused": 0}
     for text, expect in entries:
-        ok, line = _check_entry(text, expect, cfg, args.max_domain)
-        if not ok:
-            failures += 1
+        status, line = _check_entry(text, expect, cfg, args.max_domain)
+        counts[status] += 1
         print(line)
-    print(f"{len(entries)} formulas, {len(entries) - failures} ok, {failures} failing")
-    return EXIT_VALID if failures == 0 else EXIT_INVALID
+    refused = f", {counts['refused']} refused by the oracle" if counts["refused"] else ""
+    print(f"{len(entries)} formulas, {counts['ok']} ok, {counts['FAIL']} failing{refused}")
+    # a refusal is a data error, as it is for the oracle command
+    return EXIT_DATA if counts["refused"] else EXIT_INVALID if counts["FAIL"] else EXIT_VALID
 
 
 def build_parser() -> argparse.ArgumentParser:

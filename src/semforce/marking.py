@@ -57,7 +57,6 @@ from typing import Iterator, Optional
 from .errors import PremiseError, StateError
 from .formulas import (
     Const,
-    Formula,
     Term,
     Var,
     # not called here: the name stays importable because perfbench/tracer.py
@@ -266,11 +265,6 @@ class MarkingState:
         """Formula class of the node; None while placeholders are unfilled."""
         node = self.tree.nodes[nid]
         return node.shape if node.ground else None
-
-    def class_of(self, f: Formula) -> Optional[int]:
-        """Formula class of a ground formula, up to renaming of bound
-        variables; None when no node has carried it."""
-        return self.tree.class_of(f)
 
     def _index_node(self, nid: int) -> None:
         k = self.key(nid)
@@ -746,7 +740,7 @@ class MarkingState:
 
     def instance_key(self, qnid: int, term: Term) -> Optional[int]:
         """The formula class an instance branch of qnid filled with term would
-        carry; None when no node has carried that formula."""
+        carry, whether or not any node carries it; None when not ground."""
         return self.tree.instance_class(qnid, term)
 
 

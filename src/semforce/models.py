@@ -162,6 +162,11 @@ def enumerate_interpretations(sig: Signature, domain_size: int) -> Iterator[Inte
 ORACLE_LIMIT = 2 ** 16
 
 
+class OracleLimitError(ValueError):
+    """oracle_validity's refusal of a domain size whose interpretations, with
+    those of the sizes below it, pass `ORACLE_LIMIT`."""
+
+
 def interpretation_count(sig: Signature, domain_size: int) -> int:
     """How many interpretations `enumerate_interpretations` yields over one
     domain: d^c · 2^(m·d) · 2^(k·d²) for c constants, m monadic and k dyadic
@@ -173,7 +178,7 @@ def interpretation_count(sig: Signature, domain_size: int) -> int:
 def oracle_validity(f: Formula, max_domain: int) -> OracleResult:
     """Exhaustive refutation search over all domains up to max_domain,
     smallest first. Before each domain it counts the interpretations up to
-    that size, and refuses with ValueError once they pass `ORACLE_LIMIT`:
+    that size, and raises OracleLimitError once they pass `ORACLE_LIMIT`:
     a countermodel found on a smaller domain still answers."""
     if max_domain < 1:
         raise ValueError("models are nonempty: max_domain must be at least 1")
@@ -184,7 +189,7 @@ def oracle_validity(f: Formula, max_domain: int) -> OracleResult:
     for size in range(1, max_domain + 1):
         total += interpretation_count(sig, size)
         if total > ORACLE_LIMIT:
-            raise ValueError(
+            raise OracleLimitError(
                 f"the oracle would enumerate {total} interpretations up to domain size {size}, "
                 f"over its limit of {ORACLE_LIMIT}"
             )
@@ -219,21 +224,21 @@ def extract_model(s) -> Interpretation:
     monadic: dict[str, frozenset] = {}
     dyadic: dict[str, frozenset] = {}
 
-    def marked_one(atom: Atom) -> bool:
-        hit = s.consensus.get(s.class_of(atom))
+    def marked_one(pred: str, args: tuple) -> bool:
+        hit = s.consensus.get(s.tree.atom_class(pred, args))
         return hit is not None and hit[0] == 1
 
     for pred, arity in sorted(arities.items()):
         if arity == 1:
             monadic[pred] = frozenset(
-                names[t] for t in s.domain_registry if marked_one(Atom(pred, (t,)))
+                names[t] for t in s.domain_registry if marked_one(pred, (t,))
             )
         else:
             dyadic[pred] = frozenset(
                 (names[t], names[u])
                 for t in s.domain_registry
                 for u in s.domain_registry
-                if marked_one(Atom(pred, (t, u)))
+                if marked_one(pred, (t, u))
             )
     return Interpretation(domain, monadic, dyadic, constants)
 

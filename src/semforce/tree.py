@@ -1,24 +1,26 @@
 """Forcing trees: one node per connective, quantifier, and atom occurrence.
 
-Every node carries the formula it stands for, set once when the node is
-created. A bound position that no instantiation has filled yet is a `Slot`
-placeholder naming its quantifier. A quantifier node's first child is its
-template (the body with the quantifier's own placeholder). Instantiating the
-quantifier with a term clones the template subtree with that placeholder
-filled; the clone becomes a new instance child. Clones share the template's
-placeholder ids, so a nested quantifier inside an instance can itself be
-instantiated independently.
+A quantifier node's first child is its template (the body, with the
+quantifier's own bound position left open). Instantiating the quantifier with
+a term clones the template subtree with that position filled; the clone
+becomes a new instance child. Clones keep the template's placeholder ids, so a
+nested quantifier inside an instance can itself be instantiated independently.
 
-Every node also carries a shape id, composed when the node is created from
-its children's ids and interned per tree (hash-consing). In an atom's shape a
-bound position is a de Bruijn index: the number of binders between the atom
-and the quantifier that binds it, counting template edges only, since an
-instance child lies outside its quantifier's binder. A connective's shape is
-its kind and its children's ids, a quantifier's is its kind and its template's
-id. So two nodes share a shape id exactly when their formulas are equal up to
-renaming of bound variables. A node is ground, its formula free of `Slot`s,
-when no index in its shape points past the node. Formula classes for
-iteration and double marks are the ids of ground shapes.
+A node stores its formula only as a shape id, set once when the node is
+created and interned per tree (hash-consing). In an atom's shape a bound
+position is a de Bruijn index: the number of binders between the atom and the
+quantifier that binds it, counting template edges only, since an instance
+child lies outside its quantifier's binder. A connective's shape is its kind
+and its children's ids, a quantifier's is its kind and its template's id. So
+two nodes share a shape id exactly when their formulas are equal up to
+renaming of bound variables. A clone's shapes are its source's with one index
+filled (`_filled`). A node is ground when no index in its shape points past
+the node. Formula classes for iteration and double marks are the ids of
+ground shapes.
+
+`node_formula` reads a node's formula back from the shapes below it and the
+variables of the quantifiers on the way. An index that points past the node
+becomes a `Slot` placeholder naming the quantifier it points at.
 """
 
 from __future__ import annotations
@@ -28,20 +30,17 @@ from typing import Iterator, Optional
 
 from .errors import FreeVariableError, StateError
 from .formulas import (
-    BINARY,
     CLASS_OF,
     KIND_OF,
     QUANTIFIERS,
     Atom,
     Formula,
-    Not,
     Slot,
     Term,
     Var,
     free_variables,
 )
 
-_BINARY_KINDS = frozenset(KIND_OF[c] for c in BINARY)
 _QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
 
 
@@ -51,11 +50,9 @@ class TreeNode:
     parent: Optional[int]
     kind: str
     children: list[int] = field(default_factory=list)
-    # the formula this node stands for, with a Slot at every bound position no
-    # instantiation on the path above has filled; set once the children exist
-    formula: Optional[Formula] = None
-    # the interned id of the formula's shape and whether the formula is ground
-    # (module docstring); set with the formula
+    # the interned id of the node's shape, from which its formula is read, and
+    # whether that formula is ground (module docstring); set once, when the
+    # node is created or, in the initial tree, once its children exist
     shape: int = -1
     ground: bool = False
     # quantifier nodes: bound-variable name and the placeholder id it fills
@@ -69,36 +66,6 @@ class TreeNode:
     @property
     def is_quantifier(self) -> bool:
         return self.kind in _QUANT_KINDS
-
-
-def _subst_slot(f: Formula, qid: int, term: Term) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(term if isinstance(t, Slot) and t.qid == qid else t for t in f.args))
-    if isinstance(f, Not):
-        return Not(_subst_slot(f.sub, qid, term))
-    if isinstance(f, BINARY):
-        return type(f)(_subst_slot(f.left, qid, term), _subst_slot(f.right, qid, term))
-    return type(f)(f.var, _subst_slot(f.body, qid, term))
-
-
-def _atom_key(pred: str, args: tuple, levels: dict[str, int], depth: int) -> tuple:
-    """The shape key of an atom `depth` binders deep: a variable whose
-    quantifier has levels[name] binders above it becomes its de Bruijn index."""
-    return ("atom", pred, tuple(
-        depth - 1 - levels[t.name] if isinstance(t, Var) and t.name in levels else t for t in args
-    ))
-
-
-def _compound_key(kind: str, ids) -> tuple:
-    """The shape key of a connective (its children's ids) or of a quantifier
-    (its template's id)."""
-    return (kind, *ids)
-
-
-def _fill(args: tuple, index: int, term: Term) -> tuple:
-    """An atom shape's arguments with de Bruijn index `index` filled by term;
-    the indices pointing above it lose the binder that was filled."""
-    return tuple(a if type(a) is not int or a < index else term if a == index else a - 1 for a in args)
 
 
 class ForcingTree:
@@ -117,9 +84,9 @@ class ForcingTree:
         self._shape_ids: dict[tuple, int] = {}
         self._shape_keys: list[tuple] = []
         self._reach: list[int] = []
-        # (template shape, term) -> (instance shape or None, shapes interned then)
-        self._instance_memo: dict[tuple[int, Term], tuple[Optional[int], int]] = {}
-        self.root = self._build(formula, parent=None, slots={}, levels={}, depth=0)
+        # (shape, index, term) -> _filled's answer, for the shapes index reaches
+        self._fills: dict[tuple[int, int, Term], int] = {}
+        self.root = self._build(formula, parent=None, levels={}, depth=0).nid
 
     # ------------------------------------------------------------ construction
 
@@ -131,53 +98,38 @@ class ForcingTree:
             self.nodes[node.parent].children.append(node.nid)
         return node
 
-    def _build(self, f: Formula, parent: Optional[int], slots: dict[str, int], levels: dict[str, int], depth: int,
-               is_template: bool = False) -> int:
-        """Build f's subtree under parent. slots maps each bound variable to
-        its quantifier's placeholder id, levels to the number of binders above
-        that quantifier; depth is the number of binders above f."""
+    def _build(self, f: Formula, parent: Optional[int], levels: dict[str, int], depth: int,
+               is_template: bool = False) -> TreeNode:
+        """Build f's subtree under parent. levels maps each bound variable to
+        the number of binders above its quantifier; depth is the number of
+        binders above f, so a bound variable's index is depth - 1 - level."""
         kind = KIND_OF[type(f)]
-        if kind == "atom":
-            args = tuple(Slot(slots[t.name]) if isinstance(t, Var) and t.name in slots else t for t in f.args)
-            node = self._new_node(parent=parent, kind=kind, formula=Atom(f.pred, args), is_template=is_template)
-            self._set_shape(node, _atom_key(f.pred, f.args, levels, depth))
-            return node.nid
         node = self._new_node(parent=parent, kind=kind, is_template=is_template)
-        if kind in _QUANT_KINDS:
+        if kind == "atom":
+            key = (kind, f.pred, tuple(
+                depth - 1 - levels[t.name] if isinstance(t, Var) and t.name in levels else t for t in f.args
+            ))
+        elif kind in _QUANT_KINDS:
             node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
-            self._build(f.body, node.nid, {**slots, f.var: node.qid}, {**levels, f.var: depth}, depth + 1,
-                        is_template=True)
+            # a quantifier's shape reads its template only
+            key = (kind, self._build(f.body, node.nid, {**levels, f.var: depth}, depth + 1, is_template=True).shape)
         elif kind == "not":
-            self._build(f.sub, node.nid, slots, levels, depth)
+            key = (kind, self._build(f.sub, node.nid, levels, depth).shape)
         else:
-            self._build(f.left, node.nid, slots, levels, depth)
-            self._build(f.right, node.nid, slots, levels, depth)
-        self._compose(node)
-        return node.nid
+            key = (kind, self._build(f.left, node.nid, levels, depth).shape,
+                   self._build(f.right, node.nid, levels, depth).shape)
+        node.shape = sid = self._intern(key)
+        node.ground = self._reach[sid] == 0
+        return node
 
-    def _compose(self, node: TreeNode) -> None:
-        """A connective's or quantifier's formula and shape from its
-        children's; a quantifier binds its own placeholder back to its
-        variable, and its shape reads its template only."""
-        nodes = self.nodes
-        if node.is_quantifier:
-            template = nodes[node.children[0]]
-            node.formula = CLASS_OF[node.kind](node.var, _subst_slot(template.formula, node.qid, Var(node.var)))
-            self._set_shape(node, _compound_key(node.kind, (template.shape,)))
-        else:
-            kids = [nodes[c] for c in node.children]
-            node.formula = CLASS_OF[node.kind](*(k.formula for k in kids))
-            self._set_shape(node, _compound_key(node.kind, [k.shape for k in kids]))
-
-    def _set_shape(self, node: TreeNode, key: tuple) -> None:
+    def _intern(self, key: tuple) -> int:
         sid = self._shape_ids.get(key)
         if sid is None:
             sid = self._shape_ids[key] = len(self._shape_keys)
             self._shape_keys.append(key)
             self._reach.append(self._reach_of(key))
-        node.shape = sid
-        node.ground = self._reach[sid] == 0
+        return sid
 
     def _reach_of(self, key: tuple) -> int:
         kind = key[0]
@@ -188,6 +140,36 @@ class ForcingTree:
             return max(self._reach[key[1]] - 1, 0)
         return max(self._reach[c] for c in key[1:])
 
+    def _filled(self, shape: int, index: int, term: Term) -> int:
+        """The shape with de Bruijn index `index` filled by term and the
+        indices above it lowered by one, as they lose the binder filled:
+        interned, memoized, and the shape itself when its reach is at most
+        index. Walks without recursion."""
+        reach, fills, keys = self._reach, self._fills, self._shape_keys
+        if reach[shape] <= index:
+            return shape
+        got = fills.get((shape, index, term))
+        if got is not None:
+            return got
+        stack = [(shape, index, False)]
+        while stack:
+            sid, i, expanded = stack.pop()
+            if reach[sid] <= i or (sid, i, term) in fills:
+                continue
+            kind, *rest = keys[sid]
+            if kind == "atom":
+                args = tuple(a if type(a) is not int or a < i else term if a == i else a - 1 for a in rest[1])
+                fills[sid, i, term] = self._intern((kind, rest[0], args))
+                continue
+            # a quantifier's template lies one binder deeper
+            j = i + 1 if kind in _QUANT_KINDS else i
+            if expanded:
+                fills[sid, i, term] = self._intern((kind, *(fills.get((c, j, term), c) for c in rest)))
+            else:
+                stack.append((sid, i, True))
+                stack.extend((c, j, False) for c in reversed(rest))
+        return fills[shape, index, term]
+
     def instantiate(self, qnid: int, term: Term) -> int:
         """Clone the template subtree of quantifier node qnid with its bound
         position filled by term; returns the new instance child's id."""
@@ -197,7 +179,7 @@ class ForcingTree:
         if not q.children:
             raise StateError(f"quantifier node {qnid} has no template child")
         self.version += 1
-        return self._clone(q.children[0], q.nid, q.qid, term, fill_term=term, as_template=False, depth=0)
+        return self._clone(q.children[0], q.nid, term, fill_term=term, as_template=False, depth=0)
 
     def truncate(self, next_nid: int) -> list[int]:
         """Remove every node numbered next_nid or above, so that the next node
@@ -215,28 +197,23 @@ class ForcingTree:
         self._next_nid = next_nid
         return removed
 
-    def _clone(self, src_nid: int, parent: int, qid: int, term: Term, fill_term: Optional[Term], as_template: bool,
+    def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], as_template: bool,
                depth: int) -> int:
-        """Copy src_nid's subtree under parent with placeholder qid filled by
-        term; depth is the number of binders between src_nid and qid's
-        quantifier, so qid's positions are de Bruijn index depth there."""
+        """Copy src_nid's subtree under parent with de Bruijn index depth, the
+        binder being instantiated as seen from src_nid, filled by term."""
         src = self.nodes[src_nid]
+        sid = self._filled(src.shape, depth, term)
         node = self._new_node(
-            parent=parent, kind=src.kind, var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,
+            parent=parent, kind=src.kind, shape=sid, ground=self._reach[sid] == 0, var=src.var, qid=src.qid,
+            is_template=as_template, fill_term=fill_term,
         )
-        if src.kind == "atom":
-            node.formula = _subst_slot(src.formula, qid, term)
-            kind, pred, args = self._shape_keys[src.shape]
-            self._set_shape(node, (kind, pred, _fill(args, depth, term)))
-            return node.nid
         for i, c in enumerate(src.children):
             # instance branches inside the copied subtree stay instance
             # branches of the copied quantifier, so their fill survives; only
             # a template edge crosses a binder
             template = src.is_quantifier and i == 0
-            self._clone(c, node.nid, qid, term, fill_term=self.nodes[c].fill_term, as_template=template,
+            self._clone(c, node.nid, term, fill_term=self.nodes[c].fill_term, as_template=template,
                         depth=depth + 1 if template else depth)
-        self._compose(node)
         return node.nid
 
     # --------------------------------------------------------------- formulas
@@ -244,64 +221,78 @@ class ForcingTree:
     def node_formula(self, nid: int) -> Formula:
         """The formula this node stands for; unfilled placeholders print as `_`
         and make the node non-ground. Stable over the node's lifetime."""
-        return self.nodes[nid].formula
+        return self._decode(nid, self._slots_above(nid))
 
     def instance_formula(self, qnid: int, term: Term) -> Formula:
         """The formula an instance branch of quantifier qnid filled with term
         carries, whether or not that branch exists."""
-        q = self.nodes[qnid]
-        return _subst_slot(self.nodes[q.children[0]].formula, q.qid, term)
+        return self._decode(self.nodes[qnid].children[0], [term, *self._slots_above(qnid)])
+
+    def _slots_above(self, nid: int) -> list[Slot]:
+        """Placeholders for the binders above nid that its shape reaches,
+        nearest first: the quantifiers met through template edges on the way
+        up."""
+        node, out = self.nodes[nid], []
+        want = self._reach[node.shape]
+        while len(out) < want:
+            parent = self.nodes[node.parent]
+            if node.is_template:
+                out.append(Slot(parent.qid))
+            node = parent
+        return out
+
+    def _decode(self, nid: int, outer: list[Term]) -> Formula:
+        """nid's formula from the atom shapes below it and the variables of
+        the quantifiers on the way; an index pointing k binders past nid reads
+        outer[k]. Walks without recursion."""
+        nodes, keys = self.nodes, self._shape_keys
+        # variables of the binders above the node being visited, outermost
+        # first; a preorder walk overwrites only the entries it has left
+        names: list[str] = []
+        done: list[Formula] = []
+        stack = [(nid, 0, False)]
+        while stack:
+            n, depth, expanded = stack.pop()
+            node = nodes[n]
+            kind = node.kind
+            if kind == "atom":
+                _, pred, args = keys[node.shape]
+                done.append(Atom(pred, tuple(
+                    a if type(a) is not int else Var(names[depth - 1 - a]) if a < depth else outer[a - depth]
+                    for a in args
+                )))
+            elif expanded:
+                if kind in _QUANT_KINDS:
+                    done[-1] = CLASS_OF[kind](node.var, done[-1])
+                else:
+                    k = len(node.children)
+                    done[-k:] = [CLASS_OF[kind](*done[-k:])]
+            else:
+                stack.append((n, depth, True))
+                if kind in _QUANT_KINDS:
+                    del names[depth:]
+                    names.append(node.var)
+                    stack.append((node.children[0], depth + 1, False))
+                else:
+                    stack.extend((c, depth, False) for c in reversed(node.children))
+        return done[0]
 
     def is_ground_node(self, nid: int) -> bool:
         return self.nodes[nid].ground
 
     # ------------------------------------------------------------------ shapes
 
-    def class_of(self, f: Formula) -> Optional[int]:
-        """The shape id of ground formula f, the id a node carrying f (up to
-        renaming of bound variables) has; None when f holds a placeholder or
-        no node of this tree has carried it. Looks up, never interns, and
-        walks f without recursion."""
-        ids = self._shape_ids
-        done: list[int] = []
-        stack: list[tuple[Formula, dict[str, int], int, bool]] = [(f, {}, 0, False)]
-        while stack:
-            g, env, depth, expanded = stack.pop()
-            kind = KIND_OF[type(g)]
-            if kind == "atom":
-                if any(isinstance(t, Slot) for t in g.args):
-                    return None
-                key = _atom_key(g.pred, g.args, env, depth)
-            elif not expanded:
-                stack.append((g, env, depth, True))
-                if kind in _QUANT_KINDS:
-                    stack.append((g.body, {**env, g.var: depth}, depth + 1, False))
-                elif kind == "not":
-                    stack.append((g.sub, env, depth, False))
-                else:
-                    stack.append((g.right, env, depth, False))
-                    stack.append((g.left, env, depth, False))
-                continue
-            else:
-                n = 2 if kind in _BINARY_KINDS else 1
-                key = _compound_key(kind, done[-n:])
-                del done[-n:]
-            sid = ids.get(key)
-            if sid is None:
-                return None
-            done.append(sid)
-        # every index points at a binder inside f, so the shape is ground
-        return done[0]
-
     def instance_class(self, qnid: int, term: Term) -> Optional[int]:
-        """class_of(instance_formula(qnid, term)), memoized on the template's
-        shape and the term. A miss is recomputed once new shapes exist."""
-        template = self.nodes[self.nodes[qnid].children[0]].shape
-        interned = len(self._shape_keys)
-        got = self._instance_memo.get((template, term))
-        if got is None or (got[0] is None and got[1] != interned):
-            got = self._instance_memo[template, term] = (self.class_of(self.instance_formula(qnid, term)), interned)
-        return got[0]
+        """The formula class an instance branch of quantifier qnid filled with
+        term carries, whether or not that branch exists; None when that
+        formula is not ground."""
+        sid = self._filled(self.nodes[self.nodes[qnid].children[0]].shape, 0, term)
+        return sid if self._reach[sid] == 0 else None
+
+    def atom_class(self, pred: str, args: tuple[Term, ...]) -> Optional[int]:
+        """The formula class of the ground atom pred(args); None when no shape
+        of this tree is that atom."""
+        return self._shape_ids.get(("atom", pred, args))
 
     def instance_children(self, qnid: int) -> list[int]:
         return self.nodes[qnid].children[1:]

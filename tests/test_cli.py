@@ -218,6 +218,18 @@ def test_corpus_refuses_a_domain_past_the_oracle_limit(tmp_path, capsys):
     code, out, err = run(capsys, "corpus", str(path), "--max-domain", "3")
     assert code == EXIT_DATA
     assert "over its limit" in err
+    # a refused entry gets its line, and the entries after it still run
+    three = "forall x. (P(x) -> P(x)) & (Q(a) | ~Q(a)) & (R(a) | ~R(a))"
+    path.write_text(f"P(a) -> P(a)\n{three}\nP(a) | ~P(a)\n")
+    code, out, err = run(capsys, "corpus", str(path))
+    assert code == EXIT_DATA
+    assert f"181896 interpretations up to domain size 5, over its limit of {models.ORACLE_LIMIT}" in err
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("ok ") and lines[0].endswith("P(a) -> P(a)")
+    assert lines[1].startswith("refused ") and three in lines[1] and "oracle refused" in lines[1]
+    assert lines[2].startswith("ok ") and lines[2].endswith("P(a) | ~P(a)")
+    assert lines[3] == "3 formulas, 2 ok, 0 failing, 1 refused by the oracle"
 
 
 def test_oracle_outside_fragment_requires_a_bound(capsys):

@@ -1,5 +1,7 @@
 """Forcing-tree construction, instantiation, and the profundity measure."""
 
+import sys
+
 import pytest
 
 from semforce import (
@@ -14,6 +16,7 @@ from semforce import (
     parse_formula,
     profundity,
 )
+from semforce.formulas import subformulas
 
 from conftest import ILLUSTRATIONS, random_formula
 
@@ -122,5 +125,48 @@ def test_instance_formula_is_the_formula_of_the_instance_branch(k):
         for q in quantifiers:
             for term in registry:
                 expected = t.instance_formula(q, term)
-                assert node_formula(t, t.instantiate(q, term)) == expected
+                key = t.instance_class(q, term)
+                child = t.instantiate(q, term)
+                assert node_formula(t, child) == expected
+                # instance_class interns the branch's shape before it exists
+                assert key == (t.nodes[child].shape if t.is_ground_node(child) else None)
         quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
+
+
+def _preorder_labels(f):
+    """f's connectives, variables and atoms in preorder: equal lists mean
+    equal formulas, compared without the recursion of the dataclass __eq__."""
+    return [(type(g), getattr(g, "var", None), getattr(g, "pred", None), getattr(g, "args", None))
+            for g, _ in subformulas(f)]
+
+
+def _within_a_shallow_stack(read):
+    """read() run with at most 100 frames of stack to spare, so that a walk
+    recursing once per level raises RecursionError."""
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 100)
+    try:
+        return read()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_decoding_a_deep_formula_does_not_recurse():
+    negated = parse_formula("~" * 600 + "P(a)")
+    t = build_initial_tree(negated)
+    assert _preorder_labels(_within_a_shallow_stack(lambda: t.node_formula(t.root))) == _preorder_labels(negated)
+    nested = parse_formula("forall x. " * 300 + "P(x)")
+    t = build_initial_tree(nested)
+    assert _preorder_labels(_within_a_shallow_stack(lambda: t.node_formula(t.root))) == _preorder_labels(nested)
+    # the root's template filled with c: 299 quantifiers, the innermost binds P's x
+    got = _within_a_shallow_stack(lambda: t.instance_formula(t.root, Const("c")))
+    assert _preorder_labels(got) == _preorder_labels(nested.body)
+
+
+def test_filling_a_deep_shape_does_not_recurse():
+    t = build_initial_tree(parse_formula("forall x. " + "~" * 600 + "P(x)"))
+    key = _within_a_shallow_stack(lambda: t.instance_class(t.root, Const("c")))
+    assert key == t.nodes[t.instantiate(t.root, Const("c"))].shape
