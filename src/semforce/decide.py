@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FragmentError, ResourceLimitError, StateError
+from .errors import FragmentError, FreeVariableError, ResourceLimitError, StateError
 from .formulas import (
     KIND_OF,
     Dyadic2Var,
@@ -26,6 +26,7 @@ from .formulas import (
     Imp,
     Monadic,
     Or,
+    classify_arities,
     classify_fragment,
 )
 from .marking import (
@@ -191,13 +192,21 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     where closure is not conclusive for the fragment.
     """
     cfg = cfg or EngineConfig()
-    fragment = classify_fragment(f)
+    try:
+        tree = build_initial_tree(f)
+    except (FreeVariableError, RecursionError):
+        # an open, ill-typed or too deeply nested AST: the fragment checks
+        # speak first (an arity clash, then FragmentError when no bound
+        # applies), and only then the build's own error
+        domain_bound(classify_fragment(f), cfg)
+        raise
+    # the tree build gathered the arities, so f is walked again only when dyadic
+    fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
     if cfg.allow_direct and isinstance(f, (Imp, Or)):
         direct = direct_force(f, cfg)
         if direct is not None:
             return direct
-    tree = build_initial_tree(f)
     s = init_marking(tree)
     search = _Search(s, budget, cfg.branch_limit)
     frame = s.open_supposition(tree.root, 0, kind="RR")

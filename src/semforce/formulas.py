@@ -421,7 +421,12 @@ def classify_fragment(f: Formula) -> FragmentClass:
     f is two-variable after renaming exactly when no subformula has more than
     two free variables: renaming top-down, each quantifier's variable can take
     whichever of two names its body's other free variable does not carry."""
-    arities = predicate_arities(f)
+    return classify_arities(predicate_arities(f), f)
+
+
+def classify_arities(arities: dict[str, int], f: Formula) -> FragmentClass:
+    """`classify_fragment` of f given f's predicate arities; f is walked only
+    when some predicate is dyadic."""
     if all(a == 1 for a in arities.values()):
         return Monadic(len(arities))
     if _at_most_two_free(f):

@@ -9,7 +9,10 @@ two nodes associated with the same ground formula carrying opposite values.
 A ground node's formula class is its tree's shape id (`tree.py`): formulas
 equal up to renaming of bound variables share it, and it is composed when
 the node is created. Iteration, consensus and the double-mark test key on
-that int.
+that int. The names of a node's free variables are read from its shape too,
+and the registry and the reserved names from the facts the tree build
+gathered about the source, so a decision walks no formula here.
+
 State mutates in place. Every insertion pushes one entry on an undo trail, so
 `checkpoint` is O(1) and `rollback` costs the changes made since. Rolled-back
 trace steps are kept, flagged absorbed, so step numbering stays dense and
@@ -63,8 +66,6 @@ from .formulas import (
     # patches marking.alpha_normalize by attribute
     alpha_normalize,  # noqa: F401
     constants_of,
-    free_variables,
-    identifiers_of,
 )
 from .rules import (
     CATALOG,
@@ -190,7 +191,7 @@ class MarkingState:
         self.consensus: dict[int, tuple[Mark, int]] = {}
         # formula class -> node ids carrying that ground formula
         self.formula_index: dict[int, list[int]] = {}
-        self.domain_registry: list[Term] = [Const(c) for c in constants_of(tree.source)]
+        self.domain_registry: list[Term] = [Const(c) for c in tree.constants]
         self.witness_registry: dict[str, tuple[int, frozenset[str]]] = {}
         self.inst_rule: dict[int, str] = {}
         self.scopes: list[Frame] = []
@@ -199,7 +200,8 @@ class MarkingState:
         self.generic: Optional[Var] = None
         self._step = 0
         self._witness_counter = 0
-        self._reserved = identifiers_of(tree.source)
+        # read only: the tree's own set of the source's identifiers
+        self._reserved = tree.identifiers
         # formula class -> how many of its nodes are marked
         self._marked_in: list[int] = []
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
@@ -539,8 +541,7 @@ class MarkingState:
             if qnid not in self._witness:
                 self._witness[qnid] = child
                 trail.append((self._witness.pop, qnid))
-            fv = frozenset(free_variables(self.tree.node_formula(child)))
-            self.witness_registry[term.name] = (child, fv)
+            self.witness_registry[term.name] = (child, self.tree.node_free_variables(child))
             trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
             trail.append((self.domain_registry.pop, -1))
@@ -572,7 +573,7 @@ class MarkingState:
             node=n,
             assumed=v,
             opened_at=self._step + 1,
-            free_vars=frozenset(free_variables(self.tree.node_formula(n))),
+            free_vars=self.tree.node_free_variables(n),
             kind=kind,
             checkpoint=self.checkpoint(),
         )

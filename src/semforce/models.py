@@ -28,7 +28,6 @@ from .formulas import (
     alpha_normalize,  # noqa: F401
     constants_of,
     free_variables,
-    identifiers_of,
     predicate_arities,
 )
 from .rules import TRUTH_TABLE
@@ -207,8 +206,7 @@ def extract_model(s) -> Interpretation:
     A generic variable in the registry becomes a fresh constant-like element so
     the result is a plain structure.
     """
-    source = s.tree.source
-    used = identifiers_of(source) | {t.name for t in s.domain_registry}
+    used = s.tree.identifiers | {t.name for t in s.domain_registry}
     names: dict = {}
     for term in s.domain_registry:
         if isinstance(term, Const):
@@ -220,7 +218,7 @@ def extract_model(s) -> Interpretation:
             names[term] = fresh
     domain = tuple(names[t] for t in s.domain_registry)
     constants = {t.name: names[t] for t in s.domain_registry if isinstance(t, Const)}
-    arities = predicate_arities(source)
+    arities = s.tree.arities
     monadic: dict[str, frozenset] = {}
     dyadic: dict[str, frozenset] = {}
 

@@ -21,6 +21,17 @@ ground shapes.
 `node_formula` reads a node's formula back from the shapes below it and the
 variables of the quantifiers on the way. An index that points past the node
 becomes a `Slot` placeholder naming the quantifier it points at.
+
+Each shape also keeps the names of the `Var` terms its atoms carry, composed
+in `_intern` like its reach: these are the free variables of the node's
+formula (`node_free_variables`). The source is closed, so in a tree from
+`build_initial_tree` they come only from fill terms such as the generic
+variable.
+
+`_build`'s walk over the source also gathers the source's constants in
+first-occurrence order, its predicate arities and every identifier it uses,
+so the marking state, the fragment test and model extraction read these
+facts from the tree instead of walking the source again.
 """
 
 from __future__ import annotations
@@ -34,11 +45,11 @@ from .formulas import (
     KIND_OF,
     QUANTIFIERS,
     Atom,
+    Const,
     Formula,
     Slot,
     Term,
     Var,
-    free_variables,
 )
 
 _QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
@@ -78,15 +89,24 @@ class ForcingTree:
         # bumped whenever nodes are added or removed after construction; it
         # only increases, so a (version, value) pair never goes stale
         self.version = 0
-        self.source = formula
-        # interned shapes: key -> id, and per id its key and its reach, one
-        # more than the largest index pointing above the shape (0 when ground)
+        # facts about the source, gathered by _build: constant names in
+        # first-occurrence order (a dict used as an ordered set), predicate
+        # arities, and every predicate, constant and variable name
+        self.constants: dict[str, None] = {}
+        self.arities: dict[str, int] = {}
+        self.identifiers: set[str] = set()
+        # interned shapes: key -> id, and per id its key, its reach, one more
+        # than the largest index pointing above the shape (0 when ground), and
+        # the names of the variables its atoms carry
         self._shape_ids: dict[tuple, int] = {}
         self._shape_keys: list[tuple] = []
         self._reach: list[int] = []
+        self._free: list[frozenset[str]] = []
         # (shape, index, term) -> _filled's answer, for the shapes index reaches
         self._fills: dict[tuple[int, int, Term], int] = {}
         self.root = self._build(formula, parent=None, levels={}, depth=0).nid
+        # _build named the binders; a bound variable's name is its binder's
+        self.identifiers.update(self.arities, self.constants, self.node_free_variables(self.root))
 
     # ------------------------------------------------------------ construction
 
@@ -102,14 +122,28 @@ class ForcingTree:
                is_template: bool = False) -> TreeNode:
         """Build f's subtree under parent. levels maps each bound variable to
         the number of binders above its quantifier; depth is the number of
-        binders above f, so a bound variable's index is depth - 1 - level."""
+        binders above f, so a bound variable's index is depth - 1 - level.
+        Also records f's constants, its predicate arities (raising on a
+        predicate used with two) and the names of its binders."""
         kind = KIND_OF[type(f)]
         node = self._new_node(parent=parent, kind=kind, is_template=is_template)
         if kind == "atom":
-            key = (kind, f.pred, tuple(
-                depth - 1 - levels[t.name] if isinstance(t, Var) and t.name in levels else t for t in f.args
-            ))
+            pred, args = f.pred, f.args
+            prev = self.arities.setdefault(pred, len(args))
+            if prev != len(args):
+                raise FreeVariableError(f"predicate {pred!r} used with arities {prev} and {len(args)}")
+            # one loop rather than two generator passes: this runs per atom
+            shaped = []
+            for t in args:
+                if isinstance(t, Var):
+                    if t.name in levels:
+                        t = depth - 1 - levels[t.name]
+                elif isinstance(t, Const):
+                    self.constants[t.name] = None
+                shaped.append(t)
+            key = (kind, pred, tuple(shaped))
         elif kind in _QUANT_KINDS:
+            self.identifiers.add(f.var)
             node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
             # a quantifier's shape reads its template only
@@ -128,17 +162,33 @@ class ForcingTree:
         if sid is None:
             sid = self._shape_ids[key] = len(self._shape_keys)
             self._shape_keys.append(key)
-            self._reach.append(self._reach_of(key))
+            reach, free = self._facts_of(key)
+            self._reach.append(reach)
+            self._free.append(free)
         return sid
 
-    def _reach_of(self, key: tuple) -> int:
+    def _facts_of(self, key: tuple) -> tuple[int, frozenset[str]]:
+        """A new shape's reach and variable names, composed from its
+        children's."""
         kind = key[0]
         if kind == "atom":
-            return 1 + max((a for a in key[2] if type(a) is int), default=-1)
+            reach, names = 0, []
+            for a in key[2]:
+                if type(a) is int:
+                    reach = max(reach, a + 1)
+                elif type(a) is Var:
+                    names.append(a.name)
+            return reach, frozenset(names)
         if kind in _QUANT_KINDS:
-            # the quantifier binds index 0 of its template
-            return max(self._reach[key[1]] - 1, 0)
-        return max(self._reach[c] for c in key[1:])
+            # the quantifier binds index 0 of its template, which names no
+            # variable of its own
+            return max(self._reach[key[1]] - 1, 0), self._free[key[1]]
+        free = self._free
+        names = free[key[1]]
+        for c in key[2:]:
+            if free[c]:
+                names = names | free[c]
+        return max(self._reach[c] for c in key[1:]), names
 
     def _filled(self, shape: int, index: int, term: Term) -> int:
         """The shape with de Bruijn index `index` filled by term and the
@@ -277,6 +327,11 @@ class ForcingTree:
                     stack.extend((c, depth, False) for c in reversed(node.children))
         return done[0]
 
+    def node_free_variables(self, nid: int) -> frozenset[str]:
+        """Names of the free variables of the node's formula, read from its
+        shape: `free_variables(node_formula(nid))`, without the decode."""
+        return self._free[self.nodes[nid].shape]
+
     def is_ground_node(self, nid: int) -> bool:
         return self.nodes[nid].ground
 
@@ -322,11 +377,13 @@ class ForcingTree:
 
 def build_initial_tree(f: Formula) -> ForcingTree:
     """Initial tree of a closed formula: quantifier bodies carry placeholders
-    where the bound variable occurred."""
-    fv = free_variables(f)
+    where the bound variable occurred. Raises FreeVariableError on an open
+    formula and on a predicate used with two arities."""
+    t = ForcingTree(f)
+    fv = t.node_free_variables(t.root)
     if fv:
         raise FreeVariableError(f"tree construction needs a closed formula; free: {sorted(fv)}")
-    return ForcingTree(f)
+    return t
 
 
 def node_formula(t: ForcingTree, n: int) -> Formula:

@@ -8,7 +8,9 @@ import random
 
 import pytest
 
-from semforce import And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, Var
+from semforce import And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, Var, parse_formula
+from semforce.formulas import Dyadic2Var, classify_fragment
+from semforce.gen import random_monadic
 
 ILLUSTRATIONS = {
     1: "exists x. (P(x) & forall y. R(x,y)) -> forall x. exists y. R(x,y)",
@@ -87,6 +89,21 @@ def random_formula(rng: random.Random, budget: int, bound: tuple[str, ...] = ())
     fresh = next(v for v in pool + tuple(f"x{k}" for k in range(1, 40)) if v not in bound)
     body = random_formula(rng, budget - 1, bound + (fresh,))
     return (Forall if pick == "forall" else Exists)(fresh, body)
+
+
+def differential_formulas():
+    """The worked formulas, 150 criterion-4 monadic formulas and 40 closed
+    two-variable dyadic ones, for differential checks of the engine."""
+    out = [parse_formula(src) for src in ILLUSTRATIONS.values()]
+    rng = random.Random(424242)
+    out += [random_monadic(rng, preds=("P", "Q"), max_complexity=6) for _ in range(150)]
+    rng = random.Random(7)
+    dyadic = []
+    while len(dyadic) < 40:
+        f = random_formula(rng, rng.randint(2, 6))
+        if isinstance(classify_fragment(f), Dyadic2Var):
+            dyadic.append(f)
+    return out + dyadic
 
 
 @pytest.fixture(scope="session")

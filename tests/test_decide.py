@@ -105,12 +105,36 @@ def test_vacuous_quantifiers_survive_instantiation():
     assert evaluate(verdict.model, parse_formula(src)) == 0
 
 
+def _open_outside():
+    from semforce import And, Atom, Forall, Var
+
+    x, y, z, w = (Var(v) for v in "xyzw")
+    return Forall("x", Forall("y", Forall("z", And(Atom("R", (x, y)), Atom("R", (z, w))))))
+
+
 def test_free_variables_are_rejected():
     from semforce import Atom, Forall, FreeVariableError, Var
 
     open_formula = Forall("y", Atom("R", (Var("x"), Var("y"))))
-    with pytest.raises(FreeVariableError):
+    with pytest.raises(FreeVariableError, match=r"closed formula; free: \['x'\]"):
         decide(open_formula)
+    # outside the fragments, once a bound is given
+    with pytest.raises(FreeVariableError, match=r"closed formula; free: \['w'\]"):
+        decide(_open_outside(), EngineConfig(max_individuals=2))
+
+
+def test_an_open_formula_outside_the_fragments_is_a_fragment_error():
+    # the fragment test comes before the closedness test
+    with pytest.raises(FragmentError):
+        decide(_open_outside())
+
+
+def test_a_predicate_with_two_arities_is_reported_before_openness():
+    from semforce import And, Atom, Const, FreeVariableError, Var
+
+    clash = And(Atom("P", (Var("x"),)), Atom("P", (Const("a"), Const("b"))))
+    with pytest.raises(FreeVariableError, match="predicate 'P' used with arities 1 and 2"):
+        decide(clash)
 
 
 def test_engine_config_validation():

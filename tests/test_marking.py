@@ -1,13 +1,12 @@
 """Marking engine: rule validation, double marks, suppositions, saturation."""
 
-import random
 import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from conftest import ILLUSTRATIONS, random_formula
+from conftest import ILLUSTRATIONS, differential_formulas
 
 from semforce import (
     Const,
@@ -33,8 +32,7 @@ from semforce import (
     set_mark,
 )
 from semforce.cli import model_json
-from semforce.formulas import Atom, Dyadic2Var, alpha_normalize, classify_fragment, is_ground
-from semforce.gen import random_monadic
+from semforce.formulas import Atom, alpha_normalize, is_ground
 from semforce.rules import CATALOG, GENERALIZATION, INSTANTIATION, WITNESS_RULES, rules_for
 
 
@@ -659,19 +657,6 @@ def behaviour(f):
         d = direct_force(f)
         out.append(None if d is None else [(t.step, t.rule, t.premises) for t in d.trace])
     return out
-
-
-def differential_formulas():
-    out = [parse_formula(src) for src in ILLUSTRATIONS.values()]
-    rng = random.Random(424242)
-    out += [random_monadic(rng, preds=("P", "Q"), max_complexity=6) for _ in range(150)]
-    rng = random.Random(7)
-    dyadic = []
-    while len(dyadic) < 40:
-        f = random_formula(rng, rng.randint(2, 6))
-        if isinstance(classify_fragment(f), Dyadic2Var):
-            dyadic.append(f)
-    return out + dyadic
 
 
 def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):

@@ -1,24 +1,34 @@
-"""Forcing-tree construction, instantiation, and the profundity measure."""
+"""Forcing-tree construction, instantiation, the profundity measure, the facts
+the build gathers about the source, and the per-shape free variables."""
 
+import random
 import sys
 
 import pytest
 
 from semforce import (
+    And,
+    Atom,
     Const,
+    Forall,
     FreeVariableError,
+    Invalid,
     Var,
     build_initial_tree,
     complexity,
+    decide,
     init_marking,
     instantiate_branch,
     node_formula,
     parse_formula,
     profundity,
+    saturate,
 )
-from semforce.formulas import subformulas
+from semforce.formulas import constants_of, free_variables, identifiers_of, predicate_arities, subformulas
+from semforce.rules import PERMISSION
+from semforce.tree import ForcingTree
 
-from conftest import ILLUSTRATIONS, random_formula
+from conftest import ILLUSTRATIONS, differential_formulas, random_formula
 
 
 def test_one_node_per_occurrence():
@@ -31,7 +41,6 @@ def test_one_node_per_occurrence():
 
 
 def test_free_formula_rejected():
-    from semforce.formulas import Atom
     with pytest.raises(FreeVariableError):
         build_initial_tree(Atom("P", (Var("x"),)))
 
@@ -170,3 +179,94 @@ def test_filling_a_deep_shape_does_not_recurse():
     t = build_initial_tree(parse_formula("forall x. " + "~" * 600 + "P(x)"))
     key = _within_a_shallow_stack(lambda: t.instance_class(t.root, Const("c")))
     assert key == t.nodes[t.instantiate(t.root, Const("c"))].shape
+
+
+# ------------------------------------------- facts gathered by the build
+
+
+def _ladder():
+    """Implication chains, one with a reversed link, and deep nesting."""
+    out = []
+    for n in (20, 100):
+        links = " & ".join(f"(P(c{i}) -> P(c{i + 1}))" for i in range(n))
+        out.append(parse_formula(f"({links}) -> P(c0) -> P(c{n})"))
+        links = links.replace(f"(P(c{n // 2}) -> P(c{n // 2 + 1}))", f"(P(c{n // 2 + 1}) -> P(c{n // 2}))")
+        out.append(parse_formula(f"({links}) -> P(c0) -> P(c{n})"))
+    out.append(parse_formula("~" * 600 + "P(a)"))
+    out.append(parse_formula("(" * 150 + "P(a)" + ")" * 150))
+    return out
+
+
+def _assert_facts_match_the_walkers(t, f):
+    assert list(t.constants) == constants_of(f)
+    assert t.arities == predicate_arities(f)
+    assert t.identifiers == identifiers_of(f)
+    assert t.node_free_variables(t.root) == free_variables(f)
+
+
+def test_the_build_gathers_what_the_source_walkers_find():
+    for f in differential_formulas() + _ladder():
+        _assert_facts_match_the_walkers(build_initial_tree(f), f)
+
+
+def test_the_build_gathers_the_free_variables_of_an_open_formula():
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_formula(rng, rng.randint(0, 6), bound=("x", "y"))
+        _assert_facts_match_the_walkers(ForcingTree(f), f)
+
+
+def test_the_build_rejects_a_predicate_with_two_arities_as_the_walker_does():
+    clash = And(Atom("P", (Const("a"),)), Forall("x", Atom("P", (Var("x"), Const("a")))))
+    with pytest.raises(FreeVariableError) as walked:
+        predicate_arities(clash)
+    with pytest.raises(FreeVariableError) as built:
+        build_initial_tree(clash)
+    assert str(built.value) == str(walked.value)
+
+
+# ------------------------------------------- free variables from the shape
+
+
+def _assert_shape_free_variables(s):
+    """Every node's per-shape variable set is its decoded formula's free
+    variables, and the frames and witness entries hold the same sets."""
+    t = s.tree
+    for n in t.nodes:
+        assert t.node_free_variables(n) == free_variables(t.node_formula(n)), n
+    for frame in s.scopes:
+        assert frame.free_vars == free_variables(t.node_formula(frame.node))
+    for child, fv in s.witness_registry.values():
+        assert fv == free_variables(t.node_formula(child))
+
+
+def test_shape_free_variables_match_the_decoded_formulas_of_decided_states():
+    open_nodes = witnesses = 0
+    for f in differential_formulas():
+        verdict = decide(f)
+        s = verdict.state
+        _assert_shape_free_variables(s)
+        open_nodes += sum(1 for n in s.tree.nodes if s.tree.node_free_variables(n))
+        witnesses += isinstance(verdict, Invalid) and bool(s.witness_registry)
+    # the generic variable fills some instances, and some countermodels keep witnesses
+    assert open_nodes and witnesses
+
+
+def test_shape_free_variables_survive_a_rollback():
+    f = parse_formula(ILLUSTRATIONS[6])
+    s = init_marking(build_initial_tree(f))
+    t = s.tree
+    s.open_supposition(t.root, 0, kind="RR")
+    cp = s.checkpoint()
+    for _ in range(2):
+        saturate(s, 2)
+        # the generic variable v1 fills an instance, which a witness realizes
+        assert s.generic == Var("v1") and s.witness_registry
+        # a supposition on a fresh instance of the universal that v1 fills
+        q = next(n for n in t.nodes if t.nodes[n].kind == "forall" and t.node_free_variables(n) == {"v1"})
+        child = s.instantiate(q, Const("w1"), PERMISSION["forall"])
+        assert s.open_supposition(child, 1).free_vars == {"v1"}
+        _assert_shape_free_variables(s)
+        s.rollback(cp)
+        assert s.generic is None and not s.witness_registry
+        _assert_shape_free_variables(s)
