@@ -20,7 +20,7 @@ from typing import Optional
 
 from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
-from .formulas import Formula, classify_fragment, parse_formula
+from .formulas import Formula, classify_fragment, drop_vacuous, format_formula, parse_formula
 from .gen import random_monadic
 from .marking import init_marking, saturate
 from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
@@ -55,39 +55,46 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
+def _decided_as(f: Formula, verdict: Valid | Invalid) -> Optional[Formula]:
+    """The root formula of the tree the verdict's search ran on, when it is
+    not f: `decide` searches f with its vacuous binders dropped, and the
+    trace numbers the nodes of that tree."""
+    tree = verdict.state.tree
+    # a tree with a vacuous binder was built from f itself, as direct mode's is
+    if tree.vacuous or drop_vacuous(f) is f:
+        return None
+    return tree.node_formula(tree.root)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     verdict = decide(f, _engine_config(args))
     as_json = args.format == "json"
-    if isinstance(verdict, Valid):
+    if isinstance(verdict, NoCountermodelUpTo):
         if as_json:
-            payload = {"verdict": "valid"}
-            if args.trace:
-                payload["trace"] = render_trace(verdict.trace).splitlines()
-            print(json.dumps(payload, indent=2))
+            print(json.dumps({"verdict": "no_countermodel_up_to", "bound": verdict.bound}, indent=2))
         else:
-            print("valid")
-            if args.trace:
-                print(render_trace(verdict.trace))
-        return EXIT_VALID
+            print(f"no countermodel up to {verdict.bound} individuals")
+        return EXIT_NO_COUNTERMODEL
+    payload: dict = {"verdict": _verdict_word(verdict)}
     if isinstance(verdict, Invalid):
-        cm = model_json(verdict.model)
-        if as_json:
-            payload = {"verdict": "invalid", "countermodel": cm}
-            if args.trace:
-                payload["trace"] = render_trace(verdict.state.trace).splitlines()
-            print(json.dumps(payload, indent=2))
-        else:
-            print("invalid")
-            print(json.dumps(cm, indent=2))
-            if args.trace:
-                print(render_trace(verdict.state.trace))
-        return EXIT_INVALID
+        payload["countermodel"] = model_json(verdict.model)
+    if args.trace:
+        decided = _decided_as(f, verdict)
+        if decided is not None:
+            payload["decided"] = format_formula(decided)
+        payload["trace"] = render_trace(verdict.state.trace).splitlines()
     if as_json:
-        print(json.dumps({"verdict": "no_countermodel_up_to", "bound": verdict.bound}, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
-        print(f"no countermodel up to {verdict.bound} individuals")
-    return EXIT_NO_COUNTERMODEL
+        print(payload["verdict"])
+        if "countermodel" in payload:
+            print(json.dumps(payload["countermodel"], indent=2))
+        if "decided" in payload:
+            print(f"decided as: {payload['decided']}")
+        if args.trace:
+            print("\n".join(payload["trace"]))
+    return EXIT_VALID if isinstance(verdict, Valid) else EXIT_INVALID
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -28,6 +28,7 @@ from .formulas import (
     Or,
     classify_arities,
     classify_fragment,
+    drop_vacuous,
 )
 from .marking import (
     DoubleMark,
@@ -186,8 +187,10 @@ class _Search:
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
-    Valid carries the closing trace. Invalid carries a countermodel extracted
-    from the open marking and verified against the model semantics.
+    The search runs on f with its vacuous binders dropped (`drop_vacuous`),
+    so a verdict's state numbers the nodes of that formula's tree. Valid
+    carries the closing trace. Invalid carries a countermodel extracted from
+    the open marking and verified against f under the model semantics.
     NoCountermodelUpTo reports closure that leaned on the individual budget
     where closure is not conclusive for the fragment.
     """
@@ -207,6 +210,12 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
         direct = direct_force(f, cfg)
         if direct is not None:
             return direct
+    if tree.vacuous:
+        # an equivalent formula with fewer binders: each binder marked for a
+        # witness would add an individual, and every universal an instance
+        # for it. No subformula's free-variable count changes, so neither
+        # does the fragment.
+        tree = build_initial_tree(drop_vacuous(f))
     s = init_marking(tree)
     search = _Search(s, budget, cfg.branch_limit)
     frame = s.open_supposition(tree.root, 0, kind="RR")

@@ -434,25 +434,33 @@ def classify_arities(arities: dict[str, int], f: Formula) -> FragmentClass:
     return OUTSIDE
 
 
-def _at_most_two_free(f: Formula) -> bool:
-    """Whether no subformula of f has more than two free variables, in one
-    iterative postorder pass over f."""
-    done: list[frozenset[str]] = []
+def _postorder(f: Formula) -> Iterator[Formula]:
+    """Every subformula of f, each after its immediate subformulas, left to
+    right. Iterative, so nesting depth is not limited by the interpreter's
+    recursion limit."""
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         g, expanded = stack.pop()
+        if expanded or isinstance(g, Atom):
+            yield g
+            continue
+        stack.append((g, True))
+        if isinstance(g, Not):
+            stack.append((g.sub, False))
+        elif isinstance(g, BINARY):
+            stack.append((g.right, False))
+            stack.append((g.left, False))
+        else:
+            stack.append((g.body, False))
+
+
+def _at_most_two_free(f: Formula) -> bool:
+    """Whether no subformula of f has more than two free variables, in one
+    postorder pass over f."""
+    done: list[frozenset[str]] = []
+    for g in _postorder(f):
         if isinstance(g, Atom):
             free = frozenset(t.name for t in g.args if isinstance(t, Var))
-        elif not expanded:
-            stack.append((g, True))
-            if isinstance(g, Not):
-                stack.append((g.sub, False))
-            elif isinstance(g, BINARY):
-                stack.append((g.right, False))
-                stack.append((g.left, False))
-            else:
-                stack.append((g.body, False))
-            continue
         elif isinstance(g, BINARY):
             right = done.pop()
             free = done.pop() | right
@@ -465,6 +473,32 @@ def _at_most_two_free(f: Formula) -> bool:
             return False
         done.append(free)
     return True
+
+
+def drop_vacuous(f: Formula) -> Formula:
+    """f without its vacuous binders: the quantifiers whose variable is not
+    free in their body, such as the outer one of `exists x. forall x. P(x)`.
+    Models are nonempty, so Qx.A is equivalent to A when x is not free in A.
+    Returns f itself when no binder is vacuous. One postorder pass that
+    composes free variables bottom-up and rebuilds only what changed."""
+    done: list[tuple[Formula, frozenset[str]]] = []
+    for g in _postorder(f):
+        if isinstance(g, Atom):
+            done.append((g, frozenset(t.name for t in g.args if isinstance(t, Var))))
+        elif isinstance(g, Not):
+            sub, free = done[-1]
+            done[-1] = (g if sub is g.sub else Not(sub), free)
+        elif isinstance(g, BINARY):
+            right, rfree = done.pop()
+            left, lfree = done.pop()
+            same = left is g.left and right is g.right
+            done.append((g if same else type(g)(left, right), lfree | rfree))
+        else:
+            body, free = done[-1]
+            # a vacuous binder leaves its body in its place
+            if g.var in free:
+                done[-1] = (g if body is g.body else type(g)(g.var, body), free - {g.var})
+    return done[0][0]
 
 
 def alpha_normalize(f: Formula) -> Formula:

@@ -31,7 +31,9 @@ variable.
 `_build`'s walk over the source also gathers the source's constants in
 first-occurrence order, its predicate arities and every identifier it uses,
 so the marking state, the fragment test and model extraction read these
-facts from the tree instead of walking the source again.
+facts from the tree instead of walking the source again. The same walk flags
+a source with a vacuous binder (`vacuous`), so that `decide` walks the source
+once more to drop such binders only when it has one.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class ForcingTree:
         self.constants: dict[str, None] = {}
         self.arities: dict[str, int] = {}
         self.identifiers: set[str] = set()
+        # whether some binder of the source binds nothing; _used[d] says
+        # whether an atom met since _build entered the binder at depth d
+        # names that binder's variable
+        self.vacuous = False
+        self._used: list[bool] = []
         # interned shapes: key -> id, and per id its key, its reach, one more
         # than the largest index pointing above the shape (0 when ground), and
         # the names of the variables its atoms carry
@@ -124,7 +131,8 @@ class ForcingTree:
         the number of binders above its quantifier; depth is the number of
         binders above f, so a bound variable's index is depth - 1 - level.
         Also records f's constants, its predicate arities (raising on a
-        predicate used with two) and the names of its binders."""
+        predicate used with two) and the names of its binders, and sets
+        `vacuous` when a binder's variable occurs in no atom below it."""
         kind = KIND_OF[type(f)]
         node = self._new_node(parent=parent, kind=kind, is_template=is_template)
         if kind == "atom":
@@ -137,7 +145,9 @@ class ForcingTree:
             for t in args:
                 if isinstance(t, Var):
                     if t.name in levels:
-                        t = depth - 1 - levels[t.name]
+                        level = levels[t.name]
+                        self._used[level] = True
+                        t = depth - 1 - level
                 elif isinstance(t, Const):
                     self.constants[t.name] = None
                 shaped.append(t)
@@ -146,8 +156,15 @@ class ForcingTree:
             self.identifiers.add(f.var)
             node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
+            used = self._used
+            if len(used) == depth:
+                used.append(False)
+            else:
+                used[depth] = False
             # a quantifier's shape reads its template only
             key = (kind, self._build(f.body, node.nid, {**levels, f.var: depth}, depth + 1, is_template=True).shape)
+            if not used[depth]:
+                self.vacuous = True
         elif kind == "not":
             key = (kind, self._build(f.sub, node.nid, levels, depth).shape)
         else:

@@ -63,6 +63,24 @@ def test_check_trace_lines_are_numbered(capsys):
     assert any(" en " in line for line in lines)
 
 
+def test_check_trace_names_the_formula_it_decided(capsys):
+    # trace node ids number the tree of the formula without its vacuous binders
+    src = "exists y. exists x. exists y. forall x. forall x. R(x,x)"
+    code, out, _ = run(capsys, "check", src, "--trace")
+    assert code == EXIT_INVALID
+    lines = out.splitlines()
+    decided = lines.index("decided as: forall x. R(x,x)")
+    assert lines[decided + 1] == "1. RR"
+    code, out, _ = run(capsys, "check", src, "--trace", "--format", "json")
+    doc = json.loads(out)
+    assert doc["decided"] == "forall x. R(x,x)"
+    assert len(doc["trace"]) == 3
+    # a formula decided as given names nothing more
+    for argv in ([ILLUSTRATIONS[1], "--trace"], [src], [ILLUSTRATIONS[1], "--trace", "--format", "json"]):
+        _, out, _ = run(capsys, "check", *argv)
+        assert "decided" not in out
+
+
 def test_check_json_format(capsys):
     code, out, _ = run(capsys, "check", ILLUSTRATIONS[1], "--format", "json")
     assert code == 1

@@ -9,14 +9,22 @@ from semforce import (
     FragmentError,
     Invalid,
     NoCountermodelUpTo,
+    Refuted,
     Valid,
+    ValidUpTo,
+    build_initial_tree,
     decide,
     direct_force,
     domain_bound,
+    drop_vacuous,
     evaluate,
+    extract_model,
+    init_marking,
+    oracle_validity,
     parse_formula,
     render_trace,
 )
+from semforce.decide import DEFAULT_DYADIC_BOUND, _Search, fragment_bounds
 from semforce.formulas import classify_fragment
 
 
@@ -153,7 +161,6 @@ def test_branch_limit_aborts_the_search():
 
 def test_a_search_too_deep_for_the_interpreter_is_a_resource_limit(monkeypatch):
     from semforce import ResourceLimitError
-    from semforce.decide import _Search
 
     def too_deep(self):
         raise RecursionError("maximum recursion depth exceeded")
@@ -192,20 +199,75 @@ def test_a_decided_state_is_freed_without_the_cycle_collector(k):
         gc.enable()
 
 
+# four vacuous binders around forall x. R(x,x)
+DEEP_DYADIC = "exists y. exists x. exists y. forall x. forall x. R(x,x)"
+
+
 def test_the_renamed_deep_dyadic_formula_completes():
-    # a deep instance search that once ran for 38 s
-    f = parse_formula("exists y. exists x. exists y. forall x. forall x. R(x,x)")
+    f = parse_formula(DEEP_DYADIC)
     verdict = decide(f)
     assert isinstance(verdict, Invalid)
-    assert len(verdict.state.tree.nodes) == 4382
-    assert len(verdict.state.trace) == 4346
     assert evaluate(verdict.model, f, {}) == 0
+    # the search ran on forall x. R(x,x): the quantifier, its template and one instance
+    assert len(verdict.state.tree.nodes) == 3
+
+
+def test_the_deep_instance_search_of_the_vacuous_binders_completes():
+    # the search decide made on this formula before it dropped vacuous
+    # binders, once 38 s long: every binder marked for a witness adds an
+    # individual, and every universal an instance for it
+    f = parse_formula(DEEP_DYADIC)
+    s = init_marking(build_initial_tree(f))
+    s.open_supposition(s.tree.root, 0, kind="RR")
+    assert not _Search(s, DEFAULT_DYADIC_BOUND, EngineConfig().branch_limit).explore()
+    assert len(s.tree.nodes) == 4382
+    assert len(s.trace) == 4346
+    s.commit_frames()
+    assert evaluate(extract_model(s), f, {}) == 0
+
+
+def _stream(name: str) -> list[str]:
+    """The formula texts of a benchmark workload at its default seed."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    from semforce import formulas, gen
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return [item.text for item in module.generate(name, 424242, formulas, gen)]
+
+
+def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
+    # 200 of the monadic stream's 500 formulas keep this test under a second
+    texts = _stream("monadic-batch")[:200] + _stream("fo2-batch") + list(ILLUSTRATIONS.values())
+    dropped = 0
+    for text in texts:
+        f = parse_formula(text)
+        g = drop_vacuous(f)
+        assert build_initial_tree(f).vacuous == (g is not f)
+        dropped += g is not f
+        verdict = decide(f)
+        assert type(decide(g)) is type(verdict)
+        oracle = oracle_validity(f, fragment_bounds(classify_fragment(f))[1])
+        if isinstance(verdict, Invalid):
+            assert evaluate(verdict.model, f, {}) == 0
+            if isinstance(oracle, ValidUpTo):
+                assert len(verdict.model.domain) > oracle.bound
+        elif isinstance(verdict, Valid):
+            assert isinstance(oracle, ValidUpTo)
+        elif isinstance(oracle, Refuted):
+            assert len(oracle.interpretation.domain) > verdict.bound
+    assert dropped > 0
 
 
 def test_random_formulas_agree_with_the_oracle_at_budget_two(rng):
     from conftest import random_formula
-    from semforce import Refuted, ValidUpTo, oracle_validity
-    from semforce.formulas import classify_fragment
 
     cfg = EngineConfig(max_individuals=2)
     tried = 0

@@ -23,6 +23,7 @@ from semforce import (
     alpha_normalize,
     classify_fragment,
     complexity,
+    drop_vacuous,
     format_formula,
     parse_formula,
 )
@@ -152,6 +153,48 @@ def test_alpha_normalize_random_rename_invariance(rng):
     for _ in range(2000):
         f = random_formula(rng, rng.randint(0, 6))
         assert alpha_normalize(f) == alpha_normalize(alpha_normalize(f))
+
+
+# ----------------------------------------------------------- vacuous binders
+
+
+def test_drop_vacuous_drops_a_binder_shadowed_by_an_inner_one():
+    assert drop_vacuous(parse_formula("forall x. forall x. P(x)")) == parse_formula("forall x. P(x)")
+    f = parse_formula("exists y. exists x. exists y. forall x. forall x. R(x,x)")
+    assert drop_vacuous(f) == parse_formula("forall x. R(x,x)")
+
+
+def test_drop_vacuous_drops_a_binder_whose_body_names_only_constants():
+    assert drop_vacuous(parse_formula("exists x. P(a)")) == parse_formula("P(a)")
+    f = parse_formula("~forall y. (P(a) & exists x. Q(x)) -> exists x. R(x,a)")
+    assert drop_vacuous(f) == parse_formula("~(P(a) & exists x. Q(x)) -> exists x. R(x,a)")
+
+
+def test_drop_vacuous_returns_its_input_when_every_binder_binds():
+    for text in ILLUSTRATIONS.values():
+        f = parse_formula(text)
+        assert drop_vacuous(f) is f
+
+
+def test_drop_vacuous_keeps_free_variables_and_leaves_no_vacuous_binder(rng):
+    for _ in range(2000):
+        f = random_formula(rng, rng.randint(0, 6))
+        g = drop_vacuous(f)
+        assert free_variables(g) == free_variables(f)
+        assert drop_vacuous(g) is g
+
+
+def test_drop_vacuous_walks_a_deep_quantifier_nest_without_recursion():
+    inner = Atom("P", (Var("x"),))
+    f = inner
+    for _ in range(5000):
+        f = Forall("x", f)
+    assert drop_vacuous(f) == Forall("x", inner)
+    # 5000 binders that each bind their own variable come back untouched
+    f = Atom("P", (Const("a"),))
+    for k in range(5000):
+        f = Exists(f"x{k}", And(Atom("P", (Var(f"x{k}"),)), f))
+    assert drop_vacuous(f) is f
 
 
 def test_predicate_arities():

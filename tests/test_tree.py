@@ -24,7 +24,14 @@ from semforce import (
     profundity,
     saturate,
 )
-from semforce.formulas import constants_of, free_variables, identifiers_of, predicate_arities, subformulas
+from semforce.formulas import (
+    constants_of,
+    drop_vacuous,
+    free_variables,
+    identifiers_of,
+    predicate_arities,
+    subformulas,
+)
 from semforce.rules import PERMISSION
 from semforce.tree import ForcingTree
 
@@ -223,6 +230,25 @@ def test_the_build_rejects_a_predicate_with_two_arities_as_the_walker_does():
     with pytest.raises(FreeVariableError) as built:
         build_initial_tree(clash)
     assert str(built.value) == str(walked.value)
+
+
+@pytest.mark.parametrize("text,vacuous", [
+    ("forall x. forall x. P(x)", True),
+    ("exists x. P(a)", True),
+    ("exists x. forall y. R(y,y)", True),
+    ("forall x. (P(x) & exists x. Q(x))", False),
+    ("forall x. exists y. R(x,y)", False),
+    ("P(a) -> P(a)", False),
+])
+def test_the_build_flags_a_binder_whose_variable_no_atom_uses(text, vacuous):
+    assert build_initial_tree(parse_formula(text)).vacuous is vacuous
+
+
+def test_the_vacuity_flag_agrees_with_drop_vacuous():
+    rng = random.Random(5)
+    formulas = differential_formulas() + _ladder() + [random_formula(rng, rng.randint(0, 6)) for _ in range(500)]
+    for f in formulas:
+        assert build_initial_tree(f).vacuous == (drop_vacuous(f) is not f)
 
 
 # ------------------------------------------- free variables from the shape
