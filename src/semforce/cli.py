@@ -55,17 +55,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _decided_as(f: Formula, verdict: Valid | Invalid) -> Optional[Formula]:
-    """The root formula of the tree the verdict's search ran on, when it is
-    not f: `decide` searches f with its vacuous binders dropped, and the
-    trace numbers the nodes of that tree."""
-    tree = verdict.state.tree
-    # a tree with a vacuous binder was built from f itself, as direct mode's is
-    if tree.vacuous or drop_vacuous(f) is f:
-        return None
-    return tree.node_formula(tree.root)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     verdict = decide(f, _engine_config(args))
@@ -80,9 +69,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if isinstance(verdict, Invalid):
         payload["countermodel"] = model_json(verdict.model)
     if args.trace:
-        decided = _decided_as(f, verdict)
-        if decided is not None:
-            payload["decided"] = format_formula(decided)
+        searched = drop_vacuous(f)
+        if searched is not f:
+            payload["decided"] = format_formula(searched)
         payload["trace"] = render_trace(verdict.state.trace).splitlines()
     if as_json:
         print(json.dumps(payload, indent=2))

@@ -187,10 +187,11 @@ class _Search:
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
-    The search runs on f with its vacuous binders dropped (`drop_vacuous`),
-    so a verdict's state numbers the nodes of that formula's tree. Valid
-    carries the closing trace. Invalid carries a countermodel extracted from
-    the open marking and verified against f under the model semantics.
+    Both procedures, the search and, with `allow_direct`, direct forcing,
+    run on f with its vacuous binders dropped (`drop_vacuous`), so a
+    verdict's state numbers the nodes of that formula's tree. Valid carries
+    the closing trace. Invalid carries a countermodel extracted from the
+    open marking and verified against f under the model semantics.
     NoCountermodelUpTo reports closure that leaned on the individual budget
     where closure is not conclusive for the fragment.
     """
@@ -206,16 +207,17 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     # the tree build gathered the arities, so f is walked again only when dyadic
     fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
-    if cfg.allow_direct and isinstance(f, (Imp, Or)):
-        direct = direct_force(f, cfg)
+    # an equivalent formula with fewer binders: each binder marked for a
+    # witness would add an individual, and every universal an instance for
+    # it. No subformula's free-variable count changes, so neither does the
+    # fragment.
+    searched = drop_vacuous(f) if tree.vacuous else f
+    if cfg.allow_direct and isinstance(searched, (Imp, Or)):
+        direct = direct_force(searched, cfg)
         if direct is not None:
             return direct
-    if tree.vacuous:
-        # an equivalent formula with fewer binders: each binder marked for a
-        # witness would add an individual, and every universal an instance
-        # for it. No subformula's free-variable count changes, so neither
-        # does the fragment.
-        tree = build_initial_tree(drop_vacuous(f))
+    if searched is not f:
+        tree = build_initial_tree(searched)
     s = init_marking(tree)
     search = _Search(s, budget, cfg.branch_limit)
     frame = s.open_supposition(tree.root, 0, kind="RR")

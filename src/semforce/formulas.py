@@ -47,75 +47,88 @@ Term = Var | Const | Slot
 # ------------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Formula:
+    """Base of the formula classes: printing, and equality and hashing that
+    walk the formula with an explicit stack, so nesting depth is not limited
+    by the interpreter's recursion limit. Subclasses are dataclasses with
+    `eq=False`, which keep these two methods."""
+
+    def __str__(self) -> str:
+        return format_formula(self)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            own, kids = _parts(a)
+            other_own, other_kids = _parts(b)
+            if own != other_own:
+                return False
+            stack += zip(kids, other_kids)
+        return True
+
+    def __hash__(self) -> int:
+        done: list[int] = []
+        for g in _postorder(self):
+            own, kids = _parts(g)
+            cut = len(done) - len(kids)
+            h = hash((type(g), own, *done[cut:]))
+            del done[cut:]
+            done.append(h)
+        return done[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(_Formula):
     pred: str
     args: tuple[Term, ...]
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Formula):
     sub: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Formula):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Formula):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Imp:
+@dataclass(frozen=True, eq=False)
+class Imp(_Formula):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Iff:
+@dataclass(frozen=True, eq=False)
+class Iff(_Formula):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, eq=False)
+class Forall(_Formula):
     var: str
     body: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Formula):
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 Formula = Atom | Not | And | Or | Imp | Iff | Forall | Exists
@@ -128,6 +141,18 @@ KIND_OF = {Atom: "atom", Not: "not", And: "and", Or: "or", Imp: "imp", Iff: "iff
 CLASS_OF = {kind: cls for cls, kind in KIND_OF.items()}
 
 _OP_SYMBOL = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+
+
+def _parts(g: Formula) -> tuple[object, tuple[Formula, ...]]:
+    """The data of g's own node, and its immediate subformulas."""
+    if isinstance(g, Atom):
+        return (g.pred, g.args), ()
+    if isinstance(g, Not):
+        return None, (g.sub,)
+    if isinstance(g, QUANTIFIERS):
+        return g.var, (g.body,)
+    return None, (g.left, g.right)
+
 
 # --------------------------------------------------------------------- parser
 

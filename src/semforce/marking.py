@@ -35,21 +35,19 @@ keep the invariant:
   every node, since independence for generalization may hold again.
 
 Everything else a rollback undoes (nodes, witnesses, a double mark) only
-removes conclusions.
+removes conclusions. The second and third hooks (`touch`) read "one of them
+is marked" as the class having a `consensus` entry: the class's first mark
+makes it, and the trail undoes that mark after every later one, so the
+entry stands exactly while a member is marked.
 
 Quantifier obligations are kept current the same way, not found by a scan
-per saturation round. Three maps hold them:
+per saturation round. Two maps hold them:
 
 - `_witness`, quantifier → its first fresh-witness instance child, set by
   `instantiate` and undone by a trail entry (`witness_child` reads it);
 - `_obliged`, marked quantifier → whether its obligation is one fresh witness
   (`INSTANTIATION[kind, value].witness`) rather than an instance per
-  individual, set by `set_mark`;
-- `_settled`, (quantifier, value) → how many of its instance children carry
-  value, raised by `set_mark` on an instance branch.
-
-The trail's unmark undoes the last two, so they need no trail entries of
-their own.
+  individual, set by `set_mark` and undone by the trail's unmark.
 """
 
 from __future__ import annotations
@@ -156,6 +154,9 @@ class Checkpoint:
     generic: Optional[Var]
 
 
+# the catalog rules that conclude their anchor's mark
+_CONCLUDES_K = frozenset(r.name for r in CATALOG.values() if any(pos == "k" for pos, _ in r.conclusions))
+
 
 def _at(anchor: TreeNode, pos: str) -> int:
     """The node at rule position pos of a connective node."""
@@ -202,20 +203,16 @@ class MarkingState:
         self._witness_counter = 0
         # read only: the tree's own set of the source's identifiers
         self._reserved = tree.identifiers
-        # formula class -> how many of its nodes are marked
-        self._marked_in: list[int] = []
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
         # quantifier obligations, kept current by the hooks (module docstring)
         self._witness: dict[int, int] = {}
         self._obliged: dict[int, bool] = {}
-        self._settled: dict[tuple[int, Mark], int] = {}
         # (undo, argument) pairs, one per insertion, popped by rollback
         self._trail: list[tuple] = []
-        marks, counts = self.marks, self._marked_in
+        marks, consensus, obliged = self.marks, self.consensus, self._obliged
         nodes, index, dirty = tree.nodes, self.formula_index, self._dirty
-        obliged, settled = self._obliged, self._settled
 
         def touch(nid: int) -> None:
             """Dirty nid, its parent and, when one of them is marked, its
@@ -224,22 +221,13 @@ class MarkingState:
             dirty.add(nid)
             if node.parent is not None:
                 dirty.add(node.parent)
-            if node.ground and counts[node.shape]:
+            if node.shape in consensus:
                 dirty.update(index[node.shape])
 
         def unmark(nid: int) -> None:
-            value = marks.pop(nid)[0]
-            node = nodes[nid]
-            counts[node.shape] -= 1
-            if node.is_quantifier:
+            del marks[nid]
+            if nodes[nid].is_quantifier:
                 del obliged[nid]
-            if node.fill_term is not None:
-                key = (node.parent, value)
-                left = settled[key] - 1
-                if left:
-                    settled[key] = left
-                else:
-                    del settled[key]
             touch(nid)
 
         # closures, not bound methods: a trail entry that referred back to
@@ -271,9 +259,6 @@ class MarkingState:
     def _index_node(self, nid: int) -> None:
         k = self.key(nid)
         if k is not None:
-            counts = self._marked_in
-            if k >= len(counts):
-                counts += [0] * (k + 1 - len(counts))
             members = self.formula_index.get(k)
             if members is None:
                 self.formula_index[k] = [nid]
@@ -379,14 +364,10 @@ class MarkingState:
         node = self.tree.nodes[n]
         k = node.shape
         self.marks[n] = (v, step)
-        self._marked_in[k] += 1
-        # the obligation maps; unmark undoes both
+        # an obligation map; unmark undoes it
         if node.is_quantifier:
             self._obliged[n] = INSTANTIATION[node.kind, v].witness
         parent = node.parent
-        if node.fill_term is not None:
-            settled = self._settled
-            settled[parent, v] = settled.get((parent, v), 0) + 1
         # the anchors that read this mark; class-mates only lose conclusions
         self._dirty.add(n)
         if parent is not None:
@@ -409,14 +390,28 @@ class MarkingState:
         if self.key(n) is None:
             raise PremiseError(f"node {n} has unfilled placeholders and cannot be marked")
 
-        if rule in CATALOG and self._forces(node, v, rule):
-            return
-
         def need(cond: bool, msg: str) -> None:
             if not cond:
                 raise PremiseError(f"{rule}: {msg}")
 
-        if rule == "RR":
+        spec = CATALOG.get(rule)
+        if spec is not None:
+            # a catalog rule concludes either its anchor (k) or children of it
+            if rule in _CONCLUDES_K and node.kind == spec.connective:
+                target_pos, anchor = "k", node
+            else:
+                parent = node.parent
+                need(parent is not None and tree.nodes[parent].kind == spec.connective,
+                     f"node is not positioned for a {spec.connective} rule")
+                anchor = tree.nodes[parent]
+                if spec.connective == "not":
+                    target_pos = "a"
+                else:
+                    target_pos = "i" if anchor.children[0] == n else "d"
+            need((target_pos, v) in spec.conclusions, "rule does not conclude this mark at this position")
+            for pos, val in spec.premises:
+                need(self.marked(_at(anchor, pos)) == val, f"premise {pos}={val} does not hold")
+        elif rule == "RR":
             need(n == tree.root and v == 0, "only the root may be rejected by RR")
         elif rule == "m":
             need(node.kind == "atom", "external leaf marks apply to atom nodes only")
@@ -464,47 +459,8 @@ class MarkingState:
                 need(isinstance(term, Var), "generalization requires a variable instance")
                 need(self.is_independent(term.name, c),
                      f"variable {term.name} is not independent in the instance branch")
-        elif rule in CATALOG:
-            # _forces refused the step; this only words the first reason
-            spec = CATALOG[rule]
-            if node.kind == spec.connective and any(pos == "k" for pos, _ in spec.conclusions):
-                target_pos, anchor = "k", node
-            else:
-                parent = node.parent
-                need(parent is not None and tree.nodes[parent].kind == spec.connective,
-                     f"node is not positioned for a {spec.connective} rule")
-                anchor = tree.nodes[parent]
-                if spec.connective == "not":
-                    target_pos = "a"
-                else:
-                    target_pos = "i" if anchor.children[0] == n else "d"
-            need(any(pos == target_pos and val == v for pos, val in spec.conclusions),
-                 "rule does not conclude this mark at this position")
-            for pos, val in spec.premises:
-                need(self.marked(_at(anchor, pos)) == val, f"premise {pos}={val} does not hold")
         else:
             raise PremiseError(f"unknown rule identifier {rule!r}")
-
-    def _forces(self, node: TreeNode, v: Mark, rule: str) -> bool:
-        """Whether catalog rule concludes v at node from the current marks. A
-        rule concluding k anchors at the node itself, one concluding a child
-        at its parent."""
-        if self._lists(node, 0, rule, v):
-            return True
-        if node.parent is None:
-            return False
-        anchor = self.tree.nodes[node.parent]
-        return self._lists(anchor, 1 + anchor.children.index(node.nid), rule, v)
-
-    def _lists(self, anchor: TreeNode, index: int, rule: str, v: Mark) -> bool:
-        """Whether the `FORCING` entry for anchor's current marks lists rule
-        concluding v at position index of (anchor, *children)."""
-        table = FORCING.get(anchor.kind)
-        if table is not None:
-            for name, _, conclusions in table[_pattern(self.marks, anchor)[1]]:
-                if name == rule and (index, v) in conclusions:
-                    return True
-        return False
 
     # -------------------------------------------------------- instantiation
 
@@ -684,15 +640,10 @@ class MarkingState:
                         break
         mark = self.marked(n)
         if mark is not None:
-            k = self.key(n)
-            members = self.formula_index.get(k, ())
-            # without a double mark, a class whose members are all marked
-            # holds one value, so iterating into it would only repeat marks
-            if self._marked_in[k] < len(members) or self.dm is not None:
-                rule = "IA" if mark == 1 else "IR"
-                for other in members:
-                    if other != n:
-                        emit(other, mark, rule, (n,))
+            rule = "IA" if mark == 1 else "IR"
+            for other in self.formula_index.get(self.key(n), ()):
+                if other != n:
+                    emit(other, mark, rule, (n,))
         return out
 
     # ------------------------------------------------------------ traversal
@@ -779,10 +730,10 @@ def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     if budget is None or len(s.domain_registry) < budget:
         return []
     # an instance already carrying the required value settles the obligation
-    witness, settled, marks = s._witness, s._settled, s.marks
+    witness, marked, children = s._witness, s.marked, s.tree.instance_children
     return [
         nid for nid in _marked_quantifiers(s, witness=True)
-        if nid not in witness and (nid, marks[nid][0]) not in settled
+        if nid not in witness and marked(nid) not in map(marked, children(nid))
     ]
 
 

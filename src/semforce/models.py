@@ -125,9 +125,15 @@ def _bind(e: tuple[tuple[str, Element], ...], var: str, d: Element) -> tuple[tup
     return tuple(sorted(out.items()))
 
 
-def _domain_names(size: int) -> tuple[Element, ...]:
+def _element_names() -> Iterator[str]:
+    """Element names in order: a to z, then e<k> for the k-th name (e27, ...)."""
     letters = "abcdefghijklmnopqrstuvwxyz"
-    return tuple(letters[k] if k < 26 else f"e{k + 1}" for k in range(size))
+    for k in itertools.count():
+        yield letters[k] if k < 26 else f"e{k + 1}"
+
+
+def _domain_names(size: int) -> tuple[Element, ...]:
+    return tuple(itertools.islice(_element_names(), size))
 
 
 def enumerate_interpretations(sig: Signature, domain_size: int) -> Iterator[Interpretation]:
@@ -213,7 +219,7 @@ def extract_model(s) -> Interpretation:
             names[term] = term.name
         else:
             fresh = next(
-                c for c in _fresh_names() if c not in used and c not in names.values()
+                c for c in _element_names() if c not in used and c not in names.values()
             )
             names[term] = fresh
     domain = tuple(names[t] for t in s.domain_registry)
@@ -239,16 +245,6 @@ def extract_model(s) -> Interpretation:
                 if marked_one(pred, (t, u))
             )
     return Interpretation(domain, monadic, dyadic, constants)
-
-
-def _fresh_names() -> Iterator[str]:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    for c in letters:
-        yield c
-    k = 1
-    while True:
-        yield f"e{k}"
-        k += 1
 
 
 def marks_from_model(i: Interpretation, t: ForcingTree, env: Optional[Env] = None) -> dict[int, int]:

@@ -95,6 +95,14 @@ def test_check_direct_flag(capsys):
     assert out.splitlines()[0] == "valid"
 
 
+def test_direct_mode_forces_the_formula_without_its_vacuous_binders(capsys):
+    code, out, _ = run(capsys, "check", "--direct", "--trace", "forall x. (P(a) -> P(a))")
+    assert code == EXIT_VALID
+    lines = out.splitlines()
+    assert lines[1] == "decided as: P(a) -> P(a)"
+    assert lines[-1].split()[1] == "OAi-Ad→"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "check", "P(a) &")
     assert code == EXIT_PARSE == 64

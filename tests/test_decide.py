@@ -315,3 +315,10 @@ def test_allow_direct_config_tries_direct_before_the_search():
     f = parse_formula(ILLUSTRATIONS[3])
     verdict = decide(f, EngineConfig(allow_direct=True))
     assert isinstance(verdict, Valid)
+
+
+def test_allow_direct_config_forces_the_formula_without_its_vacuous_binders():
+    # the root of the input is a quantifier; the formula searched is a conditional
+    verdict = decide(parse_formula("forall x. (P(a) -> P(a))"), EngineConfig(allow_direct=True))
+    assert isinstance(verdict, Valid)
+    assert verdict.trace[-1].rule == "OAi-Ad→"

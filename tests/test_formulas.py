@@ -155,6 +155,34 @@ def test_alpha_normalize_random_rename_invariance(rng):
         assert alpha_normalize(f) == alpha_normalize(alpha_normalize(f))
 
 
+def test_deep_formulas_compare_and_hash_without_recursion():
+    f, g = (parse_formula("~" * 900 + "P(a)") for _ in range(2))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != parse_formula("~" * 900 + "P(b)")
+    chains = []
+    for _ in range(2):
+        h = Atom("P", (Const("a"),))
+        for _ in range(5000):
+            h = Not(h)
+        chains.append(h)
+    a, b = chains
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Not(b) and a.sub == b.sub
+
+
+def test_formula_equality_follows_structure_and_bound_names():
+    f = parse_formula("forall x. (P(x) & R(x,a)) -> exists y. ~Q(y)")
+    g = parse_formula("forall x. (P(x) & R(x,a)) -> exists y. ~Q(y)")
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+    for other in ("forall y. (P(y) & R(y,a)) -> exists y. ~Q(y)",
+                  "forall x. (P(x) | R(x,a)) -> exists y. ~Q(y)",
+                  "forall x. (P(x) & R(x,b)) -> exists y. ~Q(y)",
+                  "forall x. (P(x) & R(x,a)) -> forall y. ~Q(y)"):
+        assert f != parse_formula(other), other
+    assert Not(Atom("P", (Const("a"),))) != Atom("P", (Const("a"),))
+    assert f != str(f) and str(f) == format_formula(f)
+
+
 # ----------------------------------------------------------- vacuous binders
 
 

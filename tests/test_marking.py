@@ -408,10 +408,11 @@ def snapshot(s):
     }
 
 
-def assert_class_counts(s):
-    # the IA/IR fan-out skip relies on these counts
+def assert_consensus_follows_marks(s):
+    # touch reads "a class-mate is marked" as the class having a consensus entry
     for k, members in s.formula_index.items():
-        assert s._marked_in[k] == sum(s.marked(n) is not None for n in members)
+        assert (k in s.consensus) == any(s.marked(n) is not None for n in members), k
+    assert set(s.consensus) <= set(s.formula_index)
 
 
 def test_nested_rollbacks_restore_every_structure_in_order():
@@ -429,23 +430,39 @@ def test_nested_rollbacks_restore_every_structure_in_order():
     w2 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
     s.instantiate(q1, s.introduce_generic(), "I∀")
     s.set_mark(w2, 1, "m")
-    assert_class_counts(s)
+    assert_consensus_follows_marks(s)
     s.set_mark(w2, 0, "m")
     assert s.dm is not None and s.generic is not None
     assert snapshot(s) != snap2
 
     s.rollback(cp2)
     assert snapshot(s) == snap2
-    assert_class_counts(s)
+    assert_consensus_follows_marks(s)
     s.introduce_generic()
     s.set_mark(w1, 1, "m")
     assert s.dm is not None
 
     s.rollback(cp1)
     assert snapshot(s) == snap1
-    assert_class_counts(s)
+    assert_consensus_follows_marks(s)
     with pytest.raises(StateError):
         s.rollback(cp2)
+
+
+def test_a_class_has_a_consensus_entry_exactly_while_a_member_is_marked(monkeypatch):
+    saturated = []
+
+    def checked_saturate(s, budget=None, order="pre"):
+        out = saturate(s, budget, order)
+        assert_consensus_follows_marks(s)
+        saturated.append(out)
+        return out
+
+    monkeypatch.setattr(sys.modules["semforce.decide"], "saturate", checked_saturate)
+    for f in differential_formulas():
+        decide(f)
+    assert any(isinstance(out, DoubleMark) for out in saturated)
+    assert any(isinstance(out, Quiescent) for out in saturated)
 
 
 def test_relevant_follows_the_tree_after_a_rollback():
@@ -715,9 +732,6 @@ def assert_obligations_match_a_scan(s, budget):
     assert s._obliged == {
         n: INSTANTIATION[nodes[n].kind, v].witness for n, (v, _) in s.marks.items() if nodes[n].is_quantifier
     }
-    assert s._settled == Counter(
-        (nodes[n].parent, v) for n, (v, _) in s.marks.items() if nodes[n].fill_term is not None
-    )
     for witness in (True, False):
         assert marking._marked_quantifiers(s, witness) == scanned_marked_quantifiers(s, witness)
     for q in s.relevant_quantifiers():
@@ -791,12 +805,10 @@ def generic_forced_for_anchor(s, n):
     mark = s.marked(n)
     if mark is not None:
         k = s.key(n)
-        members = s.formula_index.get(k, ())
-        if s._marked_in[k] < len(members) or s.dm is not None:
-            rule = "IA" if mark == 1 else "IR"
-            for other in members:
-                if other != n:
-                    emit(other, mark, rule, (n,))
+        rule = "IA" if mark == 1 else "IR"
+        for other in s.formula_index.get(k, ()):
+            if other != n:
+                emit(other, mark, rule, (n,))
     return out
 
 
@@ -817,7 +829,7 @@ def test_forcing_table_matches_the_generic_rule_loop(monkeypatch):
 
 
 def obligation_maps(s):
-    return [list(m.items()) for m in (s._witness, s._obliged, s._settled)]
+    return [list(m.items()) for m in (s._witness, s._obliged)]
 
 
 def test_rollback_restores_the_obligation_maps():
@@ -827,7 +839,7 @@ def test_rollback_restores_the_obligation_maps():
     w1 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
     s.set_mark(w1, 1, "A∃", (q1,))
     before = obligation_maps(s)
-    assert before == [[(q1, w1)], [(q1, True)], [((q1, 1), 1)]]
+    assert before == [[(q1, w1)], [(q1, True)]]
     cp = s.checkpoint()
     w2 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
     # a second witness leaves the first one named
@@ -836,9 +848,7 @@ def test_rollback_restores_the_obligation_maps():
     s.set_mark(q2, 0, "OR")
     w3 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
     s.set_mark(w3, 0, "R∀", (q2,))
-    assert obligation_maps(s) == [
-        [(q1, w1), (q2, w3)], [(q1, True), (q2, True)], [((q1, 1), 1), ((q1, 0), 1), ((q2, 0), 1)],
-    ]
+    assert obligation_maps(s) == [[(q1, w1), (q2, w3)], [(q1, True), (q2, True)]]
     s.rollback(cp)
     assert obligation_maps(s) == before
     assert_obligations_match_a_scan(s, 2)

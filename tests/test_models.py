@@ -1,6 +1,7 @@
 """Tarskian side: evaluation, model enumeration, the brute-force oracle,
 and the bridges between markings and interpretations."""
 
+import itertools
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from semforce import (
     signature_of,
 )
 from semforce.formulas import format_formula
-from semforce.models import ORACLE_LIMIT, interpretation_count
+from semforce.models import ORACLE_LIMIT, _domain_names, _element_names, interpretation_count
 from semforce.marking import init_marking, saturate
 
 TWO = Interpretation(
@@ -226,3 +227,10 @@ def test_generic_variable_gets_a_concrete_element_in_extraction():
     out = decide(g)
     assert type(out).__name__ == "Invalid"
     assert evaluate(out.model, g) == 0
+
+
+def test_domain_names_run_through_the_letters_then_count_on():
+    assert _domain_names(3) == ("a", "b", "c")
+    names = _domain_names(28)
+    assert names[25:] == ("z", "e27", "e28")
+    assert list(itertools.islice(_element_names(), 28)) == list(names)

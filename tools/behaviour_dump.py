@@ -19,8 +19,9 @@ full record. A diff of two dumps names the formulas whose behaviour changed.
     PYTHONPATH=src PYTHONHASHSEED=0 python3 tools/behaviour_dump.py > dump.txt
 
 The seed (424242) and the alarm are fixed, so any two dumps compare line by
-line. `tools/behaviour_dump.sha256` holds the total under Python 3.11 and
-`PYTHONHASHSEED=0`, and CI fails when a dump's total differs from it. A
+line. `tools/behaviour_dump.sha256` holds the total, the same under
+Python 3.10.13, 3.11.7 and 3.12.1 and under `PYTHONHASHSEED` 0 and 7, and
+CI fails on every Python leg when a dump's total differs from it. A
 change that alters behaviour on purpose updates that file and says why.
 The workloads come from `perfbench/workloads.py`, imported by path; nothing
 under `perfbench/` is changed.
