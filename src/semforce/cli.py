@@ -269,6 +269,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except RecursionError:
+        # a formula the parser accepts can still be too deep for a later
+        # walk that recurses, such as the tree build over a long flat chain
+        print("resource limit: formula nested too deeply for the interpreter's recursion limit", file=sys.stderr)
+        return EXIT_INTERNAL
     except SemforceError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,9 +1,10 @@
 """Formula syntax: terms, connectives, parser, printer, and fragment analysis.
 
-Concrete syntax: quantifiers `forall v.` / `exists v.`, operators `~ & | -> <->`
-with precedence `~` > `&` > `|` > `->` > `<->`, `->` right-associative, atoms
-`P(t)` / `R(t,u)`. An identifier occurrence is a variable exactly when an
-enclosing quantifier binds it; any other occurrence is a constant.
+Concrete syntax: quantifiers `forall v.` / `exists v.`, negation `~`, the
+binary operators of `_BINARY_OPS` (`&` > `|` > `->` > `<->`, all binding
+looser than `~` and the quantifiers, `->` right-associative), atoms `P(t)` /
+`R(t,u)`. An identifier occurrence is a variable exactly when an enclosing
+quantifier binds it; any other occurrence is a constant.
 """
 
 from __future__ import annotations
@@ -133,14 +134,17 @@ class Exists(_Formula):
 
 Formula = Atom | Not | And | Or | Imp | Iff | Forall | Exists
 
-BINARY = (And, Or, Imp, Iff)
+# symbol -> (class, binding strength, right-associative), the one statement
+# of the binary operators: the parser, the printer and the renderer read it
+_BINARY_OPS = {"&": (And, 4, False), "|": (Or, 3, False), "->": (Imp, 2, True), "<->": (Iff, 1, False)}
+OP_SYMBOL = {cls: sym for sym, (cls, _, _) in _BINARY_OPS.items()}
+# in the table's order, which seeded generators draw from
+BINARY = tuple(OP_SYMBOL)
 QUANTIFIERS = (Forall, Exists)
 
 # formula class <-> the node kind naming it in trees and rule tables
 KIND_OF = {Atom: "atom", Not: "not", And: "and", Or: "or", Imp: "imp", Iff: "iff", Forall: "forall", Exists: "exists"}
 CLASS_OF = {kind: cls for cls, kind in KIND_OF.items()}
-
-_OP_SYMBOL = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
 
 def _parts(g: Formula) -> tuple[object, tuple[Formula, ...]]:
@@ -156,7 +160,9 @@ def _parts(g: Formula) -> tuple[object, tuple[Formula, ...]]:
 
 # --------------------------------------------------------------------- parser
 
-_KEYWORDS = frozenset({"forall", "exists"})
+_KEYWORDS = frozenset(KIND_OF[cls] for cls in QUANTIFIERS)
+# every operator symbol by its first character, which no two symbols share
+_SYMBOL_AT = {sym[0]: sym for sym in (*_BINARY_OPS, "~", "(", ")", ",", ".")}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -174,19 +180,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             toks.append((text[i:j], "name", i))
             i = j
             continue
-        if text.startswith("<->", i):
-            toks.append(("<->", "op", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            toks.append(("->", "op", i))
-            i += 2
-            continue
-        if c in "~&|(),.":
-            toks.append((c, "op", i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        sym = _SYMBOL_AT.get(c)
+        if sym is None or not text.startswith(sym, i):
+            raise ParseError(f"unexpected character {c!r}", i)
+        toks.append((sym, "op", i))
+        i += len(sym)
     toks.append(("", "eof", n))
     return toks
 
@@ -219,33 +217,19 @@ class _Parser:
             raise ParseError(f"unexpected trailing {tok!r}", pos)
         return f
 
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.peek()[0] == "<->":
-            self.advance()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Imp(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def formula(self, floor: int = 0) -> Formula:
+        """Precedence climbing: a unary formula, then each binary operator
+        that binds at least as strongly as floor, with its right operand read
+        at the floor its associativity sets. So a left-associative chain is a
+        loop, and a right-associative one costs one frame per link."""
         f = self.unary()
-        while self.peek()[0] == "&":
+        while True:
+            op = _BINARY_OPS.get(self.peek()[0])
+            if op is None or op[1] < floor:
+                return f
             self.advance()
-            f = And(f, self.unary())
-        return f
+            cls, strength, right = op
+            f = cls(f, self.formula(strength if right else strength + 1))
 
     def unary(self) -> Formula:
         tok, kind, pos = self.peek()
@@ -263,7 +247,7 @@ class _Parser:
                 body = self.unary()
             finally:
                 self.bound.pop()
-            return Forall(name, body) if tok == "forall" else Exists(name, body)
+            return CLASS_OF[tok](name, body)
         if tok == "(":
             self.advance()
             f = self.formula()
@@ -304,7 +288,8 @@ def parse_formula(text: str) -> Formula:
 
     Raises ParseError (with position) on syntax errors, arity conflicts,
     arities above 2, and nesting deeper than the interpreter's recursion limit
-    lets the recursive-descent parser go.
+    lets the parser go: it spends one frame per `~`, per quantifier prefix
+    and per `->` link, and two per parenthesis.
     """
     parser = _Parser(text)
     try:
@@ -316,38 +301,25 @@ def parse_formula(text: str) -> Formula:
 # -------------------------------------------------------------------- printer
 
 
-def _needs_parens(child: Formula, parent: Formula, side: str) -> bool:
-    if not isinstance(child, BINARY):
-        return False
-    if type(child) is not type(parent):
-        return True
-    # same connective: bare only on the associative side
-    if isinstance(parent, Imp):
-        return side == "left"
-    return side == "right"
-
-
 def format_formula(f: Formula) -> str:
-    """Canonical concrete syntax; parse_formula(format_formula(f)) == f."""
+    """Canonical concrete syntax; parse_formula(format_formula(f)) == f. A
+    binary operand goes bare only under its own operator, on the side that
+    operator associates to."""
     if isinstance(f, Atom):
         return f"{f.pred}({','.join(str(a) for a in f.args)})"
     if isinstance(f, Not):
-        inner = format_formula(f.sub)
-        return f"~({inner})" if isinstance(f.sub, BINARY) else f"~{inner}"
+        return "~" + _bracket(format_formula(f.sub), f.sub)
     if isinstance(f, QUANTIFIERS):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        body = format_formula(f.body)
-        if isinstance(f.body, BINARY):
-            body = f"({body})"
-        return f"{kw} {f.var}. {body}"
-    op = _OP_SYMBOL[type(f)]
-    left = format_formula(f.left)
-    if _needs_parens(f.left, f, "left"):
-        left = f"({left})"
-    right = format_formula(f.right)
-    if _needs_parens(f.right, f, "right"):
-        right = f"({right})"
-    return f"{left} {op} {right}"
+        return f"{KIND_OF[type(f)]} {f.var}. " + _bracket(format_formula(f.body), f.body)
+    sym = OP_SYMBOL[type(f)]
+    right = _BINARY_OPS[sym][2]
+    left_text = _bracket(format_formula(f.left), f.left, type(f.left) is type(f) and not right)
+    right_text = _bracket(format_formula(f.right), f.right, type(f.right) is type(f) and right)
+    return f"{left_text} {sym} {right_text}"
+
+
+def _bracket(text: str, g: Formula, bare: bool = False) -> str:
+    return text if bare or not isinstance(g, BINARY) else f"({text})"
 
 
 # ---------------------------------------------------------------- analysis

@@ -3,23 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .formulas import (
-    And,
-    Atom,
-    Const,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Imp,
-    Not,
-    Or,
-    Var,
-)
+from .formulas import BINARY, Atom, Const, Exists, Forall, Formula, Not, Var
 
-_BINARY_OPS = (And, Or, Imp, Iff)
 _VAR_POOL = ("x", "y", "z", "u", "s", "t")
 
 
@@ -46,7 +33,7 @@ def random_monadic(
         if pick == "not":
             return Not(go(budget - 1, bound))
         if pick == "binary":
-            op = rng.choice(_BINARY_OPS)
+            op = rng.choice(BINARY)
             left = go(rng.randint(0, budget - 1), bound)
             right = go(rng.randint(0, budget - 1), bound)
             return op(left, right)
@@ -78,7 +65,7 @@ def random_ground(
             return atom()
         if rng.random() < 0.25:
             return Not(go(budget - 1))
-        op = rng.choice(_BINARY_OPS)
+        op = rng.choice(BINARY)
         return op(go(rng.randint(0, budget - 1)), go(rng.randint(0, budget - 1)))
 
     return go(max_complexity)

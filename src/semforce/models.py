@@ -16,10 +16,10 @@ from .errors import FreeVariableError, StateError
 from .formulas import (
     BINARY,
     KIND_OF,
+    QUANTIFIERS,
     Atom,
     Const,
     Exists,
-    Forall,
     Formula,
     Not,
     Var,
@@ -107,10 +107,16 @@ def evaluate(i: Interpretation, f: Formula, env: Optional[Env] = None) -> int:
             v = 1 - go(g.sub, e)
         elif isinstance(g, BINARY):
             v = TRUTH_TABLE[KIND_OF[type(g)]](go(g.left, e), go(g.right, e))
-        elif isinstance(g, Forall):
-            v = int(all(go(g.body, _bind(e, g.var, d)) for d in i.domain))
-        elif isinstance(g, Exists):
-            v = int(any(go(g.body, _bind(e, g.var, d)) for d in i.domain))
+        elif isinstance(g, QUANTIFIERS):
+            # a loop rather than all()/any() over a generator, so that a
+            # binder costs one frame: the value that settles the quantifier
+            # (0 for forall, 1 for exists) ends it
+            settle = int(isinstance(g, Exists))
+            v = 1 - settle
+            for d in i.domain:
+                if go(g.body, _bind(e, g.var, d)) == settle:
+                    v = settle
+                    break
         else:
             raise StateError(f"cannot evaluate node of type {type(g).__name__}")
         memo[key] = v

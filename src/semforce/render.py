@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .formulas import format_formula
+from .formulas import KIND_OF, OP_SYMBOL, format_formula
 from .marking import MarkingState, TraceStep
 
-_OP_LABEL = {"not": "~", "and": "&", "or": "|", "imp": "->", "iff": "<->"}
+_OP_LABEL = {"not": "~", **{KIND_OF[cls]: sym for cls, sym in OP_SYMBOL.items()}}
 
 
 def _provisional_floor(s: MarkingState) -> Optional[int]:

@@ -382,11 +382,14 @@ class ForcingTree:
             stack.extend(reversed(self.nodes[nid].children))
 
     def profundity(self, nid: Optional[int] = None) -> int:
-        """Height of the subtree: 0 at atom nodes, else 1 + max over children."""
-        node = self.nodes[self.root if nid is None else nid]
-        if not node.children:
-            return 0
-        return 1 + max(self.profundity(c) for c in node.children)
+        """Height of the subtree: 0 at atom nodes, else 1 + max over children.
+        Walks without recursion."""
+        height, stack = 0, [(self.root if nid is None else nid, 0)]
+        while stack:
+            n, depth = stack.pop()
+            height = max(height, depth)
+            stack.extend((c, depth + 1) for c in self.nodes[n].children)
+        return height
 
     def __len__(self) -> int:
         return len(self.nodes)

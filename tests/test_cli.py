@@ -124,6 +124,44 @@ def test_six_hundred_negations_are_checked(capsys):
     assert out.splitlines()[0] == "invalid"
 
 
+def _deepest_parsed(capsys, make) -> int:
+    """The largest k, by bisection, for which the CLI parses make(k)."""
+    lo, hi = 1, 3000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        code, _, _ = run(capsys, "oracle", make(mid), "--max-domain", "1")
+        lo, hi = (lo, mid - 1) if code == EXIT_PARSE else (mid, hi)
+    return lo
+
+
+@pytest.mark.parametrize("quantifier", ["forall", "exists"])
+def test_a_quantifier_chain_as_deep_as_the_parser_goes_is_checked(capsys, quantifier):
+    # evaluate spends one frame per binder, as the parser does, so both the
+    # countermodel re-check and the oracle reach every chain that parses
+    def make(k):
+        return f"{quantifier} x. " * k + "P(a)"
+
+    k = _deepest_parsed(capsys, make)
+    assert k > 900
+    for command in ("check", "oracle"):
+        code, out, err = run(capsys, command, make(k))
+        assert code == EXIT_INVALID, err
+        assert out.splitlines()[0] == "invalid"
+
+
+@pytest.mark.parametrize("op", ["&", "|", "<->"])
+def test_a_flat_chain_too_deep_for_the_tree_walks_is_a_resource_limit(capsys, tmp_path, op):
+    # the parser reads the chain in a loop, but it builds a 1200-deep left
+    # spine that the tree build and evaluate recurse on
+    text = f"P(a) {op} " * 1200 + "P(a)"
+    corpus = tmp_path / "chain.corpus"
+    corpus.write_text(text + "\n")
+    for argv in (["check", text], ["render", text], ["oracle", text], ["corpus", str(corpus)]):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL, argv[0]
+        assert err.startswith("resource limit:") and "Traceback" not in err
+
+
 def test_fragment_error_exit_code(capsys):
     code, _, err = run(capsys, "check", OUTSIDE)
     assert code == EXIT_DATA == 65

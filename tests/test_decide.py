@@ -226,6 +226,31 @@ def test_the_deep_instance_search_of_the_vacuous_binders_completes():
     assert evaluate(extract_model(s), f, {}) == 0
 
 
+def test_an_instance_search_that_meets_an_existing_instance_child():
+    # reaches _Search._try_instances' reuse of an existing instance child,
+    # which neither the other tests nor the benchmark workloads reach
+    f = parse_formula("exists y. (R(y,y) & ~exists y. R(y,y))")
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid)
+    assert evaluate(verdict.model, f, {}) == 0
+    assert isinstance(oracle_validity(f, fragment_bounds(classify_fragment(f))[1]), Refuted)
+
+
+def test_an_instance_search_ended_by_a_double_mark():
+    # reaches _Search._try_instances' return on the double mark left by a
+    # closed instance try, which neither the other tests nor the benchmark
+    # workloads reach
+    f = parse_formula("(exists x. P(x) <-> P(c)) & (P(c) <-> forall x. P(x))")
+    bounded = decide(f, EngineConfig(max_individuals=1))
+    assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 1
+    assert oracle_validity(f, 1) == ValidUpTo(1)
+    # at the conclusive monadic bound the countermodel takes two individuals
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid) and len(verdict.model.domain) == 2
+    assert evaluate(verdict.model, f, {}) == 0
+    assert isinstance(oracle_validity(f, fragment_bounds(classify_fragment(f))[1]), Refuted)
+
+
 def _stream(name: str) -> list[str]:
     """The formula texts of a benchmark workload at its default seed."""
     import importlib.util

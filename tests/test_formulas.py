@@ -58,6 +58,15 @@ def test_and_left_associative():
     assert isinstance(f, And) and isinstance(f.left, And) and isinstance(f.right, Atom)
 
 
+@pytest.mark.parametrize("op,cls", [("|", Or), ("<->", Iff)])
+def test_or_and_iff_left_associative(op, cls):
+    text = f"P(a) {op} Q(a) {op} P(b)"
+    f = parse_formula(text)
+    assert isinstance(f, cls) and isinstance(f.left, cls) and isinstance(f.right, Atom)
+    assert format_formula(f) == text
+    assert format_formula(cls(f.right, f.left)) == f"P(b) {op} (P(a) {op} Q(a))"
+
+
 def test_quantifier_binds_at_unary_level():
     f = parse_formula("forall x. P(x) & Q(a)")
     assert isinstance(f, And) and isinstance(f.left, Forall)
@@ -87,6 +96,11 @@ def test_parse_errors_carry_position():
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_formula("~" * 3000 + "P(a)")
+
+
+def test_four_hundred_nested_parentheses_parse():
+    # a parenthesis costs the parser two frames, one in unary and one in formula
+    assert parse_formula("(" * 400 + "P(a)" + ")" * 400) == Atom("P", (Const("a"),))
 
 
 def test_arity_conflict_rejected():

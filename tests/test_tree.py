@@ -92,6 +92,14 @@ def test_profundity_matches_complexity(rng):
         assert profundity(t, t.root) == complexity(f)
 
 
+def test_profundity_of_a_deep_negation_chain_matches_complexity():
+    # the build and complexity recurse once per level, which 900 levels fit;
+    # profundity walks without recursion
+    f = parse_formula("~" * 900 + "P(a)")
+    t = build_initial_tree(f)
+    assert t.profundity() == complexity(f) == 900
+
+
 def test_profundity_of_atoms_is_zero():
     t = build_initial_tree(parse_formula("P(a) -> Q(b)"))
     for c in t.nodes[t.root].children:
