@@ -90,13 +90,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     cfg = _engine_config(args)
     budget = domain_bound(classify_fragment(f), cfg)
-    s = init_marking(build_initial_tree(f))
+    # the tree decide searches: each vacuous binder would add an individual
+    searched = drop_vacuous(f)
+    s = init_marking(build_initial_tree(searched))
     s.open_supposition(s.tree.root, 0, kind="RR")
     saturate(s, budget)
     if s.dm is None and not s.unmarked_relevant_ground():
         s.commit_frames()
-    text = render_dot(s) if args.format == "dot" else render_ascii(s)
-    print(text)
+    dot = args.format == "dot"
+    if searched is not f:
+        print(f"{'// ' if dot else ''}decided as: {format_formula(searched)}")
+    print(render_dot(s) if dot else render_ascii(s))
     return EXIT_VALID
 
 

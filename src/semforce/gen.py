@@ -18,12 +18,21 @@ def random_monadic(
 ) -> Formula:
     """A closed formula over monadic predicates with complexity at most
     max_complexity. Atoms use an enclosing bound variable when one exists,
-    falling back to a constant."""
+    falling back to a constant. With no constants an atom must lie under a
+    binder, so where nothing is bound the formula keeps budget for one:
+    max_complexity must then be at least 1."""
+    if not consts and max_complexity < 1:
+        raise ValueError("without constants a closed formula needs complexity at least 1")
 
     def go(budget: int, bound: tuple[str, ...]) -> Formula:
-        choices = ["atom"]
+        # the least budget a subformula here needs: one binder above its
+        # atoms when none is open and no constant can stand in
+        least = 0 if bound or consts else 1
+        choices = ["atom"] if least == 0 else []
+        if budget > least:
+            choices += ["not", "binary", "binary"]
         if budget > 0:
-            choices += ["not", "binary", "binary", "quant", "quant", "quant"]
+            choices += ["quant", "quant", "quant"]
         pick = rng.choice(choices)
         if pick == "atom":
             pred = rng.choice(list(preds))
@@ -34,8 +43,8 @@ def random_monadic(
             return Not(go(budget - 1, bound))
         if pick == "binary":
             op = rng.choice(BINARY)
-            left = go(rng.randint(0, budget - 1), bound)
-            right = go(rng.randint(0, budget - 1), bound)
+            left = go(rng.randint(least, budget - 1), bound)
+            right = go(rng.randint(least, budget - 1), bound)
             return op(left, right)
         fresh = next(v for v in _VAR_POOL + tuple(f"x{k}" for k in range(1, 30)) if v not in bound)
         body = go(budget - 1, bound + (fresh,))

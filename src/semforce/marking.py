@@ -13,22 +13,27 @@ that int. The names of a node's free variables are read from its shape too,
 and the registry and the reserved names from the facts the tree build
 gathered about the source, so a decision walks no formula here.
 
-State mutates in place. Every insertion pushes one entry on an undo trail, so
-`checkpoint` is O(1) and `rollback` costs the changes made since. Rolled-back
-trace steps are kept, flagged absorbed, so step numbering stays dense and
-premise references stay meaningful.
+State mutates in place. Every insertion after construction pushes one entry
+on an undo trail, so `checkpoint` is O(1) and `rollback` costs the changes
+made since. Rolled-back trace steps are kept, flagged absorbed, so step
+numbering stays dense and premise references stay meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
-stands: a node that is not dirty has an empty `forced_for_anchor` output. An
-anchor's output reads the marks of itself and its children, its instance
-children, the members of its formula class and the open frames, so four hooks
-keep the invariant:
+stands: a node that is not dirty has an empty `forced_for_anchor` output. A
+fresh state holds it with nothing dirty. Nothing is marked yet; the `FORCING`
+entry of every all-unmarked connective is empty; and instantiation,
+generalization and iteration each read a mark on the quantifier, an instance
+child or the node itself. So no node of a fresh tree concludes anything, and
+the first sweep visits only what the RR mark dirties. An anchor's output
+reads the marks of itself and its children, its instance children, the
+members of its formula class and the open frames, so four hooks keep the
+invariant from there:
 
 - `set_mark` on n dirties n and its parent (class-mates only lose
   conclusions by a new mark);
-- `_index_node` on a new node (construction, `instantiate`) dirties the node,
-  its parent and, when one of them is marked, its class-mates, which can now
-  iterate (IA/IR) into it;
+- `_index_node` on a node `instantiate` creates dirties the node, its parent
+  and, when one of them is marked, its class-mates, which can now iterate
+  (IA/IR) into it;
 - the trail's unmark, run by `rollback`, dirties the node, its parent and,
   when one of them is still marked, its class-mates;
 - closing a frame with free variables (`rollback`, `commit_frames`) dirties
@@ -158,9 +163,22 @@ class Checkpoint:
 _CONCLUDES_K = frozenset(r.name for r in CATALOG.values() if any(pos == "k" for pos, _ in r.conclusions))
 
 
+# the value an option rule or its failure concludes, and the complaint otherwise
+_OPTION_VALUE = {
+    "OA": (1, "acceptance option assumes 1"),
+    "OR": (0, "rejection option assumes 0"),
+    "OA-DM": (0, "a failed acceptance option concludes 0"),
+    "OR-DM": (1, "a failed rejection option concludes 1"),
+}
+
+
 def _at(anchor: TreeNode, pos: str) -> int:
     """The node at rule position pos of a connective node."""
     return anchor.nid if pos == "k" else anchor.children[POSITION[pos] - 1]
+
+
+def _rejected(rule: str, msg: str) -> PremiseError:
+    return PremiseError(f"{rule}: {msg}")
 
 
 def _pattern(
@@ -235,10 +253,17 @@ class MarkingState:
         # collector runs
         self._touch = touch
         self._unmark = unmark
+        # no checkpoint precedes construction, so the index is filled without
+        # trail entries; and nothing is dirtied, since nothing is marked
+        # (module docstring)
         for nid in tree.preorder():
-            self._index_node(nid)
-        # no checkpoint precedes construction, so nothing so far is ever undone
-        self._trail.clear()
+            node = nodes[nid]
+            if node.ground:
+                members = index.get(node.shape)
+                if members is None:
+                    index[node.shape] = [nid]
+                else:
+                    members.append(nid)
 
     # ------------------------------------------------------------- inspection
 
@@ -257,6 +282,8 @@ class MarkingState:
         return node.shape if node.ground else None
 
     def _index_node(self, nid: int) -> None:
+        """Index a node `instantiate` created, undone by the trail, and dirty
+        the anchors that read its existence."""
         k = self.key(nid)
         if k is not None:
             members = self.formula_index.get(k)
@@ -352,18 +379,21 @@ class MarkingState:
             raise StateError("state already holds a double mark")
         if v not in (0, 1):
             raise PremiseError(f"mark must be 0 or 1, got {v!r}")
-        self._validate(n, v, rule, premises)
-        current = self.marked(n)
-        if current == v:
-            return
-        step = self._record(n, v, rule, premises)
+        node = self._validate(n, v, rule, premises)
+        marks = self.marks
+        current = marks.get(n)
         if current is not None:
+            if current[0] == v:
+                return
+            step = self._record(n, v, rule, premises)
             self.dm = DoubleMark(n, n)
-            self._record(n, None, "DM", (), (self.step_of(n), step))
+            self._record(n, None, "DM", (), (current[1], step))
             return
-        node = self.tree.nodes[n]
+        # _record, inline: this is the path every forced mark takes
+        self._step = step = self._step + 1
+        self.trace.append(TraceStep(step, n, v, rule, tuple([marks[p][1] for p in premises if p in marks])))
         k = node.shape
-        self.marks[n] = (v, step)
+        marks[n] = (v, step)
         # an obligation map; unmark undoes it
         if node.is_quantifier:
             self._obliged[n] = INSTANTIATION[node.kind, v].witness
@@ -382,18 +412,17 @@ class MarkingState:
             self.dm = DoubleMark(hit[1], n)
             self._record(n, None, "DM", (), (self.step_of(hit[1]), step))
 
-    def _validate(self, n: int, v: Mark, rule: str, premises: tuple[int, ...]) -> None:
+    def _validate(self, n: int, v: Mark, rule: str, premises: tuple[int, ...]) -> TreeNode:
+        """Raise PremiseError unless rule licenses marking n with v over the
+        cited premises; returns n's node. The checks raise inline, so that
+        the path every accepted mark takes calls no helper."""
         tree = self.tree
-        if n not in tree.nodes:
+        nodes, marks = tree.nodes, self.marks
+        node = nodes.get(n)
+        if node is None:
             raise PremiseError(f"unknown node {n}")
-        node = tree.nodes[n]
-        if self.key(n) is None:
+        if not node.ground:
             raise PremiseError(f"node {n} has unfilled placeholders and cannot be marked")
-
-        def need(cond: bool, msg: str) -> None:
-            if not cond:
-                raise PremiseError(f"{rule}: {msg}")
-
         spec = CATALOG.get(rule)
         if spec is not None:
             # a catalog rule concludes either its anchor (k) or children of it
@@ -401,66 +430,85 @@ class MarkingState:
                 target_pos, anchor = "k", node
             else:
                 parent = node.parent
-                need(parent is not None and tree.nodes[parent].kind == spec.connective,
-                     f"node is not positioned for a {spec.connective} rule")
-                anchor = tree.nodes[parent]
+                if parent is None or nodes[parent].kind != spec.connective:
+                    raise _rejected(rule, f"node is not positioned for a {spec.connective} rule")
+                anchor = nodes[parent]
                 if spec.connective == "not":
                     target_pos = "a"
                 else:
                     target_pos = "i" if anchor.children[0] == n else "d"
-            need((target_pos, v) in spec.conclusions, "rule does not conclude this mark at this position")
+            if (target_pos, v) not in spec.conclusions:
+                raise _rejected(rule, "rule does not conclude this mark at this position")
             for pos, val in spec.premises:
-                need(self.marked(_at(anchor, pos)) == val, f"premise {pos}={val} does not hold")
+                got = marks.get(_at(anchor, pos))
+                if got is None or got[0] != val:
+                    raise _rejected(rule, f"premise {pos}={val} does not hold")
         elif rule == "RR":
-            need(n == tree.root and v == 0, "only the root may be rejected by RR")
+            if n != tree.root or v != 0:
+                raise _rejected(rule, "only the root may be rejected by RR")
         elif rule == "m":
-            need(node.kind == "atom", "external leaf marks apply to atom nodes only")
-        elif rule == "OA":
-            need(v == 1, "acceptance option assumes 1")
-        elif rule == "OR":
-            need(v == 0, "rejection option assumes 0")
-        elif rule == "OA-DM":
-            need(v == 0, "a failed acceptance option concludes 0")
-        elif rule == "OR-DM":
-            need(v == 1, "a failed rejection option concludes 1")
+            if node.kind != "atom":
+                raise _rejected(rule, "external leaf marks apply to atom nodes only")
+        elif rule in _OPTION_VALUE:
+            want_v, msg = _OPTION_VALUE[rule]
+            if v != want_v:
+                raise _rejected(rule, msg)
         elif rule in DISCHARGE_RULES:
             kind = DISCHARGE_RULES[rule]
-            what = "conditional" if kind == "imp" else "disjunction"
-            need(node.kind == kind and v == 1, f"discharge concludes acceptance of the {what}")
+            if node.kind != kind or v != 1:
+                what = "conditional" if kind == "imp" else "disjunction"
+                raise _rejected(rule, f"discharge concludes acceptance of the {what}")
         elif rule in ("IA", "IR"):
-            need(v == (1 if rule == "IA" else 0), "iteration keeps the source value")
-            need(len(premises) == 1, "iteration cites one source node")
+            if v != (1 if rule == "IA" else 0):
+                raise _rejected(rule, "iteration keeps the source value")
+            if len(premises) != 1:
+                raise _rejected(rule, "iteration cites one source node")
             src = premises[0]
-            need(self.marked(src) == v, "source node does not carry the iterated value")
-            need(self.key(src) == self.key(n), "iteration requires nodes associated with one formula")
+            got = marks.get(src)
+            if got is None or got[0] != v:
+                raise _rejected(rule, "source node does not carry the iterated value")
+            if self.key(src) != node.shape:
+                raise _rejected(rule, "iteration requires nodes associated with one formula")
         elif rule in MARKING_RULES:
             want_kind, want_v = MARKING_RULES[rule]
             parent = node.parent
-            need(parent is not None, "no quantifier above this node")
-            q = tree.nodes[parent]
-            need(q.kind == want_kind, f"parent is not a {want_kind} node")
-            need(self.marked(parent) == want_v, "quantifier does not carry the required mark")
-            need(node.fill_term is not None, "rule applies to instantiated branches only")
-            need(v == want_v, "wrong conclusion value")
-            if INSTANTIATION[want_kind, want_v].witness:
-                need(self.inst_rule.get(n) in WITNESS_RULES, "rule applies to the fresh-witness branch only")
+            if parent is None:
+                raise _rejected(rule, "no quantifier above this node")
+            if nodes[parent].kind != want_kind:
+                raise _rejected(rule, f"parent is not a {want_kind} node")
+            got = marks.get(parent)
+            if got is None or got[0] != want_v:
+                raise _rejected(rule, "quantifier does not carry the required mark")
+            if node.fill_term is None:
+                raise _rejected(rule, "rule applies to instantiated branches only")
+            if v != want_v:
+                raise _rejected(rule, "wrong conclusion value")
+            if INSTANTIATION[want_kind, want_v].witness and self.inst_rule.get(n) not in WITNESS_RULES:
+                raise _rejected(rule, "rule applies to the fresh-witness branch only")
         elif rule in GENERALIZATION_RULES:
             want_kind, want_v = GENERALIZATION_RULES[rule]
-            need(node.kind == want_kind, f"rule applies to a {want_kind} node")
-            need(v == want_v, "wrong conclusion value")
-            need(len(premises) == 1, "rule cites one instance branch")
+            if node.kind != want_kind:
+                raise _rejected(rule, f"rule applies to a {want_kind} node")
+            if v != want_v:
+                raise _rejected(rule, "wrong conclusion value")
+            if len(premises) != 1:
+                raise _rejected(rule, "rule cites one instance branch")
             c = premises[0]
-            child = tree.nodes.get(c)
-            need(child is not None and child.parent == n and child.fill_term is not None,
-                 "premise is not an instance branch of this quantifier")
-            need(self.marked(c) == want_v, "instance branch does not carry the required mark")
+            child = nodes.get(c)
+            if child is None or child.parent != n or child.fill_term is None:
+                raise _rejected(rule, "premise is not an instance branch of this quantifier")
+            got = marks.get(c)
+            if got is None or got[0] != want_v:
+                raise _rejected(rule, "instance branch does not carry the required mark")
             if GENERALIZATION[want_kind, want_v][1]:
                 term = child.fill_term
-                need(isinstance(term, Var), "generalization requires a variable instance")
-                need(self.is_independent(term.name, c),
-                     f"variable {term.name} is not independent in the instance branch")
+                if not isinstance(term, Var):
+                    raise _rejected(rule, "generalization requires a variable instance")
+                if not self.is_independent(term.name, c):
+                    raise _rejected(rule, f"variable {term.name} is not independent in the instance branch")
         else:
             raise PremiseError(f"unknown rule identifier {rule!r}")
+        return node
 
     # -------------------------------------------------------- instantiation
 
@@ -600,18 +648,14 @@ class MarkingState:
         (quantifiers), then iteration into its formula class (marked nodes).
         A conclusion against an existing opposite mark must surface as a
         double mark, so only same-value repeats are dropped."""
-        tree = self.tree
-        nodes = tree.nodes
+        nodes, marks = self.tree.nodes, self.marks
         node = nodes[n]
+        got = marks.get(n)
+        mark = None if got is None else got[0]
         out: list[tuple[int, Mark, str, tuple[int, ...]]] = []
-
-        def emit(t: int, v: Mark, rule: str, prem: tuple[int, ...]) -> None:
-            if self.marked(t) != v and self.key(t) is not None:
-                out.append((t, v, rule, prem))
-
         table = FORCING.get(node.kind)
         if table is not None:
-            at, vals = _pattern(self.marks, node)
+            at, vals = _pattern(marks, node)
             for rule, premises, conclusions in table[vals]:
                 prem = tuple(map(at.__getitem__, premises))
                 for index, v in conclusions:
@@ -619,31 +663,36 @@ class MarkingState:
                     if vals[index] != v and nodes[t].ground:
                         out.append((t, v, rule, prem))
         elif node.is_quantifier:
-            mark = self.marked(n)
-            kids = tree.instance_children(n)
+            kids = node.children[1:]
             if mark is not None:
                 inst = INSTANTIATION[node.kind, mark]
                 if inst.witness:
-                    w = self.witness_child(n)
-                    kids = [] if w is None else [w]
+                    w = self._witness.get(n)
+                    kids = () if w is None else (w,)
                 for c in kids:
-                    emit(c, mark, inst.marking, (n,))
+                    got = marks.get(c)
+                    if (got is None or got[0] != mark) and nodes[c].ground:
+                        out.append((c, mark, inst.marking, (n,)))
             else:
                 for c in kids:
-                    cv = self.marked(c)
-                    if cv is None:
+                    got = marks.get(c)
+                    if got is None:
                         continue
+                    cv = got[0]
                     up, independent = GENERALIZATION[node.kind, cv]
-                    term = tree.nodes[c].fill_term
+                    term = nodes[c].fill_term
                     if not independent or (isinstance(term, Var) and self.is_independent(term.name, c)):
-                        emit(n, cv, up, (c,))
+                        if node.ground:
+                            out.append((n, cv, up, (c,)))
                         break
-        mark = self.marked(n)
         if mark is not None:
+            # a marked node is ground, and so is every member of its class
             rule = "IA" if mark == 1 else "IR"
-            for other in self.formula_index.get(self.key(n), ()):
+            for other in self.formula_index.get(node.shape, ()):
                 if other != n:
-                    emit(other, mark, rule, (n,))
+                    got = marks.get(other)
+                    if got is None or got[0] != mark:
+                        out.append((other, mark, rule, (n,)))
         return out
 
     # ------------------------------------------------------------ traversal

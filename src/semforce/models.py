@@ -96,8 +96,8 @@ def evaluate(i: Interpretation, f: Formula, env: Optional[Env] = None) -> int:
         got = memo.get(key)
         if got is not None:
             return got
-        env_d = dict(e)
         if isinstance(g, Atom):
+            env_d = dict(e)
             vals = tuple(_denote(i, t, env_d) for t in g.args)
             if len(vals) == 1:
                 v = int(vals[0] in i.monadic.get(g.pred, frozenset()))

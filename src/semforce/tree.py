@@ -134,7 +134,12 @@ class ForcingTree:
         predicate used with two) and the names of its binders, and sets
         `vacuous` when a binder's variable occurs in no atom below it."""
         kind = KIND_OF[type(f)]
-        node = self._new_node(parent=parent, kind=kind, is_template=is_template)
+        # _new_node, inline: this runs per node of the source
+        nid = self._next_nid
+        self._next_nid = nid + 1
+        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_template=is_template)
+        if parent is not None:
+            self.nodes[parent].children.append(nid)
         if kind == "atom":
             pred, args = f.pred, f.args
             prev = self.arities.setdefault(pred, len(args))
@@ -162,14 +167,14 @@ class ForcingTree:
             else:
                 used[depth] = False
             # a quantifier's shape reads its template only
-            key = (kind, self._build(f.body, node.nid, {**levels, f.var: depth}, depth + 1, is_template=True).shape)
+            key = (kind, self._build(f.body, nid, {**levels, f.var: depth}, depth + 1, is_template=True).shape)
             if not used[depth]:
                 self.vacuous = True
         elif kind == "not":
-            key = (kind, self._build(f.sub, node.nid, levels, depth).shape)
+            key = (kind, self._build(f.sub, nid, levels, depth).shape)
         else:
-            key = (kind, self._build(f.left, node.nid, levels, depth).shape,
-                   self._build(f.right, node.nid, levels, depth).shape)
+            key = (kind, self._build(f.left, nid, levels, depth).shape,
+                   self._build(f.right, nid, levels, depth).shape)
         node.shape = sid = self._intern(key)
         node.ground = self._reach[sid] == 0
         return node

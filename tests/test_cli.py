@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, corpus runs."""
 
 import json
+import time
 
 import pytest
 
@@ -222,6 +223,26 @@ def test_render_dot_structure(capsys):
 def test_render_provisional_marks_are_dashed(capsys):
     _, out, _ = run(capsys, "render", "P(a) -> P(a)", "--format", "dot")
     assert 'style="filled,dashed"' in out
+
+
+def test_render_draws_the_tree_decide_searches(capsys):
+    # rendered as given, each vacuous binder would add a witness, and the
+    # output would grow quadratically with the chain
+    src = "exists x. " * 600 + "P(a)"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "render", src)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALID
+    assert out.splitlines() == ["decided as: P(a)", "P(a) [0]"]
+    code, out, _ = run(capsys, "render", src, "--format", "dot")
+    assert code == EXIT_VALID
+    lines = out.splitlines()
+    assert lines[:2] == ["// decided as: P(a)", "digraph forcing_tree {"]
+    assert len(lines) == 5 and lines[3].startswith("  n1 [")
+    # a formula rendered as given names nothing more
+    for argv in ([ILLUSTRATIONS[1]], [ILLUSTRATIONS[1], "--format", "dot"]):
+        _, out, _ = run(capsys, "render", *argv)
+        assert "decided" not in out
 
 
 def test_oracle_valid_and_refuted(capsys):

@@ -1,5 +1,7 @@
-"""Concrete syntax, structure measures, fragments, and alpha-normalization."""
+"""Concrete syntax, structure measures, fragments, alpha-normalization, and
+the seeded formula generator."""
 
+import hashlib
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from semforce import (
     parse_formula,
 )
 from semforce.formulas import constants_of, free_variables, is_ground, predicate_arities
+from semforce.gen import random_monadic
 
 from conftest import ILLUSTRATIONS, random_formula
 
@@ -242,6 +245,27 @@ def test_drop_vacuous_walks_a_deep_quantifier_nest_without_recursion():
 def test_predicate_arities():
     f = parse_formula(ILLUSTRATIONS[1])
     assert predicate_arities(f) == {"P": 1, "R": 2}
+
+
+def test_random_monadic_without_constants_draws_closed_monadic_formulas():
+    rng = random.Random(0)
+    for _ in range(200):
+        f = random_monadic(rng, consts=())
+        assert not free_variables(f) and not constants_of(f), format_formula(f)
+        assert isinstance(classify_fragment(f), Monadic), format_formula(f)
+        assert complexity(f) <= 6
+    # below a binder's worth of budget no closed formula lacks constants
+    with pytest.raises(ValueError):
+        random_monadic(rng, consts=(), max_complexity=0)
+
+
+def test_random_monadic_default_stream_is_unchanged():
+    # monadic-batch and the behaviour dump draw this stream, so a generator
+    # change must leave its draws for the default constants alone
+    rng = random.Random(424242)
+    text = "\n".join(format_formula(random_monadic(rng, preds=("P", "Q"), max_complexity=6)) for _ in range(500))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "cc54f0a758d519f6"
+    assert rng.random() == 0.3184846425035537
 
 
 def test_a_fresh_import_frees_the_previous_one():

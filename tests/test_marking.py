@@ -874,6 +874,17 @@ def assert_dirty_covers(s):
             assert nid in s._dirty, nid
 
 
+def test_a_fresh_marking_dirties_nothing():
+    for f in differential_formulas():
+        s = init_marking(build_initial_tree(f))
+        assert not s._dirty, format_formula(f)
+        assert_dirty_covers(s)
+        # the first sweep starts from what the RR mark dirties
+        s.open_supposition(s.tree.root, 0, kind="RR")
+        assert s._dirty == {s.tree.root}
+        assert_dirty_covers(s)
+
+
 def test_unmarking_dirties_a_marked_class_mate():
     s = state_for("P(a) | (Q(b) & P(a))")
     p1, conj = s.tree.nodes[s.tree.root].children

@@ -134,3 +134,9 @@ def test_forcing_table_positions():
     assert FORCING["and"][1, 1, None] == (("A∧", (0,), ((1, 1), (2, 1))),)
     assert FORCING["iff"][1, None, None] == ()
     assert FORCING["not"][None, 0] == (("Ra∼", (1,), ((0, 1),)),)
+
+
+def test_an_unmarked_connective_forces_nothing():
+    # so a fresh marking, where nothing is marked, has no anchor to dirty
+    for connective, table in FORCING.items():
+        assert table[(None,) * (2 if connective == "not" else 3)] == (), connective
