@@ -20,7 +20,7 @@ from typing import Optional
 
 from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
-from .formulas import Formula, classify_fragment, drop_vacuous, format_formula, parse_formula
+from .formulas import Formula, classify_fragment, drop_vacuous, format_formula, is_name, parse_formula
 from .gen import random_monadic
 from .marking import init_marking, saturate
 from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
@@ -180,21 +180,34 @@ def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain
     return status, f"{status:<4} {word:<22} {text}{note}"
 
 
+def _gen_options(items: list[str]) -> tuple[int, tuple[str, ...], int]:
+    """count, preds and depth from `--gen KEY=VAL` items, defaults where
+    unset; raises ValueError naming the key of a malformed item."""
+    opts = {"count": "100", "preds": "P,Q", "depth": "6"}
+    for item in items:
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ValueError(f"--gen expects KEY=VAL, got {item!r}")
+        if key not in opts:
+            raise ValueError(f"--gen: unknown key {key!r}; the keys are count, preds and depth")
+        opts[key] = val
+    for key in ("count", "depth"):
+        if not (opts[key].isascii() and opts[key].isdigit()):
+            raise ValueError(f"--gen {key} must be an integer >= 0, got {opts[key]!r}")
+    preds = tuple(opts["preds"].split(","))
+    for pred in preds:
+        if not is_name(pred):
+            raise ValueError(f"--gen preds: {pred!r} is not a predicate name")
+    return int(opts["count"]), preds, int(opts["depth"])
+
+
 def _cmd_corpus(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    gen_opts = {}
-    for item in args.gen or []:
-        key, _, val = item.partition("=")
-        if not _:
-            print(f"--gen expects KEY=VAL, got {item!r}", file=sys.stderr)
-            return EXIT_DATA
-        gen_opts[key] = val
     entries: list[tuple[str, Optional[str]]]
-    if gen_opts:
+    if args.gen:
+        # a malformed option is a ValueError, so main exits with EXIT_DATA
+        count, preds, depth = _gen_options(args.gen)
         rng = random.Random(args.seed)
-        count = int(gen_opts.get("count", "100"))
-        preds = tuple(gen_opts.get("preds", "P,Q").split(","))
-        depth = int(gen_opts.get("depth", "6"))
         entries = [
             (str(random_monadic(rng, preds=preds, max_complexity=depth)), None)
             for _ in range(count)

@@ -189,6 +189,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def is_name(text: str) -> bool:
+    """Whether the tokenizer reads text as one name that is not a keyword:
+    a predicate, constant or variable name."""
+    try:
+        toks = _tokenize(text)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0][:2] == (text, "name") and text not in _KEYWORDS
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)

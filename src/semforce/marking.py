@@ -14,9 +14,10 @@ and the registry and the reserved names from the facts the tree build
 gathered about the source, so a decision walks no formula here.
 
 State mutates in place. Every insertion after construction pushes one entry
-on an undo trail, so `checkpoint` is O(1) and `rollback` costs the changes
-made since. Rolled-back trace steps are kept, flagged absorbed, so step
-numbering stays dense and premise references stay meaningful.
+on an undo trail, so `checkpoint` copies only the dirty set (below) and
+`rollback` costs the changes made since. Rolled-back trace steps are kept,
+flagged absorbed, so step numbering stays dense and premise references stay
+meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
 stands: a node that is not dirty has an empty `forced_for_anchor` output. A
@@ -26,24 +27,26 @@ generalization and iteration each read a mark on the quantifier, an instance
 child or the node itself. So no node of a fresh tree concludes anything, and
 the first sweep visits only what the RR mark dirties. An anchor's output
 reads the marks of itself and its children, its instance children, the
-members of its formula class and the open frames, so four hooks keep the
-invariant from there:
+members of its formula class and the open frames. Four hooks keep the
+invariant from there, each dirtying only the anchors that can now conclude:
 
-- `set_mark` on n dirties n and its parent (class-mates only lose
-  conclusions by a new mark);
-- `_index_node` on a node `instantiate` creates dirties the node, its parent
-  and, when one of them is marked, its class-mates, which can now iterate
-  (IA/IR) into it;
-- the trail's unmark, run by `rollback`, dirties the node, its parent and,
-  when one of them is still marked, its class-mates;
-- closing a frame with free variables (`rollback`, `commit_frames`) dirties
-  every node, since independence for generalization may hold again.
-
-Everything else a rollback undoes (nodes, witnesses, a double mark) only
-removes conclusions. The second and third hooks (`touch`) read "one of them
-is marked" as the class having a `consensus` entry: the class's first mark
-makes it, and the trail undoes that mark after every later one, so the
-entry stands exactly while a member is marked.
+- `set_mark` on n dirties n when it is a quantifier, when its class has
+  another member (IA/IR), or when its new mark pattern is live (`_LIVE`: its
+  `FORCING` entry concludes a mark the pattern does not show); and n's
+  parent when that is a quantifier or its new pattern is live. Class-mates
+  only lose conclusions by a new mark.
+- `instantiate` dirties the quantifier, and the members of each class a
+  cloned node joins when that class has a `consensus` entry, since a marked
+  member can now iterate into the clone. The clone itself is unmarked, so
+  it concludes nothing, and neither does a parent inside it. A class has a
+  `consensus` entry exactly while a member is marked: its first mark makes
+  it, and the trail undoes that mark after every later one.
+- `rollback` restores the dirty set its checkpoint saved. It leaves marks,
+  nodes, registries, frames, the double mark and the generic variable as
+  they were there, so that set covers the state again.
+- `commit_frames` dirties every node when a closed frame named a free
+  variable, since generalization over it may be licensed again at any
+  quantifier.
 
 Quantifier obligations are kept current the same way, not found by a scan
 per saturation round. Two maps hold them:
@@ -52,7 +55,7 @@ per saturation round. Two maps hold them:
   `instantiate` and undone by a trail entry (`witness_child` reads it);
 - `_obliged`, marked quantifier → whether its obligation is one fresh witness
   (`INSTANTIATION[kind, value].witness`) rather than an instance per
-  individual, set by `set_mark` and undone by the trail's unmark.
+  individual, set by `set_mark` and undone by a trail entry.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class Justification:
     premises: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     step: int
     node: Optional[int]
@@ -157,6 +160,20 @@ class Checkpoint:
     next_nid: int
     dm: Optional[DoubleMark]
     generic: Optional[Var]
+    # the dirty anchors: rollback leaves every structure forced_for_anchor
+    # reads as it was here, so this set covers the state again
+    dirty: frozenset[int]
+
+
+# per connective, the mark patterns whose `FORCING` entry concludes a mark the
+# pattern does not already show: the only patterns at which it concludes
+_LIVE = {
+    kind: frozenset(
+        marks for marks, entries in table.items()
+        if any(marks[i] != v for _, _, conclusions in entries for i, v in conclusions)
+    )
+    for kind, table in FORCING.items()
+}
 
 
 # the catalog rules that conclude their anchor's mark
@@ -181,24 +198,18 @@ def _rejected(rule: str, msg: str) -> PremiseError:
     return PremiseError(f"{rule}: {msg}")
 
 
-def _pattern(
-    marks: dict[int, tuple[Mark, int]], anchor: TreeNode
-) -> tuple[tuple[int, ...], tuple[Optional[Mark], ...]]:
-    """The nodes at (anchor, *children) of a connective node and their marks,
-    None for unmarked: the key of its `FORCING` entry."""
-    n = anchor.nid
-    kids = anchor.children
-    got = marks.get(n)
+def _pattern(marks: dict[int, tuple[Mark, int]], anchor: TreeNode) -> tuple[Optional[Mark], ...]:
+    """The marks of a connective node and of its children, None for
+    unmarked: the key of its `FORCING` entry."""
+    got = marks.get(anchor.nid)
     k = got[0] if got else None
+    kids = anchor.children
+    got = marks.get(kids[0])
+    a = got[0] if got else None
     if len(kids) == 1:
-        a = kids[0]
-        got = marks.get(a)
-        return (n, a), (k, got[0] if got else None)
-    i, d = kids
-    got = marks.get(i)
-    mi = got[0] if got else None
-    got = marks.get(d)
-    return (n, i, d), (k, mi, got[0] if got else None)
+        return k, a
+    got = marks.get(kids[1])
+    return k, a, got[0] if got else None
 
 
 class MarkingState:
@@ -227,37 +238,17 @@ class MarkingState:
         # quantifier obligations, kept current by the hooks (module docstring)
         self._witness: dict[int, int] = {}
         self._obliged: dict[int, bool] = {}
-        # (undo, argument) pairs, one per insertion, popped by rollback
-        self._trail: list[tuple] = []
-        marks, consensus, obliged = self.marks, self.consensus, self._obliged
-        nodes, index, dirty = tree.nodes, self.formula_index, self._dirty
-
-        def touch(nid: int) -> None:
-            """Dirty nid, its parent and, when one of them is marked, its
-            class-mates: every anchor that reads nid's existence or mark."""
-            node = nodes[nid]
-            dirty.add(nid)
-            if node.parent is not None:
-                dirty.add(node.parent)
-            if node.shape in consensus:
-                dirty.update(index[node.shape])
-
-        def unmark(nid: int) -> None:
-            del marks[nid]
-            if nodes[nid].is_quantifier:
-                del obliged[nid]
-            touch(nid)
-
-        # closures, not bound methods: a trail entry that referred back to
-        # the state would keep every finished state alive until the cycle
+        # (undo, argument) pairs, one per insertion, popped by rollback; each
+        # undo is a method of a container, not of the state, so that a trail
+        # entry does not keep a finished state alive until the cycle
         # collector runs
-        self._touch = touch
-        self._unmark = unmark
+        self._trail: list[tuple] = []
+        index = self.formula_index
         # no checkpoint precedes construction, so the index is filled without
-        # trail entries; and nothing is dirtied, since nothing is marked
+        # trail entries, in creation order, which is preorder for a tree
+        # `_build` made; and nothing is dirtied, since nothing is marked
         # (module docstring)
-        for nid in tree.preorder():
-            node = nodes[nid]
+        for nid, node in tree.nodes.items():
             if node.ground:
                 members = index.get(node.shape)
                 if members is None:
@@ -281,20 +272,6 @@ class MarkingState:
         node = self.tree.nodes[nid]
         return node.shape if node.ground else None
 
-    def _index_node(self, nid: int) -> None:
-        """Index a node `instantiate` created, undone by the trail, and dirty
-        the anchors that read its existence."""
-        k = self.key(nid)
-        if k is not None:
-            members = self.formula_index.get(k)
-            if members is None:
-                self.formula_index[k] = [nid]
-                self._trail.append((self.formula_index.pop, k))
-            else:
-                members.append(nid)
-                self._trail.append((members.pop, -1))
-        self._touch(nid)
-
     def witness_child(self, qnid: int) -> Optional[int]:
         """The first fresh-witness instance child of qnid, None while it has none."""
         return self._witness.get(qnid)
@@ -309,6 +286,7 @@ class MarkingState:
             next_nid=self.tree._next_nid,
             dm=self.dm,
             generic=self.generic,
+            dirty=frozenset(self._dirty),
         )
 
     def rollback(self, cp: Checkpoint) -> None:
@@ -320,18 +298,19 @@ class MarkingState:
         for _ in range(len(trail) - cp.trail_len):
             undo, arg = trail.pop()
             undo(arg)
-        self._close_frames(cp.scopes_len)
+        del self.scopes[cp.scopes_len:]
         for rec in self.trace[cp.trace_len:]:
             rec.absorbed = True
         self.dm = cp.dm
         self.generic = cp.generic
-        for nid in self.tree.truncate(cp.next_nid):
-            self._dirty.discard(nid)
+        self.tree.truncate(cp.next_nid)
+        self._dirty = set(cp.dirty)
 
     def _close_frames(self, keep: int) -> None:
-        """Drop the frames above the first keep. Once a frame naming a free
-        variable is gone, generalization over that variable may be licensed
-        again, at any quantifier, so every node is dirtied."""
+        """Drop the frames above the first keep, keeping their marks. Once a
+        frame naming a free variable is gone, generalization over that
+        variable may be licensed again, at any quantifier, so every node is
+        dirtied."""
         if any(frame.free_vars for frame in self.scopes[keep:]):
             self._dirty.update(self.tree.nodes)
         del self.scopes[keep:]
@@ -394,16 +373,22 @@ class MarkingState:
         self.trace.append(TraceStep(step, n, v, rule, tuple([marks[p][1] for p in premises if p in marks])))
         k = node.shape
         marks[n] = (v, step)
-        # an obligation map; unmark undoes it
-        if node.is_quantifier:
-            self._obliged[n] = INSTANTIATION[node.kind, v].witness
-        parent = node.parent
-        # the anchors that read this mark; class-mates only lose conclusions
-        self._dirty.add(n)
-        if parent is not None:
-            self._dirty.add(parent)
         trail = self._trail
-        trail.append((self._unmark, n))
+        trail.append((marks.pop, n))
+        # the anchors this mark can make conclude (module docstring)
+        dirty = self._dirty
+        kind = node.kind
+        if node.is_quantifier:
+            self._obliged[n] = INSTANTIATION[kind, v].witness
+            trail.append((self._obliged.pop, n))
+            dirty.add(n)
+        elif len(self.formula_index[k]) > 1 or (kind in _LIVE and _pattern(marks, node) in _LIVE[kind]):
+            dirty.add(n)
+        parent = node.parent
+        if parent is not None:
+            pnode = self.tree.nodes[parent]
+            if pnode.is_quantifier or _pattern(marks, pnode) in _LIVE[pnode.kind]:
+                dirty.add(parent)
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)
@@ -533,12 +518,30 @@ class MarkingState:
             used = {t.name for t in self.domain_registry} | self._reserved | set(self.witness_registry)
             if term.name in used:
                 raise PremiseError(f"witness {term.name!r} is not fresh")
-        child = self.tree.instantiate(qnid, term)
+        tree = self.tree
+        child = tree.instantiate(qnid, term)
         trail = self._trail
         self.inst_rule[child] = rule
         trail.append((self.inst_rule.pop, child))
-        for nid in self.tree.preorder(child):
-            self._index_node(nid)
+        # index the clone, whose ids _clone numbered in one range, under trail
+        # entries. Its nodes are unmarked and conclude nothing; the anchors
+        # that read them are q and the marked members of their classes, which
+        # can iterate into them (module docstring)
+        nodes, index, consensus, dirty = tree.nodes, self.formula_index, self.consensus, self._dirty
+        dirty.add(qnid)
+        for nid in range(child, tree._next_nid):
+            node = nodes[nid]
+            if node.ground:
+                k = node.shape
+                members = index.get(k)
+                if members is None:
+                    index[k] = [nid]
+                    trail.append((index.pop, k))
+                else:
+                    members.append(nid)
+                    trail.append((members.pop, -1))
+                    if k in consensus:
+                        dirty.update(members)
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
             # witness_child names the first witness; a later one leaves it
@@ -655,7 +658,8 @@ class MarkingState:
         out: list[tuple[int, Mark, str, tuple[int, ...]]] = []
         table = FORCING.get(node.kind)
         if table is not None:
-            at, vals = _pattern(marks, node)
+            vals = _pattern(marks, node)
+            at = (n, *node.children)
             for rule, premises, conclusions in table[vals]:
                 prem = tuple(map(at.__getitem__, premises))
                 for index, v in conclusions:
@@ -881,12 +885,13 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
     conclusions change its inputs."""
     if s.dm is not None:
         return s.dm
+    # the hooks add to this set; only rollback, never run here, replaces it
     dirty = s._dirty
     while True:
         changed = False
         while True:
             swept = False
-            for nid in s.relevant(order):
+            for nid in s.relevant(order) if dirty else ():
                 if nid not in dirty:
                     continue
                 dirty.remove(nid)

@@ -57,7 +57,7 @@ from .formulas import (
 _QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     nid: int
     parent: Optional[int]
@@ -68,6 +68,8 @@ class TreeNode:
     # node is created or, in the initial tree, once its children exist
     shape: int = -1
     ground: bool = False
+    # whether kind is a quantifier kind; set when the node is created
+    is_quantifier: bool = False
     # quantifier nodes: bound-variable name and the placeholder id it fills
     var: Optional[str] = None
     qid: Optional[int] = None
@@ -75,10 +77,6 @@ class TreeNode:
     is_template: bool = False
     # instance children: the term the parent quantifier was instantiated with
     fill_term: Optional[Term] = None
-
-    @property
-    def is_quantifier(self) -> bool:
-        return self.kind in _QUANT_KINDS
 
 
 class ForcingTree:
@@ -117,14 +115,6 @@ class ForcingTree:
 
     # ------------------------------------------------------------ construction
 
-    def _new_node(self, **kw) -> TreeNode:
-        node = TreeNode(nid=self._next_nid, **kw)
-        self._next_nid += 1
-        self.nodes[node.nid] = node
-        if node.parent is not None:
-            self.nodes[node.parent].children.append(node.nid)
-        return node
-
     def _build(self, f: Formula, parent: Optional[int], levels: dict[str, int], depth: int,
                is_template: bool = False) -> TreeNode:
         """Build f's subtree under parent. levels maps each bound variable to
@@ -134,10 +124,10 @@ class ForcingTree:
         predicate used with two) and the names of its binders, and sets
         `vacuous` when a binder's variable occurs in no atom below it."""
         kind = KIND_OF[type(f)]
-        # _new_node, inline: this runs per node of the source
+        quantifier = kind in _QUANT_KINDS
         nid = self._next_nid
         self._next_nid = nid + 1
-        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_template=is_template)
+        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_quantifier=quantifier, is_template=is_template)
         if parent is not None:
             self.nodes[parent].children.append(nid)
         if kind == "atom":
@@ -157,7 +147,7 @@ class ForcingTree:
                     self.constants[t.name] = None
                 shaped.append(t)
             key = (kind, pred, tuple(shaped))
-        elif kind in _QUANT_KINDS:
+        elif quantifier:
             self.identifiers.add(f.var)
             node.var, node.qid = f.var, self._next_qid
             self._next_qid += 1
@@ -253,40 +243,43 @@ class ForcingTree:
         self.version += 1
         return self._clone(q.children[0], q.nid, term, fill_term=term, as_template=False, depth=0)
 
-    def truncate(self, next_nid: int) -> list[int]:
+    def truncate(self, next_nid: int) -> None:
         """Remove every node numbered next_nid or above, so that the next node
-        created is numbered next_nid again; returns the removed ids."""
-        removed = []
+        created is numbered next_nid again."""
+        if next_nid >= self._next_nid:
+            return
         for nid in range(next_nid, self._next_nid):
             node = self.nodes.pop(nid)
-            removed.append(nid)
             if node.parent is not None and node.parent in self.nodes:
                 siblings = self.nodes[node.parent].children
                 if nid in siblings:
                     siblings.remove(nid)
-        if removed:
-            self.version += 1
+        self.version += 1
         self._next_nid = next_nid
-        return removed
 
     def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], as_template: bool,
                depth: int) -> int:
         """Copy src_nid's subtree under parent with de Bruijn index depth, the
-        binder being instantiated as seen from src_nid, filled by term."""
-        src = self.nodes[src_nid]
+        binder being instantiated as seen from src_nid, filled by term. The
+        copy's ids are one contiguous range, numbered in preorder."""
+        nodes = self.nodes
+        src = nodes[src_nid]
         sid = self._filled(src.shape, depth, term)
-        node = self._new_node(
-            parent=parent, kind=src.kind, shape=sid, ground=self._reach[sid] == 0, var=src.var, qid=src.qid,
-            is_template=as_template, fill_term=fill_term,
+        nid = self._next_nid
+        self._next_nid = nid + 1
+        nodes[nid] = TreeNode(
+            nid, parent, src.kind, [], shape=sid, ground=self._reach[sid] == 0, is_quantifier=src.is_quantifier,
+            var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,
         )
+        nodes[parent].children.append(nid)
         for i, c in enumerate(src.children):
             # instance branches inside the copied subtree stay instance
             # branches of the copied quantifier, so their fill survives; only
             # a template edge crosses a binder
             template = src.is_quantifier and i == 0
-            self._clone(c, node.nid, term, fill_term=self.nodes[c].fill_term, as_template=template,
+            self._clone(c, nid, term, fill_term=nodes[c].fill_term, as_template=template,
                         depth=depth + 1 if template else depth)
-        return node.nid
+        return nid
 
     # --------------------------------------------------------------- formulas
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, corpus runs."""
 
 import json
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import ILLUSTRATIONS
 
 from semforce import models
+from semforce.gen import random_monadic
 from semforce.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -359,6 +361,43 @@ def test_corpus_generated_agrees_with_the_oracle(capsys):
     )
     assert code == 0
     assert "25 formulas, 25 ok, 0 failing" in out
+
+
+@pytest.mark.parametrize("item, named", [
+    ("n=-1", "'n'"),
+    ("count", "'count'"),
+    ("count=x", "count"),
+    ("count=-1", "count"),
+    ("depth=-2", "depth"),
+    ("preds=", "preds"),
+    ("preds=P,,Q", "preds"),
+    ("preds=P,forall", "preds"),
+    ("preds=P Q", "preds"),
+    ("preds=P(a)", "preds"),
+])
+def test_corpus_gen_rejects_a_malformed_option_by_its_key(capsys, item, named):
+    code, out, err = run(capsys, "corpus", "--gen", "count=2", "--gen", item)
+    assert code == EXIT_DATA
+    assert named in err and "--gen" in err
+    assert "formulas" not in out
+
+
+def test_corpus_gen_accepts_zero_and_any_predicate_names(capsys):
+    code, out, _ = run(capsys, "corpus", "--gen", "count=3", "--gen", "preds=Foo,bar_2", "--gen", "depth=0")
+    assert code == 0
+    assert "3 formulas, 3 ok, 0 failing" in out
+    # complexity 0 leaves one atom per formula
+    assert {line.split(None, 2)[2] for line in out.splitlines()[:3]} <= {"Foo(c)", "bar_2(c)"}
+    code, out, _ = run(capsys, "corpus", "--gen", "count=0")
+    assert code == 0 and "0 formulas" in out
+
+
+def test_corpus_gen_defaults_draw_the_same_stream(capsys):
+    rng = random.Random(3)
+    want = [str(random_monadic(rng, preds=("P", "Q"), max_complexity=6)) for _ in range(4)]
+    code, out, _ = run(capsys, "corpus", "--gen", "count=4", "--seed", "3")
+    assert code == 0
+    assert [line.split(None, 2)[2] for line in out.splitlines()[:4]] == want
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

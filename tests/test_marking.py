@@ -33,7 +33,7 @@ from semforce import (
 )
 from semforce.cli import model_json
 from semforce.formulas import Atom, alpha_normalize, is_ground
-from semforce.rules import CATALOG, GENERALIZATION, INSTANTIATION, WITNESS_RULES, rules_for
+from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, WITNESS_RULES, rules_for
 
 
 def state_for(src):
@@ -409,7 +409,7 @@ def snapshot(s):
 
 
 def assert_consensus_follows_marks(s):
-    # touch reads "a class-mate is marked" as the class having a consensus entry
+    # instantiate reads "a class-mate is marked" as the class having a consensus entry
     for k, members in s.formula_index.items():
         assert (k in s.consensus) == any(s.marked(n) is not None for n in members), k
     assert set(s.consensus) <= set(s.formula_index)
@@ -879,9 +879,10 @@ def test_a_fresh_marking_dirties_nothing():
         s = init_marking(build_initial_tree(f))
         assert not s._dirty, format_formula(f)
         assert_dirty_covers(s)
-        # the first sweep starts from what the RR mark dirties
+        # the first sweep starts from what the RR mark dirties: at most the
+        # root, which a rejected conjunction or a lone atom, say, leaves clean
         s.open_supposition(s.tree.root, 0, kind="RR")
-        assert s._dirty == {s.tree.root}
+        assert s._dirty <= {s.tree.root}
         assert_dirty_covers(s)
 
 
@@ -952,6 +953,96 @@ def test_closing_a_frame_over_the_generic_variable_dirties_every_anchor():
     assert_dirty_covers(s)
     assert isinstance(saturate(s), Quiescent)
     assert s.marked(q1) == 1
+
+
+def test_a_pattern_is_live_exactly_when_a_rule_there_concludes_something_new():
+    assert set(marking._LIVE) == set(FORCING)
+    for kind, table in FORCING.items():
+        positions = ("k", "a") if kind == "not" else ("k", "i", "d")
+        assert set(table) == set(product((None, 0, 1), repeat=len(positions)))
+        for marks in table:
+            concluded = {(i, v) for _, _, conclusions in table[marks] for i, v in conclusions}
+            new = any(marks[i] != v for i, v in concluded)
+            assert (marks in marking._LIVE[kind]) == new, (kind, marks)
+            # and the same read from the catalog, rule by rule
+            at = dict(zip(positions, marks))
+            held = [spec for spec in rules_for(kind) if all(at[pos] == v for pos, v in spec.premises)]
+            assert new == any(at[pos] != v for spec in held for pos, v in spec.conclusions), (kind, marks)
+
+
+def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
+    """assert_dirty_covers after every quiescent saturate, every
+    instantiation and every rollback of every differential decision, and
+    a rollback leaves exactly the dirty set its checkpoint saved."""
+    checked = Counter()
+    decide_module = sys.modules["semforce.decide"]
+    state_cls = marking.MarkingState
+    instantiate, rollback = state_cls.instantiate, state_cls.rollback
+
+    def checked_saturate(s, budget=None, order="pre"):
+        out = saturate(s, budget, order)
+        if isinstance(out, Quiescent):
+            assert_dirty_covers(s)
+            checked["saturate"] += 1
+        return out
+
+    def checked_instantiate(s, qnid, term, rule):
+        child = instantiate(s, qnid, term, rule)
+        if s.dm is None:
+            assert_dirty_covers(s)
+            checked["instantiate"] += 1
+        return child
+
+    def checked_rollback(s, cp):
+        rollback(s, cp)
+        assert s._dirty == cp.dirty
+        if s.dm is None:
+            assert_dirty_covers(s)
+            checked["rollback"] += 1
+
+    monkeypatch.setattr(decide_module, "saturate", checked_saturate)
+    monkeypatch.setattr(state_cls, "instantiate", checked_instantiate)
+    monkeypatch.setattr(state_cls, "rollback", checked_rollback)
+    for f in differential_formulas():
+        decide(f)
+        if isinstance(f, (Imp, Or)):
+            direct_force(f)
+    assert all(checked[k] for k in ("saturate", "instantiate", "rollback")), checked
+
+
+def test_rollback_restores_the_dirty_set_of_its_checkpoint():
+    s = state_for("forall x. (P(x) -> Q(x)) & (P(a) | Q(b))")
+    q, disj = s.tree.nodes[s.tree.root].children
+    s.set_mark(q, 1, "OA")
+    saved = set(s._dirty)
+    cp = s.checkpoint()
+    assert cp.dirty == saved
+    s.set_mark(disj, 0, "OR")
+    s.instantiate(q, Const("a"), "I∀")
+    assert isinstance(saturate(s), Quiescent)
+    assert s._dirty != saved
+    s.rollback(cp)
+    assert s._dirty == saved
+    assert_dirty_covers(s)
+
+
+def test_a_fresh_clone_dirties_its_quantifier_and_marked_classes_only():
+    s = state_for("forall x. (P(x) | Q(x)) & (P(a) & Q(b))")
+    q, conj = s.tree.nodes[s.tree.root].children
+    pa = s.tree.nodes[conj].children[0]
+    s.set_mark(pa, 1, "m")
+    before = set(s._dirty)
+    # no class of the clone of P(b) | Q(b) is marked
+    s.instantiate(q, Const("b"), "I∀")
+    assert s._dirty == before | {q}
+    assert_dirty_covers(s)
+    # the clone of P(a) | Q(a) joins P(a)'s class, whose member is marked
+    c = s.instantiate(q, Const("a"), "I∀")
+    p_clone = s.tree.nodes[c].children[0]
+    assert s.key(p_clone) == s.key(pa)
+    assert s._dirty == before | {q, pa, p_clone}
+    assert (p_clone, 1, "IA", (pa,)) in s.forced_for_anchor(pa)
+    assert_dirty_covers(s)
 
 
 def test_discharge_rule_messages_name_the_connective():
