@@ -8,6 +8,16 @@ opposite. If every completion double-marks, rejecting the root is absurd; a
 quiescent consistent total marking is read back as a countermodel and checked
 against the model semantics before it is reported.
 
+The search runs at individual budgets 1, 2, 4, ... and last at the full
+budget, each level afresh from the same initial tree, so a countermodel comes
+from the smallest level that has one (as MACE and Paradox try domain sizes in
+increasing order). A closure is `Valid` at any level when it never leaned on
+the level's budget (no capping hit), and with one at a level where the
+budget is conclusive (monadic input with n predicates, 2**n or more).
+Elsewhere a capping closure is no verdict, and the next level redoes the
+search; at the full budget it is `NoCountermodelUpTo`. A verdict carries the
+state of the level that gave it.
+
 The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options.
 """
@@ -184,16 +194,37 @@ class _Search:
         return True
 
 
+def _levels(budget: int) -> list[int]:
+    """Individual budgets the search tries in turn: 1, 2, 4, ... below
+    budget, then budget itself."""
+    levels = [1]
+    while levels[-1] < budget:
+        levels.append(min(2 * levels[-1], budget))
+    return levels
+
+
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
     Both procedures, the search and, with `allow_direct`, direct forcing,
     run on f with its vacuous binders dropped (`drop_vacuous`), so a
-    verdict's state numbers the nodes of that formula's tree. Valid carries
-    the closing trace. Invalid carries a countermodel extracted from the
-    open marking and verified against f under the model semantics.
-    NoCountermodelUpTo reports closure that leaned on the individual budget
-    where closure is not conclusive for the fragment.
+    verdict's state numbers the nodes of that formula's tree. The search
+    runs at individual budget 1, 2, 4, ... and then at the full budget
+    (`_levels`), each level from a freshly built tree with the full
+    `branch_limit`, and stops at the first level with a verdict:
+
+    - Invalid, at any level: a countermodel extracted from the open marking
+      and verified against f under the model semantics, so the smallest
+      level that has one gives it;
+    - Valid, at any level, when the closure had no capping hit, and for a
+      monadic fragment also at any level that reaches its conclusive 2**n;
+    - NoCountermodelUpTo(budget), at the full budget only: closure that
+      leaned on the individual budget where closure is not conclusive for
+      the fragment.
+
+    Any other closure with a capping hit below the full budget is no
+    verdict, and the next level redoes it. The verdict carries the state,
+    and so the trace, of the level that gave it.
     """
     cfg = cfg or EngineConfig()
     try:
@@ -207,6 +238,8 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     # the tree build gathered the arities, so f is walked again only when dyadic
     fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
+    # a closure at this many individuals is Valid even with a capping hit
+    conclusive = fragment_bounds(fragment)[0] if isinstance(fragment, Monadic) else budget + 1
     # an equivalent formula with fewer binders: each binder marked for a
     # witness would add an individual, and every universal an instance for
     # it. No subformula's free-variable count changes, so neither does the
@@ -218,26 +251,27 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
             return direct
     if searched is not f:
         tree = build_initial_tree(searched)
-    s = init_marking(tree)
-    search = _Search(s, budget, cfg.branch_limit)
-    frame = s.open_supposition(tree.root, 0, kind="RR")
-    try:
-        closed = search.explore()
-    except RecursionError:
-        # each nested supposition costs a few interpreter frames
-        raise ResourceLimitError("search nesting exceeds the interpreter's recursion limit") from None
-    if not closed:
-        s.commit_frames()
-        model = extract_model(s)
-        if evaluate(model, f, {}) != 0:
-            raise StateError("internal check failed: extracted model does not refute the formula")
-        return Invalid(model, s)
-    search._close(frame)
-    genuine = not search.capping_hit or (
-        isinstance(fragment, Monadic) and budget >= fragment_bounds(fragment)[0]
-    )
-    if genuine:
-        return Valid(list(s.trace), s)
+    for level in _levels(budget):
+        if level > 1:
+            # the search grew the tree; every level starts from the same one
+            tree = build_initial_tree(searched)
+        s = init_marking(tree)
+        search = _Search(s, level, cfg.branch_limit)
+        frame = s.open_supposition(tree.root, 0, kind="RR")
+        try:
+            closed = search.explore()
+        except RecursionError:
+            # each nested supposition costs a few interpreter frames
+            raise ResourceLimitError("search nesting exceeds the interpreter's recursion limit") from None
+        if not closed:
+            s.commit_frames()
+            model = extract_model(s)
+            if evaluate(model, f, {}) != 0:
+                raise StateError("internal check failed: extracted model does not refute the formula")
+            return Invalid(model, s)
+        search._close(frame)
+        if not search.capping_hit or level >= conclusive:
+            return Valid(list(s.trace), s)
     return NoCountermodelUpTo(budget, s)
 
 

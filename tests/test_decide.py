@@ -1,5 +1,7 @@
 """End-to-end decisions: verdicts, countermodels, budgets, direct mode."""
 
+import time
+
 import pytest
 
 from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure
@@ -24,7 +26,7 @@ from semforce import (
     parse_formula,
     render_trace,
 )
-from semforce.decide import DEFAULT_DYADIC_BOUND, _Search, fragment_bounds
+from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _Search, fragment_bounds
 from semforce.formulas import classify_fragment
 
 
@@ -77,12 +79,82 @@ def test_validity_traces_end_in_root_discharge():
     assert "RR-DM" in lines[-1]
 
 
+def _closes_with_a_capping_hit(f, level: int) -> bool:
+    """Whether the search at individual budget level closes, and leaned on
+    that budget to do so."""
+    s = init_marking(build_initial_tree(f))
+    s.open_supposition(s.tree.root, 0, kind="RR")
+    search = _Search(s, level, EngineConfig().branch_limit)
+    return search.explore() and search.capping_hit
+
+
+def test_levels_double_up_to_the_budget():
+    assert _levels(1) == [1]
+    assert _levels(2) == [1, 2]
+    assert _levels(6) == [1, 2, 4, 6]
+    assert _levels(8) == [1, 2, 4, 8]
+    assert _levels(32) == [1, 2, 4, 8, 16, 32]
+
+
+def test_reference_six_gets_its_reference_model_at_the_default_config():
+    # level 1 closes with a capping hit, and level 2 finds the reference model
+    f = parse_formula(ILLUSTRATIONS[6])
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid)
+    assert canonical_structure(verdict.model) == canonical_structure(REFERENCE_MODELS[6])
+    assert evaluate(verdict.model, f) == 0
+
+
+def test_a_witness_chain_stops_at_one_individual():
+    # at the full budget 2^5 every witness filled the budget: 32 individuals
+    f = parse_formula("exists t. (R(t) -> ~exists u. (P(u) & Q(u) & S(u) & T(u)))")
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid) and len(verdict.model.domain) == 1
+    assert evaluate(verdict.model, f) == 0
+
+
+def test_a_countermodel_below_the_dyadic_budget_needs_no_deep_search():
+    # at budget 8 alone this search nested past the interpreter's recursion
+    # limit after about 17 s; level 1 has a countermodel
+    f = parse_formula(
+        "~forall x. forall y. ~(~(R(x,a) & (P(a) -> R(a,y))) & exists x. forall y. (R(y,a) & P(y) & R(x,a)))"
+    )
+    start = time.perf_counter()
+    verdict = decide(f)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(verdict, Invalid)
+    assert evaluate(verdict.model, f) == 0
+
+
+# valid formulas whose searches close with a capping hit at every level: the
+# antecedent's forall-exists asks every individual for one more witness
+MONADIC_CAPPING_VALID = "forall x. exists y. (P(x) <-> ~P(y)) -> exists x. exists y. ~(P(x) <-> P(y))"
+DYADIC_CAPPING_VALID = "forall x. exists y. (R(x,x) <-> ~R(y,y)) -> exists x. exists y. ~(R(x,x) <-> R(y,y))"
+
+
 def test_monadic_validity_is_genuine_at_the_fragment_bound():
-    # 2 predicates give a 2^2 bound; the formula is valid, so the search may
-    # cap yet still conclude Valid rather than a bounded verdict
-    f = parse_formula("forall x. (P(x) & Q(x)) -> forall x. P(x)")
+    # 1 predicate gives a 2^1 bound, so the levels are 1 and 2; the formula
+    # is valid, and its search caps at both. The capping closure at level 1
+    # is no verdict; at 2^1 it is conclusive, so Valid rather than a bounded
+    # verdict
+    f = parse_formula(MONADIC_CAPPING_VALID)
+    assert _levels(domain_bound(classify_fragment(f))) == [1, 2]
+    assert _closes_with_a_capping_hit(f, 1) and _closes_with_a_capping_hit(f, 2)
     verdict = decide(f)
     assert isinstance(verdict, Valid)
+    # under an explicit budget above 2^1 the search stops at level 2 as well
+    above = decide(f, EngineConfig(max_individuals=5))
+    assert isinstance(above, Valid) and above.trace == verdict.trace
+
+
+def test_a_dyadic_closure_that_caps_at_every_level_is_bounded_by_the_budget():
+    f = parse_formula(DYADIC_CAPPING_VALID)
+    assert all(_closes_with_a_capping_hit(f, level) for level in _levels(DEFAULT_DYADIC_BOUND))
+    verdict = decide(f)
+    assert isinstance(verdict, NoCountermodelUpTo) and verdict.bound == DEFAULT_DYADIC_BOUND
+    # an explicit max_individuals is the last level, power of two or not
+    bounded = decide(f, EngineConfig(max_individuals=3))
+    assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 3
 
 
 def test_dyadic_default_budget_is_eight():
