@@ -58,14 +58,12 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
 def _cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     verdict = decide(f, _engine_config(args))
-    as_json = args.format == "json"
     if isinstance(verdict, NoCountermodelUpTo):
-        if as_json:
-            print(json.dumps({"verdict": "no_countermodel_up_to", "bound": verdict.bound}, indent=2))
-        else:
-            print(f"no countermodel up to {verdict.bound} individuals")
-        return EXIT_NO_COUNTERMODEL
-    payload: dict = {"verdict": _verdict_word(verdict)}
+        payload: dict = {"verdict": "no_countermodel_up_to", "bound": verdict.bound}
+        headline = f"no countermodel up to {verdict.bound} individuals"
+    else:
+        payload = {"verdict": _verdict_word(verdict)}
+        headline = payload["verdict"]
     if isinstance(verdict, Invalid):
         payload["countermodel"] = model_json(verdict.model)
     if args.trace:
@@ -73,16 +71,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if searched is not f:
             payload["decided"] = format_formula(searched)
         payload["trace"] = render_trace(verdict.state.trace).splitlines()
-    if as_json:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(payload["verdict"])
+        print(headline)
         if "countermodel" in payload:
             print(json.dumps(payload["countermodel"], indent=2))
         if "decided" in payload:
             print(f"decided as: {payload['decided']}")
         if args.trace:
             print("\n".join(payload["trace"]))
+    if isinstance(verdict, NoCountermodelUpTo):
+        return EXIT_NO_COUNTERMODEL
     return EXIT_VALID if isinstance(verdict, Valid) else EXIT_INVALID
 
 
@@ -90,7 +90,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     cfg = _engine_config(args)
     budget = domain_bound(classify_fragment(f), cfg)
-    # the tree decide searches: each vacuous binder would add an individual
+    # the formula decide searches: each vacuous binder would add an individual.
+    # One saturation at the full budget, decide's last level, and no search
     searched = drop_vacuous(f)
     s = init_marking(build_initial_tree(searched))
     s.open_supposition(s.tree.root, 0, kind="RR")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(fn=_cmd_check)
 
-    render = sub.add_parser("render", help="render the saturated forcing tree")
+    render = sub.add_parser("render", help="render the forcing tree saturated once at the full budget, without search")
     render.add_argument("formula")
     render.add_argument("--format", choices=("ascii", "dot"), default="ascii")
     render.add_argument("--max-individuals", type=int, default=None)

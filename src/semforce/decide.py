@@ -6,7 +6,9 @@ obligations suppressed by the individual budget get realized with existing
 individuals. Every failed option discharges into the certainty of its
 opposite. If every completion double-marks, rejecting the root is absurd; a
 quiescent consistent total marking is read back as a countermodel and checked
-against the model semantics before it is reported.
+against the model semantics before it is reported. The search is one loop
+over a list of open choice points, so the interpreter's stack does not bound
+how deep its suppositions nest.
 
 The search runs at individual budgets 1, 2, 4, ... and last at the full
 budget, each level afresh from the same initial tree, so a countermodel comes
@@ -25,7 +27,7 @@ and tries to force the other side's discharge mark without options.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import FragmentError, FreeVariableError, ResourceLimitError, StateError
 from .formulas import (
@@ -36,12 +38,14 @@ from .formulas import (
     Imp,
     Monadic,
     Or,
+    Term,
     classify_arities,
     classify_fragment,
     drop_vacuous,
 )
 from .marking import (
     DoubleMark,
+    Frame,
     MarkingState,
     TraceStep,
     capped_obligations,
@@ -121,77 +125,72 @@ def domain_bound(fragment: FragmentClass, cfg: Optional[EngineConfig] = None) ->
     return bounds[0]
 
 
-class _Search:
-    def __init__(self, s: MarkingState, budget: int, branch_limit: int):
-        self.s = s
-        self.budget = budget
-        self.branch_limit = branch_limit
-        self.branches = 0
-        self.capping_hit = False
+def _suppose_instance(s: MarkingState, qnid: int, untried: Iterator[Term]) -> Optional[Frame]:
+    """Suppose that the next untried individual realizes the budget-capped
+    obligation qnid, instantiating it where needed; None when none is left."""
+    want = s.marked(qnid)
+    rule = PERMISSION[s.tree.nodes[qnid].kind]
+    for term in untried:
+        # capped_obligations left out quantifiers with an instance marked
+        # want, so a marked instance here carries the opposite value
+        terms = s.tree.instance_terms(qnid)
+        if term in terms:
+            child = s.tree.instance_children(qnid)[terms.index(term)]
+            if s.marked(child) is not None:
+                continue
+        else:
+            child = s.instantiate(qnid, term, rule)
+        return s.open_supposition(child, want)
+    return None
 
-    def _bump(self) -> None:
-        self.branches += 1
-        if self.branches > self.branch_limit:
-            raise ResourceLimitError(f"branch limit {self.branch_limit} exceeded")
 
-    def explore(self) -> bool:
-        """Exhaust the current state's freedom. True means every completion
-        double-marked; False means an open total marking stands in s."""
-        self._bump()
-        s = self.s
-        res = saturate(s, self.budget)
-        if isinstance(res, DoubleMark):
-            return True
-        pending = capped_obligations(s, self.budget)
-        if pending:
-            self.capping_hit = True
-        unmarked = s.unmarked_relevant_ground()
-        if not pending and not unmarked:
-            return False
-        target = min(pending + unmarked)
-        if target in pending:
-            return self._try_instances(target)
-        return self._try_values(target)
+def _search(s: MarkingState, budget: int, branch_limit: int) -> tuple[bool, bool]:
+    """Exhaust s's freedom: (closed, capping_hit). Closed means every
+    completion double-marked; otherwise an open total marking stands in s.
 
-    def _close(self, frame) -> None:
-        """Discharge a frame whose scope closed: by the double mark when one
-        stands, by alternative exhaustion otherwise."""
-        s = self.s
-        s.discharge(frame, "contradiction" if s.dm is not None else "exhausted")
-
-    def _try_values(self, n: int) -> bool:
-        s = self.s
-        frame = s.open_supposition(n, 0)
-        if not self.explore():
-            return False
-        self._close(frame)
-        if s.dm is not None:
-            return True
-        return self.explore()
-
-    def _try_instances(self, qnid: int) -> bool:
-        """Budget-capped quantifier obligation: some existing individual must
-        realize it. Try each; failures become certainties of the opposite."""
-        s = self.s
-        want = s.marked(qnid)
-        rule = PERMISSION[s.tree.nodes[qnid].kind]
-        for term in list(s.domain_registry):
-            # capped_obligations left out quantifiers with an instance marked
-            # want, so a marked instance here carries the opposite value
-            terms = s.tree.instance_terms(qnid)
-            if term in terms:
-                child = s.tree.instance_children(qnid)[terms.index(term)]
-                if s.marked(child) is not None:
-                    continue
-            else:
-                child = s.instantiate(qnid, term, rule)
-            frame = s.open_supposition(child, want)
-            if not self.explore():
-                return False
-            self._close(frame)
+    The depth-first case split is one loop over the open choice points,
+    innermost last: a node supposed 0, or a capped obligation with its
+    untried individuals. When a pass closes, the points are discharged
+    innermost first. A failed 0 leaves the opposite mark and the loop goes
+    on without its point, a failed individual gives way to the next one,
+    and a discharge that leaves a double mark closes the enclosing point.
+    """
+    points: list[tuple[Frame, Optional[tuple[int, Iterator[Term]]]]] = []
+    branches = 0
+    capping_hit = False
+    while True:
+        branches += 1
+        if branches > branch_limit:
+            raise ResourceLimitError(f"branch limit {branch_limit} exceeded")
+        if not isinstance(saturate(s, budget), DoubleMark):
+            pending = capped_obligations(s, budget)
+            capping_hit = capping_hit or bool(pending)
+            unmarked = s.unmarked_relevant_ground()
+            if not pending and not unmarked:
+                return False, capping_hit
+            target = min(pending + unmarked)
+            if target not in pending:
+                points.append((s.open_supposition(target, 0), None))
+                continue
+            untried = iter(list(s.domain_registry))
+            frame = _suppose_instance(s, target, untried)
+            if frame is not None:
+                points.append((frame, (target, untried)))
+                continue
+        # the pass closed: by a double mark, or with no individual to try
+        while points:
+            frame, obligation = points.pop()
+            s.discharge(frame, "contradiction" if s.dm is not None else "exhausted")
             if s.dm is not None:
-                return True
-        return True
+                continue
+            if obligation is None:
+                break
+            frame = _suppose_instance(s, *obligation)
+            if frame is not None:
+                points.append((frame, obligation))
+                break
+        else:
+            return True, capping_hit
 
 
 def _levels(budget: int) -> list[int]:
@@ -256,21 +255,16 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
             # the search grew the tree; every level starts from the same one
             tree = build_initial_tree(searched)
         s = init_marking(tree)
-        search = _Search(s, level, cfg.branch_limit)
         frame = s.open_supposition(tree.root, 0, kind="RR")
-        try:
-            closed = search.explore()
-        except RecursionError:
-            # each nested supposition costs a few interpreter frames
-            raise ResourceLimitError("search nesting exceeds the interpreter's recursion limit") from None
+        closed, capping_hit = _search(s, level, cfg.branch_limit)
         if not closed:
             s.commit_frames()
             model = extract_model(s)
             if evaluate(model, f, {}) != 0:
                 raise StateError("internal check failed: extracted model does not refute the formula")
             return Invalid(model, s)
-        search._close(frame)
-        if not search.capping_hit or level >= conclusive:
+        s.discharge(frame, "contradiction" if s.dm is not None else "exhausted")
+        if not capping_hit or level >= conclusive:
             return Valid(list(s.trace), s)
     return NoCountermodelUpTo(budget, s)
 

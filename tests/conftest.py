@@ -91,6 +91,15 @@ def random_formula(rng: random.Random, budget: int, bound: tuple[str, ...] = ())
     return (Forall if pick == "forall" else Exists)(fresh, body)
 
 
+def balanced_pairs(n: int) -> str:
+    """~ over a balanced conjunction of n (P(ci) | Q(ci)): its search nests
+    one supposition per disjunction before it finds a countermodel."""
+    parts = [f"(P(c{i}) | Q(c{i}))" for i in range(n)]
+    while len(parts) > 1:
+        parts = [f"({a} & {b})" if b else a for a, b in zip(parts[::2], parts[1::2] + [""])]
+    return "~" + parts[0]
+
+
 def differential_formulas():
     """The worked formulas, 150 criterion-4 monadic formulas and 40 closed
     two-variable dyadic ones, for differential checks of the engine."""

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import ILLUSTRATIONS
+from conftest import ILLUSTRATIONS, balanced_pairs
 
 from semforce import models
 from semforce.gen import random_monadic
@@ -82,6 +82,27 @@ def test_check_trace_names_the_formula_it_decided(capsys):
     for argv in ([ILLUSTRATIONS[1], "--trace"], [src], [ILLUSTRATIONS[1], "--trace", "--format", "json"]):
         _, out, _ = run(capsys, "check", *argv)
         assert "decided" not in out
+
+
+@pytest.mark.parametrize("prefix", ["", "exists z. "])
+def test_check_trace_of_an_inconclusive_verdict(capsys, prefix):
+    src = prefix + "forall x. exists y. (R(x,x) <-> ~R(y,y)) -> exists x. exists y. ~(R(x,x) <-> R(y,y))"
+    code, out, _ = run(capsys, "check", src)
+    assert code == EXIT_NO_COUNTERMODEL
+    assert out == "no countermodel up to 8 individuals\n"
+    code, out, _ = run(capsys, "check", src, "--trace")
+    assert code == EXIT_NO_COUNTERMODEL
+    lines = out.splitlines()
+    assert lines[0] == "no countermodel up to 8 individuals"
+    assert ("decided as: " in lines[1]) == bool(prefix)
+    assert lines[1 + bool(prefix)] == "1. RR"
+    assert lines[-1].startswith(f"{len(lines) - 1 - bool(prefix)}. ")
+    code, out, _ = run(capsys, "check", src, "--trace", "--format", "json")
+    assert code == EXIT_NO_COUNTERMODEL
+    doc = json.loads(out)
+    assert doc["verdict"] == "no_countermodel_up_to" and doc["bound"] == 8
+    assert doc["trace"] == lines[1 + bool(prefix):]
+    assert ("decided" in doc) == bool(prefix)
 
 
 def test_check_json_format(capsys):
@@ -188,15 +209,21 @@ def test_resource_limit_exit_code(capsys):
 
 
 def test_search_depth_limit_exit_code(capsys, monkeypatch):
-    from semforce.decide import _Search
+    import semforce.cli
 
-    def too_deep(self):
+    def too_deep(f, cfg):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(_Search, "explore", too_deep)
+    monkeypatch.setattr(semforce.cli, "decide", too_deep)
     code, _, err = run(capsys, "check", ILLUSTRATIONS[6])
     assert code == EXIT_INTERNAL == 70
     assert "recursion limit" in err
+
+
+def test_a_search_nesting_six_hundred_suppositions_is_checked(capsys):
+    code, out, _ = run(capsys, "check", balanced_pairs(600))
+    assert code == EXIT_INVALID
+    assert out.splitlines()[0] == "invalid"
 
 
 def test_render_ascii_shows_committed_marks(capsys):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure
+from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, balanced_pairs, canonical_structure
 
 from semforce import (
     EngineConfig,
@@ -26,7 +26,7 @@ from semforce import (
     parse_formula,
     render_trace,
 )
-from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _Search, fragment_bounds
+from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _search, fragment_bounds
 from semforce.formulas import classify_fragment
 
 
@@ -84,8 +84,8 @@ def _closes_with_a_capping_hit(f, level: int) -> bool:
     that budget to do so."""
     s = init_marking(build_initial_tree(f))
     s.open_supposition(s.tree.root, 0, kind="RR")
-    search = _Search(s, level, EngineConfig().branch_limit)
-    return search.explore() and search.capping_hit
+    closed, capping_hit = _search(s, level, EngineConfig().branch_limit)
+    return closed and capping_hit
 
 
 def test_levels_double_up_to_the_budget():
@@ -231,15 +231,13 @@ def test_branch_limit_aborts_the_search():
         decide(parse_formula(ILLUSTRATIONS[6]), EngineConfig(branch_limit=1))
 
 
-def test_a_search_too_deep_for_the_interpreter_is_a_resource_limit(monkeypatch):
-    from semforce import ResourceLimitError
-
-    def too_deep(self):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(_Search, "explore", too_deep)
-    with pytest.raises(ResourceLimitError, match="recursion limit"):
-        decide(parse_formula(ILLUSTRATIONS[6]))
+def test_a_search_nesting_six_hundred_suppositions_is_decided():
+    # a recursive search ran out of interpreter frames here, with a few
+    # frames per open supposition
+    f = parse_formula(balanced_pairs(600))
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid)
+    assert evaluate(verdict.model, f) == 0
 
 
 def test_six_hundred_negations_decide_at_the_default_recursion_limit():
@@ -291,7 +289,7 @@ def test_the_deep_instance_search_of_the_vacuous_binders_completes():
     f = parse_formula(DEEP_DYADIC)
     s = init_marking(build_initial_tree(f))
     s.open_supposition(s.tree.root, 0, kind="RR")
-    assert not _Search(s, DEFAULT_DYADIC_BOUND, EngineConfig().branch_limit).explore()
+    assert _search(s, DEFAULT_DYADIC_BOUND, EngineConfig().branch_limit) == (False, True)
     assert len(s.tree.nodes) == 4382
     assert len(s.trace) == 4346
     s.commit_frames()
@@ -299,7 +297,7 @@ def test_the_deep_instance_search_of_the_vacuous_binders_completes():
 
 
 def test_an_instance_search_that_meets_an_existing_instance_child():
-    # reaches _Search._try_instances' reuse of an existing instance child,
+    # reaches _suppose_instance's reuse of an existing instance child,
     # which neither the other tests nor the benchmark workloads reach
     f = parse_formula("exists y. (R(y,y) & ~exists y. R(y,y))")
     verdict = decide(f)
@@ -309,9 +307,9 @@ def test_an_instance_search_that_meets_an_existing_instance_child():
 
 
 def test_an_instance_search_ended_by_a_double_mark():
-    # reaches _Search._try_instances' return on the double mark left by a
-    # closed instance try, which neither the other tests nor the benchmark
-    # workloads reach
+    # reaches an individual's discharge in _search that leaves a double
+    # mark and so ends its obligation's tries, which neither the other
+    # tests nor the benchmark workloads reach
     f = parse_formula("(exists x. P(x) <-> P(c)) & (P(c) <-> forall x. P(x))")
     bounded = decide(f, EngineConfig(max_individuals=1))
     assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 1
