@@ -11,7 +11,7 @@ over a list of open choice points, so the interpreter's stack does not bound
 how deep its suppositions nest.
 
 The search runs at individual budgets 1, 2, 4, ... and last at the full
-budget, each level afresh from the same initial tree, so a countermodel comes
+budget, each level afresh on the same initial tree, so a countermodel comes
 from the smallest level that has one (as MACE and Paradox try domain sizes in
 increasing order). A closure is `Valid` at any level when it never leaned on
 the level's budget (no capping hit), and with one at a level where the
@@ -209,7 +209,7 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     run on f with its vacuous binders dropped (`drop_vacuous`), so a
     verdict's state numbers the nodes of that formula's tree. The search
     runs at individual budget 1, 2, 4, ... and then at the full budget
-    (`_levels`), each level from a freshly built tree with the full
+    (`_levels`), each level with a fresh marking and the full
     `branch_limit`, and stops at the first level with a verdict:
 
     - Invalid, at any level: a countermodel extracted from the open marking
@@ -222,8 +222,9 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
       the fragment.
 
     Any other closure with a capping hit below the full budget is no
-    verdict, and the next level redoes it. The verdict carries the state,
-    and so the trace, of the level that gave it.
+    verdict, and the next level redoes it. The levels share one tree, which
+    each closed level's discharge rolls back to its initial nodes. The
+    verdict carries the state, and so the trace, of the level that gave it.
     """
     cfg = cfg or EngineConfig()
     try:
@@ -251,9 +252,6 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     if searched is not f:
         tree = build_initial_tree(searched)
     for level in _levels(budget):
-        if level > 1:
-            # the search grew the tree; every level starts from the same one
-            tree = build_initial_tree(searched)
         s = init_marking(tree)
         frame = s.open_supposition(tree.root, 0, kind="RR")
         closed, capping_hit = _search(s, level, cfg.branch_limit)

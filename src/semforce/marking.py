@@ -48,14 +48,9 @@ invariant from there, each dirtying only the anchors that can now conclude:
   variable, since generalization over it may be licensed again at any
   quantifier.
 
-Quantifier obligations are kept current the same way, not found by a scan
-per saturation round. Two maps hold them:
-
-- `_witness`, quantifier → its first fresh-witness instance child, set by
-  `instantiate` and undone by a trail entry (`witness_child` reads it);
-- `_obliged`, marked quantifier → whether its obligation is one fresh witness
-  (`INSTANTIATION[kind, value].witness`) rather than an instance per
-  individual, set by `set_mark` and undone by a trail entry.
+A marked quantifier's obligation is read from its kind and mark
+(`INSTANTIATION`), and its witness from the rule that made each instance child
+(`inst_rule`).
 """
 
 from __future__ import annotations
@@ -228,16 +223,12 @@ class MarkingState:
         self.trace: list[TraceStep] = []
         self.dm: Optional[DoubleMark] = None
         self.generic: Optional[Var] = None
-        self._step = 0
         self._witness_counter = 0
         # read only: the tree's own set of the source's identifiers
         self._reserved = tree.identifiers
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
-        # quantifier obligations, kept current by the hooks (module docstring)
-        self._witness: dict[int, int] = {}
-        self._obliged: dict[int, bool] = {}
         # (undo, argument) pairs, one per insertion, popped by rollback; each
         # undo is a method of a container, not of the state, so that a trail
         # entry does not keep a finished state alive until the cycle
@@ -273,8 +264,14 @@ class MarkingState:
         return node.shape if node.ground else None
 
     def witness_child(self, qnid: int) -> Optional[int]:
-        """The first fresh-witness instance child of qnid, None while it has none."""
-        return self._witness.get(qnid)
+        """The first fresh-witness instance child of qnid, None while it has
+        none. A branch `_clone` copied into a clone has no `inst_rule` entry:
+        its quantifier got it while inside a template."""
+        inst_rule = self.inst_rule
+        for c in self.tree.nodes[qnid].children[1:]:
+            if inst_rule.get(c) in WITNESS_RULES:
+                return c
+        return None
 
     # ------------------------------------------------------- undo bookkeeping
 
@@ -283,7 +280,7 @@ class MarkingState:
             trail_len=len(self._trail),
             scopes_len=len(self.scopes),
             trace_len=len(self.trace),
-            next_nid=self.tree._next_nid,
+            next_nid=len(self.tree.nodes) + 1,
             dm=self.dm,
             generic=self.generic,
             dirty=frozenset(self._dirty),
@@ -306,24 +303,15 @@ class MarkingState:
         self.tree.truncate(cp.next_nid)
         self._dirty = set(cp.dirty)
 
-    def _close_frames(self, keep: int) -> None:
-        """Drop the frames above the first keep, keeping their marks. Once a
-        frame naming a free variable is gone, generalization over that
-        variable may be licensed again, at any quantifier, so every node is
-        dirtied."""
-        if any(frame.free_vars for frame in self.scopes[keep:]):
-            self._dirty.update(self.tree.nodes)
-        del self.scopes[keep:]
-
     # ----------------------------------------------------------- trace output
 
     def _record(self, node: Optional[int], value: Optional[Mark], rule: str, premise_nodes: tuple[int, ...],
                 premise_steps: Optional[tuple[int, ...]] = None) -> int:
-        self._step += 1
+        step = len(self.trace) + 1
         if premise_steps is None:
             premise_steps = tuple(self.marks[p][1] for p in premise_nodes if p in self.marks)
-        self.trace.append(TraceStep(self._step, node, value, rule, premise_steps))
-        return self._step
+        self.trace.append(TraceStep(step, node, value, rule, premise_steps))
+        return step
 
     # -------------------------------------------------------------- new names
 
@@ -369,8 +357,9 @@ class MarkingState:
             self._record(n, None, "DM", (), (current[1], step))
             return
         # _record, inline: this is the path every forced mark takes
-        self._step = step = self._step + 1
-        self.trace.append(TraceStep(step, n, v, rule, tuple([marks[p][1] for p in premises if p in marks])))
+        trace = self.trace
+        step = len(trace) + 1
+        trace.append(TraceStep(step, n, v, rule, tuple([marks[p][1] for p in premises if p in marks])))
         k = node.shape
         marks[n] = (v, step)
         trail = self._trail
@@ -378,11 +367,8 @@ class MarkingState:
         # the anchors this mark can make conclude (module docstring)
         dirty = self._dirty
         kind = node.kind
-        if node.is_quantifier:
-            self._obliged[n] = INSTANTIATION[kind, v].witness
-            trail.append((self._obliged.pop, n))
-            dirty.add(n)
-        elif len(self.formula_index[k]) > 1 or (kind in _LIVE and _pattern(marks, node) in _LIVE[kind]):
+        if node.is_quantifier or len(self.formula_index[k]) > 1 or (
+                kind in _LIVE and _pattern(marks, node) in _LIVE[kind]):
             dirty.add(n)
         parent = node.parent
         if parent is not None:
@@ -529,7 +515,7 @@ class MarkingState:
         # can iterate into them (module docstring)
         nodes, index, consensus, dirty = tree.nodes, self.formula_index, self.consensus, self._dirty
         dirty.add(qnid)
-        for nid in range(child, tree._next_nid):
+        for nid in range(child, len(nodes) + 1):
             node = nodes[nid]
             if node.ground:
                 k = node.shape
@@ -544,10 +530,6 @@ class MarkingState:
                         dirty.update(members)
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
-            # witness_child names the first witness; a later one leaves it
-            if qnid not in self._witness:
-                self._witness[qnid] = child
-                trail.append((self._witness.pop, qnid))
             self.witness_registry[term.name] = (child, self.tree.node_free_variables(child))
             trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
@@ -579,7 +561,7 @@ class MarkingState:
         frame = Frame(
             node=n,
             assumed=v,
-            opened_at=self._step + 1,
+            opened_at=len(self.trace) + 1,
             free_vars=self.tree.node_free_variables(n),
             kind=kind,
             checkpoint=self.checkpoint(),
@@ -639,8 +621,13 @@ class MarkingState:
         self.trace[self.step_of(n) - 1].premises = cite
 
     def commit_frames(self) -> None:
-        """Keep all provisional marks as final (a consistent completion stands)."""
-        self._close_frames(0)
+        """Keep all provisional marks as final (a consistent completion
+        stands). Once a frame naming a free variable is gone, generalization
+        over that variable may be licensed again, at any quantifier, so every
+        node is dirtied."""
+        if any(frame.free_vars for frame in self.scopes):
+            self._dirty.update(self.tree.nodes)
+        self.scopes.clear()
 
     # --------------------------------------------------- forced consequences
 
@@ -671,7 +658,7 @@ class MarkingState:
             if mark is not None:
                 inst = INSTANTIATION[node.kind, mark]
                 if inst.witness:
-                    w = self._witness.get(n)
+                    w = self.witness_child(n)
                     kids = () if w is None else (w,)
                 for c in kids:
                     got = marks.get(c)
@@ -783,20 +770,23 @@ def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     if budget is None or len(s.domain_registry) < budget:
         return []
     # an instance already carrying the required value settles the obligation
-    witness, marked, children = s._witness, s.marked, s.tree.instance_children
+    marked, children = s.marked, s.tree.instance_children
     return [
         nid for nid in _marked_quantifiers(s, witness=True)
-        if nid not in witness and marked(nid) not in map(marked, children(nid))
+        if s.witness_child(nid) is None and marked(nid) not in map(marked, children(nid))
     ]
 
 
 def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
     """Marked quantifiers obliged to a fresh witness (witness=True) or to an
     instance per individual (witness=False), in relevant order."""
-    obliged = s._obliged
-    if not obliged:
-        return []
-    return [nid for nid in s.relevant_quantifiers() if obliged.get(nid) is witness]
+    nodes, marks = s.tree.nodes, s.marks
+    out = []
+    for nid in s.relevant_quantifiers():
+        got = marks.get(nid)
+        if got is not None and INSTANTIATION[nodes[nid].kind, got[0]].witness is witness:
+            out.append(nid)
+    return out
 
 
 def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:

@@ -6,6 +6,9 @@ a term clones the template subtree with that position filled; the clone
 becomes a new instance child. Clones keep the template's placeholder ids, so a
 nested quantifier inside an instance can itself be instantiated independently.
 
+Node ids are 1..len(nodes): each new node takes the next one, and `truncate`
+removes only the newest, so the next id is always `len(nodes) + 1`.
+
 A node stores its formula only as a shape id, set once when the node is
 created and interned per tree (hash-consing). In an atom's shape a bound
 position is a de Bruijn index: the number of binders between the atom and the
@@ -84,7 +87,6 @@ class ForcingTree:
 
     def __init__(self, formula: Formula):
         self.nodes: dict[int, TreeNode] = {}
-        self._next_nid = 1
         self._next_qid = 1
         # bumped whenever nodes are added or removed after construction; it
         # only increases, so a (version, value) pair never goes stale
@@ -125,8 +127,7 @@ class ForcingTree:
         `vacuous` when a binder's variable occurs in no atom below it."""
         kind = KIND_OF[type(f)]
         quantifier = kind in _QUANT_KINDS
-        nid = self._next_nid
-        self._next_nid = nid + 1
+        nid = len(self.nodes) + 1
         self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_quantifier=quantifier, is_template=is_template)
         if parent is not None:
             self.nodes[parent].children.append(nid)
@@ -246,16 +247,16 @@ class ForcingTree:
     def truncate(self, next_nid: int) -> None:
         """Remove every node numbered next_nid or above, so that the next node
         created is numbered next_nid again."""
-        if next_nid >= self._next_nid:
+        end = len(self.nodes) + 1
+        if next_nid >= end:
             return
-        for nid in range(next_nid, self._next_nid):
+        for nid in range(next_nid, end):
             node = self.nodes.pop(nid)
             if node.parent is not None and node.parent in self.nodes:
                 siblings = self.nodes[node.parent].children
                 if nid in siblings:
                     siblings.remove(nid)
         self.version += 1
-        self._next_nid = next_nid
 
     def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], as_template: bool,
                depth: int) -> int:
@@ -265,8 +266,7 @@ class ForcingTree:
         nodes = self.nodes
         src = nodes[src_nid]
         sid = self._filled(src.shape, depth, term)
-        nid = self._next_nid
-        self._next_nid = nid + 1
+        nid = len(nodes) + 1
         nodes[nid] = TreeNode(
             nid, parent, src.kind, [], shape=sid, ground=self._reach[sid] == 0, is_quantifier=src.is_quantifier,
             var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,

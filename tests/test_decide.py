@@ -1,5 +1,6 @@
 """End-to-end decisions: verdicts, countermodels, budgets, direct mode."""
 
+import sys
 import time
 
 import pytest
@@ -155,6 +156,28 @@ def test_a_dyadic_closure_that_caps_at_every_level_is_bounded_by_the_budget():
     # an explicit max_individuals is the last level, power of two or not
     bounded = decide(f, EngineConfig(max_individuals=3))
     assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 3
+
+
+def test_the_levels_share_one_tree(monkeypatch):
+    builds = []
+
+    def counted_build(f):
+        builds.append(f)
+        return build_initial_tree(f)
+
+    monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", counted_build)
+    # Valid after a capping level 1, and NoCountermodelUpTo after four levels
+    for src, want in ((MONADIC_CAPPING_VALID, Valid), (DYADIC_CAPPING_VALID, NoCountermodelUpTo)):
+        builds.clear()
+        f = parse_formula(src)
+        verdict = decide(f)
+        assert isinstance(verdict, want) and len(builds) == 1
+        # each closed level's discharge rolled the tree back to its initial nodes
+        fresh = build_initial_tree(f).nodes
+        assert len(fresh) == 13
+        assert {n: node.children for n, node in verdict.state.tree.nodes.items()} == {
+            n: node.children for n, node in fresh.items()
+        }
 
 
 def test_dyadic_default_budget_is_eight():

@@ -33,7 +33,7 @@ from semforce import (
 )
 from semforce.cli import model_json
 from semforce.formulas import Atom, alpha_normalize, is_ground
-from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, WITNESS_RULES, rules_for
+from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, rules_for
 
 
 def state_for(src):
@@ -697,71 +697,6 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
         assert got == want, format_formula(f)
 
 
-# Full scans of the relevant quantifiers and their instance children: the
-# reference the obligation maps are checked against.
-
-
-def scanned_marked_quantifiers(s, witness):
-    out = []
-    for nid in s.relevant_quantifiers():
-        inst = INSTANTIATION.get((s.tree.nodes[nid].kind, s.marked(nid)))
-        if inst is not None and inst.witness == witness:
-            out.append(nid)
-    return out
-
-
-def scanned_witness_child(s, qnid):
-    for c in s.tree.instance_children(qnid):
-        if s.inst_rule.get(c) in WITNESS_RULES:
-            return c
-    return None
-
-
-def scanned_capped_obligations(s, budget):
-    if budget is None or len(s.domain_registry) < budget:
-        return []
-    return [
-        nid for nid in scanned_marked_quantifiers(s, witness=True)
-        if scanned_witness_child(s, nid) is None
-        and not any(s.marked(c) == s.marked(nid) for c in s.tree.instance_children(nid))
-    ]
-
-
-def assert_obligations_match_a_scan(s, budget):
-    nodes = s.tree.nodes
-    assert s._obliged == {
-        n: INSTANTIATION[nodes[n].kind, v].witness for n, (v, _) in s.marks.items() if nodes[n].is_quantifier
-    }
-    for witness in (True, False):
-        assert marking._marked_quantifiers(s, witness) == scanned_marked_quantifiers(s, witness)
-    for q in s.relevant_quantifiers():
-        assert s.witness_child(q) == scanned_witness_child(s, q)
-    # at the registry's size as well, so the scan runs below the budget too
-    for b in (budget, len(s.domain_registry)):
-        assert marking.capped_obligations(s, b) == scanned_capped_obligations(s, b)
-
-
-def test_obligation_maps_match_a_full_scan(monkeypatch):
-    checks = []
-
-    def checked_saturate(s, budget=None, order="pre"):
-        out = saturate(s, budget, order)
-        assert_obligations_match_a_scan(s, budget)
-        checks.append(bool(s._obliged))
-        return out
-
-    def checked_capped(s, budget):
-        assert_obligations_match_a_scan(s, budget)
-        return marking.capped_obligations(s, budget)
-
-    decide_module = sys.modules["semforce.decide"]
-    monkeypatch.setattr(decide_module, "saturate", checked_saturate)
-    monkeypatch.setattr(decide_module, "capped_obligations", checked_capped)
-    for f in differential_formulas():
-        decide(f)
-    assert any(checks) and not all(checks)
-
-
 def generic_forced_for_anchor(s, n):
     """`forced_for_anchor` before the forcing table: every rule of the
     connective matched premise by premise, then the quantifier rules and
@@ -828,18 +763,24 @@ def test_forcing_table_matches_the_generic_rule_loop(monkeypatch):
     assert all(fired[kind] for kind in ("and", "or", "imp", "iff", "not", "forall", "exists", "atom")), fired
 
 
-def obligation_maps(s):
-    return [list(m.items()) for m in (s._witness, s._obliged)]
+def obligations(s):
+    """Each relevant quantifier's witness, then the marked quantifiers obliged
+    to a fresh witness and those obliged to an instance per individual."""
+    return (
+        {q: s.witness_child(q) for q in s.relevant_quantifiers()},
+        marking._marked_quantifiers(s, witness=True),
+        marking._marked_quantifiers(s, witness=False),
+    )
 
 
-def test_rollback_restores_the_obligation_maps():
+def test_rollback_restores_the_witnesses_and_obligations():
     s = state_for("exists x. P(x) | forall y. Q(y)")
     q1, q2 = s.tree.nodes[s.tree.root].children
     s.set_mark(q1, 1, "OA")
     w1 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
     s.set_mark(w1, 1, "A∃", (q1,))
-    before = obligation_maps(s)
-    assert before == [[(q1, w1)], [(q1, True)]]
+    before = obligations(s)
+    assert before == ({q1: w1, q2: None}, [q1], [])
     cp = s.checkpoint()
     w2 = s.instantiate(q1, Const(s.fresh_witness()), "IA∃")
     # a second witness leaves the first one named
@@ -848,10 +789,24 @@ def test_rollback_restores_the_obligation_maps():
     s.set_mark(q2, 0, "OR")
     w3 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
     s.set_mark(w3, 0, "R∀", (q2,))
-    assert obligation_maps(s) == [[(q1, w1), (q2, w3)], [(q1, True), (q2, True)]]
+    assert obligations(s) == ({q1: w1, q2: w3}, [q1, q2], [])
     s.rollback(cp)
-    assert obligation_maps(s) == before
-    assert_obligations_match_a_scan(s, 2)
+    assert obligations(s) == before
+    assert marking.capped_obligations(s, 1) == []
+
+
+def test_a_witness_copied_into_a_clone_is_no_witness_of_the_copy():
+    s = state_for("forall x. exists y. P(y)")
+    q = s.tree.root
+    e = s.tree.nodes[q].children[0]
+    s.set_mark(e, 1, "OA")
+    w = s.instantiate(e, Const(s.fresh_witness()), "IA∃")
+    clone = s.instantiate(q, Const("c"), "I∀")
+    # the clone copies e's witness branch, which no rule made in the clone
+    copied = s.tree.nodes[clone].children[1]
+    assert s.tree.nodes[copied].fill_term == Const("w1") and copied not in s.inst_rule
+    assert s.witness_child(clone) is None
+    assert s.witness_child(e) == w
 
 
 def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation():
@@ -863,7 +818,8 @@ def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation()
     assert marking.capped_obligations(s, 1) == [q]
     s.set_mark(s.instantiate(q, s.introduce_generic(), "I∃"), 1, "m")
     assert marking.capped_obligations(s, 1) == []
-    assert_obligations_match_a_scan(s, 1)
+    # the obligation stands, with no witness: the instance settles it
+    assert obligations(s) == ({q: None}, [q], [])
 
 
 def assert_dirty_covers(s):
