@@ -9,14 +9,17 @@ two nodes associated with the same ground formula carrying opposite values.
 A ground node's formula class is its tree's shape id (`tree.py`): formulas
 equal up to renaming of bound variables share it, and it is composed when
 the node is created. Iteration, consensus and the double-mark test key on
-that int. The names of a node's free variables are read from its shape too,
-and the registry and the reserved names from the facts the tree build
-gathered about the source, so a decision walks no formula here.
+that int, and the members of a class are read from `tree.classes`. The names
+of a node's free variables are read from its shape too, and the registry and
+the reserved names from the facts the tree build gathered about the source,
+so a decision walks no formula here.
 
-State mutates in place. Every insertion after construction pushes one entry
-on an undo trail, so `checkpoint` copies only the dirty set (below) and
-`rollback` costs the changes made since. Rolled-back trace steps are kept,
-flagged absorbed, so step numbering stays dense and premise references stay
+State mutates in place. Every mark and registry insertion after construction
+pushes one entry on an undo trail, so `checkpoint` copies only the dirty set
+(below) and `rollback` costs the changes made since. Facts about nodes (their
+classes, the rule that made an instance child) live on the tree and go with
+the nodes that `truncate` removes. Rolled-back trace steps are kept, flagged
+absorbed, so step numbering stays dense and premise references stay
 meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
@@ -35,12 +38,12 @@ invariant from there, each dirtying only the anchors that can now conclude:
   `FORCING` entry concludes a mark the pattern does not show); and n's
   parent when that is a quantifier or its new pattern is live. Class-mates
   only lose conclusions by a new mark.
-- `instantiate` dirties the quantifier, and the members of each class a
-  cloned node joins when that class has a `consensus` entry, since a marked
-  member can now iterate into the clone. The clone itself is unmarked, so
-  it concludes nothing, and neither does a parent inside it. A class has a
-  `consensus` entry exactly while a member is marked: its first mark makes
-  it, and the trail undoes that mark after every later one.
+- `instantiate` dirties the quantifier, and every member of each class a
+  cloned ground node belongs to when that class has a `consensus` entry,
+  since a marked member can now iterate into the clone. The clone itself is
+  unmarked, so it concludes nothing, and neither does a parent inside it. A
+  class has a `consensus` entry exactly while a member is marked: its first
+  mark makes it, and the trail undoes that mark after every later one.
 - `rollback` restores the dirty set its checkpoint saved. It leaves marks,
   nodes, registries, frames, the double mark and the generic variable as
   they were there, so that set covers the state again.
@@ -50,7 +53,7 @@ invariant from there, each dirtying only the anchors that can now conclude:
 
 A marked quantifier's obligation is read from its kind and mark
 (`INSTANTIATION`), and its witness from the rule that made each instance child
-(`inst_rule`).
+(`TreeNode.rule`).
 """
 
 from __future__ import annotations
@@ -214,11 +217,8 @@ class MarkingState:
         self.marks: dict[int, tuple[Mark, int]] = {}
         # formula class -> (value, first node marked with it); ground nodes only
         self.consensus: dict[int, tuple[Mark, int]] = {}
-        # formula class -> node ids carrying that ground formula
-        self.formula_index: dict[int, list[int]] = {}
         self.domain_registry: list[Term] = [Const(c) for c in tree.constants]
         self.witness_registry: dict[str, tuple[int, frozenset[str]]] = {}
-        self.inst_rule: dict[int, str] = {}
         self.scopes: list[Frame] = []
         self.trace: list[TraceStep] = []
         self.dm: Optional[DoubleMark] = None
@@ -234,18 +234,6 @@ class MarkingState:
         # entry does not keep a finished state alive until the cycle
         # collector runs
         self._trail: list[tuple] = []
-        index = self.formula_index
-        # no checkpoint precedes construction, so the index is filled without
-        # trail entries, in creation order, which is preorder for a tree
-        # `_build` made; and nothing is dirtied, since nothing is marked
-        # (module docstring)
-        for nid, node in tree.nodes.items():
-            if node.ground:
-                members = index.get(node.shape)
-                if members is None:
-                    index[node.shape] = [nid]
-                else:
-                    members.append(nid)
 
     # ------------------------------------------------------------- inspection
 
@@ -265,11 +253,11 @@ class MarkingState:
 
     def witness_child(self, qnid: int) -> Optional[int]:
         """The first fresh-witness instance child of qnid, None while it has
-        none. A branch `_clone` copied into a clone has no `inst_rule` entry:
-        its quantifier got it while inside a template."""
-        inst_rule = self.inst_rule
-        for c in self.tree.nodes[qnid].children[1:]:
-            if inst_rule.get(c) in WITNESS_RULES:
+        none. A branch `_clone` copied into a clone has no `rule`: its
+        quantifier got it while inside a template."""
+        nodes = self.tree.nodes
+        for c in nodes[qnid].children[1:]:
+            if nodes[c].rule in WITNESS_RULES:
                 return c
         return None
 
@@ -367,7 +355,7 @@ class MarkingState:
         # the anchors this mark can make conclude (module docstring)
         dirty = self._dirty
         kind = node.kind
-        if node.is_quantifier or len(self.formula_index[k]) > 1 or (
+        if node.is_quantifier or len(self.tree.classes[k]) > 1 or (
                 kind in _LIVE and _pattern(marks, node) in _LIVE[kind]):
             dirty.add(n)
         parent = node.parent
@@ -454,7 +442,7 @@ class MarkingState:
                 raise _rejected(rule, "rule applies to instantiated branches only")
             if v != want_v:
                 raise _rejected(rule, "wrong conclusion value")
-            if INSTANTIATION[want_kind, want_v].witness and self.inst_rule.get(n) not in WITNESS_RULES:
+            if INSTANTIATION[want_kind, want_v].witness and node.rule not in WITNESS_RULES:
                 raise _rejected(rule, "rule applies to the fresh-witness branch only")
         elif rule in GENERALIZATION_RULES:
             want_kind, want_v = GENERALIZATION_RULES[rule]
@@ -506,31 +494,20 @@ class MarkingState:
                 raise PremiseError(f"witness {term.name!r} is not fresh")
         tree = self.tree
         child = tree.instantiate(qnid, term)
-        trail = self._trail
-        self.inst_rule[child] = rule
-        trail.append((self.inst_rule.pop, child))
-        # index the clone, whose ids _clone numbered in one range, under trail
-        # entries. Its nodes are unmarked and conclude nothing; the anchors
-        # that read them are q and the marked members of their classes, which
-        # can iterate into them (module docstring)
-        nodes, index, consensus, dirty = tree.nodes, self.formula_index, self.consensus, self._dirty
+        nodes, classes, consensus, dirty = tree.nodes, tree.classes, self.consensus, self._dirty
+        nodes[child].rule = rule
+        # the clone, whose ids _clone numbered in one range, is unmarked and
+        # concludes nothing; the anchors that read it are q and the marked
+        # members of its classes, which can iterate into it (module docstring)
         dirty.add(qnid)
         for nid in range(child, len(nodes) + 1):
             node = nodes[nid]
-            if node.ground:
-                k = node.shape
-                members = index.get(k)
-                if members is None:
-                    index[k] = [nid]
-                    trail.append((index.pop, k))
-                else:
-                    members.append(nid)
-                    trail.append((members.pop, -1))
-                    if k in consensus:
-                        dirty.update(members)
+            if node.ground and node.shape in consensus:
+                dirty.update(classes[node.shape])
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
-            self.witness_registry[term.name] = (child, self.tree.node_free_variables(child))
+            trail = self._trail
+            self.witness_registry[term.name] = (child, tree.node_free_variables(child))
             trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
             trail.append((self.domain_registry.pop, -1))
@@ -679,7 +656,7 @@ class MarkingState:
         if mark is not None:
             # a marked node is ground, and so is every member of its class
             rule = "IA" if mark == 1 else "IR"
-            for other in self.formula_index.get(node.shape, ()):
+            for other in self.tree.classes.get(node.shape, ()):
                 if other != n:
                     got = marks.get(other)
                     if got is None or got[0] != mark:

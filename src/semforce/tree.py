@@ -9,6 +9,16 @@ nested quantifier inside an instance can itself be instantiated independently.
 Node ids are 1..len(nodes): each new node takes the next one, and `truncate`
 removes only the newest, so the next id is always `len(nodes) + 1`.
 
+Facts about a node that no mark affects live on the tree, so that `truncate`
+undoes them with the nodes. `classes` maps each formula class (below) to the
+ids of the nodes carrying it, in id order; `TreeNode.rule` names the
+instantiation rule that made an instance child (None on the initial tree and
+on the branches `_clone` copies). Every child list and class list is in id
+order, so `truncate`, walking the removed ids newest first, always removes
+the tail of each, and it deletes a class whose last member goes. After
+`truncate(n)`, `classes` is again what it was, key order included, when the
+next id was n.
+
 A node stores its formula only as a shape id, set once when the node is
 created and interned per tree (hash-consing). In an atom's shape a bound
 position is a de Bruijn index: the number of binders between the atom and the
@@ -80,6 +90,8 @@ class TreeNode:
     is_template: bool = False
     # instance children: the term the parent quantifier was instantiated with
     fill_term: Optional[Term] = None
+    # instance children: the instantiation rule that made this one, if any
+    rule: Optional[str] = None
 
 
 class ForcingTree:
@@ -112,6 +124,12 @@ class ForcingTree:
         # (shape, index, term) -> _filled's answer, for the shapes index reaches
         self._fills: dict[tuple[int, int, Term], int] = {}
         self.root = self._build(formula, parent=None, levels={}, depth=0).nid
+        # formula class -> ids of the ground nodes carrying it, in id order;
+        # filled here rather than in _build, which sets shapes in postorder
+        self.classes: dict[int, list[int]] = {}
+        for nid, node in self.nodes.items():
+            if node.ground:
+                self.classes.setdefault(node.shape, []).append(nid)
         # _build named the binders; a bound variable's name is its binder's
         self.identifiers.update(self.arities, self.constants, self.node_free_variables(self.root))
 
@@ -245,17 +263,21 @@ class ForcingTree:
         return self._clone(q.children[0], q.nid, term, fill_term=term, as_template=False, depth=0)
 
     def truncate(self, next_nid: int) -> None:
-        """Remove every node numbered next_nid or above, so that the next node
-        created is numbered next_nid again."""
-        end = len(self.nodes) + 1
+        """Remove every node numbered next_nid or above, newest first, so that
+        the next node created is numbered next_nid again (module docstring)."""
+        nodes, classes = self.nodes, self.classes
+        end = len(nodes) + 1
         if next_nid >= end:
             return
-        for nid in range(next_nid, end):
-            node = self.nodes.pop(nid)
-            if node.parent is not None and node.parent in self.nodes:
-                siblings = self.nodes[node.parent].children
-                if nid in siblings:
-                    siblings.remove(nid)
+        for nid in range(end - 1, next_nid - 1, -1):
+            node = nodes.pop(nid)
+            if node.parent is not None and node.parent < next_nid:
+                nodes[node.parent].children.pop()
+            if node.ground:
+                members = classes[node.shape]
+                members.pop()
+                if not members:
+                    del classes[node.shape]
         self.version += 1
 
     def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], as_template: bool,
@@ -267,11 +289,14 @@ class ForcingTree:
         src = nodes[src_nid]
         sid = self._filled(src.shape, depth, term)
         nid = len(nodes) + 1
+        ground = self._reach[sid] == 0
         nodes[nid] = TreeNode(
-            nid, parent, src.kind, [], shape=sid, ground=self._reach[sid] == 0, is_quantifier=src.is_quantifier,
+            nid, parent, src.kind, [], shape=sid, ground=ground, is_quantifier=src.is_quantifier,
             var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,
         )
         nodes[parent].children.append(nid)
+        if ground:
+            self.classes.setdefault(sid, []).append(nid)
         for i, c in enumerate(src.children):
             # instance branches inside the copied subtree stay instance
             # branches of the copied quantifier, so their fill survives; only

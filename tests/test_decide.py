@@ -178,6 +178,7 @@ def test_the_levels_share_one_tree(monkeypatch):
         assert {n: node.children for n, node in verdict.state.tree.nodes.items()} == {
             n: node.children for n, node in fresh.items()
         }
+        assert list(verdict.state.tree.classes.items()) == list(build_initial_tree(f).classes.items())
 
 
 def test_dyadic_default_budget_is_eight():

@@ -277,7 +277,7 @@ def test_witness_instantiation_registers_a_fresh_constant():
     child = s.instantiate(root, Const("w1"), "IR∀")
     assert "w1" in s.witness_registry
     assert Const("w1") in s.domain_registry
-    assert s.inst_rule[child] == "IR∀"
+    assert s.tree.nodes[child].rule == "IR∀"
     s.set_mark(child, 0, "R∀", (root,))
     assert s.marked(child) == 0
 
@@ -397,8 +397,8 @@ def snapshot(s):
     return {
         "marks": list(s.marks.items()),
         "consensus": list(s.consensus.items()),
-        "index": [(k, list(v)) for k, v in s.formula_index.items()],
-        "inst_rule": list(s.inst_rule.items()),
+        "classes": [(k, list(v)) for k, v in s.tree.classes.items()],
+        "rules": [(nid, node.rule) for nid, node in s.tree.nodes.items()],
         "witnesses": list(s.witness_registry.items()),
         "registry": list(s.domain_registry),
         "dm": s.dm,
@@ -410,9 +410,9 @@ def snapshot(s):
 
 def assert_consensus_follows_marks(s):
     # instantiate reads "a class-mate is marked" as the class having a consensus entry
-    for k, members in s.formula_index.items():
+    for k, members in s.tree.classes.items():
         assert (k in s.consensus) == any(s.marked(n) is not None for n in members), k
-    assert set(s.consensus) <= set(s.formula_index)
+    assert set(s.consensus) <= set(s.tree.classes)
 
 
 def test_nested_rollbacks_restore_every_structure_in_order():
@@ -741,7 +741,7 @@ def generic_forced_for_anchor(s, n):
     if mark is not None:
         k = s.key(n)
         rule = "IA" if mark == 1 else "IR"
-        for other in s.formula_index.get(k, ()):
+        for other in s.tree.classes.get(k, ()):
             if other != n:
                 emit(other, mark, rule, (n,))
     return out
@@ -804,7 +804,7 @@ def test_a_witness_copied_into_a_clone_is_no_witness_of_the_copy():
     clone = s.instantiate(q, Const("c"), "I∀")
     # the clone copies e's witness branch, which no rule made in the clone
     copied = s.tree.nodes[clone].children[1]
-    assert s.tree.nodes[copied].fill_term == Const("w1") and copied not in s.inst_rule
+    assert s.tree.nodes[copied].fill_term == Const("w1") and s.tree.nodes[copied].rule is None
     assert s.witness_child(clone) is None
     assert s.witness_child(e) == w
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import ILLUSTRATIONS
 
 from semforce import (
+    And,
     Atom,
     Const,
     Exists,
@@ -87,6 +88,14 @@ def test_evaluate_rejects_unmapped_names():
     with pytest.raises(FreeVariableError):
         evaluate(TWO, Atom("P", (Const("zzz"),)))
     assert evaluate(TWO, Atom("P", (Var("x"),)), {"x": "a"}) == 1
+
+
+def test_a_binder_leaves_the_callers_environment_as_it_was():
+    # the universal's loop ends on x = b; P(x) after it must still read x = a
+    f = And(Forall("x", Atom("Q", (Var("x"),))), Atom("P", (Var("x"),)))
+    env = {"x": "a"}
+    assert evaluate(TWO, f, env) == 1
+    assert env == {"x": "a"}
 
 
 def test_enumeration_counts():

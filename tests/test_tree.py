@@ -137,6 +137,41 @@ def test_clone_keeps_an_instance_branch_inside_the_template():
     assert node_formula(t, t.root) == parse_formula("forall x. (P(x) & exists y. Q(y))")
 
 
+def _scanned_classes(t):
+    """Formula class -> ground node ids, read by a walk in id order."""
+    out = {}
+    for nid, node in t.nodes.items():
+        if node.ground:
+            out.setdefault(node.shape, []).append(nid)
+    return out
+
+
+def _snapshot(t):
+    """The classes with their key order, and every node's children."""
+    return [(k, list(v)) for k, v in t.classes.items()], {n: list(node.children) for n, node in t.nodes.items()}
+
+
+def test_truncate_restores_the_classes_in_their_key_order():
+    t = build_initial_tree(parse_formula("P(a) & forall x. (P(x) | Q(a))"))
+    q = t.nodes[t.root].children[1]
+    snaps = {}
+    for term in (Const("a"), Const("b")):
+        snaps[len(t.nodes) + 1] = _snapshot(t)
+        before = set(t.classes)
+        child = instantiate_branch(t, q, term)
+        assert list(t.classes.items()) == list(_scanned_classes(t).items())
+        assert t.classes[t.nodes[child].shape][-1] == child
+    # the clone with a joins the class of the initial P(a); the one with b
+    # opens new classes, P(b) among them
+    p_a, p_b = (t.nodes[t.nodes[c].children[0]].shape for c in t.instance_children(q))
+    assert t.classes[p_a][0] == t.nodes[t.root].children[0] and len(t.classes[p_a]) == 2
+    assert p_b not in before and len(t.classes[p_b]) == 1
+    for next_nid in sorted(snaps, reverse=True):
+        t.truncate(next_nid)
+        assert len(t.nodes) + 1 == next_nid
+        assert _snapshot(t) == snaps[next_nid]
+
+
 @pytest.mark.parametrize("k", sorted(ILLUSTRATIONS))
 def test_instance_formula_is_the_formula_of_the_instance_branch(k):
     f = parse_formula(ILLUSTRATIONS[k])
