@@ -16,11 +16,10 @@ so a decision walks no formula here.
 
 State mutates in place. Every mark and registry insertion after construction
 pushes one entry on an undo trail, so `checkpoint` copies only the dirty set
-(below) and `rollback` costs the changes made since. Facts about nodes (their
-classes, the rule that made an instance child) live on the tree and go with
-the nodes that `truncate` removes. Rolled-back trace steps are kept, flagged
-absorbed, so step numbering stays dense and premise references stay
-meaningful.
+(below) and `rollback` costs the changes made since. The formula classes of
+nodes live on the tree and go with the nodes that `truncate` removes.
+Rolled-back trace steps are kept, flagged absorbed, so step numbering stays
+dense and premise references stay meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
 stands: a node that is not dirty has an empty `forced_for_anchor` output. A
@@ -52,8 +51,8 @@ invariant from there, each dirtying only the anchors that can now conclude:
   quantifier.
 
 A marked quantifier's obligation is read from its kind and mark
-(`INSTANTIATION`), and its witness from the rule that made each instance child
-(`TreeNode.rule`).
+(`INSTANTIATION`), and its witness from the witness registry, which names the
+instance child each fresh witness constant was introduced for.
 """
 
 from __future__ import annotations
@@ -253,13 +252,19 @@ class MarkingState:
 
     def witness_child(self, qnid: int) -> Optional[int]:
         """The first fresh-witness instance child of qnid, None while it has
-        none. A branch `_clone` copied into a clone has no `rule`: its
-        quantifier got it while inside a template."""
-        nodes = self.tree.nodes
-        for c in nodes[qnid].children[1:]:
-            if nodes[c].rule in WITNESS_RULES:
+        none."""
+        for c in self.tree.nodes[qnid].children[1:]:
+            if self._is_witness(c):
                 return c
         return None
+
+    def _is_witness(self, c: int) -> bool:
+        """Whether instance child c is the one the witness registry names for
+        its constant. A branch `_clone` copied into a clone is not: its
+        quantifier got the witness while inside a template."""
+        term = self.tree.nodes[c].fill_term
+        entry = self.witness_registry.get(term.name) if isinstance(term, Const) else None
+        return entry is not None and entry[0] == c
 
     # ------------------------------------------------------- undo bookkeeping
 
@@ -442,7 +447,7 @@ class MarkingState:
                 raise _rejected(rule, "rule applies to instantiated branches only")
             if v != want_v:
                 raise _rejected(rule, "wrong conclusion value")
-            if INSTANTIATION[want_kind, want_v].witness and node.rule not in WITNESS_RULES:
+            if INSTANTIATION[want_kind, want_v].witness and not self._is_witness(n):
                 raise _rejected(rule, "rule applies to the fresh-witness branch only")
         elif rule in GENERALIZATION_RULES:
             want_kind, want_v = GENERALIZATION_RULES[rule]
@@ -495,7 +500,6 @@ class MarkingState:
         tree = self.tree
         child = tree.instantiate(qnid, term)
         nodes, classes, consensus, dirty = tree.nodes, tree.classes, self.consensus, self._dirty
-        nodes[child].rule = rule
         # the clone, whose ids _clone numbered in one range, is unmarked and
         # concludes nothing; the anchors that read it are q and the marked
         # members of its classes, which can iterate into it (module docstring)

@@ -11,13 +11,10 @@ removes only the newest, so the next id is always `len(nodes) + 1`.
 
 Facts about a node that no mark affects live on the tree, so that `truncate`
 undoes them with the nodes. `classes` maps each formula class (below) to the
-ids of the nodes carrying it, in id order; `TreeNode.rule` names the
-instantiation rule that made an instance child (None on the initial tree and
-on the branches `_clone` copies). Every child list and class list is in id
-order, so `truncate`, walking the removed ids newest first, always removes
-the tail of each, and it deletes a class whose last member goes. After
-`truncate(n)`, `classes` is again what it was, key order included, when the
-next id was n.
+ids of the nodes carrying it. Every child list and class list is in id order,
+so `truncate`, walking the removed ids newest first, always removes the tail
+of each, and it deletes a class whose last member goes. After `truncate(n)`,
+`classes` is again what it was, key order included, when the next id was n.
 
 A node stores its formula only as a shape id, set once when the node is
 created and interned per tree (hash-consing). In an atom's shape a bound
@@ -90,8 +87,6 @@ class TreeNode:
     is_template: bool = False
     # instance children: the term the parent quantifier was instantiated with
     fill_term: Optional[Term] = None
-    # instance children: the instantiation rule that made this one, if any
-    rule: Optional[str] = None
 
 
 class ForcingTree:

@@ -273,6 +273,18 @@ def test_six_hundred_negations_decide_at_the_default_recursion_limit():
     assert evaluate(verdict.model, f) == 0
 
 
+def test_the_re_check_of_forty_vacuous_binders_stays_polynomial():
+    # decide searches the formula with its vacuous binders dropped but
+    # re-checks it as given: walking every path of the chain at the
+    # countermodel's two individuals would take 2^40 steps
+    chain = "exists x. " * 40 + "P(a)"
+    f = parse_formula(f"({chain}) | (forall x. Q(x) | forall x. ~Q(x))")
+    start = time.perf_counter()
+    verdict = decide(f)
+    assert isinstance(verdict, Invalid) and len(verdict.model.domain) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_a_four_hundred_link_implication_chain_is_valid():
     links = " & ".join(f"(P(c{i}) -> P(c{i + 1}))" for i in range(400))
     assert isinstance(decide(parse_formula(f"({links}) -> P(c0) -> P(c400)")), Valid)

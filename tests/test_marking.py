@@ -277,7 +277,7 @@ def test_witness_instantiation_registers_a_fresh_constant():
     child = s.instantiate(root, Const("w1"), "IR∀")
     assert "w1" in s.witness_registry
     assert Const("w1") in s.domain_registry
-    assert s.tree.nodes[child].rule == "IR∀"
+    assert s.witness_registry["w1"][0] == child and s.witness_child(root) == child
     s.set_mark(child, 0, "R∀", (root,))
     assert s.marked(child) == 0
 
@@ -398,7 +398,6 @@ def snapshot(s):
         "marks": list(s.marks.items()),
         "consensus": list(s.consensus.items()),
         "classes": [(k, list(v)) for k, v in s.tree.classes.items()],
-        "rules": [(nid, node.rule) for nid, node in s.tree.nodes.items()],
         "witnesses": list(s.witness_registry.items()),
         "registry": list(s.domain_registry),
         "dm": s.dm,
@@ -804,9 +803,24 @@ def test_a_witness_copied_into_a_clone_is_no_witness_of_the_copy():
     clone = s.instantiate(q, Const("c"), "I∀")
     # the clone copies e's witness branch, which no rule made in the clone
     copied = s.tree.nodes[clone].children[1]
-    assert s.tree.nodes[copied].fill_term == Const("w1") and s.tree.nodes[copied].rule is None
+    assert s.tree.nodes[copied].fill_term == Const("w1") and s.witness_registry["w1"][0] == w
     assert s.witness_child(clone) is None
     assert s.witness_child(e) == w
+    # so A∃ may conclude on the witness branch but not on its copy
+    s.set_mark(w, 1, "A∃", (e,))
+    s.set_mark(clone, 1, "OA")
+    with pytest.raises(PremiseError, match="fresh-witness branch only"):
+        s.set_mark(copied, 1, "A∃", (clone,))
+
+
+def test_a_witness_rule_rejects_a_branch_a_permission_made():
+    s = state_for("forall x. P(x) | Q(b)")
+    q = s.tree.nodes[s.tree.root].children[0]
+    s.set_mark(q, 0, "OR")
+    c = s.instantiate(q, Const("b"), "I∀")
+    assert s.witness_child(q) is None
+    with pytest.raises(PremiseError, match="fresh-witness branch only"):
+        s.set_mark(c, 0, "R∀", (q,))
 
 
 def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation():

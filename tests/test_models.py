@@ -3,6 +3,7 @@ and the bridges between markings and interpretations."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_a_binder_leaves_the_callers_environment_as_it_was():
     env = {"x": "a"}
     assert evaluate(TWO, f, env) == 1
     assert env == {"x": "a"}
+
+
+def test_forty_binders_of_one_variable_evaluate_in_polynomial_time():
+    # each binder reads x and none settles early; walking every path would
+    # take 2^40 steps on TWO's two individuals
+    f = parse_formula("forall x. (Q(x) & " * 40 + "P(a)" + ")" * 40)
+    start = time.perf_counter()
+    assert evaluate(TWO, f) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumeration_counts():
