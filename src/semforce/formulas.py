@@ -37,8 +37,6 @@ class Const:
 class Slot:
     """Placeholder for a quantified position not yet instantiated; prints as `_`."""
 
-    qid: int
-
     def __str__(self) -> str:
         return "_"
 

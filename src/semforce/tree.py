@@ -1,10 +1,10 @@
 """Forcing trees: one node per connective, quantifier, and atom occurrence.
 
 A quantifier node's first child is its template (the body, with the
-quantifier's own bound position left open). Instantiating the quantifier with
-a term clones the template subtree with that position filled; the clone
-becomes a new instance child. Clones keep the template's placeholder ids, so a
-nested quantifier inside an instance can itself be instantiated independently.
+quantifier's own bound position left open), the one child whose `fill_term`
+is None. Instantiating the quantifier with a term clones the template subtree
+with that position filled; the clone becomes a new instance child, and a
+quantifier copied into it keeps its template, so it can be instantiated too.
 
 Node ids are 1..len(nodes): each new node takes the next one, and `truncate`
 removes only the newest, so the next id is always `len(nodes) + 1`.
@@ -30,7 +30,8 @@ ground shapes.
 
 `node_formula` reads a node's formula back from the shapes below it and the
 variables of the quantifiers on the way. An index that points past the node
-becomes a `Slot` placeholder naming the quantifier it points at.
+becomes the anonymous placeholder `Slot()`; `instance_formula` reads the one
+pointing a single binder past a template as the instance's term instead.
 
 Each shape also keeps the names of the `Var` terms its atoms carry, composed
 in `_intern` like its reach: these are the free variables of the node's
@@ -65,6 +66,7 @@ from .formulas import (
 )
 
 _QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
+_SLOT = Slot()
 
 
 @dataclass(slots=True)
@@ -80,11 +82,8 @@ class TreeNode:
     ground: bool = False
     # whether kind is a quantifier kind; set when the node is created
     is_quantifier: bool = False
-    # quantifier nodes: bound-variable name and the placeholder id it fills
+    # quantifier nodes: the bound variable's name
     var: Optional[str] = None
-    qid: Optional[int] = None
-    # True for the first child of a quantifier node
-    is_template: bool = False
     # instance children: the term the parent quantifier was instantiated with
     fill_term: Optional[Term] = None
 
@@ -94,7 +93,6 @@ class ForcingTree:
 
     def __init__(self, formula: Formula):
         self.nodes: dict[int, TreeNode] = {}
-        self._next_qid = 1
         # bumped whenever nodes are added or removed after construction; it
         # only increases, so a (version, value) pair never goes stale
         self.version = 0
@@ -130,8 +128,7 @@ class ForcingTree:
 
     # ------------------------------------------------------------ construction
 
-    def _build(self, f: Formula, parent: Optional[int], levels: dict[str, int], depth: int,
-               is_template: bool = False) -> TreeNode:
+    def _build(self, f: Formula, parent: Optional[int], levels: dict[str, int], depth: int) -> TreeNode:
         """Build f's subtree under parent. levels maps each bound variable to
         the number of binders above its quantifier; depth is the number of
         binders above f, so a bound variable's index is depth - 1 - level.
@@ -141,7 +138,7 @@ class ForcingTree:
         kind = KIND_OF[type(f)]
         quantifier = kind in _QUANT_KINDS
         nid = len(self.nodes) + 1
-        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_quantifier=quantifier, is_template=is_template)
+        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_quantifier=quantifier)
         if parent is not None:
             self.nodes[parent].children.append(nid)
         if kind == "atom":
@@ -163,15 +160,14 @@ class ForcingTree:
             key = (kind, pred, tuple(shaped))
         elif quantifier:
             self.identifiers.add(f.var)
-            node.var, node.qid = f.var, self._next_qid
-            self._next_qid += 1
+            node.var = f.var
             used = self._used
             if len(used) == depth:
                 used.append(False)
             else:
                 used[depth] = False
             # a quantifier's shape reads its template only
-            key = (kind, self._build(f.body, nid, {**levels, f.var: depth}, depth + 1, is_template=True).shape)
+            key = (kind, self._build(f.body, nid, {**levels, f.var: depth}, depth + 1).shape)
             if not used[depth]:
                 self.vacuous = True
         elif kind == "not":
@@ -255,7 +251,7 @@ class ForcingTree:
         if not q.children:
             raise StateError(f"quantifier node {qnid} has no template child")
         self.version += 1
-        return self._clone(q.children[0], q.nid, term, fill_term=term, as_template=False, depth=0)
+        return self._clone(q.children[0], q.nid, term, fill_term=term, depth=0)
 
     def truncate(self, next_nid: int) -> None:
         """Remove every node numbered next_nid or above, newest first, so that
@@ -275,8 +271,7 @@ class ForcingTree:
                     del classes[node.shape]
         self.version += 1
 
-    def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], as_template: bool,
-               depth: int) -> int:
+    def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], depth: int) -> int:
         """Copy src_nid's subtree under parent with de Bruijn index depth, the
         binder being instantiated as seen from src_nid, filled by term. The
         copy's ids are one contiguous range, numbered in preorder."""
@@ -287,7 +282,7 @@ class ForcingTree:
         ground = self._reach[sid] == 0
         nodes[nid] = TreeNode(
             nid, parent, src.kind, [], shape=sid, ground=ground, is_quantifier=src.is_quantifier,
-            var=src.var, qid=src.qid, is_template=as_template, fill_term=fill_term,
+            var=src.var, fill_term=fill_term,
         )
         nodes[parent].children.append(nid)
         if ground:
@@ -297,8 +292,7 @@ class ForcingTree:
             # branches of the copied quantifier, so their fill survives; only
             # a template edge crosses a binder
             template = src.is_quantifier and i == 0
-            self._clone(c, nid, term, fill_term=nodes[c].fill_term, as_template=template,
-                        depth=depth + 1 if template else depth)
+            self._clone(c, nid, term, fill_term=nodes[c].fill_term, depth=depth + 1 if template else depth)
         return nid
 
     # --------------------------------------------------------------- formulas
@@ -306,30 +300,18 @@ class ForcingTree:
     def node_formula(self, nid: int) -> Formula:
         """The formula this node stands for; unfilled placeholders print as `_`
         and make the node non-ground. Stable over the node's lifetime."""
-        return self._decode(nid, self._slots_above(nid))
+        return self._decode(nid)
 
     def instance_formula(self, qnid: int, term: Term) -> Formula:
         """The formula an instance branch of quantifier qnid filled with term
         carries, whether or not that branch exists."""
-        return self._decode(self.nodes[qnid].children[0], [term, *self._slots_above(qnid)])
+        return self._decode(self.nodes[qnid].children[0], term)
 
-    def _slots_above(self, nid: int) -> list[Slot]:
-        """Placeholders for the binders above nid that its shape reaches,
-        nearest first: the quantifiers met through template edges on the way
-        up."""
-        node, out = self.nodes[nid], []
-        want = self._reach[node.shape]
-        while len(out) < want:
-            parent = self.nodes[node.parent]
-            if node.is_template:
-                out.append(Slot(parent.qid))
-            node = parent
-        return out
-
-    def _decode(self, nid: int, outer: list[Term]) -> Formula:
+    def _decode(self, nid: int, fill: Term = _SLOT) -> Formula:
         """nid's formula from the atom shapes below it and the variables of
-        the quantifiers on the way; an index pointing k binders past nid reads
-        outer[k]. Walks without recursion."""
+        the quantifiers on the way; an index pointing one binder past nid
+        reads fill, any further one the placeholder. Walks without
+        recursion."""
         nodes, keys = self.nodes, self._shape_keys
         # variables of the binders above the node being visited, outermost
         # first; a preorder walk overwrites only the entries it has left
@@ -343,7 +325,7 @@ class ForcingTree:
             if kind == "atom":
                 _, pred, args = keys[node.shape]
                 done.append(Atom(pred, tuple(
-                    a if type(a) is not int else Var(names[depth - 1 - a]) if a < depth else outer[a - depth]
+                    a if type(a) is not int else Var(names[depth - 1 - a]) if a < depth else fill if a == depth else _SLOT
                     for a in args
                 )))
             elif expanded:

@@ -28,6 +28,7 @@ from semforce.formulas import (
     constants_of,
     drop_vacuous,
     free_variables,
+    Slot,
     identifiers_of,
     predicate_arities,
     subformulas,
@@ -57,8 +58,17 @@ def test_quantifier_has_template_child():
     q = t.nodes[t.root]
     assert q.kind == "forall" and len(q.children) == 1
     template = t.nodes[q.children[0]]
-    assert template.is_template
+    assert template.fill_term is None
     assert not t.is_ground_node(template.nid)
+
+
+def test_a_template_decodes_its_open_positions_as_anonymous_placeholders():
+    t = build_initial_tree(parse_formula("forall x. forall y. R(x,y)"))
+    inner = t.nodes[t.root].children[0]
+    atom = t.nodes[inner].children[0]
+    assert node_formula(t, atom) == Atom("R", (Slot(), Slot()))
+    # the index one binder past the template reads the term, the other stays open
+    assert t.instance_formula(inner, Const("c")) == Atom("R", (Slot(), Const("c")))
 
 
 def test_instantiate_adds_ground_branch():
@@ -126,12 +136,11 @@ def test_clone_keeps_an_instance_branch_inside_the_template():
     clone = instantiate_branch(t, t.root, Const("a"))
     assert node_formula(t, clone) == parse_formula("P(a) & exists y. Q(y)")
     cloned_inner = t.nodes[clone].children[1]
-    assert t.nodes[cloned_inner].qid == t.nodes[inner].qid
     # the copied quantifier keeps its template and its instance branch
     cloned_template, cloned_instance = t.nodes[cloned_inner].children
-    assert t.nodes[cloned_template].is_template and not t.is_ground_node(cloned_template)
+    assert t.nodes[cloned_template].fill_term is None and not t.is_ground_node(cloned_template)
     assert t.instance_terms(cloned_inner) == [Const("c")]
-    assert not t.nodes[cloned_instance].is_template
+    assert t.nodes[cloned_instance].fill_term == Const("c")
     assert node_formula(t, cloned_inner) == parse_formula("exists y. Q(y)")
     assert node_formula(t, cloned_instance) == parse_formula("Q(c)")
     assert node_formula(t, t.root) == parse_formula("forall x. (P(x) & exists y. Q(y))")
