@@ -4,9 +4,9 @@ Subcommands: check (decide validity), render (saturated tree as text or DOT),
 oracle (exhaustive model search), corpus (batch decide/oracle agreement over a
 formula file or a generated batch).
 
-Exit codes: 0 valid/success, 1 invalid/disagreement, 2 no countermodel within
-the bound, 64 parse error, 65 data or fragment error, 70 internal or resource
-failure.
+Exit codes: 0 valid/success, 1 invalid/disagreement, 2 no countermodel found
+within the bound, 64 parse error, 65 data or fragment error, 70 internal or
+resource failure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     verdict = decide(f, _engine_config(args))
     if isinstance(verdict, NoCountermodelUpTo):
         payload: dict = {"verdict": "no_countermodel_up_to", "bound": verdict.bound}
-        headline = f"no countermodel up to {verdict.bound} individuals"
+        headline = f"no countermodel found up to {verdict.bound} individuals"
     else:
         payload = {"verdict": _verdict_word(verdict)}
         headline = payload["verdict"]

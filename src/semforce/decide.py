@@ -14,11 +14,13 @@ The search runs at individual budgets 1, 2, 4, ... and last at the full
 budget, each level afresh on the same initial tree, so a countermodel comes
 from the smallest level that has one (as MACE and Paradox try domain sizes in
 increasing order). A closure is `Valid` at any level when it never leaned on
-the level's budget (no capping hit), and with one at a level where the
-budget is conclusive (monadic input with n predicates, 2**n or more).
-Elsewhere a capping closure is no verdict, and the next level redoes the
-search; at the full budget it is `NoCountermodelUpTo`. A verdict carries the
-state of the level that gave it.
+the level's budget (no capping hit). A capping closure is no verdict, and the
+next level redoes the search; at the full budget it is `NoCountermodelUpTo`.
+That verdict does not rule out a countermodel within the budget: each
+quantifier node gets a fresh witness of its own and no two individuals
+denote one element, so redundant witnesses can fill the budget before the
+one a countermodel needs is tried. A verdict carries the state of the level
+that gave it.
 
 The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options.
@@ -100,12 +102,13 @@ def fragment_bounds(fragment: FragmentClass) -> Optional[tuple[int, int]]:
     outside the monadic and dyadic two-variable fragments.
 
     Monadic formulas with n predicates need at most 2**n individuals for a
-    countermodel, so that default makes closure conclusive. The dyadic
-    two-variable defaults are working caps, not guarantees.
+    countermodel, so that is the oracle's exact bound; for the search it is
+    a working cap, since witnesses can fill it redundantly (module
+    docstring). The dyadic two-variable defaults are working caps for both.
     """
     if isinstance(fragment, Monadic):
-        conclusive = 2 ** fragment.n
-        return conclusive, conclusive
+        bound = 2 ** fragment.n
+        return bound, bound
     if isinstance(fragment, Dyadic2Var):
         return DEFAULT_DYADIC_BOUND, DEFAULT_DYADIC_ORACLE_BOUND
     return None
@@ -215,11 +218,10 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     - Invalid, at any level: a countermodel extracted from the open marking
       and verified against f under the model semantics, so the smallest
       level that has one gives it;
-    - Valid, at any level, when the closure had no capping hit, and for a
-      monadic fragment also at any level that reaches its conclusive 2**n;
-    - NoCountermodelUpTo(budget), at the full budget only: closure that
-      leaned on the individual budget where closure is not conclusive for
-      the fragment.
+    - Valid, at any level, when the closure had no capping hit;
+    - NoCountermodelUpTo(budget), at the full budget only: every
+      completion closed, but some closure leaned on the individual budget,
+      so a countermodel within it may still exist.
 
     Any other closure with a capping hit below the full budget is no
     verdict, and the next level redoes it. The levels share one tree, which
@@ -238,8 +240,6 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     # the tree build gathered the arities, so f is walked again only when dyadic
     fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
-    # a closure at this many individuals is Valid even with a capping hit
-    conclusive = fragment_bounds(fragment)[0] if isinstance(fragment, Monadic) else budget + 1
     # an equivalent formula with fewer binders: each binder marked for a
     # witness would add an individual, and every universal an instance for
     # it. No subformula's free-variable count changes, so neither does the
@@ -262,7 +262,7 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
                 raise StateError("internal check failed: extracted model does not refute the formula")
             return Invalid(model, s)
         s.discharge(frame, "contradiction" if s.dm is not None else "exhausted")
-        if not capping_hit or level >= conclusive:
+        if not capping_hit:
             return Valid(list(s.trace), s)
     return NoCountermodelUpTo(budget, s)
 

@@ -520,8 +520,12 @@ class MarkingState:
     # ----------------------------------------------------------- independence
 
     def is_independent(self, var: str, n: int) -> bool:
-        """The eigenvariable condition: var is free of open suppositions that
-        mention it and of witnesses introduced while it was free."""
+        """The eigenvariable condition for generalizing instance branch n over
+        var: var is free neither in the quantifier generalized (n's parent)
+        nor in an open supposition, and n's formula names no witness
+        introduced while var was free."""
+        if var in self.tree.node_free_variables(self.tree.nodes[n].parent):
+            return False
         for frame in self.scopes:
             if var in frame.free_vars:
                 return False

@@ -20,6 +20,7 @@ from semforce import (
     EngineConfig,
     Interpretation,
     Invalid,
+    NoCountermodelUpTo,
     PremiseError,
     Quiescent,
     Refuted,
@@ -203,9 +204,25 @@ def test_criterion_8():
     with pytest.raises(PremiseError, match="not independent"):
         s.set_mark(inst3, 1, "Aa∀", (inst4,))
 
-    for budget in range(1, 9):
-        verdict = decide(f, EngineConfig(max_individuals=budget))
-        assert not isinstance(verdict, Valid), f"budget {budget}"
+    # reference 6, then invalid formulas once decided Valid: two by
+    # generalizing over a variable free in the quantifier generalized, three
+    # at the monadic bound, where redundant witnesses had filled the budget
+    for src, want in (
+        (ILLUSTRATIONS[6], Invalid),
+        ("exists x. (exists y. ~exists x. R(x,y) | R(x,x))", Invalid),
+        ("~forall y. exists x. R(x,x) -> exists x. ~exists y. exists y. R(y,x)", Invalid),
+        ("forall x. Q(x) | forall x. Q(x) | ~exists x. Q(x)", NoCountermodelUpTo),
+        ("(forall x. P(x) | exists x. P(x)) -> ~exists x. ~P(x)", NoCountermodelUpTo),
+        ("P(b) -> exists x. P(a) -> forall x. P(x)", NoCountermodelUpTo),
+    ):
+        g = parse_formula(src)
+        for budget in range(1, 9):
+            verdict = decide(g, EngineConfig(max_individuals=budget))
+            assert not isinstance(verdict, Valid), f"{src} at budget {budget}"
+        verdict = decide(g)
+        assert isinstance(verdict, want), src
+        if want is Invalid:
+            assert evaluate(verdict.model, g, {}) == 0
 
 
 @criterion(9, "direct forcing succeeds exactly where it should")

@@ -89,11 +89,11 @@ def test_check_trace_of_an_inconclusive_verdict(capsys, prefix):
     src = prefix + "forall x. exists y. (R(x,x) <-> ~R(y,y)) -> exists x. exists y. ~(R(x,x) <-> R(y,y))"
     code, out, _ = run(capsys, "check", src)
     assert code == EXIT_NO_COUNTERMODEL
-    assert out == "no countermodel up to 8 individuals\n"
+    assert out == "no countermodel found up to 8 individuals\n"
     code, out, _ = run(capsys, "check", src, "--trace")
     assert code == EXIT_NO_COUNTERMODEL
     lines = out.splitlines()
-    assert lines[0] == "no countermodel up to 8 individuals"
+    assert lines[0] == "no countermodel found up to 8 individuals"
     assert ("decided as: " in lines[1]) == bool(prefix)
     assert lines[1 + bool(prefix)] == "1. RR"
     assert lines[-1].startswith(f"{len(lines) - 1 - bool(prefix)}. ")

@@ -1,5 +1,6 @@
 """End-to-end decisions: verdicts, countermodels, budgets, direct mode."""
 
+import random
 import sys
 import time
 
@@ -28,7 +29,8 @@ from semforce import (
     render_trace,
 )
 from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _search, fragment_bounds
-from semforce.formulas import classify_fragment
+from semforce.formulas import Monadic, classify_fragment, format_formula
+from semforce.gen import random_monadic
 
 
 @pytest.mark.parametrize("k", sorted(ILLUSTRATIONS))
@@ -131,21 +133,30 @@ def test_a_countermodel_below_the_dyadic_budget_needs_no_deep_search():
 # antecedent's forall-exists asks every individual for one more witness
 MONADIC_CAPPING_VALID = "forall x. exists y. (P(x) <-> ~P(y)) -> exists x. exists y. ~(P(x) <-> P(y))"
 DYADIC_CAPPING_VALID = "forall x. exists y. (R(x,x) <-> ~R(y,y)) -> exists x. exists y. ~(R(x,x) <-> R(y,y))"
+# invalid (Q = {a} over {a, b}), yet its search at the monadic bound 2 closes
+# with a capping hit: the two forall nodes take the two individuals as their
+# own witnesses outside Q, so the capped exists x. Q(x) has none left to try
+MONADIC_CAPPING_INVALID = "forall x. Q(x) | forall x. Q(x) | ~exists x. Q(x)"
 
 
-def test_monadic_validity_is_genuine_at_the_fragment_bound():
-    # 1 predicate gives a 2^1 bound, so the levels are 1 and 2; the formula
-    # is valid, and its search caps at both. The capping closure at level 1
-    # is no verdict; at 2^1 it is conclusive, so Valid rather than a bounded
-    # verdict
+def test_a_monadic_closure_that_caps_at_the_fragment_bound_is_not_valid():
+    # 1 predicate gives a 2^1 bound, so the levels are 1 and 2, and the
+    # search caps at both. 2^1 bounds a countermodel's size, but not the
+    # search's witnesses, which can fill the budget redundantly: a capping
+    # closure there is the bounded verdict, for valid and invalid input alike
     f = parse_formula(MONADIC_CAPPING_VALID)
     assert _levels(domain_bound(classify_fragment(f))) == [1, 2]
     assert _closes_with_a_capping_hit(f, 1) and _closes_with_a_capping_hit(f, 2)
     verdict = decide(f)
-    assert isinstance(verdict, Valid)
-    # under an explicit budget above 2^1 the search stops at level 2 as well
-    above = decide(f, EngineConfig(max_individuals=5))
-    assert isinstance(above, Valid) and above.trace == verdict.trace
+    assert isinstance(verdict, NoCountermodelUpTo) and verdict.bound == 2
+    g = parse_formula(MONADIC_CAPPING_INVALID)
+    assert _closes_with_a_capping_hit(g, 2)
+    assert isinstance(oracle_validity(g, 2), Refuted)
+    bounded = decide(g)
+    assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 2
+    # a third individual leaves room for the witness the countermodel needs
+    verdict = decide(g, EngineConfig(max_individuals=3))
+    assert isinstance(verdict, Invalid) and evaluate(verdict.model, g, {}) == 0
 
 
 def test_a_dyadic_closure_that_caps_at_every_level_is_bounded_by_the_budget():
@@ -166,12 +177,12 @@ def test_the_levels_share_one_tree(monkeypatch):
         return build_initial_tree(f)
 
     monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", counted_build)
-    # Valid after a capping level 1, and NoCountermodelUpTo after four levels
-    for src, want in ((MONADIC_CAPPING_VALID, Valid), (DYADIC_CAPPING_VALID, NoCountermodelUpTo)):
+    # NoCountermodelUpTo after two capping levels, and after four
+    for src in (MONADIC_CAPPING_VALID, DYADIC_CAPPING_VALID):
         builds.clear()
         f = parse_formula(src)
         verdict = decide(f)
-        assert isinstance(verdict, want) and len(builds) == 1
+        assert isinstance(verdict, NoCountermodelUpTo) and len(builds) == 1
         # each closed level's discharge rolled the tree back to its initial nodes
         fresh = build_initial_tree(f).nodes
         assert len(fresh) == 13
@@ -350,20 +361,17 @@ def test_an_instance_search_ended_by_a_double_mark():
     bounded = decide(f, EngineConfig(max_individuals=1))
     assert isinstance(bounded, NoCountermodelUpTo) and bounded.bound == 1
     assert oracle_validity(f, 1) == ValidUpTo(1)
-    # at the conclusive monadic bound the countermodel takes two individuals
+    # at the monadic bound 2^1 the countermodel takes two individuals
     verdict = decide(f)
     assert isinstance(verdict, Invalid) and len(verdict.model.domain) == 2
     assert evaluate(verdict.model, f, {}) == 0
     assert isinstance(oracle_validity(f, fragment_bounds(classify_fragment(f))[1]), Refuted)
 
 
-def _stream(name: str) -> list[str]:
-    """The formula texts of a benchmark workload at its default seed."""
+def _workloads():
+    """perfbench/workloads.py, imported by path."""
     import importlib.util
     import pathlib
-    import sys
-
-    from semforce import formulas, gen
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -371,7 +379,14 @@ def _stream(name: str) -> list[str]:
     # dataclasses look their module up while the class body runs
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return [item.text for item in module.generate(name, 424242, formulas, gen)]
+    return module
+
+
+def _stream(name: str) -> list[str]:
+    """The formula texts of a benchmark workload at its default seed."""
+    from semforce import formulas, gen
+
+    return [item.text for item in _workloads().generate(name, 424242, formulas, gen)]
 
 
 def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
@@ -397,6 +412,32 @@ def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
     assert dropped > 0
 
 
+def test_no_validity_the_oracle_refutes_on_a_stream_the_benchmark_does_not_draw():
+    # monadic formulas over one to three predicates with two constants, and
+    # unfiltered random_fo2 formulas at complexity 3-8 (the fo2 workload
+    # draws complexity 5 only, and keeps the dyadic ones): a Valid must
+    # survive the oracle (at min(2^n, 3) for monadic input, 2 for dyadic)
+    # and an Invalid its re-check; a bounded verdict promises neither. 3500
+    # formulas take about 2 s (Python 3.11, shared 2-core machine)
+    from semforce import formulas
+
+    fo2 = _workloads().random_fo2
+    rng = random.Random(20240817)
+    for k in range(3500):
+        if k % 2:
+            preds = ("P", "Q", "R")[: rng.randint(1, 3)]
+            f = random_monadic(rng, preds=preds, max_complexity=rng.randint(3, 8), consts=("a", "b"))
+        else:
+            f = fo2(rng, formulas, rng.randint(3, 8))
+        verdict = decide(f)
+        if isinstance(verdict, Invalid):
+            assert evaluate(verdict.model, f, {}) == 0, format_formula(f)
+        elif isinstance(verdict, Valid):
+            fragment = classify_fragment(f)
+            bound = min(2**fragment.n, 3) if isinstance(fragment, Monadic) else 2
+            assert isinstance(oracle_validity(f, bound), ValidUpTo), format_formula(f)
+
+
 def test_random_formulas_agree_with_the_oracle_at_budget_two(rng):
     from conftest import random_formula
 
@@ -413,7 +454,8 @@ def test_random_formulas_agree_with_the_oracle_at_budget_two(rng):
             assert isinstance(oracle, Refuted)
             assert evaluate(verdict.model, f) == 0
         else:
-            # Valid and NoCountermodelUpTo(2) both promise silence below 3
+            # Valid promises silence below 3; NoCountermodelUpTo(2) does not,
+            # but on this stream the search misses no countermodel within 2
             assert oracle == ValidUpTo(2)
 
 

@@ -344,6 +344,19 @@ def test_open_supposition_blocks_generalization_over_its_variable():
         s.set_mark(root, 1, "Aa∀", (child,))
 
 
+def test_a_variable_free_in_the_generalized_quantifier_blocks_generalization():
+    # R(v1,v1) at 0 says nothing of R(w,v1) for another w, so it may not
+    # reject exists x. R(x,v1), where v1 is free
+    s = state_for("forall y. exists x. R(x,y)")
+    g = s.introduce_generic()
+    q = s.instantiate(s.tree.root, g, "I∀")
+    c = s.instantiate(q, g, "I∃")
+    s.set_mark(c, 0, "m")
+    assert not s.is_independent("v1", c)
+    with pytest.raises(PremiseError, match="not independent"):
+        s.set_mark(q, 0, "Ra∃", (c,))
+
+
 def test_witness_introduced_under_a_free_variable_blocks_generalization():
     s = state_for("forall x. exists y. R(x,y)")
     root = s.tree.root

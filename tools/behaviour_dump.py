@@ -19,10 +19,11 @@ full record. A diff of two dumps names the formulas whose behaviour changed.
     PYTHONPATH=src PYTHONHASHSEED=0 python3 tools/behaviour_dump.py > dump.txt
 
 The seed (424242) and the alarm are fixed, so any two dumps compare line by
-line. `tools/behaviour_dump.sha256` holds the total, the same under
-Python 3.10.13, 3.11.7 and 3.12.1 and under `PYTHONHASHSEED` 0 and 7, and
-CI fails on every Python leg when a dump's total differs from it. A
-change that alters behaviour on purpose updates that file and says why.
+line. `tools/behaviour_dump.txt` holds the full listing, total included, the
+same under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 and under
+`PYTHONHASHSEED` 0 and 7. CI diffs every Python leg's dump against it, so a
+failing leg names the formulas whose behaviour changed. A change that alters
+behaviour on purpose updates that file and says why.
 The workloads come from `perfbench/workloads.py`, imported by path; nothing
 under `perfbench/` is changed.
 """
