@@ -23,7 +23,8 @@ one a countermodel needs is tried. A verdict carries the state of the level
 that gave it.
 
 The direct procedure supposes one side of a conditional or disjunction root
-and tries to force the other side's discharge mark without options.
+and tries to force the other side's discharge mark without options. Both run
+on `drop_vacuous(f)`; the search builds that formula's tree in one walk of f.
 """
 
 from __future__ import annotations
@@ -208,12 +209,12 @@ def _levels(budget: int) -> list[int]:
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
-    Both procedures, the search and, with `allow_direct`, direct forcing,
-    run on f with its vacuous binders dropped (`drop_vacuous`), so a
-    verdict's state numbers the nodes of that formula's tree. The search
-    runs at individual budget 1, 2, 4, ... and then at the full budget
-    (`_levels`), each level with a fresh marking and the full
-    `branch_limit`, and stops at the first level with a verdict:
+    Both procedures run on `drop_vacuous(f)`: the search on the tree that
+    `build_initial_tree(f, drop_vacuous=True)` builds in one walk, direct
+    forcing (`allow_direct`) on the formula itself; a verdict's state numbers
+    that tree's nodes. The search runs at individual budget 1, 2, 4, ... and
+    then at the full budget (`_levels`), each level with a fresh marking and
+    the full `branch_limit`, and stops at the first level with a verdict:
 
     - Invalid, at any level: a countermodel extracted from the open marking
       and verified against f under the model semantics, so the smallest
@@ -230,7 +231,10 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """
     cfg = cfg or EngineConfig()
     try:
-        tree = build_initial_tree(f)
+        # without its vacuous binders: each marked for a witness would add an
+        # individual, and every universal an instance for it. No subformula's
+        # free-variable count changes, so neither does the fragment.
+        tree = build_initial_tree(f, drop_vacuous=True)
     except (FreeVariableError, RecursionError):
         # an open, ill-typed or too deeply nested AST: the fragment checks
         # speak first (an arity clash, then FragmentError when no bound
@@ -240,17 +244,10 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     # the tree build gathered the arities, so f is walked again only when dyadic
     fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
-    # an equivalent formula with fewer binders: each binder marked for a
-    # witness would add an individual, and every universal an instance for
-    # it. No subformula's free-variable count changes, so neither does the
-    # fragment.
-    searched = drop_vacuous(f) if tree.vacuous else f
-    if cfg.allow_direct and isinstance(searched, (Imp, Or)):
-        direct = direct_force(searched, cfg)
+    if cfg.allow_direct and tree.nodes[tree.root].kind in ("imp", "or"):
+        direct = direct_force(drop_vacuous(f), cfg)
         if direct is not None:
             return direct
-    if searched is not f:
-        tree = build_initial_tree(searched)
     for level in _levels(budget):
         s = init_marking(tree)
         frame = s.open_supposition(tree.root, 0, kind="RR")

@@ -42,9 +42,10 @@ variable.
 `_build`'s walk over the source also gathers the source's constants in
 first-occurrence order, its predicate arities and every identifier it uses,
 so the marking state, the fragment test and model extraction read these
-facts from the tree instead of walking the source again. The same walk flags
-a source with a vacuous binder (`vacuous`), so that `decide` walks the source
-once more to drop such binders only when it has one.
+facts from the tree instead of walking the source again. With drop_vacuous
+it drops each run of vacuous binders at its outermost binder: the subformula
+below, built under the run, moves up into its place if ground, and is else
+discarded, the newest nodes and shapes, and built again there.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
     # the interned id of the node's shape, from which its formula is read, and
     # whether that formula is ground (module docstring); set once, when the
-    # node is created or, in the initial tree, once its children exist
+    # node is created or, in the initial tree, once the build is done
     shape: int = -1
     ground: bool = False
     # whether kind is a quantifier kind; set when the node is created
@@ -91,9 +92,9 @@ class TreeNode:
 class ForcingTree:
     """Mutable node store; grows monotonically under instantiation."""
 
-    def __init__(self, formula: Formula):
+    def __init__(self, formula: Formula, drop_vacuous: bool = False):
         self.nodes: dict[int, TreeNode] = {}
-        # bumped whenever nodes are added or removed after construction; it
+        # bumped whenever nodes are removed, or added after construction; it
         # only increases, so a (version, value) pair never goes stale
         self.version = 0
         # facts about the source, gathered by _build: constant names in
@@ -102,11 +103,11 @@ class ForcingTree:
         self.constants: dict[str, None] = {}
         self.arities: dict[str, int] = {}
         self.identifiers: set[str] = set()
-        # whether some binder of the source binds nothing; _used[d] says
-        # whether an atom met since _build entered the binder at depth d
-        # names that binder's variable
-        self.vacuous = False
+        # _used[d]: whether an atom met since _build entered the binder at depth
+        # d names its variable; _dropped: id of a source binder dropped -> the
+        # first subformula below its run, which a later visit builds instead
         self._used: list[bool] = []
+        self._dropped: Optional[dict[int, Formula]] = {} if drop_vacuous else None
         # interned shapes: key -> id, and per id its key, its reach, one more
         # than the largest index pointing above the shape (0 when ground), and
         # the names of the variables its atoms carry
@@ -116,11 +117,12 @@ class ForcingTree:
         self._free: list[frozenset[str]] = []
         # (shape, index, term) -> _filled's answer, for the shapes index reaches
         self._fills: dict[tuple[int, int, Term], int] = {}
-        self.root = self._build(formula, parent=None, levels={}, depth=0).nid
         # formula class -> ids of the ground nodes carrying it, in id order;
-        # filled here rather than in _build, which sets shapes in postorder
+        # filled, and ground set, after _build, whose truncate must find none
         self.classes: dict[int, list[int]] = {}
+        self.root = self._build(formula, parent=None, levels={}, depth=0).nid
         for nid, node in self.nodes.items():
+            node.ground = self._reach[node.shape] == 0
             if node.ground:
                 self.classes.setdefault(node.shape, []).append(nid)
         # _build named the binders; a bound variable's name is its binder's
@@ -133,12 +135,13 @@ class ForcingTree:
         the number of binders above its quantifier; depth is the number of
         binders above f, so a bound variable's index is depth - 1 - level.
         Also records f's constants, its predicate arities (raising on a
-        predicate used with two) and the names of its binders, and sets
-        `vacuous` when a binder's variable occurs in no atom below it."""
+        predicate used with two) and the names of the binders it keeps."""
+        if self._dropped:
+            f = self._dropped.get(id(f), f)
         kind = KIND_OF[type(f)]
         quantifier = kind in _QUANT_KINDS
         nid = len(self.nodes) + 1
-        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], is_quantifier=quantifier)
+        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], -1, False, quantifier)
         if parent is not None:
             self.nodes[parent].children.append(nid)
         if kind == "atom":
@@ -159,24 +162,37 @@ class ForcingTree:
                 shaped.append(t)
             key = (kind, pred, tuple(shaped))
         elif quantifier:
-            self.identifiers.add(f.var)
             node.var = f.var
-            used = self._used
-            if len(used) == depth:
-                used.append(False)
-            else:
-                used[depth] = False
+            used, shapes = self._used, len(self._shape_keys)
+            used[depth:] = [False]
             # a quantifier's shape reads its template only
-            key = (kind, self._build(f.body, nid, {**levels, f.var: depth}, depth + 1).shape)
-            if not used[depth]:
-                self.vacuous = True
+            body = self._build(f.body, nid, {**levels, f.var: depth}, depth + 1)
+            key = (kind, body.shape)
+            if not used[depth] and self._dropped is not None:
+                self._dropped[id(f)] = self._dropped.get(id(f.body), f.body)
+                # a run of vacuous binders is dropped by its outermost binder
+                if parent is not None and self.nodes[parent].is_quantifier and not used[depth - 1]:
+                    return body
+                if self._reach[body.shape] == 0:
+                    # a ground body keeps its shapes: move its nodes up in place
+                    nodes, shift = self.nodes, body.nid - nid
+                    for x in [nodes.pop(n) for n in range(nid, len(nodes) + 1)][shift:]:
+                        x.nid, x.children = x.nid - shift, [c - shift for c in x.children]
+                        x.parent = parent if x is body else x.parent - shift
+                        nodes[x.nid] = x
+                    return body
+                self.truncate(nid)
+                for k in self._shape_keys[shapes:]:
+                    del self._shape_ids[k]
+                del self._shape_keys[shapes:], self._reach[shapes:], self._free[shapes:]
+                return self._build(self._dropped[id(f)], parent, levels, depth)
+            self.identifiers.add(f.var)
         elif kind == "not":
             key = (kind, self._build(f.sub, nid, levels, depth).shape)
         else:
             key = (kind, self._build(f.left, nid, levels, depth).shape,
                    self._build(f.right, nid, levels, depth).shape)
-        node.shape = sid = self._intern(key)
-        node.ground = self._reach[sid] == 0
+        node.shape = self._intern(key)
         return node
 
     def _intern(self, key: tuple) -> int:
@@ -210,7 +226,7 @@ class ForcingTree:
         for c in key[2:]:
             if free[c]:
                 names = names | free[c]
-        return max(self._reach[c] for c in key[1:]), names
+        return max(map(self._reach.__getitem__, key[1:])), names
 
     def _filled(self, shape: int, index: int, term: Term) -> int:
         """The shape with de Bruijn index `index` filled by term and the
@@ -395,11 +411,11 @@ class ForcingTree:
         return len(self.nodes)
 
 
-def build_initial_tree(f: Formula) -> ForcingTree:
-    """Initial tree of a closed formula: quantifier bodies carry placeholders
-    where the bound variable occurred. Raises FreeVariableError on an open
-    formula and on a predicate used with two arities."""
-    t = ForcingTree(f)
+def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree:
+    """Initial tree of closed f, or of `drop_vacuous(f)` with drop_vacuous:
+    quantifier bodies carry placeholders where the bound variable occurred.
+    Raises FreeVariableError on an open f and on a predicate of two arities."""
+    t = ForcingTree(f, drop_vacuous)
     fv = t.node_free_variables(t.root)
     if fv:
         raise FreeVariableError(f"tree construction needs a closed formula; free: {sorted(fv)}")

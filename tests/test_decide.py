@@ -31,6 +31,7 @@ from semforce import (
 from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _search, fragment_bounds
 from semforce.formulas import Monadic, classify_fragment, format_formula
 from semforce.gen import random_monadic
+from semforce.tree import TreeNode
 
 
 @pytest.mark.parametrize("k", sorted(ILLUSTRATIONS))
@@ -172,11 +173,13 @@ def test_a_dyadic_closure_that_caps_at_every_level_is_bounded_by_the_budget():
 def test_the_levels_share_one_tree(monkeypatch):
     builds = []
 
-    def counted_build(f):
+    def counted_build(f, **kwargs):
         builds.append(f)
-        return build_initial_tree(f)
+        return build_initial_tree(f, **kwargs)
 
     monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", counted_build)
+    # a vacuous binder is dropped within the one build
+    assert isinstance(decide(parse_formula("exists x. (forall y. P(a) | ~P(a))")), Valid) and len(builds) == 1
     # NoCountermodelUpTo after two capping levels, and after four
     for src in (MONADIC_CAPPING_VALID, DYADIC_CAPPING_VALID):
         builds.clear()
@@ -282,6 +285,35 @@ def test_six_hundred_negations_decide_at_the_default_recursion_limit():
     verdict = decide(f)
     assert isinstance(verdict, Invalid)
     assert evaluate(verdict.model, f) == 0
+
+
+def test_six_hundred_vacuous_binders_decide_with_linear_tree_building(monkeypatch):
+    # the build recurses once per binder, as for 600 negations. A ground body
+    # below the run moves up; one naming the binder above the run is built
+    # again once, from the record that jumps the run: a rebuild that walked
+    # the run again would be quadratic, one that dropped it again exponential.
+    # Vacuous binders nested under connectives rebuild what lies between
+    # them, so thirty of them stay within the square of the formula's size
+    created, limit = [], []
+
+    def counted_node(*args, **kwargs):
+        created.append(args[0])
+        # fail here rather than wait for an exponential build
+        assert len(created) <= limit[0]
+        return TreeNode(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["semforce.tree"], "TreeNode", counted_node)
+    nested = "forall y. " + "exists x. (P(y) & " * 30 + "P(y)" + ")" * 30
+    for text, most in (
+        ("exists x. " * 600 + "P(a)", 2 * 601),
+        ("forall y. " + "exists x. " * 600 + "P(y)", 2 * 602),
+        (nested, 92 ** 2),  # 92 nodes
+    ):
+        created.clear()
+        limit[:] = [most]
+        f = parse_formula(text)
+        verdict = decide(f)
+        assert isinstance(verdict, Invalid) and evaluate(verdict.model, f) == 0
 
 
 def test_the_re_check_of_forty_vacuous_binders_stays_polynomial():
@@ -396,7 +428,6 @@ def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
     for text in texts:
         f = parse_formula(text)
         g = drop_vacuous(f)
-        assert build_initial_tree(f).vacuous == (g is not f)
         dropped += g is not f
         verdict = decide(f)
         assert type(decide(g)) is type(verdict)

@@ -27,6 +27,7 @@ from semforce import (
 from semforce.formulas import (
     constants_of,
     drop_vacuous,
+    format_formula,
     free_variables,
     Slot,
     identifiers_of,
@@ -284,6 +285,39 @@ def test_the_build_rejects_a_predicate_with_two_arities_as_the_walker_does():
     assert str(built.value) == str(walked.value)
 
 
+def _tree_facts(t):
+    """What a decision reads of a tree, in order: per node its id, parent,
+    children, kind, binder name, shape, groundness and fill, then the root,
+    the classes, constants, arities and identifiers."""
+    nodes = [(n, x.parent, x.children, x.kind, x.var, x.shape, x.ground, x.fill_term) for n, x in t.nodes.items()]
+    return nodes, t.root, list(t.classes.items()), list(t.constants), list(t.arities.items()), t.identifiers
+
+
+class _Built(Exception):
+    """Raised by the build stub below with the facts of decide's tree, so
+    that the test stops decide before its search."""
+
+
+_VACUOUS = [
+    # shadowed by an inner binder, and a body naming only constants
+    "exists x. forall x. P(x)",
+    "exists x. P(a)",
+    "forall x. (P(a) & exists y. Q(b))",
+    # under connectives
+    "~(exists x. P(a)) -> (forall y. exists z. R(y,y) | Q(c))",
+    "(exists x. forall y. P(y)) <-> ~forall x. exists x. Q(x)",
+    "forall x. (P(x) & exists y. exists y. Q(y))",
+    # runs, at the root over a ground body and below a binder that stays
+    # over a body naming it
+    "exists x. forall y. exists z. forall x. P(a)",
+    "forall x. exists y. exists z. exists y. R(x,x)",
+    "exists x. forall y. (exists z. P(z) | exists x. forall x. exists y. Q(a))",
+    # named as the fresh witnesses and generic variables are
+    "exists w1. forall v1. P(a) & exists v1. Q(v1)",
+    "forall w1. exists v1. R(w1,w1)",
+]
+
+
 @pytest.mark.parametrize("text,vacuous", [
     ("forall x. forall x. P(x)", True),
     ("exists x. P(a)", True),
@@ -293,14 +327,31 @@ def test_the_build_rejects_a_predicate_with_two_arities_as_the_walker_does():
     ("P(a) -> P(a)", False),
 ])
 def test_the_build_flags_a_binder_whose_variable_no_atom_uses(text, vacuous):
-    assert build_initial_tree(parse_formula(text)).vacuous is vacuous
+    # asked to, the build leaves out exactly the binders it flags
+    f = parse_formula(text)
+    dropped = build_initial_tree(f, drop_vacuous=True)
+    assert (len(dropped) < len(build_initial_tree(f))) is vacuous
+    assert _tree_facts(dropped) == _tree_facts(build_initial_tree(drop_vacuous(f)))
 
 
-def test_the_vacuity_flag_agrees_with_drop_vacuous():
+def test_decide_builds_the_tree_of_the_formula_without_its_vacuous_binders(monkeypatch):
+    def build(f, **kwargs):
+        raise _Built(_tree_facts(build_initial_tree(f, **kwargs)))
+
+    monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", build)
     rng = random.Random(5)
     formulas = differential_formulas() + _ladder() + [random_formula(rng, rng.randint(0, 6)) for _ in range(500)]
-    for f in formulas:
-        assert build_initial_tree(f).vacuous == (drop_vacuous(f) is not f)
+    dropped = 0
+    for f in formulas + [parse_formula(text) for text in _VACUOUS]:
+        g = drop_vacuous(f)
+        dropped += g is not f
+        with pytest.raises(_Built) as built:
+            decide(f)
+        assert built.value.args[0] == _tree_facts(build_initial_tree(g)), format_formula(f)
+    assert dropped > 100
+    # a dropped binder's name is no identifier, so the fresh names may take it
+    facts = _tree_facts(ForcingTree(parse_formula(_VACUOUS[-2]), drop_vacuous=True))
+    assert facts[-1] == {"P", "Q", "a", "v1"}
 
 
 # ------------------------------------------- free variables from the shape
