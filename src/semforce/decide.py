@@ -29,7 +29,6 @@ on `drop_vacuous(f)`; the search builds that formula's tree in one walk of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import FragmentError, FreeVariableError, ResourceLimitError, StateError
@@ -41,6 +40,7 @@ from .formulas import (
     Imp,
     Monadic,
     Or,
+    Record,
     Term,
     classify_arities,
     classify_fragment,
@@ -64,35 +64,43 @@ DEFAULT_DYADIC_BOUND = 8
 DEFAULT_DYADIC_ORACLE_BOUND = 2
 
 
-@dataclass
-class EngineConfig:
-    max_individuals: Optional[int] = None
-    branch_limit: int = 10000
-    allow_direct: bool = False
+class EngineConfig(Record):
+    __match_args__ = __slots__ = ("max_individuals", "branch_limit", "allow_direct")
 
-    def __post_init__(self) -> None:
-        if self.max_individuals is not None and self.max_individuals < 1:
+    def __init__(
+        self, max_individuals: Optional[int] = None, branch_limit: int = 10000, allow_direct: bool = False
+    ) -> None:
+        if max_individuals is not None and max_individuals < 1:
             raise ValueError("max_individuals must be positive: models are nonempty")
-        if self.branch_limit < 1:
+        if branch_limit < 1:
             raise ValueError("branch_limit must be positive")
+        self.max_individuals = max_individuals
+        self.branch_limit = branch_limit
+        self.allow_direct = allow_direct
 
 
-@dataclass
-class Valid:
-    trace: list[TraceStep]
-    state: MarkingState
+class Valid(Record):
+    __match_args__ = __slots__ = ("trace", "state")
+
+    def __init__(self, trace: list[TraceStep], state: MarkingState) -> None:
+        self.trace = trace
+        self.state = state
 
 
-@dataclass
-class Invalid:
-    model: Interpretation
-    state: MarkingState
+class Invalid(Record):
+    __match_args__ = __slots__ = ("model", "state")
+
+    def __init__(self, model: Interpretation, state: MarkingState) -> None:
+        self.model = model
+        self.state = state
 
 
-@dataclass
-class NoCountermodelUpTo:
-    bound: int
-    state: MarkingState
+class NoCountermodelUpTo(Record):
+    __match_args__ = __slots__ = ("bound", "state")
+
+    def __init__(self, bound: int, state: MarkingState) -> None:
+        self.bound = bound
+        self.state = state
 
 
 Verdict = Valid | Invalid | NoCountermodelUpTo

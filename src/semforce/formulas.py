@@ -9,33 +9,104 @@ quantifier binds it; any other occurrence is a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import FreeVariableError, ParseError
 
+# -------------------------------------------------------------------- records
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's record classes: slotted, with a repr naming the
+    fields, equality by type and fields, and pickling and copying through the
+    constructor. The fields are `__match_args__`, in constructor order. A
+    record is unhashable, since it can change (defining `__eq__` sets
+    `__hash__` to None). Hot constructors are written out; this one takes
+    fields by position or keyword, or from `_defaults`."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) or len(values) < len(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args = tuple([values[name] for name in names])
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A record whose constructor sets each field once, and which hashes by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 # ---------------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Named(FrozenRecord):
+    __match_args__ = __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+class Var(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Slot:
+class Const(_Named):
+    __slots__ = ()
+
+
+class Slot(FrozenRecord):
     """Placeholder for a quantified position not yet instantiated; prints as `_`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __str__(self) -> str:
         return "_"
@@ -46,11 +117,12 @@ Term = Var | Const | Slot
 # ------------------------------------------------------------------- formulas
 
 
-class _Formula:
+class _Formula(FrozenRecord):
     """Base of the formula classes: printing, and equality and hashing that
     walk the formula with an explicit stack, so nesting depth is not limited
-    by the interpreter's recursion limit. Subclasses are dataclasses with
-    `eq=False`, which keep these two methods."""
+    by the interpreter's recursion limit."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -83,51 +155,59 @@ class _Formula:
         return done[0]
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(_Formula):
-    pred: str
-    args: tuple[Term, ...]
+    __match_args__ = __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...]) -> None:
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True, eq=False)
 class Not(_Formula):
-    sub: "Formula"
+    __match_args__ = __slots__ = ("sub",)
+
+    def __init__(self, sub: Formula) -> None:
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True, eq=False)
-class And(_Formula):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Formula):
+    __match_args__ = __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
-class Or(_Formula):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Imp(_Formula):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Iff(_Formula):
-    left: "Formula"
-    right: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Forall(_Formula):
-    var: str
-    body: "Formula"
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Exists(_Formula):
-    var: str
-    body: "Formula"
+class _Quantifier(_Formula):
+    __match_args__ = __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 Formula = Atom | Not | And | Or | Imp | Iff | Forall | Exists
@@ -398,19 +478,16 @@ def complexity(f: Formula) -> int:
     return 1 + complexity(f.body)
 
 
-@dataclass(frozen=True)
-class Monadic:
-    n: int
+class Monadic(FrozenRecord):
+    __match_args__ = __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Dyadic2Var:
-    n: int
+class Dyadic2Var(FrozenRecord):
+    __match_args__ = __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class Outside:
-    pass
+class Outside(FrozenRecord):
+    __slots__ = ()
 
 
 FragmentClass = Monadic | Dyadic2Var | Outside

@@ -57,12 +57,13 @@ instance child each fresh witness constant was introduced for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PremiseError, StateError
 from .formulas import (
     Const,
+    FrozenRecord,
+    Record,
     Term,
     Var,
     # not called here: the name stays importable because perfbench/tracer.py
@@ -110,56 +111,66 @@ __all__ = [
 Mark = int
 
 
-@dataclass(frozen=True)
-class Justification:
-    rule: str
-    premises: tuple[int, ...] = ()
+class Justification(FrozenRecord):
+    __match_args__ = __slots__ = ("rule", "premises")
+    _defaults = {"premises": ()}
 
 
-@dataclass(slots=True)
-class TraceStep:
-    step: int
-    node: Optional[int]
-    value: Optional[Mark]
-    rule: str
-    premises: tuple[int, ...]
-    absorbed: bool = False
+class TraceStep(Record):
+    __match_args__ = __slots__ = ("step", "node", "value", "rule", "premises", "absorbed")
+
+    def __init__(
+        self, step: int, node: Optional[int], value: Optional[Mark], rule: str, premises: tuple[int, ...],
+        absorbed: bool = False,
+    ) -> None:
+        self.step = step
+        self.node = node
+        self.value = value
+        self.rule = rule
+        self.premises = premises
+        self.absorbed = absorbed
 
 
-@dataclass(frozen=True)
-class Quiescent:
-    pass
+class Quiescent(FrozenRecord):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DoubleMark:
-    n1: int
-    n2: int
+class DoubleMark(FrozenRecord):
+    __match_args__ = __slots__ = ("n1", "n2")
 
 
-@dataclass
-class Frame:
+class Frame(Record):
     """One open supposition: a provisional mark whose scope absorbs later steps."""
 
-    node: int
-    assumed: Mark
-    opened_at: int
-    free_vars: frozenset[str]
-    kind: str
-    checkpoint: "Checkpoint"
+    __match_args__ = __slots__ = ("node", "assumed", "opened_at", "free_vars", "kind", "checkpoint")
+
+    def __init__(
+        self, node: int, assumed: Mark, opened_at: int, free_vars: frozenset[str], kind: str, checkpoint: Checkpoint
+    ) -> None:
+        self.node = node
+        self.assumed = assumed
+        self.opened_at = opened_at
+        self.free_vars = free_vars
+        self.kind = kind
+        self.checkpoint = checkpoint
 
 
-@dataclass
-class Checkpoint:
-    trail_len: int
-    scopes_len: int
-    trace_len: int
-    next_nid: int
-    dm: Optional[DoubleMark]
-    generic: Optional[Var]
-    # the dirty anchors: rollback leaves every structure forced_for_anchor
-    # reads as it was here, so this set covers the state again
-    dirty: frozenset[int]
+class Checkpoint(Record):
+    __match_args__ = __slots__ = ("trail_len", "scopes_len", "trace_len", "next_nid", "dm", "generic", "dirty")
+
+    def __init__(
+        self, trail_len: int, scopes_len: int, trace_len: int, next_nid: int, dm: Optional[DoubleMark],
+        generic: Optional[Var], dirty: frozenset[int],
+    ) -> None:
+        self.trail_len = trail_len
+        self.scopes_len = scopes_len
+        self.trace_len = trace_len
+        self.next_nid = next_nid
+        self.dm = dm
+        self.generic = generic
+        # the dirty anchors: rollback leaves every structure forced_for_anchor
+        # reads as it was here, so this set covers the state again
+        self.dirty = dirty
 
 
 # per connective, the mark patterns whose `FORCING` entry concludes a mark the

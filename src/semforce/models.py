@@ -9,7 +9,6 @@ countermodel the engine extracts must refute the formula here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import FreeVariableError, StateError
@@ -21,7 +20,9 @@ from .formulas import (
     Const,
     Exists,
     Formula,
+    FrozenRecord,
     Not,
+    Record,
     Var,
     # not called here: the name stays importable because perfbench/tracer.py
     # patches models.alpha_normalize by attribute
@@ -37,31 +38,32 @@ Element = str
 Env = dict[str, Element]
 
 
-@dataclass
-class Interpretation:
+class Interpretation(Record):
     """A finite structure: named individuals, extensions, constant denotations."""
 
-    domain: tuple[Element, ...]
-    monadic: dict[str, frozenset[Element]] = field(default_factory=dict)
-    dyadic: dict[str, frozenset[tuple[Element, Element]]] = field(default_factory=dict)
-    constants: dict[str, Element] = field(default_factory=dict)
+    __match_args__ = __slots__ = ("domain", "monadic", "dyadic", "constants")
+
+    def __init__(
+        self, domain: tuple[Element, ...], monadic: Optional[dict[str, frozenset[Element]]] = None,
+        dyadic: Optional[dict[str, frozenset[tuple[Element, Element]]]] = None,
+        constants: Optional[dict[str, Element]] = None,
+    ) -> None:
+        self.domain = domain
+        self.monadic = {} if monadic is None else monadic
+        self.dyadic = {} if dyadic is None else dyadic
+        self.constants = {} if constants is None else constants
 
 
-@dataclass(frozen=True)
-class Signature:
-    monadic: tuple[str, ...]
-    dyadic: tuple[str, ...]
-    constants: tuple[str, ...]
+class Signature(FrozenRecord):
+    __match_args__ = __slots__ = ("monadic", "dyadic", "constants")
 
 
-@dataclass(frozen=True)
-class ValidUpTo:
-    bound: int
+class ValidUpTo(FrozenRecord):
+    __match_args__ = __slots__ = ("bound",)
 
 
-@dataclass
-class Refuted:
-    interpretation: Interpretation
+class Refuted(Record):
+    __match_args__ = __slots__ = ("interpretation",)
 
 
 OracleResult = ValidUpTo | Refuted

@@ -25,9 +25,10 @@ out, as it forces nothing by itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
+
+from .formulas import FrozenRecord
 
 # index of each rule position in (anchor, *children)
 POSITION = {"k": 0, "i": 1, "d": 2, "a": 1}
@@ -40,19 +41,14 @@ TRUTH_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(FrozenRecord):
     """One forcing rule: if all premise positions carry the given marks, the
     conclusion positions get theirs. `equal_children` encodes the biconditional
     acceptance rule, whose conclusion is that both children share one mark (and
     which also holds in reverse)."""
 
-    name: str
-    connective: str
-    premises: tuple[tuple[str, int], ...]
-    conclusions: tuple[tuple[str, int], ...]
-    primitive: bool = False
-    equal_children: bool = False
+    __match_args__ = __slots__ = ("name", "connective", "premises", "conclusions", "primitive", "equal_children")
+    _defaults = {"primitive": False, "equal_children": False}
 
 
 _RULES = [
@@ -105,15 +101,12 @@ for _r in _RULES:
     _BY_CONNECTIVE[_r.connective] += (_r,)
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(FrozenRecord):
     """What a quantifier of one kind carrying one mark obliges: instance
     branches made by `rule` (one fresh witness when `witness`, else one per
     individual), each marked like the quantifier by `marking`."""
 
-    rule: str
-    marking: str
-    witness: bool
+    __match_args__ = __slots__ = ("rule", "marking", "witness")
 
 
 INSTANTIATION: dict[tuple[str, int], Instantiation] = {

@@ -50,7 +50,6 @@ discarded, the newest nodes and shapes, and built again there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import FreeVariableError, StateError
@@ -61,6 +60,7 @@ from .formulas import (
     Atom,
     Const,
     Formula,
+    Record,
     Slot,
     Term,
     Var,
@@ -70,23 +70,30 @@ _QUANT_KINDS = frozenset(KIND_OF[c] for c in QUANTIFIERS)
 _SLOT = Slot()
 
 
-@dataclass(slots=True)
-class TreeNode:
-    nid: int
-    parent: Optional[int]
-    kind: str
-    children: list[int] = field(default_factory=list)
-    # the interned id of the node's shape, from which its formula is read, and
-    # whether that formula is ground (module docstring); set once, when the
-    # node is created or, in the initial tree, once the build is done
-    shape: int = -1
-    ground: bool = False
-    # whether kind is a quantifier kind; set when the node is created
-    is_quantifier: bool = False
-    # quantifier nodes: the bound variable's name
-    var: Optional[str] = None
-    # instance children: the term the parent quantifier was instantiated with
-    fill_term: Optional[Term] = None
+class TreeNode(Record):
+    __match_args__ = __slots__ = (
+        "nid", "parent", "kind", "children", "shape", "ground", "is_quantifier", "var", "fill_term",
+    )
+
+    def __init__(
+        self, nid: int, parent: Optional[int], kind: str, children: list[int], shape: int = -1,
+        ground: bool = False, is_quantifier: bool = False, var: Optional[str] = None, fill_term: Optional[Term] = None,
+    ) -> None:
+        self.nid = nid
+        self.parent = parent
+        self.kind = kind
+        self.children = children
+        # the interned id of the node's shape, from which its formula is read, and
+        # whether that formula is ground (module docstring); set once, when the
+        # node is created or, in the initial tree, once the build is done
+        self.shape = shape
+        self.ground = ground
+        # whether kind is a quantifier kind; set when the node is created
+        self.is_quantifier = is_quantifier
+        # quantifier nodes: the bound variable's name
+        self.var = var
+        # instance children: the term the parent quantifier was instantiated with
+        self.fill_term = fill_term
 
 
 class ForcingTree:

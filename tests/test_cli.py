@@ -192,6 +192,20 @@ def test_fragment_error_exit_code(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        ("--max-individuals", "max_individuals must be positive: models are nonempty"),
+        ("--branch-limit", "branch_limit must be positive"),
+    ],
+)
+def test_engine_config_rejections_exit_data(capsys, option, message):
+    code, out, err = run(capsys, "check", option, "0", "P(a)")
+    assert code == EXIT_DATA == 65
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_a_formula_two_variable_after_renaming_is_checked(capsys):
     # three variable names, but no subformula has more than two free
     src = "forall x. P(x,x) & forall y. forall z. R(y,z) -> P(a,a)"

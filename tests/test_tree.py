@@ -204,7 +204,7 @@ def test_instance_formula_is_the_formula_of_the_instance_branch(k):
 
 def _preorder_labels(f):
     """f's connectives, variables and atoms in preorder: equal lists mean
-    equal formulas, compared without the recursion of the dataclass __eq__."""
+    equal formulas, compared without calling the formula classes' __eq__."""
     return [(type(g), getattr(g, "var", None), getattr(g, "pred", None), getattr(g, "args", None))
             for g, _ in subformulas(f)]
 
