@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from importlib import resources
 from typing import Optional
 
 from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
@@ -215,6 +214,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         ]
     else:
         if args.path is None:
+            from importlib import resources  # only here: on 3.12+ it loads inspect
+
             text = resources.files("semforce").joinpath("data/illustrations.corpus").read_text()
         else:
             try:
