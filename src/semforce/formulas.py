@@ -89,7 +89,7 @@ class _Named(FrozenRecord):
         return self.name == other.name
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -457,13 +457,23 @@ def identifiers_of(f: Formula) -> set[str]:
 
 
 def predicate_arities(f: Formula) -> dict[str, int]:
-    """Predicate name -> arity; raises on inconsistent programmatic ASTs."""
+    """Predicate name -> arity; raises on inconsistent programmatic ASTs.
+    Walks f in preorder, as `subformulas`, without its bound-name sets."""
     out: dict[str, int] = {}
-    for g, _ in _atoms(f):
-        n = len(g.args)
-        prev = out.setdefault(g.pred, n)
-        if prev != n:
-            raise FreeVariableError(f"predicate {g.pred!r} used with arities {prev} and {n}")
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            n = len(g.args)
+            prev = out.setdefault(g.pred, n)
+            if prev != n:
+                raise FreeVariableError(f"predicate {g.pred!r} used with arities {prev} and {n}")
+        elif isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, BINARY):
+            stack += g.right, g.left
+        else:
+            stack.append(g.body)
     return out
 
 

@@ -8,6 +8,8 @@ from typing import Sequence
 from .formulas import BINARY, Atom, Const, Exists, Forall, Formula, Not, Var
 
 _VAR_POOL = ("x", "y", "z", "u", "s", "t")
+# the names a drawn quantifier binds: the first of these not bound above it
+_NAME_POOL = _VAR_POOL + tuple(f"x{k}" for k in range(1, 30))
 
 
 def random_monadic(
@@ -23,6 +25,7 @@ def random_monadic(
     max_complexity must then be at least 1."""
     if not consts and max_complexity < 1:
         raise ValueError("without constants a closed formula needs complexity at least 1")
+    preds, consts = list(preds), list(consts)
 
     def go(budget: int, bound: tuple[str, ...]) -> Formula:
         # the least budget a subformula here needs: one binder above its
@@ -35,10 +38,10 @@ def random_monadic(
             choices += ["quant", "quant", "quant"]
         pick = rng.choice(choices)
         if pick == "atom":
-            pred = rng.choice(list(preds))
+            pred = rng.choice(preds)
             if bound and (not consts or rng.random() < 0.85):
                 return Atom(pred, (Var(rng.choice(bound)),))
-            return Atom(pred, (Const(rng.choice(list(consts))),))
+            return Atom(pred, (Const(rng.choice(consts)),))
         if pick == "not":
             return Not(go(budget - 1, bound))
         if pick == "binary":
@@ -46,7 +49,7 @@ def random_monadic(
             left = go(rng.randint(least, budget - 1), bound)
             right = go(rng.randint(least, budget - 1), bound)
             return op(left, right)
-        fresh = next(v for v in _VAR_POOL + tuple(f"x{k}" for k in range(1, 30)) if v not in bound)
+        fresh = next(v for v in _NAME_POOL if v not in bound)
         body = go(budget - 1, bound + (fresh,))
         return (Forall if rng.random() < 0.5 else Exists)(fresh, body)
 

@@ -22,15 +22,18 @@ Rolled-back trace steps are kept, flagged absorbed, so step numbering stays
 dense and premise references stay meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
-stands: a node that is not dirty has an empty `forced_for_anchor` output. A
-fresh state holds it with nothing dirty. Nothing is marked yet; the `FORCING`
-entry of every all-unmarked connective is empty; and instantiation,
+stands: a node that is not dirty has an empty `forced_for_anchor` output, or
+lies in a template subtree that `relevant()` skips. A sweep that marks nothing
+leaves only such nodes dirty, and `saturate` drops them; a rollback past the
+instance that hid them restores a dirty set saved while they showed. A fresh
+state holds the invariant with nothing dirty. Nothing is marked yet; the
+`FORCING` entry of every all-unmarked connective is empty; and instantiation,
 generalization and iteration each read a mark on the quantifier, an instance
 child or the node itself. So no node of a fresh tree concludes anything, and
-the first sweep visits only what the RR mark dirties. An anchor's output
-reads the marks of itself and its children, its instance children, the
-members of its formula class and the open frames. Four hooks keep the
-invariant from there, each dirtying only the anchors that can now conclude:
+the first sweep visits only what the RR mark dirties. An anchor's output reads
+the marks of itself and its children, its instance children, the members of
+its formula class and the open frames. Four hooks keep the invariant from
+there, each dirtying only the anchors that can now conclude:
 
 - `set_mark` on n dirties n when it is a quantifier, when its class has
   another member (IA/IR), or when its new mark pattern is live (`_LIVE`: its
@@ -184,8 +187,17 @@ _LIVE = {
 }
 
 
-# the catalog rules that conclude their anchor's mark
-_CONCLUDES_K = frozenset(r.name for r in CATALOG.values() if any(pos == "k" for pos, _ in r.conclusions))
+# per catalog rule, what `_validate` checks: its connective, whether it
+# concludes its anchor's mark, its conclusions, and its premises as (child
+# index, -1 for the anchor itself, mark, position)
+_CHECKS = {
+    r.name: (r.connective, any(pos == "k" for pos, _ in r.conclusions), frozenset(r.conclusions),
+             tuple((POSITION[pos] - 1, val, pos) for pos, val in r.premises))
+    for r in CATALOG.values()
+}
+
+# the entry of an unmarked node, so that a mark is read as marks.get(n, _UNMARKED)[0]
+_UNMARKED = (None, 0)
 
 
 # the value an option rule or its failure concludes, and the complaint otherwise
@@ -197,27 +209,8 @@ _OPTION_VALUE = {
 }
 
 
-def _at(anchor: TreeNode, pos: str) -> int:
-    """The node at rule position pos of a connective node."""
-    return anchor.nid if pos == "k" else anchor.children[POSITION[pos] - 1]
-
-
 def _rejected(rule: str, msg: str) -> PremiseError:
     return PremiseError(f"{rule}: {msg}")
-
-
-def _pattern(marks: dict[int, tuple[Mark, int]], anchor: TreeNode) -> tuple[Optional[Mark], ...]:
-    """The marks of a connective node and of its children, None for
-    unmarked: the key of its `FORCING` entry."""
-    got = marks.get(anchor.nid)
-    k = got[0] if got else None
-    kids = anchor.children
-    got = marks.get(kids[0])
-    a = got[0] if got else None
-    if len(kids) == 1:
-        return k, a
-    got = marks.get(kids[1])
-    return k, a, got[0] if got else None
 
 
 class MarkingState:
@@ -368,16 +361,20 @@ class MarkingState:
         marks[n] = (v, step)
         trail = self._trail
         trail.append((marks.pop, n))
-        # the anchors this mark can make conclude (module docstring)
-        dirty = self._dirty
-        kind = node.kind
-        if node.is_quantifier or len(self.tree.classes[k]) > 1 or (
-                kind in _LIVE and _pattern(marks, node) in _LIVE[kind]):
+        # the anchors this mark can make conclude (module docstring); a mark
+        # pattern, the key of a `FORCING` entry, is read in place
+        dirty, get = self._dirty, marks.get
+        kind, kids = node.kind, node.children
+        if node.is_quantifier or len(self.tree.classes[k]) > 1 or kind in _LIVE and (
+                (v, get(kids[0], _UNMARKED)[0]) if len(kids) == 1
+                else (v, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])) in _LIVE[kind]:
             dirty.add(n)
         parent = node.parent
         if parent is not None:
             pnode = self.tree.nodes[parent]
-            if pnode.is_quantifier or _pattern(marks, pnode) in _LIVE[pnode.kind]:
+            kids, pv = pnode.children, get(parent, _UNMARKED)[0]
+            if pnode.is_quantifier or ((pv, v) if len(kids) == 1 else (
+                    pv, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])) in _LIVE[pnode.kind]:
                 dirty.add(parent)
         hit = self.consensus.get(k)
         if hit is None:
@@ -398,25 +395,26 @@ class MarkingState:
             raise PremiseError(f"unknown node {n}")
         if not node.ground:
             raise PremiseError(f"node {n} has unfilled placeholders and cannot be marked")
-        spec = CATALOG.get(rule)
-        if spec is not None:
+        check = _CHECKS.get(rule)
+        if check is not None:
+            connective, concludes_k, conclusions, premises = check
             # a catalog rule concludes either its anchor (k) or children of it
-            if rule in _CONCLUDES_K and node.kind == spec.connective:
+            if concludes_k and node.kind == connective:
                 target_pos, anchor = "k", node
             else:
                 parent = node.parent
-                if parent is None or nodes[parent].kind != spec.connective:
-                    raise _rejected(rule, f"node is not positioned for a {spec.connective} rule")
+                if parent is None or nodes[parent].kind != connective:
+                    raise _rejected(rule, f"node is not positioned for a {connective} rule")
                 anchor = nodes[parent]
-                if spec.connective == "not":
+                if connective == "not":
                     target_pos = "a"
                 else:
                     target_pos = "i" if anchor.children[0] == n else "d"
-            if (target_pos, v) not in spec.conclusions:
+            if (target_pos, v) not in conclusions:
                 raise _rejected(rule, "rule does not conclude this mark at this position")
-            for pos, val in spec.premises:
-                got = marks.get(_at(anchor, pos))
-                if got is None or got[0] != val:
+            kids = anchor.children
+            for i, val, pos in premises:
+                if marks.get(kids[i] if i >= 0 else anchor.nid, _UNMARKED)[0] != val:
                     raise _rejected(rule, f"premise {pos}={val} does not hold")
         elif rule == "RR":
             if n != tree.root or v != 0:
@@ -635,14 +633,16 @@ class MarkingState:
         A conclusion against an existing opposite mark must surface as a
         double mark, so only same-value repeats are dropped."""
         nodes, marks = self.tree.nodes, self.marks
-        node = nodes[n]
-        got = marks.get(n)
-        mark = None if got is None else got[0]
+        node, get = nodes[n], marks.get
+        mark = get(n, _UNMARKED)[0]
         out: list[tuple[int, Mark, str, tuple[int, ...]]] = []
         table = FORCING.get(node.kind)
         if table is not None:
-            vals = _pattern(marks, node)
-            at = (n, *node.children)
+            kids = node.children
+            # the mark pattern, read in place
+            vals = (mark, get(kids[0], _UNMARKED)[0]) if len(kids) == 1 else (
+                mark, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])
+            at = (n, *kids)
             for rule, premises, conclusions in table[vals]:
                 prem = tuple(map(at.__getitem__, premises))
                 for index, v in conclusions:
@@ -889,6 +889,9 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
                         dirty.add(nid)
                         return s.dm
             if not swept:
+                # nothing was marked, so the nodes still dirty are the ones
+                # relevant() skips (module docstring)
+                dirty.clear()
                 break
             changed = True
         if _expand_obligations(s, budget):

@@ -33,11 +33,12 @@ variables of the quantifiers on the way. An index that points past the node
 becomes the anonymous placeholder `Slot()`; `instance_formula` reads the one
 pointing a single binder past a template as the instance's term instead.
 
-Each shape also keeps the names of the `Var` terms its atoms carry, composed
-in `_intern` like its reach: these are the free variables of the node's
-formula (`node_free_variables`). The source is closed, so in a tree from
-`build_initial_tree` they come only from fill terms such as the generic
-variable.
+Each shape also keeps the names of the `Var` terms its atoms carry: these
+are the free variables of the node's formula (`node_free_variables`). The
+source is closed, so in a tree from `build_initial_tree` they come only from
+fill terms such as the generic variable. Every shape, from `_build` or from
+`_filled`, is interned by one `_intern` call, which composes a new shape's
+reach and names from its key and its children's.
 
 `_build`'s walk over the source also gathers the source's constants in
 first-occurrence order, its predicate arities and every identifier it uses,
@@ -203,37 +204,34 @@ class ForcingTree:
         return node
 
     def _intern(self, key: tuple) -> int:
+        """key's shape id; a new shape's reach and variable names are
+        composed from its key and its children's."""
         sid = self._shape_ids.get(key)
-        if sid is None:
-            sid = self._shape_ids[key] = len(self._shape_keys)
-            self._shape_keys.append(key)
-            reach, free = self._facts_of(key)
-            self._reach.append(reach)
-            self._free.append(free)
-        return sid
-
-    def _facts_of(self, key: tuple) -> tuple[int, frozenset[str]]:
-        """A new shape's reach and variable names, composed from its
-        children's."""
-        kind = key[0]
+        if sid is not None:
+            return sid
+        kind, reach, free = key[0], self._reach, self._free
         if kind == "atom":
-            reach, names = 0, []
+            r, names = 0, []
             for a in key[2]:
                 if type(a) is int:
-                    reach = max(reach, a + 1)
+                    r = max(r, a + 1)
                 elif type(a) is Var:
                     names.append(a.name)
-            return reach, frozenset(names)
-        if kind in _QUANT_KINDS:
+            reach.append(r)
+            free.append(frozenset(names))
+        elif kind in _QUANT_KINDS:
             # the quantifier binds index 0 of its template, which names no
             # variable of its own
-            return max(self._reach[key[1]] - 1, 0), self._free[key[1]]
-        free = self._free
-        names = free[key[1]]
-        for c in key[2:]:
-            if free[c]:
-                names = names | free[c]
-        return max(map(self._reach.__getitem__, key[1:])), names
+            reach.append(max(reach[key[1]] - 1, 0))
+            free.append(free[key[1]])
+        else:
+            # a connective's children; a negation's one child is both
+            a, b = key[1], key[-1]
+            reach.append(max(reach[a], reach[b]))
+            free.append(free[a] | free[b] if free[b] else free[a])
+        sid = self._shape_ids[key] = len(self._shape_keys)
+        self._shape_keys.append(key)
+        return sid
 
     def _filled(self, shape: int, index: int, term: Term) -> int:
         """The shape with de Bruijn index `index` filled by term and the

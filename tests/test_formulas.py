@@ -268,6 +268,20 @@ def test_random_monadic_default_stream_is_unchanged():
     assert rng.random() == 0.3184846425035537
 
 
+def test_random_monadic_streams_past_the_variable_pool_are_unchanged():
+    # deep nesting binds the x1, x2, ... names past the six-name pool, and
+    # three predicates, two constants and none draw through the lists the
+    # generator builds once per call
+    rng = random.Random(424242)
+    texts = [
+        format_formula(random_monadic(rng, preds=("P", "Q", "R"), max_complexity=12, consts=consts))
+        for _ in range(100) for consts in (("a", "b"), ())
+    ]
+    assert any(" x1." in text for text in texts)
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == "76c1869d8116431b"
+    assert rng.random() == 0.8293618995697941
+
+
 def test_a_fresh_import_frees_the_previous_one():
     # module-level typing.Union aliases stay in typing's cache and would pin
     # every class of each earlier import in memory

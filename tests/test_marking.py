@@ -850,9 +850,11 @@ def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation()
 
 
 def assert_dirty_covers(s):
-    """The dirty-anchor invariant: a node that is not dirty concludes nothing."""
+    """The dirty-anchor invariant: a node that relevant() visits and that is
+    not dirty concludes nothing. A node it skips, in a template subtree whose
+    quantifier has an instance, may be dropped from the dirty set."""
     assert s.dm is None
-    for nid in s.tree.nodes:
+    for nid in s.relevant():
         if s.forced_for_anchor(nid):
             assert nid in s._dirty, nid
 
@@ -991,6 +993,42 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
         if isinstance(f, (Imp, Or)):
             direct_force(f)
     assert all(checked[k] for k in ("saturate", "instantiate", "rollback")), checked
+
+
+def test_no_saturation_starts_with_a_sweep_that_visits_nothing(monkeypatch):
+    # in each of these decisions a ground node of a quantifier's template is
+    # dirtied (by iteration into it, say) after the quantifier got an
+    # instance, so relevant() no longer visits it; a saturation entered with
+    # only such nodes dirty would walk the relevant nodes for nothing
+    events = []
+    decide_module = sys.modules["semforce.decide"]
+    state_cls = marking.MarkingState
+    relevant, forced = state_cls.relevant, state_cls.forced_for_anchor
+
+    def counted_saturate(s, budget=None, order="pre"):
+        events.append("saturate")
+        return saturate(s, budget, order)
+
+    def counted_relevant(s, order="pre"):
+        if sys._getframe(1).f_code is saturate.__code__:
+            events.append("sweep")
+        return relevant(s, order)
+
+    def counted_forced(s, nid):
+        events.append("visit")
+        return forced(s, nid)
+
+    monkeypatch.setattr(decide_module, "saturate", counted_saturate)
+    monkeypatch.setattr(state_cls, "relevant", counted_relevant)
+    monkeypatch.setattr(state_cls, "forced_for_anchor", counted_forced)
+    for src in ("G(e) & exists z. (exists p. G(p) & F(z))",
+                "exists z. ((G(z) | (F(e) <-> F(z))) -> exists p. F(p))"):
+        events.clear()
+        decide(parse_formula(src))
+        # a saturation that sweeps at all visits an anchor in its first sweep
+        starts = [events[i + 1:i + 3] for i, e in enumerate(events) if e == "saturate"]
+        starts = [start for start in starts if start[:1] == ["sweep"]]
+        assert starts and all(start == ["sweep", "visit"] for start in starts), (src, events)
 
 
 def test_rollback_restores_the_dirty_set_of_its_checkpoint():

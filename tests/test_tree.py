@@ -202,6 +202,56 @@ def test_instance_formula_is_the_formula_of_the_instance_branch(k):
         quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
 
 
+def _composed_facts(t):
+    """Every shape's reach and free variable names, composed from its key
+    alone, in id order: an atom's from its arguments, a quantifier's from its
+    template's (index 0 is its own binder), a connective's as the largest
+    reach and the union of names of its children."""
+    reach, free = [], []
+    for key in t._shape_keys:
+        kind, *rest = key
+        if kind == "atom":
+            reach.append(max([a + 1 for a in rest[1] if type(a) is int], default=0))
+            free.append(frozenset(a.name for a in rest[1] if type(a) is Var))
+        elif kind in ("forall", "exists"):
+            reach.append(max(reach[rest[0]] - 1, 0))
+            free.append(free[rest[0]])
+        else:
+            reach.append(max(reach[c] for c in rest))
+            free.append(frozenset().union(*(free[c] for c in rest)))
+    return reach, free
+
+
+def _assert_interned_facts(t):
+    reach, free = _composed_facts(t)
+    assert t._reach == reach and t._free == free
+    assert all(t._shape_ids[key] == sid for sid, key in enumerate(t._shape_keys))
+    assert len(t._shape_ids) == len(t._shape_keys)
+    expected = {}
+    for nid, node in t.nodes.items():
+        assert node.ground == (reach[node.shape] == 0), nid
+        if node.ground:
+            expected.setdefault(node.shape, []).append(nid)
+    assert list(t.classes.items()) == list(expected.items())
+
+
+def test_interned_shapes_carry_the_facts_composed_from_their_keys():
+    # seeded monadic and two-variable formulas, and the large-formula ladder
+    for f in differential_formulas() + _ladder():
+        t = build_initial_tree(f)
+        _assert_interned_facts(t)
+        # instances in node order, each quantifier over the constants, a
+        # witness and a generic variable; clones' quantifiers get a second round
+        terms = [Const(c) for c in list(t.constants)[:2]] + [Const("w1"), Var("v1")]
+        quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier]
+        for _ in range(2):
+            for q in quantifiers[:6]:
+                for term in terms:
+                    t.instantiate(q, term)
+            _assert_interned_facts(t)
+            quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
+
+
 def _preorder_labels(f):
     """f's connectives, variables and atoms in preorder: equal lists mean
     equal formulas, compared without calling the formula classes' __eq__."""
