@@ -19,7 +19,7 @@ from typing import Optional
 
 from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
-from .formulas import Formula, classify_fragment, drop_vacuous, format_formula, is_name, parse_formula
+from .formulas import Formula, classify_fragment, format_formula, is_name, parse_formula
 from .gen import random_monadic
 from .marking import init_marking, saturate
 from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
@@ -66,8 +66,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if isinstance(verdict, Invalid):
         payload["countermodel"] = model_json(verdict.model)
     if args.trace:
-        searched = drop_vacuous(f)
-        if searched is not f:
+        searched = verdict.state.tree.node_formula(verdict.state.tree.root)
+        if searched != f:
             payload["decided"] = format_formula(searched)
         payload["trace"] = render_trace(verdict.state.trace).splitlines()
     if args.format == "json":
@@ -89,16 +89,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     cfg = _engine_config(args)
     budget = domain_bound(classify_fragment(f), cfg)
-    # the formula decide searches: each vacuous binder would add an individual.
+    # the tree decide searches: each vacuous binder would add an individual.
     # One saturation at the full budget, decide's last level, and no search
-    searched = drop_vacuous(f)
-    s = init_marking(build_initial_tree(searched))
+    s = init_marking(build_initial_tree(f, drop_vacuous=True))
+    searched = s.tree.node_formula(s.tree.root)
     s.open_supposition(s.tree.root, 0, kind="RR")
     saturate(s, budget)
     if s.dm is None and not s.unmarked_relevant_ground():
         s.commit_frames()
     dot = args.format == "dot"
-    if searched is not f:
+    if searched != f:
         print(f"{'// ' if dot else ''}decided as: {format_formula(searched)}")
     print(render_dot(s) if dot else render_ascii(s))
     return EXIT_VALID
@@ -289,8 +289,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except RecursionError:
-        # a formula the parser accepts can still be too deep for a later
-        # walk that recurses, such as the tree build over a long flat chain
+        # a formula the parser accepts can still be too deep for evaluate, in
+        # decide's re-check of a countermodel or in the oracle: a long flat chain
         print("resource limit: formula nested too deeply for the interpreter's recursion limit", file=sys.stderr)
         return EXIT_INTERNAL
     except SemforceError as exc:

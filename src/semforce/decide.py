@@ -24,7 +24,7 @@ that gave it.
 
 The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options. Both run
-on `drop_vacuous(f)`; the search builds that formula's tree in one walk of f.
+on `drop_vacuous(f)`: the one build from f leaves its vacuous binders out.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .formulas import (
     Term,
     classify_arities,
     classify_fragment,
-    drop_vacuous,
 )
 from .marking import (
     DoubleMark,
@@ -218,8 +217,8 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
     Both procedures run on `drop_vacuous(f)`: the search on the tree that
-    `build_initial_tree(f, drop_vacuous=True)` builds in one walk, direct
-    forcing (`allow_direct`) on the formula itself; a verdict's state numbers
+    `build_initial_tree(f, drop_vacuous=True)` builds, direct forcing
+    (`allow_direct`) on that tree's root formula; a verdict's state numbers
     that tree's nodes. The search runs at individual budget 1, 2, 4, ... and
     then at the full budget (`_levels`), each level with a fresh marking and
     the full `branch_limit`, and stops at the first level with a verdict:
@@ -243,17 +242,17 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
         # individual, and every universal an instance for it. No subformula's
         # free-variable count changes, so neither does the fragment.
         tree = build_initial_tree(f, drop_vacuous=True)
-    except (FreeVariableError, RecursionError):
-        # an open, ill-typed or too deeply nested AST: the fragment checks
-        # speak first (an arity clash, then FragmentError when no bound
-        # applies), and only then the build's own error
+    except FreeVariableError:
+        # an open or ill-typed AST: the fragment checks speak first (an arity
+        # clash, then FragmentError when no bound applies), and only then the
+        # build's own error
         domain_bound(classify_fragment(f), cfg)
         raise
     # the tree build gathered the arities, so f is walked again only when dyadic
     fragment = classify_arities(tree.arities, f)
     budget = domain_bound(fragment, cfg)
     if cfg.allow_direct and tree.nodes[tree.root].kind in ("imp", "or"):
-        direct = direct_force(drop_vacuous(f), cfg)
+        direct = direct_force(tree.node_formula(tree.root), cfg)
         if direct is not None:
             return direct
     for level in _levels(budget):

@@ -392,63 +392,52 @@ def parse_formula(text: str) -> Formula:
 def format_formula(f: Formula) -> str:
     """Canonical concrete syntax; parse_formula(format_formula(f)) == f. A
     binary operand goes bare only under its own operator, on the side that
-    operator associates to."""
-    if isinstance(f, Atom):
-        return f"{f.pred}({','.join(str(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return "~" + _bracket(format_formula(f.sub), f.sub)
-    if isinstance(f, QUANTIFIERS):
-        return f"{KIND_OF[type(f)]} {f.var}. " + _bracket(format_formula(f.body), f.body)
-    sym = OP_SYMBOL[type(f)]
-    right = _BINARY_OPS[sym][2]
-    left_text = _bracket(format_formula(f.left), f.left, type(f.left) is type(f) and not right)
-    right_text = _bracket(format_formula(f.right), f.right, type(f.right) is type(f) and right)
-    return f"{left_text} {sym} {right_text}"
+    operator associates to. A preorder walk whose stack holds subformulas
+    still to print and the text between them."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Atom:
+            out.append(f"{g.pred}({','.join([str(a) for a in g.args])})")
+        elif t is Not or t is Forall or t is Exists:
+            out.append("~" if t is Not else f"{KIND_OF[t]} {g.var}. ")
+            stack += _operand(g.sub if t is Not else g.body, False)
+        else:
+            sym = OP_SYMBOL[t]
+            right = _BINARY_OPS[sym][2]
+            # the right operand goes on the stack first, so it prints last
+            stack += *_operand(g.right, right and type(g.right) is t), f" {sym} "
+            stack += _operand(g.left, not right and type(g.left) is t)
+    return "".join(out)
 
 
-def _bracket(text: str, g: Formula, bare: bool = False) -> str:
-    return text if bare or not isinstance(g, BINARY) else f"({text})"
+def _operand(g: Formula, bare: bool) -> tuple:
+    """format_formula's stack entries for operand g, parenthesized if binary and not bare."""
+    return (g,) if bare or type(g) not in OP_SYMBOL else (")", g, "(")
 
 
 # ---------------------------------------------------------------- analysis
 
 
-def subformulas(f: Formula) -> Iterator[tuple[Formula, frozenset[str]]]:
-    """Every subformula of f in preorder, left to right, with the names of
-    the variables bound above it. Iterative, so nesting depth is not limited
-    by the interpreter's recursion limit."""
-    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
-    while stack:
-        g, bound = stack.pop()
-        yield g, bound
-        if isinstance(g, Not):
-            stack.append((g.sub, bound))
-        elif isinstance(g, BINARY):
-            stack.append((g.right, bound))
-            stack.append((g.left, bound))
-        elif isinstance(g, QUANTIFIERS):
-            stack.append((g.body, bound | {g.var}))
-
-
-def _atoms(f: Formula) -> Iterator[tuple[Atom, frozenset[str]]]:
-    return ((g, bound) for g, bound in subformulas(f) if isinstance(g, Atom))
-
-
 def free_variables(f: Formula) -> set[str]:
     """Names of variables with at least one free occurrence."""
-    return {t.name for g, bound in _atoms(f) for t in g.args if isinstance(t, Var) and t.name not in bound}
+    return set(list(_free_sets(f))[-1])
 
 
 def constants_of(f: Formula) -> list[str]:
     """Constant names in first-occurrence order."""
-    return list(dict.fromkeys(t.name for g, _ in _atoms(f) for t in g.args if isinstance(t, Const)))
+    return list(dict.fromkeys(t.name for g in _postorder(f) if type(g) is Atom for t in g.args if type(t) is Const))
 
 
 def identifiers_of(f: Formula) -> set[str]:
     """Every identifier used in f: predicates, constants, variable names."""
     out: set[str] = set()
-    for g, _ in subformulas(f):
-        if isinstance(g, Atom):
+    for g in _postorder(f):
+        if type(g) is Atom:
             out.add(g.pred)
             out.update(t.name for t in g.args if isinstance(t, (Var, Const)))
         elif isinstance(g, QUANTIFIERS):
@@ -458,7 +447,7 @@ def identifiers_of(f: Formula) -> set[str]:
 
 def predicate_arities(f: Formula) -> dict[str, int]:
     """Predicate name -> arity; raises on inconsistent programmatic ASTs.
-    Walks f in preorder, as `subformulas`, without its bound-name sets."""
+    A plain preorder loop, cheaper than `_postorder` on the bench's set-up."""
     out: dict[str, int] = {}
     stack = [f]
     while stack:
@@ -479,13 +468,14 @@ def predicate_arities(f: Formula) -> dict[str, int]:
 
 def complexity(f: Formula) -> int:
     """0 for atoms, else 1 + max over immediate subformulas."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return 1 + complexity(f.sub)
-    if isinstance(f, BINARY):
-        return 1 + max(complexity(f.left), complexity(f.right))
-    return 1 + complexity(f.body)
+    done: list[int] = []
+    for g in _postorder(f):
+        if type(g) is Atom:
+            done.append(0)
+        else:
+            right = done.pop() if isinstance(g, BINARY) else 0
+            done[-1] = 1 + max(done[-1], right)
+    return done[0]
 
 
 class Monadic(FrozenRecord):
@@ -521,50 +511,45 @@ def classify_arities(arities: dict[str, int], f: Formula) -> FragmentClass:
     when some predicate is dyadic."""
     if all(a == 1 for a in arities.values()):
         return Monadic(len(arities))
-    if _at_most_two_free(f):
+    if all(len(free) <= 2 for free in _free_sets(f)):
         return Dyadic2Var(len(arities))
     return OUTSIDE
 
 
 def _postorder(f: Formula) -> Iterator[Formula]:
     """Every subformula of f, each after its immediate subformulas, left to
-    right. Iterative, so nesting depth is not limited by the interpreter's
-    recursion limit."""
+    right, so atoms in preorder's order. Iterative, so nesting depth is not
+    limited by the interpreter's recursion limit."""
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         g, expanded = stack.pop()
-        if expanded or isinstance(g, Atom):
+        t = type(g)
+        if expanded or t is Atom:
             yield g
             continue
         stack.append((g, True))
-        if isinstance(g, Not):
+        if t is Not:
             stack.append((g.sub, False))
-        elif isinstance(g, BINARY):
-            stack.append((g.right, False))
-            stack.append((g.left, False))
-        else:
+        elif t is Forall or t is Exists:
             stack.append((g.body, False))
+        else:
+            stack += (g.right, False), (g.left, False)
 
 
-def _at_most_two_free(f: Formula) -> bool:
-    """Whether no subformula of f has more than two free variables, in one
-    postorder pass over f."""
+def _free_sets(f: Formula) -> Iterator[frozenset[str]]:
+    """The names of the free variables of each subformula of f, in
+    `_postorder`'s order: one fold that composes them bottom-up."""
     done: list[frozenset[str]] = []
     for g in _postorder(f):
-        if isinstance(g, Atom):
-            free = frozenset(t.name for t in g.args if isinstance(t, Var))
-        elif isinstance(g, BINARY):
+        t = type(g)
+        if t is Atom:
+            done.append(frozenset([a.name for a in g.args if type(a) is Var]))
+        elif t is Forall or t is Exists:
+            done[-1] = done[-1] - {g.var}
+        elif t is not Not:
             right = done.pop()
-            free = done.pop() | right
-        elif isinstance(g, QUANTIFIERS):
-            free = done.pop() - {g.var}
-        else:
-            # a negation has its operand's free variables
-            continue
-        if len(free) > 2:
-            return False
-        done.append(free)
-    return True
+            done[-1] = done[-1] | right
+        yield done[-1]
 
 
 def drop_vacuous(f: Formula) -> Formula:
@@ -617,10 +602,4 @@ def alpha_normalize(f: Formula) -> Formula:
 
 def is_ground(f: Formula) -> bool:
     """True when no unfilled placeholder (Slot) occurs in f."""
-    if isinstance(f, Atom):
-        return not any(isinstance(t, Slot) for t in f.args)
-    if isinstance(f, Not):
-        return is_ground(f.sub)
-    if isinstance(f, BINARY):
-        return is_ground(f.left) and is_ground(f.right)
-    return is_ground(f.body)
+    return not any(type(t) is Slot for g in _postorder(f) if type(g) is Atom for t in g.args)

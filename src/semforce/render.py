@@ -51,15 +51,13 @@ def _edge_note(s: MarkingState, nid: int) -> Optional[str]:
 def render_ascii(s: MarkingState) -> str:
     floor = _provisional_floor(s)
     lines: list[str] = []
-
-    def walk(nid: int, depth: int) -> None:
+    stack = [(s.tree.root, 0)]
+    while stack:
+        nid, depth = stack.pop()
         note = _edge_note(s, nid)
         prefix = "  " * depth + (f"({note}) " if note else "")
         lines.append(f"{prefix}{_node_label(s, nid)} {_mark_text(s, nid, floor)}")
-        for c in s.tree.nodes[nid].children:
-            walk(c, depth + 1)
-
-    walk(s.tree.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(s.tree.nodes[nid].children))
     return "\n".join(lines)
 
 

@@ -40,13 +40,14 @@ fill terms such as the generic variable. Every shape, from `_build` or from
 `_filled`, is interned by one `_intern` call, which composes a new shape's
 reach and names from its key and its children's.
 
-`_build`'s walk over the source also gathers the source's constants in
-first-occurrence order, its predicate arities and every identifier it uses,
-so the marking state, the fragment test and model extraction read these
-facts from the tree instead of walking the source again. With drop_vacuous
-it drops each run of vacuous binders at its outermost binder: the subformula
-below, built under the run, moves up into its place if ground, and is else
-discarded, the newest nodes and shapes, and built again there.
+`_build` makes the nodes in one preorder pass over the source, then interns
+their shapes from the newest node back, and neither recurses. The pass also
+gathers the source's constants in first-occurrence order, its predicate
+arities and every identifier it uses, so the marking state, the fragment
+test and model extraction read these facts from the tree instead of walking
+the source again. With drop_vacuous it leaves out each vacuous binder, its
+body in its place, and so builds the tree of `drop_vacuous(f)`; at the first
+binder it meets, one more loop over the source finds them all.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .formulas import (
     Atom,
     Const,
     Formula,
+    Not,
     Record,
     Slot,
     Term,
@@ -111,11 +113,6 @@ class ForcingTree:
         self.constants: dict[str, None] = {}
         self.arities: dict[str, int] = {}
         self.identifiers: set[str] = set()
-        # _used[d]: whether an atom met since _build entered the binder at depth
-        # d names its variable; _dropped: id of a source binder dropped -> the
-        # first subformula below its run, which a later visit builds instead
-        self._used: list[bool] = []
-        self._dropped: Optional[dict[int, Formula]] = {} if drop_vacuous else None
         # interned shapes: key -> id, and per id its key, its reach, one more
         # than the largest index pointing above the shape (0 when ground), and
         # the names of the variables its atoms carry
@@ -126,9 +123,10 @@ class ForcingTree:
         # (shape, index, term) -> _filled's answer, for the shapes index reaches
         self._fills: dict[tuple[int, int, Term], int] = {}
         # formula class -> ids of the ground nodes carrying it, in id order;
-        # filled, and ground set, after _build, whose truncate must find none
+        # filled, and ground set, once _build has interned every shape
         self.classes: dict[int, list[int]] = {}
-        self.root = self._build(formula, parent=None, levels={}, depth=0).nid
+        self._build(formula, drop_vacuous)
+        self.root = 1
         for nid, node in self.nodes.items():
             node.ground = self._reach[node.shape] == 0
             if node.ground:
@@ -138,70 +136,66 @@ class ForcingTree:
 
     # ------------------------------------------------------------ construction
 
-    def _build(self, f: Formula, parent: Optional[int], levels: dict[str, int], depth: int) -> TreeNode:
-        """Build f's subtree under parent. levels maps each bound variable to
-        the number of binders above its quantifier; depth is the number of
-        binders above f, so a bound variable's index is depth - 1 - level.
-        Also records f's constants, its predicate arities (raising on a
-        predicate used with two) and the names of the binders it keeps."""
-        if self._dropped:
-            f = self._dropped.get(id(f), f)
-        kind = KIND_OF[type(f)]
-        quantifier = kind in _QUANT_KINDS
-        nid = len(self.nodes) + 1
-        self.nodes[nid] = node = TreeNode(nid, parent, kind, [], -1, False, quantifier)
-        if parent is not None:
-            self.nodes[parent].children.append(nid)
-        if kind == "atom":
-            pred, args = f.pred, f.args
-            prev = self.arities.setdefault(pred, len(args))
-            if prev != len(args):
-                raise FreeVariableError(f"predicate {pred!r} used with arities {prev} and {len(args)}")
-            # one loop rather than two generator passes: this runs per atom
-            shaped = []
-            for t in args:
-                if isinstance(t, Var):
-                    if t.name in levels:
-                        level = levels[t.name]
-                        self._used[level] = True
-                        t = depth - 1 - level
-                elif isinstance(t, Const):
-                    self.constants[t.name] = None
-                shaped.append(t)
-            key = (kind, pred, tuple(shaped))
-        elif quantifier:
-            node.var = f.var
-            used, shapes = self._used, len(self._shape_keys)
-            used[depth:] = [False]
-            # a quantifier's shape reads its template only
-            body = self._build(f.body, nid, {**levels, f.var: depth}, depth + 1)
-            key = (kind, body.shape)
-            if not used[depth] and self._dropped is not None:
-                self._dropped[id(f)] = self._dropped.get(id(f.body), f.body)
-                # a run of vacuous binders is dropped by its outermost binder
-                if parent is not None and self.nodes[parent].is_quantifier and not used[depth - 1]:
-                    return body
-                if self._reach[body.shape] == 0:
-                    # a ground body keeps its shapes: move its nodes up in place
-                    nodes, shift = self.nodes, body.nid - nid
-                    for x in [nodes.pop(n) for n in range(nid, len(nodes) + 1)][shift:]:
-                        x.nid, x.children = x.nid - shift, [c - shift for c in x.children]
-                        x.parent = parent if x is body else x.parent - shift
-                        nodes[x.nid] = x
-                    return body
-                self.truncate(nid)
-                for k in self._shape_keys[shapes:]:
-                    del self._shape_ids[k]
-                del self._shape_keys[shapes:], self._reach[shapes:], self._free[shapes:]
-                return self._build(self._dropped[id(f)], parent, levels, depth)
-            self.identifiers.add(f.var)
-        elif kind == "not":
-            key = (kind, self._build(f.sub, nid, levels, depth).shape)
-        else:
-            key = (kind, self._build(f.left, nid, levels, depth).shape,
-                   self._build(f.right, nid, levels, depth).shape)
-        node.shape = self._intern(key)
-        return node
+    def _build(self, f: Formula, drop_vacuous: bool) -> None:
+        """Make f's nodes in preorder, with drop_vacuous each vacuous binder
+        left out and its body in its place, then intern their shapes from the
+        newest node back. Also records f's constants, its predicate arities
+        (raising on a predicate used with two) and the binders' names."""
+        nodes, intern, shape_ids = self.nodes, self._intern, self._shape_ids
+        constants, arities = self.constants, self.arities
+        # (subformula, parent id, parent's children, levels, depth): levels maps
+        # a bound variable to the number of binders above its quantifier, depth
+        # counts those above the subformula; a bound index is depth - 1 - level
+        stack: list[tuple] = [(f, None, [], {}, 0)]
+        vacuous: Optional[set[int]] = None
+        while stack:
+            g, parent, siblings, levels, depth = stack.pop()
+            kind = KIND_OF[type(g)]
+            quantifier = kind in _QUANT_KINDS
+            if quantifier and drop_vacuous:
+                # found at the first binder, so a formula without any is walked once
+                if vacuous is None:
+                    vacuous = _vacuous_binders(f)
+                if id(g) in vacuous:
+                    stack.append((g.body, parent, siblings, levels, depth))
+                    continue
+            nid = len(nodes) + 1
+            nodes[nid] = node = TreeNode(nid, parent, kind, [], -1, False, quantifier)
+            siblings.append(nid)
+            if kind == "atom":
+                pred, args = g.pred, g.args
+                prev = arities.setdefault(pred, len(args))
+                if prev != len(args):
+                    raise FreeVariableError(f"predicate {pred!r} used with arities {prev} and {len(args)}")
+                # one loop rather than two generator passes: this runs per atom
+                shaped = []
+                for t in args:
+                    if type(t) is Var:
+                        if t.name in levels:
+                            t = depth - 1 - levels[t.name]
+                    elif type(t) is Const:
+                        constants[t.name] = None
+                    shaped.append(t)
+                node.shape = intern((kind, pred, tuple(shaped)))
+            elif quantifier:
+                node.var = g.var
+                self.identifiers.add(g.var)
+                stack.append((g.body, nid, node.children, {**levels, g.var: depth}, depth + 1))
+            elif kind == "not":
+                stack.append((g.sub, nid, node.children, levels, depth))
+            else:
+                stack += (g.right, nid, node.children, levels, depth), (g.left, nid, node.children, levels, depth)
+        # a connective's shape is its kind and its children's shapes, a
+        # quantifier's its kind and its template's, each interned before it
+        for node in reversed(nodes.values()):
+            kids = node.children
+            if kids:
+                if len(kids) == 1:
+                    key = (node.kind, nodes[kids[0]].shape)
+                else:
+                    key = (node.kind, nodes[kids[0]].shape, nodes[kids[1]].shape)
+                sid = shape_ids.get(key)
+                node.shape = sid if sid is not None else intern(key)
 
     def _intern(self, key: tuple) -> int:
         """key's shape id; a new shape's reach and variable names are
@@ -272,11 +266,12 @@ class ForcingTree:
         if not q.children:
             raise StateError(f"quantifier node {qnid} has no template child")
         self.version += 1
-        return self._clone(q.children[0], q.nid, term, fill_term=term, depth=0)
+        return self._clone(q.children[0], q.nid, term)
 
     def truncate(self, next_nid: int) -> None:
         """Remove every node numbered next_nid or above, newest first, so that
-        the next node created is numbered next_nid again (module docstring)."""
+        the next node created is numbered next_nid again (module docstring);
+        a rollback undoes instances so. Shapes stay interned."""
         nodes, classes = self.nodes, self.classes
         end = len(nodes) + 1
         if next_nid >= end:
@@ -292,29 +287,31 @@ class ForcingTree:
                     del classes[node.shape]
         self.version += 1
 
-    def _clone(self, src_nid: int, parent: int, term: Term, fill_term: Optional[Term], depth: int) -> int:
-        """Copy src_nid's subtree under parent with de Bruijn index depth, the
-        binder being instantiated as seen from src_nid, filled by term. The
-        copy's ids are one contiguous range, numbered in preorder."""
-        nodes = self.nodes
-        src = nodes[src_nid]
-        sid = self._filled(src.shape, depth, term)
-        nid = len(nodes) + 1
-        ground = self._reach[sid] == 0
-        nodes[nid] = TreeNode(
-            nid, parent, src.kind, [], shape=sid, ground=ground, is_quantifier=src.is_quantifier,
-            var=src.var, fill_term=fill_term,
-        )
-        nodes[parent].children.append(nid)
-        if ground:
-            self.classes.setdefault(sid, []).append(nid)
-        for i, c in enumerate(src.children):
-            # instance branches inside the copied subtree stay instance
-            # branches of the copied quantifier, so their fill survives; only
-            # a template edge crosses a binder
-            template = src.is_quantifier and i == 0
-            self._clone(c, nid, term, fill_term=nodes[c].fill_term, depth=depth + 1 if template else depth)
-        return nid
+    def _clone(self, src_nid: int, parent: int, term: Term) -> int:
+        """Copy src_nid's subtree under parent as an instance child whose
+        shapes have the instantiated binder's index filled by term; the copy's
+        ids are one contiguous range in preorder, and the first is returned."""
+        nodes, classes, reach = self.nodes, self.classes, self._reach
+        first = len(nodes) + 1
+        # (source node, its copy's parent and fill term, the filled index there)
+        stack: list[tuple] = [(src_nid, parent, term, 0)]
+        while stack:
+            n, p, fill, depth = stack.pop()
+            src = nodes[n]
+            sid = self._filled(src.shape, depth, term)
+            nid = len(nodes) + 1
+            ground = reach[sid] == 0
+            nodes[nid] = TreeNode(nid, p, src.kind, [], sid, ground, src.is_quantifier, src.var, fill)
+            nodes[p].children.append(nid)
+            if ground:
+                classes.setdefault(sid, []).append(nid)
+            # instance branches inside the copied subtree stay instance branches
+            # of the copied quantifier, so their fill survives; only a template
+            # edge crosses a binder
+            kids = src.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], nid, nodes[kids[i]].fill_term, depth + (i == 0 and src.is_quantifier)))
+        return first
 
     # --------------------------------------------------------------- formulas
 
@@ -414,6 +411,31 @@ class ForcingTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+def _vacuous_binders(f: Formula) -> set[int]:
+    """ids of f's quantifier subformulas whose variable is free in no atom
+    below them, the binders `drop_vacuous` drops. Vacuity depends on the
+    subformula alone, so one id stands for every occurrence of a shared one."""
+    binders: list[Formula] = []
+    named: set[int] = set()
+    # (subformula, bound variable -> its binder's index in binders)
+    stack: list[tuple[Formula, dict[str, int]]] = [(f, {})]
+    while stack:
+        g, levels = stack.pop()
+        t = type(g)
+        if t is Atom:
+            for a in g.args:
+                if type(a) is Var and a.name in levels:
+                    named.add(levels[a.name])
+        elif t is Not:
+            stack.append((g.sub, levels))
+        elif t in QUANTIFIERS:
+            stack.append((g.body, {**levels, g.var: len(binders)}))
+            binders.append(g)
+        else:
+            stack += (g.right, levels), (g.left, levels)
+    return {id(q) for k, q in enumerate(binders) if k not in named}
 
 
 def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree:

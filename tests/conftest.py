@@ -1,10 +1,12 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
-isomorphism canonicalizer, and a broad random formula generator."""
+isomorphism canonicalizer, a broad random formula generator, and a lowered
+recursion limit for the tests of walks that must not recurse."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -98,6 +100,25 @@ def balanced_pairs(n: int) -> str:
     while len(parts) > 1:
         parts = [f"({a} & {b})" if b else a for a, b in zip(parts[::2], parts[1::2] + [""])]
     return "~" + parts[0]
+
+
+def within_a_shallow_stack(read, spare: int = 100):
+    """read() run with at most `spare` frames of stack to spare, so that a
+    walk recursing once per level fails."""
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + spare)
+    try:
+        return read()
+    except RecursionError:
+        # a plain failure: pytest searches a RecursionError's traceback for a
+        # repeated frame by comparing frame locals, which with deep formulas
+        # among them takes minutes
+        raise AssertionError(f"recursed past {spare} frames") from None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def differential_formulas():

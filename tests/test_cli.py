@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import ILLUSTRATIONS, balanced_pairs
+from conftest import ILLUSTRATIONS, balanced_pairs, within_a_shallow_stack
 
 from semforce import models
 from semforce.gen import random_monadic
@@ -174,16 +174,47 @@ def test_a_quantifier_chain_as_deep_as_the_parser_goes_is_checked(capsys, quanti
 
 
 @pytest.mark.parametrize("op", ["&", "|", "<->"])
-def test_a_flat_chain_too_deep_for_the_tree_walks_is_a_resource_limit(capsys, tmp_path, op):
+def test_a_flat_chain_too_deep_for_evaluate_is_a_resource_limit(capsys, tmp_path, op):
     # the parser reads the chain in a loop, but it builds a 1200-deep left
-    # spine that the tree build and evaluate recurse on
+    # spine that evaluate recurses on: in decide's re-check of the
+    # countermodel, and in the oracle
     text = f"P(a) {op} " * 1200 + "P(a)"
     corpus = tmp_path / "chain.corpus"
     corpus.write_text(text + "\n")
-    for argv in (["check", text], ["render", text], ["oracle", text], ["corpus", str(corpus)]):
+    for argv in (["check", text], ["oracle", text], ["corpus", str(corpus)]):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INTERNAL, argv[0]
         assert err.startswith("resource limit:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op", ["&", "|", "<->"])
+def test_a_flat_chain_too_deep_for_evaluate_is_rendered(capsys, op):
+    # the tree build, the saturation and the renderer walk without recursion
+    code, out, err = run(capsys, "render", f"P(a) {op} " * 1200 + "P(a)")
+    assert code == EXIT_VALID and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2401
+    assert lines[0].startswith(f"{op} [") and lines[1200].startswith("  " * 1200 + "P(a) [")
+
+
+def test_an_implication_chain_as_long_as_the_parser_goes_is_checked_and_rendered(capsys):
+    # the parser spends a frame per `->` link; the tree build, the search and
+    # the renderer spend none, so at a lowered recursion limit the chains that
+    # parse are decided (valid, so evaluate never runs) and rendered. A walk
+    # that spent frames per link would fail first on the longest ones, so the
+    # last 20 are all tried, and every 25th below them
+    def make(k):
+        return "P(a) -> " * k + "P(a)"
+
+    def chains():
+        longest = _deepest_parsed(capsys, make)
+        for k in [*range(1, longest - 20, 25), *range(max(longest - 20, 1), longest + 1)]:
+            for command in ("check", "render"):
+                code, _, err = run(capsys, command, make(k))
+                assert code == EXIT_VALID, (command, k, err)
+        return longest
+
+    assert within_a_shallow_stack(chains, spare=400) > 300
 
 
 def test_fragment_error_exit_code(capsys):

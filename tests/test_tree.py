@@ -10,9 +10,13 @@ from semforce import (
     And,
     Atom,
     Const,
+    Exists,
     Forall,
     FreeVariableError,
+    Imp,
     Invalid,
+    Not,
+    Or,
     Var,
     build_initial_tree,
     complexity,
@@ -22,6 +26,7 @@ from semforce import (
     node_formula,
     parse_formula,
     profundity,
+    render_ascii,
     saturate,
 )
 from semforce.formulas import (
@@ -31,13 +36,14 @@ from semforce.formulas import (
     free_variables,
     Slot,
     identifiers_of,
+    is_ground,
     predicate_arities,
-    subformulas,
+    _postorder,
 )
 from semforce.rules import PERMISSION
 from semforce.tree import ForcingTree
 
-from conftest import ILLUSTRATIONS, differential_formulas, random_formula
+from conftest import ILLUSTRATIONS, differential_formulas, random_formula, within_a_shallow_stack
 
 
 def test_one_node_per_occurrence():
@@ -104,8 +110,8 @@ def test_profundity_matches_complexity(rng):
 
 
 def test_profundity_of_a_deep_negation_chain_matches_complexity():
-    # the build and complexity recurse once per level, which 900 levels fit;
-    # profundity walks without recursion
+    # the parser recurses once per `~`, which 900 levels fit; the build,
+    # complexity and profundity walk without recursion
     f = parse_formula("~" * 900 + "P(a)")
     t = build_initial_tree(f)
     assert t.profundity() == complexity(f) == 900
@@ -252,43 +258,94 @@ def test_interned_shapes_carry_the_facts_composed_from_their_keys():
             quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
 
 
-def _preorder_labels(f):
-    """f's connectives, variables and atoms in preorder: equal lists mean
+def _postorder_labels(f):
+    """f's connectives, variables and atoms in postorder: equal lists mean
     equal formulas, compared without calling the formula classes' __eq__."""
     return [(type(g), getattr(g, "var", None), getattr(g, "pred", None), getattr(g, "args", None))
-            for g, _ in subformulas(f)]
-
-
-def _within_a_shallow_stack(read):
-    """read() run with at most 100 frames of stack to spare, so that a walk
-    recursing once per level raises RecursionError."""
-    frames, f = 0, sys._getframe()
-    while f is not None:
-        frames, f = frames + 1, f.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + 100)
-    try:
-        return read()
-    finally:
-        sys.setrecursionlimit(limit)
+            for g in _postorder(f)]
 
 
 def test_decoding_a_deep_formula_does_not_recurse():
     negated = parse_formula("~" * 600 + "P(a)")
     t = build_initial_tree(negated)
-    assert _preorder_labels(_within_a_shallow_stack(lambda: t.node_formula(t.root))) == _preorder_labels(negated)
+    assert _postorder_labels(within_a_shallow_stack(lambda: t.node_formula(t.root))) == _postorder_labels(negated)
     nested = parse_formula("forall x. " * 300 + "P(x)")
     t = build_initial_tree(nested)
-    assert _preorder_labels(_within_a_shallow_stack(lambda: t.node_formula(t.root))) == _preorder_labels(nested)
+    assert _postorder_labels(within_a_shallow_stack(lambda: t.node_formula(t.root))) == _postorder_labels(nested)
     # the root's template filled with c: 299 quantifiers, the innermost binds P's x
-    got = _within_a_shallow_stack(lambda: t.instance_formula(t.root, Const("c")))
-    assert _preorder_labels(got) == _preorder_labels(nested.body)
+    got = within_a_shallow_stack(lambda: t.instance_formula(t.root, Const("c")))
+    assert _postorder_labels(got) == _postorder_labels(nested.body)
 
 
 def test_filling_a_deep_shape_does_not_recurse():
     t = build_initial_tree(parse_formula("forall x. " + "~" * 600 + "P(x)"))
-    key = _within_a_shallow_stack(lambda: t.instance_class(t.root, Const("c")))
+    key = within_a_shallow_stack(lambda: t.instance_class(t.root, Const("c")))
     assert key == t.nodes[t.instantiate(t.root, Const("c"))].shape
+
+
+def _nest(leaf, wrap, depth):
+    """leaf wrapped depth times by wrap, built without recursion."""
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["kept", "dropped"])
+def test_building_a_deep_formula_does_not_recurse(drop):
+    def build(f):
+        return within_a_shallow_stack(lambda: build_initial_tree(f, drop_vacuous=drop))
+
+    negated = _nest(Atom("P", (Const("a"),)), Not, 3000)
+    t = build(negated)
+    assert len(t) == 3001 and t.profundity() == 3000
+    assert t.node_formula(t.root) == negated
+    # a run of vacuous binders over a ground body, and one below a binder
+    # that stays over a body naming it
+    ground = _nest(Atom("P", (Const("c"),)), lambda g: Exists("x", g), 3000)
+    named = Forall("y", _nest(Atom("P", (Var("y"),)), lambda g: Exists("x", g), 3000))
+    for f in (ground, named):
+        t = build(f)
+        assert t.node_formula(t.root) == (drop_vacuous(f) if drop else f)
+        assert _tree_facts(t) == _tree_facts(build_initial_tree(drop_vacuous(f) if drop else f))
+    assert len(build(ground)) == (1 if drop else 3001)
+    assert len(build(named)) == (2 if drop else 3002)
+
+
+def test_instantiating_a_deep_template_does_not_recurse():
+    t = within_a_shallow_stack(lambda: build_initial_tree(Forall("x", _nest(Atom("P", (Var("x"),)), Not, 2000))))
+    child = within_a_shallow_stack(lambda: t.instantiate(t.root, Const("c")))
+    # one contiguous range of ids, in preorder
+    assert list(t.preorder(child)) == list(range(child, child + 2001)) and len(t) == child + 2000
+    assert t.node_formula(child) == _nest(Atom("P", (Const("c"),)), Not, 2000)
+    assert t.is_ground_node(child) and t.classes[t.nodes[child].shape] == [child]
+
+
+def test_the_formula_walks_and_the_renderer_do_not_recurse():
+    atom = Atom("P", (Const("a"),))
+    negated = _nest(atom, Not, 2000)
+    # a left-nested conditional parenthesizes every operand but the last
+    left = _nest(atom, lambda g: Imp(g, atom), 2000)
+    text = "P(a) -> P(a)"
+    for _ in range(1999):
+        text = f"({text}) -> P(a)"
+    assert within_a_shallow_stack(lambda: format_formula(negated)) == "~" * 2000 + "P(a)"
+    assert within_a_shallow_stack(lambda: format_formula(left)) == text
+    assert within_a_shallow_stack(lambda: complexity(negated)) == within_a_shallow_stack(lambda: complexity(left)) == 2000
+    assert within_a_shallow_stack(lambda: is_ground(left))
+    assert not within_a_shallow_stack(lambda: is_ground(_nest(Atom("P", (Slot(),)), Not, 2000)))
+    lines = within_a_shallow_stack(lambda: render_ascii(init_marking(build_initial_tree(negated)))).splitlines()
+    assert len(lines) == 2001
+    assert lines[0] == "~ [?]" and lines[-1] == "  " * 2000 + "P(a) [?]"
+
+
+def test_a_vacuous_binder_shared_by_both_sides_is_dropped_from_each():
+    # one Exists object under both operands, vacuous, beside a shared one that binds
+    vacuous = Exists("x", Atom("P", (Var("y"),)))
+    binding = Exists("x", Atom("R", (Var("x"), Var("y"))))
+    f = Forall("y", And(Or(vacuous, binding), Imp(binding, Not(vacuous))))
+    t = build_initial_tree(f, drop_vacuous=True)
+    assert _tree_facts(t) == _tree_facts(build_initial_tree(drop_vacuous(f)))
+    assert len(t) == len(build_initial_tree(f)) - 2
 
 
 # ------------------------------------------- facts gathered by the build
