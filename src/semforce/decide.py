@@ -49,13 +49,12 @@ from .marking import (
     DoubleMark,
     Frame,
     MarkingState,
-    TraceStep,
     capped_obligations,
     init_marking,
     missing_instances,
     saturate,
 )
-from .models import Interpretation, evaluate, extract_model
+from .models import evaluate, extract_model
 from .rules import DISCHARGE, PERMISSION
 from .tree import build_initial_tree
 
@@ -81,25 +80,13 @@ class EngineConfig(Record):
 class Valid(Record):
     __match_args__ = __slots__ = ("trace", "state")
 
-    def __init__(self, trace: list[TraceStep], state: MarkingState) -> None:
-        self.trace = trace
-        self.state = state
-
 
 class Invalid(Record):
     __match_args__ = __slots__ = ("model", "state")
 
-    def __init__(self, model: Interpretation, state: MarkingState) -> None:
-        self.model = model
-        self.state = state
-
 
 class NoCountermodelUpTo(Record):
     __match_args__ = __slots__ = ("bound", "state")
-
-    def __init__(self, bound: int, state: MarkingState) -> None:
-        self.bound = bound
-        self.state = state
 
 
 Verdict = Valid | Invalid | NoCountermodelUpTo

@@ -11,8 +11,9 @@ equal up to renaming of bound variables share it, and it is composed when
 the node is created. Iteration, consensus and the double-mark test key on
 that int, and the members of a class are read from `tree.classes`. The names
 of a node's free variables are read from its shape too, and the registry and
-the reserved names from the facts the tree build gathered about the source,
-so a decision walks no formula here.
+the reserved names from the facts the tree build gathered about the source.
+The one formula a decision walks here is an instance branch's, which
+`is_independent` decodes to list the constants it names.
 
 State mutates in place. Every mark and registry insertion after construction
 pushes one entry on an undo trail, so `checkpoint` copies only the dirty set
@@ -87,29 +88,8 @@ from .rules import (
     PERMISSION,
     POSITION,
     WITNESS_RULES,
-    RuleSpec,
-    verify_derived_rule,
 )
 from .tree import ForcingTree, TreeNode
-
-__all__ = [
-    "DoubleMark",
-    "Frame",
-    "Justification",
-    "MarkingState",
-    "Quiescent",
-    "RuleSpec",
-    "TraceStep",
-    "capped_obligations",
-    "discharge",
-    "forced_consequences",
-    "init_marking",
-    "is_independent",
-    "open_supposition",
-    "saturate",
-    "set_mark",
-    "verify_derived_rule",
-]
 
 Mark = int
 
@@ -214,6 +194,9 @@ def _rejected(rule: str, msg: str) -> PremiseError:
 
 
 class MarkingState:
+    """A marking over tree: nothing is marked yet, and the registry starts
+    with the source's constants."""
+
     def __init__(self, tree: ForcingTree):
         self.tree = tree
         # node -> (value, the trace step that marked it)
@@ -726,15 +709,14 @@ class MarkingState:
     def unmarked_relevant_ground(self) -> list[int]:
         return [n for n in self.relevant() if self.marked(n) is None and self.key(n) is not None]
 
-    def instance_key(self, qnid: int, term: Term) -> Optional[int]:
-        """The formula class an instance branch of qnid filled with term would
-        carry, whether or not any node carries it; None when not ground."""
-        return self.tree.instance_class(qnid, term)
 
-
-def init_marking(t: ForcingTree) -> MarkingState:
-    """Empty marking over t; the registry starts with the source's constants."""
-    return MarkingState(t)
+# the functional interface, which takes the state first: these names are the
+# methods themselves, and the two functions below differ from theirs in what
+# they return
+init_marking = MarkingState
+open_supposition = MarkingState.open_supposition
+discharge = MarkingState.discharge
+is_independent = MarkingState.is_independent
 
 
 def set_mark(s: MarkingState, n: int, v: Mark, rule: str, premises: tuple[int, ...] = ()) -> MarkingState:
@@ -744,18 +726,6 @@ def set_mark(s: MarkingState, n: int, v: Mark, rule: str, premises: tuple[int, .
 
 def forced_consequences(s: MarkingState, n: int) -> list[tuple[int, Mark, Justification]]:
     return [(t, v, Justification(rule, prem)) for t, v, rule, prem in s.forced_for_anchor(n)]
-
-
-def open_supposition(s: MarkingState, n: int, v: Mark) -> Frame:
-    return s.open_supposition(n, v)
-
-
-def discharge(s: MarkingState, scope: Frame, outcome: str | tuple[int, Mark]) -> str:
-    return s.discharge(scope, outcome)
-
-
-def is_independent(s: MarkingState, var: str, n: int) -> bool:
-    return s.is_independent(var, n)
 
 
 # ------------------------------------------------------------------ saturation
@@ -842,7 +812,7 @@ def _remote_instances(s: MarkingState) -> bool:
             return changed
         kind = s.tree.nodes[nid].kind
         for term in missing:
-            hit = s.consensus.get(s.instance_key(nid, term))
+            hit = s.consensus.get(s.tree.instance_class(nid, term))
             if hit is None:
                 continue
             val, src = hit
@@ -859,9 +829,12 @@ def _remote_instances(s: MarkingState) -> bool:
 
 
 def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Quiescent | DoubleMark:
-    """Apply forced rules to fixpoint: rule sweeps in the given traversal order,
-    then instantiation obligations, then remote instances; stop at the first
-    double mark. Fresh witnesses stop once the registry holds budget
+    """Apply forced rules to fixpoint: rule sweeps in the given traversal order
+    until one marks nothing, then instantiation obligations, then remote
+    instances; stop at the first double mark. The fixpoint stands once a
+    round's two quantifier phases add nothing: the state is then the one
+    their quiet sweep left, so another round would find no dirty anchor and
+    add nothing again. Fresh witnesses stop once the registry holds budget
     individuals, when budget is set.
 
     A sweep skips the anchors that are not dirty: by the invariant in the
@@ -874,7 +847,6 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
     # the hooks add to this set; only rollback, never run here, replaces it
     dirty = s._dirty
     while True:
-        changed = False
         while True:
             swept = False
             for nid in s.relevant(order) if dirty else ():
@@ -893,14 +865,10 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
                 # relevant() skips (module docstring)
                 dirty.clear()
                 break
-            changed = True
-        if _expand_obligations(s, budget):
-            changed = True
+        added = _expand_obligations(s, budget)
+        if s.dm is None:
+            added = _remote_instances(s) or added
         if s.dm is not None:
             return s.dm
-        if _remote_instances(s):
-            changed = True
-        if s.dm is not None:
-            return s.dm
-        if not changed:
+        if not added:
             return Quiescent()

@@ -257,10 +257,6 @@ def marks_from_model(i: Interpretation, t: ForcingTree, env: Optional[Env] = Non
     env = env or {}
     out: dict[int, int] = {}
     for nid in t.preorder():
-        if not t.is_ground_node(nid):
-            continue
-        f = t.node_formula(nid)
-        if not free_variables(f) <= set(env):
-            continue
-        out[nid] = evaluate(i, f, env)
+        if t.is_ground_node(nid) and t.node_free_variables(nid) <= env.keys():
+            out[nid] = evaluate(i, t.node_formula(nid), env)
     return out

@@ -449,13 +449,7 @@ def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree
     return t
 
 
-def node_formula(t: ForcingTree, n: int) -> Formula:
-    return t.node_formula(n)
-
-
-def profundity(t: ForcingTree, n: int) -> int:
-    return t.profundity(n)
-
-
-def instantiate_branch(t: ForcingTree, q: int, term: Term) -> int:
-    return t.instantiate(q, term)
+# the functional interface, which takes the tree first: the methods themselves
+node_formula = ForcingTree.node_formula
+profundity = ForcingTree.profundity
+instantiate_branch = ForcingTree.instantiate

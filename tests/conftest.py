@@ -1,6 +1,7 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
-isomorphism canonicalizer, a broad random formula generator, and a lowered
-recursion limit for the tests of walks that must not recurse."""
+isomorphism canonicalizer, a broad random formula generator, a lowered
+recursion limit for the tests of walks that must not recurse, and a hook that
+fails a test raising RecursionError at once."""
 
 from __future__ import annotations
 
@@ -112,13 +113,19 @@ def within_a_shallow_stack(read, spare: int = 100):
     sys.setrecursionlimit(frames + spare)
     try:
         return read()
-    except RecursionError:
-        # a plain failure: pytest searches a RecursionError's traceback for a
-        # repeated frame by comparing frame locals, which with deep formulas
-        # among them takes minutes
-        raise AssertionError(f"recursed past {spare} frames") from None
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pyfunc_call(pyfuncitem):
+    """Report a test's RecursionError as a plain failure: pytest searches a
+    RecursionError's traceback for a repeated frame by comparing frame locals,
+    which with deep formulas among them takes minutes."""
+    try:
+        return (yield)
+    except RecursionError as e:
+        raise AssertionError(f"RecursionError: {e}") from None
 
 
 def differential_formulas():

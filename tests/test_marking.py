@@ -634,6 +634,29 @@ def test_saturation_leaves_of_the_first_worked_formula():
     assert not s.unmarked_relevant_ground()
 
 
+def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchanged(monkeypatch):
+    # per saturate call, the (trace steps, nodes) each round's quantifier
+    # phases start from: one pair twice in a row is a round that changed nothing
+    decide_module = sys.modules["semforce.decide"]
+    expand = marking._expand_obligations
+    rounds = []
+
+    def counted_saturate(s, budget=None, order="pre"):
+        rounds.append([])
+        return saturate(s, budget, order)
+
+    def counted_expand(s, budget):
+        rounds[-1].append((len(s.trace), len(s.tree.nodes)))
+        return expand(s, budget)
+
+    monkeypatch.setattr(decide_module, "saturate", counted_saturate)
+    monkeypatch.setattr(marking, "_expand_obligations", counted_expand)
+    for f in differential_formulas():
+        decide(f)
+    assert not [r for r in rounds if any(a == b for a, b in zip(r, r[1:]))]
+    assert any(len(r) > 1 for r in rounds)
+
+
 def test_set_mark_helper_returns_the_state():
     s = state_for("P(a)")
     assert set_mark(s, s.tree.root, 1, "m") is s
@@ -1083,8 +1106,8 @@ def test_discharge_rule_messages_name_the_connective():
 def assert_classes_match_alpha_normalization(s, terms):
     """The composed classes against the formula walks they replace: the
     ground flag against is_ground, class equality against alpha_normalize,
-    and instance_key against the classes of the nodes carrying the
-    instance's formula. Returns how many instance_key calls named the class
+    and instance_class against the classes of the nodes carrying the
+    instance's formula. Returns how many instance_class calls named the class
     of a node."""
     t = s.tree
     classes_of_form, forms_of_class = {}, {}
@@ -1104,7 +1127,7 @@ def assert_classes_match_alpha_normalization(s, terms):
     for q in t.nodes:
         if t.nodes[q].is_quantifier:
             for term in terms:
-                got = s.instance_key(q, term)
+                got = t.instance_class(q, term)
                 f = t.instance_formula(q, term)
                 assert (got is None) == (not is_ground(f)), (q, term)
                 if got is None:
@@ -1121,7 +1144,7 @@ def assert_classes_match_alpha_normalization(s, terms):
 
 def test_formula_classes_match_alpha_normalization_after_decide():
     # deciding first leaves instances, witnesses and the generic variable in
-    # the trees, and instance_key's fills memoized
+    # the trees, and instance_class's fills memoized
     named = 0
     for f in differential_formulas():
         s = decide(f).state

@@ -236,6 +236,18 @@ def test_marks_from_model_skips_nodes_with_unfilled_placeholders():
     assert template not in derived
 
 
+def test_marks_from_model_evaluates_a_free_variable_only_under_env():
+    t = build_initial_tree(parse_formula("forall x. (P(x) | Q(a))"))
+    child = t.instantiate(t.root, Var("v1"))
+    p_v1, q_a = t.nodes[child].children
+    i = Interpretation(("a", "b"), {"P": frozenset({"b"}), "Q": frozenset()}, {}, {"a": "a"})
+    derived = marks_from_model(i, t)
+    assert child not in derived and p_v1 not in derived and derived[q_a] == 0
+    assert marks_from_model(i, t, {"v1": "a"})[child] == 0
+    derived = marks_from_model(i, t, {"v1": "b"})
+    assert derived[child] == derived[p_v1] == 1 and derived[q_a] == 0
+
+
 def test_generic_variable_gets_a_concrete_element_in_extraction():
     # a model read off a marking that used the generic variable names it with
     # a fresh element letter
