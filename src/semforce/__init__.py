@@ -1,6 +1,9 @@
 """Validity by semantic forcing: tableau-style 0/1 marking of syntax trees for
 monadic and two-variable dyadic predicate logic, with countermodel extraction
-and an exhaustive model-search oracle."""
+and an exhaustive model-search oracle.
+
+The names imported here are the package's interface. Each engine operation is
+a method of the `MarkingState` or the `ForcingTree` it acts on."""
 
 from .decide import (
     EngineConfig,
@@ -42,20 +45,7 @@ from .formulas import (
     format_formula,
     parse_formula,
 )
-from .marking import (
-    DoubleMark,
-    Justification,
-    MarkingState,
-    Quiescent,
-    TraceStep,
-    discharge,
-    forced_consequences,
-    init_marking,
-    is_independent,
-    open_supposition,
-    saturate,
-    set_mark,
-)
+from .marking import DoubleMark, MarkingState, TraceStep, saturate
 from .models import (
     Interpretation,
     Refuted,
@@ -70,75 +60,6 @@ from .models import (
 )
 from .render import render_ascii, render_dot, render_trace
 from .rules import RuleSpec, verify_derived_rule
-from .tree import ForcingTree, build_initial_tree, instantiate_branch, node_formula, profundity
+from .tree import ForcingTree, build_initial_tree
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "And",
-    "Atom",
-    "Const",
-    "Dyadic2Var",
-    "DoubleMark",
-    "EngineConfig",
-    "Exists",
-    "Forall",
-    "ForcingTree",
-    "Formula",
-    "FragmentError",
-    "FreeVariableError",
-    "Iff",
-    "Imp",
-    "Interpretation",
-    "Invalid",
-    "Justification",
-    "MarkingState",
-    "Monadic",
-    "NoCountermodelUpTo",
-    "Not",
-    "Or",
-    "Outside",
-    "ParseError",
-    "PremiseError",
-    "Quiescent",
-    "Refuted",
-    "ResourceLimitError",
-    "RuleSpec",
-    "SemforceError",
-    "Signature",
-    "StateError",
-    "TraceStep",
-    "Valid",
-    "ValidUpTo",
-    "Var",
-    "alpha_normalize",
-    "build_initial_tree",
-    "classify_fragment",
-    "complexity",
-    "decide",
-    "direct_force",
-    "discharge",
-    "domain_bound",
-    "drop_vacuous",
-    "enumerate_interpretations",
-    "evaluate",
-    "extract_model",
-    "forced_consequences",
-    "format_formula",
-    "init_marking",
-    "instantiate_branch",
-    "is_independent",
-    "marks_from_model",
-    "node_formula",
-    "open_supposition",
-    "oracle_validity",
-    "parse_formula",
-    "profundity",
-    "render_ascii",
-    "render_dot",
-    "render_trace",
-    "saturate",
-    "set_mark",
-    "signature_of",
-    "verify_derived_rule",
-]

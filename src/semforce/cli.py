@@ -21,7 +21,7 @@ from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, do
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
 from .formulas import Formula, classify_fragment, format_formula, is_name, parse_formula
 from .gen import random_monadic
-from .marking import init_marking, saturate
+from .marking import MarkingState, saturate
 from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
 from .render import render_ascii, render_dot, render_trace
 from .tree import build_initial_tree
@@ -91,7 +91,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     budget = domain_bound(classify_fragment(f), cfg)
     # the tree decide searches: each vacuous binder would add an individual.
     # One saturation at the full budget, decide's last level, and no search
-    s = init_marking(build_initial_tree(f, drop_vacuous=True))
+    s = MarkingState(build_initial_tree(f, drop_vacuous=True))
     searched = s.tree.node_formula(s.tree.root)
     s.open_supposition(s.tree.root, 0, kind="RR")
     saturate(s, budget)

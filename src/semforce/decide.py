@@ -46,11 +46,12 @@ from .formulas import (
     classify_fragment,
 )
 from .marking import (
-    DoubleMark,
     Frame,
     MarkingState,
+    # decide makes its states through this name, which perfbench/tracer.py
+    # patches by attribute to keep the state of the last decision
+    MarkingState as init_marking,
     capped_obligations,
-    init_marking,
     missing_instances,
     saturate,
 )
@@ -160,7 +161,7 @@ def _search(s: MarkingState, budget: int, branch_limit: int) -> tuple[bool, bool
         branches += 1
         if branches > branch_limit:
             raise ResourceLimitError(f"branch limit {branch_limit} exceeded")
-        if not isinstance(saturate(s, budget), DoubleMark):
+        if saturate(s, budget) is None:
             pending = capped_obligations(s, budget)
             capping_hit = capping_hit or bool(pending)
             unmarked = s.unmarked_relevant_ground()
@@ -286,7 +287,7 @@ def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Val
         root = tree.nodes[tree.root]
         sup, goal = root.children[sup_idx], root.children[1 - sup_idx]
         frame = s.open_supposition(sup, 1 if sup_kind == "OA" else 0)
-        while not isinstance(saturate(s, budget), DoubleMark):
+        while saturate(s, budget) is None:
             if s.marked(goal) == goal_val:
                 s.discharge(frame, (goal, goal_val))
                 return Valid(list(s.trace), s)

@@ -48,8 +48,8 @@ there, each dirtying only the anchors that can now conclude:
   class has a `consensus` entry exactly while a member is marked: its first
   mark makes it, and the trail undoes that mark after every later one.
 - `rollback` restores the dirty set its checkpoint saved. It leaves marks,
-  nodes, registries, frames, the double mark and the generic variable as
-  they were there, so that set covers the state again.
+  nodes, registries, frames and the double mark as they were there, so that
+  set covers the state again.
 - `commit_frames` dirties every node when a closed frame named a free
   variable, since generalization over it may be licensed again at any
   quantifier.
@@ -94,11 +94,6 @@ from .tree import ForcingTree, TreeNode
 Mark = int
 
 
-class Justification(FrozenRecord):
-    __match_args__ = __slots__ = ("rule", "premises")
-    _defaults = {"premises": ()}
-
-
 class TraceStep(Record):
     __match_args__ = __slots__ = ("step", "node", "value", "rule", "premises", "absorbed")
 
@@ -114,43 +109,30 @@ class TraceStep(Record):
         self.absorbed = absorbed
 
 
-class Quiescent(FrozenRecord):
-    __slots__ = ()
-
-
 class DoubleMark(FrozenRecord):
     __match_args__ = __slots__ = ("n1", "n2")
 
 
 class Frame(Record):
-    """One open supposition: a provisional mark whose scope absorbs later steps."""
+    """One open supposition: a provisional mark whose scope absorbs later
+    steps. Its assumed value and opening step are its node's mark, which
+    stands as long as the frame, and its free variables its node's shape's."""
 
-    __match_args__ = __slots__ = ("node", "assumed", "opened_at", "free_vars", "kind", "checkpoint")
-
-    def __init__(
-        self, node: int, assumed: Mark, opened_at: int, free_vars: frozenset[str], kind: str, checkpoint: Checkpoint
-    ) -> None:
-        self.node = node
-        self.assumed = assumed
-        self.opened_at = opened_at
-        self.free_vars = free_vars
-        self.kind = kind
-        self.checkpoint = checkpoint
+    __match_args__ = __slots__ = ("node", "kind", "checkpoint")
 
 
 class Checkpoint(Record):
-    __match_args__ = __slots__ = ("trail_len", "scopes_len", "trace_len", "next_nid", "dm", "generic", "dirty")
+    __match_args__ = __slots__ = ("trail_len", "scopes_len", "trace_len", "next_nid", "dm", "dirty")
 
     def __init__(
         self, trail_len: int, scopes_len: int, trace_len: int, next_nid: int, dm: Optional[DoubleMark],
-        generic: Optional[Var], dirty: frozenset[int],
+        dirty: frozenset[int],
     ) -> None:
         self.trail_len = trail_len
         self.scopes_len = scopes_len
         self.trace_len = trace_len
         self.next_nid = next_nid
         self.dm = dm
-        self.generic = generic
         # the dirty anchors: rollback leaves every structure forced_for_anchor
         # reads as it was here, so this set covers the state again
         self.dirty = dirty
@@ -204,11 +186,11 @@ class MarkingState:
         # formula class -> (value, first node marked with it); ground nodes only
         self.consensus: dict[int, tuple[Mark, int]] = {}
         self.domain_registry: list[Term] = [Const(c) for c in tree.constants]
-        self.witness_registry: dict[str, tuple[int, frozenset[str]]] = {}
+        # witness name -> the instance child it was introduced for
+        self.witness_registry: dict[str, int] = {}
         self.scopes: list[Frame] = []
         self.trace: list[TraceStep] = []
         self.dm: Optional[DoubleMark] = None
-        self.generic: Optional[Var] = None
         self._witness_counter = 0
         # read only: the tree's own set of the source's identifiers
         self._reserved = tree.identifiers
@@ -222,6 +204,14 @@ class MarkingState:
         self._trail: list[tuple] = []
 
     # ------------------------------------------------------------- inspection
+
+    @property
+    def generic(self) -> Optional[Var]:
+        """The generic variable: the registry's one `Var`, None while it has none."""
+        for t in self.domain_registry:
+            if type(t) is Var:
+                return t
+        return None
 
     def marked(self, nid: int) -> Optional[Mark]:
         got = self.marks.get(nid)
@@ -250,8 +240,7 @@ class MarkingState:
         its constant. A branch `_clone` copied into a clone is not: its
         quantifier got the witness while inside a template."""
         term = self.tree.nodes[c].fill_term
-        entry = self.witness_registry.get(term.name) if isinstance(term, Const) else None
-        return entry is not None and entry[0] == c
+        return isinstance(term, Const) and self.witness_registry.get(term.name) == c
 
     # ------------------------------------------------------- undo bookkeeping
 
@@ -262,7 +251,6 @@ class MarkingState:
             trace_len=len(self.trace),
             next_nid=len(self.tree.nodes) + 1,
             dm=self.dm,
-            generic=self.generic,
             dirty=frozenset(self._dirty),
         )
 
@@ -279,7 +267,6 @@ class MarkingState:
         for rec in self.trace[cp.trace_len:]:
             rec.absorbed = True
         self.dm = cp.dm
-        self.generic = cp.generic
         self.tree.truncate(cp.next_nid)
         self._dirty = set(cp.dirty)
 
@@ -308,10 +295,10 @@ class MarkingState:
         n = 1
         while f"v{n}" in self._reserved:
             n += 1
-        self.generic = Var(f"v{n}")
-        self.domain_registry.append(self.generic)
+        generic = Var(f"v{n}")
+        self.domain_registry.append(generic)
         self._trail.append((self.domain_registry.pop, -1))
-        return self.generic
+        return generic
 
     # ------------------------------------------------------------ set_mark
 
@@ -486,7 +473,7 @@ class MarkingState:
         if rule in WITNESS_RULES:
             if not isinstance(term, Const):
                 raise PremiseError("a witness must be a fresh constant")
-            used = {t.name for t in self.domain_registry} | self._reserved | set(self.witness_registry)
+            used = {t.name for t in self.domain_registry} | self._reserved
             if term.name in used:
                 raise PremiseError(f"witness {term.name!r} is not fresh")
         tree = self.tree
@@ -503,7 +490,7 @@ class MarkingState:
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
             trail = self._trail
-            self.witness_registry[term.name] = (child, tree.node_free_variables(child))
+            self.witness_registry[term.name] = child
             trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
             trail.append((self.domain_registry.pop, -1))
@@ -516,14 +503,15 @@ class MarkingState:
         var: var is free neither in the quantifier generalized (n's parent)
         nor in an open supposition, and n's formula names no witness
         introduced while var was free."""
-        if var in self.tree.node_free_variables(self.tree.nodes[n].parent):
+        free = self.tree.node_free_variables
+        if var in free(self.tree.nodes[n].parent):
             return False
         for frame in self.scopes:
-            if var in frame.free_vars:
+            if var in free(frame.node):
                 return False
         for c in constants_of(self.tree.node_formula(n)):
-            entry = self.witness_registry.get(c)
-            if entry is not None and var in entry[1]:
+            child = self.witness_registry.get(c)
+            if child is not None and var in free(child):
                 return False
         return True
 
@@ -535,14 +523,7 @@ class MarkingState:
         kind = kind or ("OA" if v == 1 else "OR")
         if kind not in ("OA", "OR", "RR"):
             raise PremiseError(f"unknown supposition kind {kind!r}")
-        frame = Frame(
-            node=n,
-            assumed=v,
-            opened_at=len(self.trace) + 1,
-            free_vars=self.tree.node_free_variables(n),
-            kind=kind,
-            checkpoint=self.checkpoint(),
-        )
+        frame = Frame(n, kind, self.checkpoint())
         # the frame opens only once its mark stands
         self.set_mark(n, v, kind)
         self.scopes.append(frame)
@@ -559,7 +540,7 @@ class MarkingState:
         """
         if not self.scopes or self.scopes[-1] is not frame:
             raise StateError("only the innermost supposition can be discharged")
-        sup_step = self.step_of(frame.node)
+        assumed, sup_step = self.marks[frame.node]
         if outcome in ("contradiction", "exhausted"):
             if outcome == "contradiction":
                 if self.dm is None:
@@ -572,7 +553,7 @@ class MarkingState:
                 self._record(frame.node, None, "RR-DM", (), cite)
                 return "RR-DM"
             rule = "OA-DM" if frame.kind == "OA" else "OR-DM"
-            self._conclude(frame.node, 1 - frame.assumed, rule, cite)
+            self._conclude(frame.node, 1 - assumed, rule, cite)
             return rule
         target, want = outcome
         if self.marked(target) != want:
@@ -602,7 +583,7 @@ class MarkingState:
         stands). Once a frame naming a free variable is gone, generalization
         over that variable may be licensed again, at any quantifier, so every
         node is dirtied."""
-        if any(frame.free_vars for frame in self.scopes):
+        if any(self.tree.node_free_variables(frame.node) for frame in self.scopes):
             self._dirty.update(self.tree.nodes)
         self.scopes.clear()
 
@@ -710,24 +691,6 @@ class MarkingState:
         return [n for n in self.relevant() if self.marked(n) is None and self.key(n) is not None]
 
 
-# the functional interface, which takes the state first: these names are the
-# methods themselves, and the two functions below differ from theirs in what
-# they return
-init_marking = MarkingState
-open_supposition = MarkingState.open_supposition
-discharge = MarkingState.discharge
-is_independent = MarkingState.is_independent
-
-
-def set_mark(s: MarkingState, n: int, v: Mark, rule: str, premises: tuple[int, ...] = ()) -> MarkingState:
-    s.set_mark(n, v, rule, premises)
-    return s
-
-
-def forced_consequences(s: MarkingState, n: int) -> list[tuple[int, Mark, Justification]]:
-    return [(t, v, Justification(rule, prem)) for t, v, rule, prem in s.forced_for_anchor(n)]
-
-
 # ------------------------------------------------------------------ saturation
 
 
@@ -828,14 +791,14 @@ def _remote_instances(s: MarkingState) -> bool:
     return changed
 
 
-def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Quiescent | DoubleMark:
+def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Optional[DoubleMark]:
     """Apply forced rules to fixpoint: rule sweeps in the given traversal order
     until one marks nothing, then instantiation obligations, then remote
-    instances; stop at the first double mark. The fixpoint stands once a
-    round's two quantifier phases add nothing: the state is then the one
-    their quiet sweep left, so another round would find no dirty anchor and
-    add nothing again. Fresh witnesses stop once the registry holds budget
-    individuals, when budget is set.
+    instances. Returns the first double mark, or None at a consistent
+    fixpoint. The fixpoint stands once a round's two quantifier phases add
+    nothing: the state is then the one their quiet sweep left, so another
+    round would find no dirty anchor and add nothing again. Fresh witnesses
+    stop once the registry holds budget individuals, when budget is set.
 
     A sweep skips the anchors that are not dirty: by the invariant in the
     module docstring they would conclude nothing, so the firings and their
@@ -871,4 +834,4 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
         if s.dm is not None:
             return s.dm
         if not added:
-            return Quiescent()
+            return None

@@ -257,6 +257,6 @@ def marks_from_model(i: Interpretation, t: ForcingTree, env: Optional[Env] = Non
     env = env or {}
     out: dict[int, int] = {}
     for nid in t.preorder():
-        if t.is_ground_node(nid) and t.node_free_variables(nid) <= env.keys():
+        if t.nodes[nid].ground and t.node_free_variables(nid) <= env.keys():
             out[nid] = evaluate(i, t.node_formula(nid), env)
     return out

@@ -15,7 +15,7 @@ _OP_LABEL = {"not": "~", **{KIND_OF[cls]: sym for cls, sym in OP_SYMBOL.items()}
 
 
 def _provisional_floor(s: MarkingState) -> Optional[int]:
-    return min((f.opened_at for f in s.scopes), default=None)
+    return min((s.step_of(f.node) for f in s.scopes), default=None)
 
 
 def _mark_text(s: MarkingState, nid: int, floor: Optional[int]) -> str:

@@ -367,9 +367,6 @@ class ForcingTree:
         shape: `free_variables(node_formula(nid))`, without the decode."""
         return self._free[self.nodes[nid].shape]
 
-    def is_ground_node(self, nid: int) -> bool:
-        return self.nodes[nid].ground
-
     # ------------------------------------------------------------------ shapes
 
     def instance_class(self, qnid: int, term: Term) -> Optional[int]:
@@ -398,16 +395,6 @@ class ForcingTree:
             nid = stack.pop()
             yield nid
             stack.extend(reversed(self.nodes[nid].children))
-
-    def profundity(self, nid: Optional[int] = None) -> int:
-        """Height of the subtree: 0 at atom nodes, else 1 + max over children.
-        Walks without recursion."""
-        height, stack = 0, [(self.root if nid is None else nid, 0)]
-        while stack:
-            n, depth = stack.pop()
-            height = max(height, depth)
-            stack.extend((c, depth + 1) for c in self.nodes[n].children)
-        return height
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -447,9 +434,3 @@ def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree
     if fv:
         raise FreeVariableError(f"tree construction needs a closed formula; free: {sorted(fv)}")
     return t
-
-
-# the functional interface, which takes the tree first: the methods themselves
-node_formula = ForcingTree.node_formula
-profundity = ForcingTree.profundity
-instantiate_branch = ForcingTree.instantiate

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ILLUSTRATIONS, balanced_pairs, within_a_shallow_stack
 
-from semforce import models
+from semforce import Interpretation, Invalid, NoCountermodelUpTo, Valid, models
 from semforce.gen import random_monadic
 from semforce.cli import (
     EXIT_DATA,
@@ -425,6 +425,28 @@ def test_corpus_flags_a_wrong_expectation(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "1 failing" in out
+
+
+@pytest.mark.parametrize(
+    "text,verdict,reason",
+    [
+        ("P(a) -> Q(a)", Valid([], None), "oracle refutes with 1 individuals"),
+        ("P(a) -> P(a)", Invalid(Interpretation(("a",)), None), "oracle finds no countermodel at the model's size"),
+        ("P(a) -> Q(a)", NoCountermodelUpTo(2, None), "oracle refutes within the search budget"),
+    ],
+    ids=["valid", "invalid", "bounded"],
+)
+def test_corpus_fails_a_verdict_the_oracle_contradicts(tmp_path, capsys, monkeypatch, text, verdict, reason):
+    # no verdict of the engine disagrees with the oracle, so a wrong one is
+    # put in its place
+    monkeypatch.setattr("semforce.cli.decide", lambda f, cfg: verdict)
+    path = tmp_path / "wrong.corpus"
+    path.write_text(text + "\n")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == EXIT_INVALID
+    line, summary = out.splitlines()
+    assert line.startswith("FAIL") and line.endswith(f"{text} ({reason})")
+    assert summary == "1 formulas, 0 ok, 1 failing"
 
 
 def test_corpus_generated_agrees_with_the_oracle(capsys):

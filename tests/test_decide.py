@@ -1,8 +1,10 @@
 """End-to-end decisions: verdicts, countermodels, budgets, direct mode."""
 
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from semforce import (
     EngineConfig,
     FragmentError,
     Invalid,
+    MarkingState,
     NoCountermodelUpTo,
     Refuted,
     Valid,
@@ -23,7 +26,6 @@ from semforce import (
     drop_vacuous,
     evaluate,
     extract_model,
-    init_marking,
     oracle_validity,
     parse_formula,
     render_trace,
@@ -86,7 +88,7 @@ def test_validity_traces_end_in_root_discharge():
 def _closes_with_a_capping_hit(f, level: int) -> bool:
     """Whether the search at individual budget level closes, and leaned on
     that budget to do so."""
-    s = init_marking(build_initial_tree(f))
+    s = MarkingState(build_initial_tree(f))
     s.open_supposition(s.tree.root, 0, kind="RR")
     closed, capping_hit = _search(s, level, EngineConfig().branch_limit)
     return closed and capping_hit
@@ -366,7 +368,7 @@ def test_the_deep_instance_search_of_the_vacuous_binders_completes():
     # binders, once 38 s long: every binder marked for a witness adds an
     # individual, and every universal an instance for it
     f = parse_formula(DEEP_DYADIC)
-    s = init_marking(build_initial_tree(f))
+    s = MarkingState(build_initial_tree(f))
     s.open_supposition(s.tree.root, 0, kind="RR")
     assert _search(s, DEFAULT_DYADIC_BOUND, EngineConfig().branch_limit) == (False, True)
     assert len(s.tree.nodes) == 4382
@@ -526,3 +528,21 @@ def test_allow_direct_config_forces_the_formula_without_its_vacuous_binders():
     verdict = decide(parse_formula("forall x. (P(a) -> P(a))"), EngineConfig(allow_direct=True))
     assert isinstance(verdict, Valid)
     assert verdict.trace[-1].rule == "OAi-Ad→"
+
+
+def test_the_bench_tracer_patches_names_that_exist_and_restores_them():
+    # perfbench/tracer.py patches engine names by attribute, so a renamed or
+    # deleted name would otherwise fail only a traced bench run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        verdict = decide(parse_formula(ILLUSTRATIONS[6]))
+    finally:
+        tracer.uninstall()
+    assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)
+    assert tracer.last_state is verdict.state and tracer.calls["marking.saturate"] > 0

@@ -13,31 +13,26 @@ from semforce import (
     DoubleMark,
     Imp,
     Invalid,
+    MarkingState,
     Or,
     PremiseError,
-    Quiescent,
     StateError,
     Var,
     build_initial_tree,
     decide,
     direct_force,
-    discharge,
-    forced_consequences,
     format_formula,
-    init_marking,
     marking,
-    open_supposition,
     parse_formula,
     saturate,
-    set_mark,
 )
 from semforce.cli import model_json
 from semforce.formulas import Atom, alpha_normalize, is_ground
-from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, rules_for
+from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, PERMISSION, rules_for
 
 
 def state_for(src):
-    return init_marking(build_initial_tree(parse_formula(src)))
+    return MarkingState(build_initial_tree(parse_formula(src)))
 
 
 def leaf_marks(s):
@@ -45,7 +40,7 @@ def leaf_marks(s):
     out = {}
     for nid in s.marks:
         g = t.node_formula(nid)
-        if t.is_ground_node(nid) and isinstance(g, Atom):
+        if t.nodes[nid].ground and isinstance(g, Atom):
             out[format_formula(g)] = s.marked(nid)
     return out
 
@@ -148,6 +143,74 @@ def test_a_failed_premise_is_named():
     # AiA↔ needs i=1 at the root
     with pytest.raises(PremiseError, match="premise i=1 does not hold"):
         s.set_mark(atom, 1, "AiA↔", (conj, root))
+
+
+def _mark(s, n, v, rule="m"):
+    s.set_mark(n, v, rule)
+    return n
+
+
+def _instance(s, term=None, q=None, mark=None):
+    """An instance branch of the root quantifier, filled with term (the
+    generic variable by default): made after an option marks the quantifier
+    q, and marked mark by "m" after, where those are given."""
+    root = s.tree.root
+    if q is not None:
+        s.set_mark(root, q, "OA" if q else "OR")
+    c = s.instantiate(root, term or s.introduce_generic(), PERMISSION[s.tree.nodes[root].kind])
+    return c if mark is None else _mark(s, c, mark)
+
+
+# (formula, the set_mark arguments made on its state, the rejection); the
+# initial tree numbers its nodes 1, 2, ... in preorder
+_REJECTED = {
+    "mark-value": ("P(a)", lambda s: (1, 2, "m", ()), "mark must be 0 or 1, got 2"),
+    "unknown-node": ("P(a)", lambda s: (99, 1, "m", ()), "unknown node 99"),
+    "unfilled-node": ("forall x. P(x)", lambda s: (2, 1, "m", ()),
+                      "node 2 has unfilled placeholders and cannot be marked"),
+    "iteration-value": ("P(a) & P(a)", lambda s: (3, 0, "IA", (_mark(s, 2, 0),)),
+                        "IA: iteration keeps the source value"),
+    "iteration-sources": ("P(a) & P(a)", lambda s: (3, 1, "IA", (_mark(s, 2, 1), 2)),
+                          "IA: iteration cites one source node"),
+    "iteration-unmarked-source": ("P(a) & P(a)", lambda s: (3, 1, "IA", (2,)),
+                                  "IA: source node does not carry the iterated value"),
+    "iteration-class": ("P(a) & Q(a)", lambda s: (3, 1, "IA", (_mark(s, 2, 1),)),
+                        "IA: iteration requires nodes associated with one formula"),
+    "marking-root": ("P(a)", lambda s: (1, 1, "A∀", ()), "A∀: no quantifier above this node"),
+    "marking-kind": ("~P(a)", lambda s: (2, 1, "A∀", (1,)), "A∀: parent is not a forall node"),
+    "marking-unmarked-quantifier": ("forall x. P(x)", lambda s: (_instance(s), 1, "A∀", (1,)),
+                                    "A∀: quantifier does not carry the required mark"),
+    "marking-template": ("forall x. P(a)", lambda s: (2, 1, "A∀", (_mark(s, 1, 1, "OA"),)),
+                         "A∀: rule applies to instantiated branches only"),
+    "marking-value": ("forall x. P(x)", lambda s: (_instance(s, q=1), 0, "A∀", (1,)),
+                      "A∀: wrong conclusion value"),
+    "marking-witness": ("exists x. P(x)", lambda s: (_instance(s, q=1), 1, "A∃", (1,)),
+                        "A∃: rule applies to the fresh-witness branch only"),
+    "generalization-kind": ("P(a)", lambda s: (1, 1, "Aa∀", ()), "Aa∀: rule applies to a forall node"),
+    "generalization-value": ("forall x. P(x)", lambda s: (1, 0, "Aa∀", ()), "Aa∀: wrong conclusion value"),
+    "generalization-instances": ("forall x. P(x)", lambda s: (1, 1, "Aa∀", ()),
+                                 "Aa∀: rule cites one instance branch"),
+    "generalization-template": ("forall x. P(x)", lambda s: (1, 1, "Aa∀", (2,)),
+                                "Aa∀: premise is not an instance branch of this quantifier"),
+    "generalization-unmarked-instance": ("forall x. P(x)", lambda s: (1, 1, "Aa∀", (_instance(s),)),
+                                         "Aa∀: instance branch does not carry the required mark"),
+    "generalization-constant": ("forall x. P(x)", lambda s: (1, 1, "Aa∀", (_instance(s, Const("a"), mark=1),)),
+                                "Aa∀: generalization requires a variable instance"),
+    "generalization-dependent": ("forall x. P(x)",
+                                 lambda s: (1, 1, "Aa∀", (s.open_supposition(_instance(s), 1).node,)),
+                                 "Aa∀: variable v1 is not independent in the instance branch"),
+}
+
+
+@pytest.mark.parametrize("src,make,message", _REJECTED.values(), ids=_REJECTED)
+def test_a_rejected_mark_names_its_reason_and_changes_nothing(src, make, message):
+    s = state_for(src)
+    n, v, rule, premises = make(s)
+    steps = len(s.trace)
+    with pytest.raises(PremiseError) as rejected:
+        s.set_mark(n, v, rule, premises)
+    assert str(rejected.value) == message
+    assert len(s.trace) == steps and s.marked(n) is None
 
 
 CHILD_INDEX = {"i": 0, "d": 1, "a": 0}
@@ -277,7 +340,7 @@ def test_witness_instantiation_registers_a_fresh_constant():
     child = s.instantiate(root, Const("w1"), "IR∀")
     assert "w1" in s.witness_registry
     assert Const("w1") in s.domain_registry
-    assert s.witness_registry["w1"][0] == child and s.witness_child(root) == child
+    assert s.witness_registry["w1"] == child and s.witness_child(root) == child
     s.set_mark(child, 0, "R∀", (root,))
     assert s.marked(child) == 0
 
@@ -474,7 +537,7 @@ def test_a_class_has_a_consensus_entry_exactly_while_a_member_is_marked(monkeypa
     for f in differential_formulas():
         decide(f)
     assert any(isinstance(out, DoubleMark) for out in saturated)
-    assert any(isinstance(out, Quiescent) for out in saturated)
+    assert any(out is None for out in saturated)
 
 
 def test_relevant_follows_the_tree_after_a_rollback():
@@ -502,7 +565,7 @@ def test_open_supposition_rejects_marked_nodes():
     s = state_for("P(a)")
     s.set_mark(s.tree.root, 1, "m")
     with pytest.raises(StateError):
-        open_supposition(s, s.tree.root, 0)
+        s.open_supposition(s.tree.root, 0)
 
 
 def test_a_refused_supposition_opens_no_frame():
@@ -526,10 +589,10 @@ def test_an_unknown_supposition_kind_is_refused():
 
 def test_contradiction_discharge_concludes_the_opposite_value():
     s = state_for("P(a) & ~P(a)")
-    frame = open_supposition(s, s.tree.root, 1)
+    frame = s.open_supposition(s.tree.root, 1)
     out = saturate(s)
     assert isinstance(out, DoubleMark)
-    rule = discharge(s, frame, "contradiction")
+    rule = s.discharge(frame, "contradiction")
     assert rule == "OA-DM"
     assert s.marked(s.tree.root) == 0
     assert not s.scopes
@@ -539,15 +602,15 @@ def test_contradiction_discharge_concludes_the_opposite_value():
 
 def test_contradiction_discharge_requires_a_double_mark():
     s = state_for("P(a)")
-    frame = open_supposition(s, s.tree.root, 1)
+    frame = s.open_supposition(s.tree.root, 1)
     with pytest.raises(StateError, match="no double mark"):
-        discharge(s, frame, "contradiction")
+        s.discharge(frame, "contradiction")
 
 
 def test_exhaustion_discharge_needs_no_double_mark():
     s = state_for("P(a)")
-    frame = open_supposition(s, s.tree.root, 1)
-    rule = discharge(s, frame, "exhausted")
+    frame = s.open_supposition(s.tree.root, 1)
+    rule = s.discharge(frame, "exhausted")
     assert rule == "OA-DM"
     assert s.marked(s.tree.root) == 0
     assert len(s.trace[-1].premises) == 1
@@ -556,10 +619,10 @@ def test_exhaustion_discharge_needs_no_double_mark():
 def test_goal_discharge_accepts_the_conditional():
     s = state_for("P(a) -> P(a)")
     left, right = s.tree.nodes[s.tree.root].children
-    frame = open_supposition(s, left, 1)
+    frame = s.open_supposition(left, 1)
     saturate(s)
     assert s.marked(right) == 1  # iterated from the supposed antecedent
-    rule = discharge(s, frame, (right, 1))
+    rule = s.discharge(frame, (right, 1))
     assert rule == "OAi-Ad→"
     assert s.marked(s.tree.root) == 1
     assert s.marked(left) is None  # the supposition itself was rolled back
@@ -569,23 +632,23 @@ def test_goal_discharge_accepts_the_conditional():
 def test_goal_discharge_requires_the_goal_to_be_derived():
     s = state_for("P(a) -> Q(b)")
     left, right = s.tree.nodes[s.tree.root].children
-    frame = open_supposition(s, left, 1)
+    frame = s.open_supposition(left, 1)
     with pytest.raises(StateError, match="not derived"):
-        discharge(s, frame, (right, 1))
+        s.discharge(frame, (right, 1))
 
 
 def test_only_the_innermost_frame_can_be_discharged():
     s = state_for("P(a) & Q(b)")
     left, right = s.tree.nodes[s.tree.root].children
-    outer = open_supposition(s, left, 1)
-    open_supposition(s, right, 1)
+    outer = s.open_supposition(left, 1)
+    s.open_supposition(right, 1)
     with pytest.raises(StateError, match="innermost"):
-        discharge(s, outer, "exhausted")
+        s.discharge(outer, "exhausted")
 
 
 def test_commit_frames_clears_open_scopes():
     s = state_for("P(a)")
-    open_supposition(s, s.tree.root, 1)
+    s.open_supposition(s.tree.root, 1)
     s.commit_frames()
     assert not s.scopes
     assert s.marked(s.tree.root) == 1
@@ -594,12 +657,12 @@ def test_commit_frames_clears_open_scopes():
 # ---------------------------------------------------------------- saturation
 
 
-def test_forced_consequences_for_an_accepted_conjunction():
+def test_the_forced_conclusions_of_an_accepted_conjunction():
     s = state_for("P(a) & Q(b)")
     root = s.tree.root
     left, right = s.tree.nodes[root].children
     s.set_mark(root, 1, "OA")
-    got = {(n, v, j.rule) for n, v, j in forced_consequences(s, root)}
+    got = {(n, v, rule) for n, v, rule, _ in s.forced_for_anchor(root)}
     assert (left, 1, "A∧") in got and (right, 1, "A∧") in got
 
 
@@ -608,7 +671,7 @@ def test_saturation_is_deterministic_across_sweep_orders():
     s2 = state_for(ILLUSTRATIONS[1])
     for s, order in ((s1, "pre"), (s2, "post")):
         s.open_supposition(s.tree.root, 0, kind="RR")
-        assert isinstance(saturate(s, order=order), Quiescent)
+        assert saturate(s, order=order) is None
     assert leaf_marks(s1) == leaf_marks(s2)
 
 
@@ -623,7 +686,7 @@ def test_saturation_refutes_the_second_worked_formula():
 def test_saturation_leaves_of_the_first_worked_formula():
     s = state_for(ILLUSTRATIONS[1])
     s.open_supposition(s.tree.root, 0, kind="RR")
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert leaf_marks(s) == {
         "P(w1)": 1,
         "R(w1,w1)": 1,
@@ -657,11 +720,6 @@ def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchange
     assert any(len(r) > 1 for r in rounds)
 
 
-def test_set_mark_helper_returns_the_state():
-    s = state_for("P(a)")
-    assert set_mark(s, s.tree.root, 1, "m") is s
-
-
 # ------------------------------------------------------------- dirty anchors
 
 
@@ -692,7 +750,7 @@ def full_sweep_saturate(s, budget=None, order="pre"):
         if s.dm is not None:
             return s.dm
         if not changed:
-            return Quiescent()
+            return None
 
 
 def behaviour(f):
@@ -717,7 +775,7 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
 
     def checked(s, budget=None, order="pre"):
         out = saturate(s, budget, order)
-        if isinstance(out, Quiescent):
+        if out is None:
             quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant(order)))
         return out
 
@@ -839,7 +897,7 @@ def test_a_witness_copied_into_a_clone_is_no_witness_of_the_copy():
     clone = s.instantiate(q, Const("c"), "I∀")
     # the clone copies e's witness branch, which no rule made in the clone
     copied = s.tree.nodes[clone].children[1]
-    assert s.tree.nodes[copied].fill_term == Const("w1") and s.witness_registry["w1"][0] == w
+    assert s.tree.nodes[copied].fill_term == Const("w1") and s.witness_registry["w1"] == w
     assert s.witness_child(clone) is None
     assert s.witness_child(e) == w
     # so A∃ may conclude on the witness branch but not on its copy
@@ -884,7 +942,7 @@ def assert_dirty_covers(s):
 
 def test_a_fresh_marking_dirties_nothing():
     for f in differential_formulas():
-        s = init_marking(build_initial_tree(f))
+        s = MarkingState(build_initial_tree(f))
         assert not s._dirty, format_formula(f)
         assert_dirty_covers(s)
         # the first sweep starts from what the RR mark dirties: at most the
@@ -902,7 +960,7 @@ def test_unmarking_dirties_a_marked_class_mate():
     s.set_mark(p1, 1, "m")
     cp = s.checkpoint()
     s.set_mark(p2, 1, "m")
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert p1 not in s._dirty
     s.rollback(cp)
     # p1 can iterate into its unmarked class-mate again
@@ -929,18 +987,18 @@ def test_instantiation_and_rollback_keep_the_dirty_invariant():
     s = state_for("forall x. (P(x) -> Q(x)) & P(a)")
     q, pa = s.tree.nodes[s.tree.root].children
     s.set_mark(q, 1, "OA")
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     cp = s.checkpoint()
     c = s.instantiate(q, Const("b"), "I∀")
     assert_dirty_covers(s)
     s.set_mark(pa, 1, "m")
     assert_dirty_covers(s)
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert_dirty_covers(s)
     s.rollback(cp)
     assert c not in s.tree.nodes and c not in s._dirty
     assert_dirty_covers(s)
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert_dirty_covers(s)
 
 
@@ -952,14 +1010,14 @@ def test_closing_a_frame_over_the_generic_variable_dirties_every_anchor():
     c2 = s.instantiate(q2, g, "I∀")
     s.set_mark(c1, 1, "m")
     frame = s.open_supposition(c2, 0)
-    assert frame.free_vars == {g.name}
+    assert s.tree.node_free_variables(frame.node) == {g.name}
     # the open frame blocks Aa∀ over the generic variable at q1
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert s.marked(q1) is None and q1 not in s._dirty
     s.rollback(frame.checkpoint)
     assert s.forced_for_anchor(q1) == [(q1, 1, "Aa∀", (c1,))]
     assert_dirty_covers(s)
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert s.marked(q1) == 1
 
 
@@ -989,7 +1047,7 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
 
     def checked_saturate(s, budget=None, order="pre"):
         out = saturate(s, budget, order)
-        if isinstance(out, Quiescent):
+        if out is None:
             assert_dirty_covers(s)
             checked["saturate"] += 1
         return out
@@ -1063,7 +1121,7 @@ def test_rollback_restores_the_dirty_set_of_its_checkpoint():
     assert cp.dirty == saved
     s.set_mark(disj, 0, "OR")
     s.instantiate(q, Const("a"), "I∀")
-    assert isinstance(saturate(s), Quiescent)
+    assert saturate(s) is None
     assert s._dirty != saved
     s.rollback(cp)
     assert s._dirty == saved
@@ -1113,8 +1171,8 @@ def assert_classes_match_alpha_normalization(s, terms):
     classes_of_form, forms_of_class = {}, {}
     for n in t.nodes:
         f = t.node_formula(n)
-        assert t.is_ground_node(n) == is_ground(f), format_formula(f)
-        if t.is_ground_node(n):
+        assert t.nodes[n].ground == is_ground(f), format_formula(f)
+        if t.nodes[n].ground:
             norm = alpha_normalize(f)
             classes_of_form.setdefault(norm, set()).add(s.key(n))
             forms_of_class.setdefault(s.key(n), set()).add(norm)
@@ -1172,4 +1230,4 @@ def test_formula_classes_match_alpha_normalization_under_any_instantiation(src):
             for term in terms:
                 t.instantiate(q, term)
         quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
-    assert assert_classes_match_alpha_normalization(init_marking(t), terms)
+    assert assert_classes_match_alpha_normalization(MarkingState(t), terms)

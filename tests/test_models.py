@@ -34,7 +34,7 @@ from semforce import (
 )
 from semforce.formulas import format_formula
 from semforce.models import ORACLE_LIMIT, _domain_names, _element_names, interpretation_count
-from semforce.marking import init_marking, saturate
+from semforce.marking import MarkingState, saturate
 
 TWO = Interpretation(
     domain=("a", "b"),
@@ -194,7 +194,7 @@ def test_classical_quantifier_dualities(rng):
 def test_extract_model_from_the_first_worked_formula():
     f = parse_formula(ILLUSTRATIONS[1])
     t = build_initial_tree(f)
-    s = init_marking(t)
+    s = MarkingState(t)
     s.open_supposition(t.root, 0, kind="RR")
     saturate(s)
     s.commit_frames()

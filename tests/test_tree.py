@@ -1,5 +1,5 @@
-"""Forcing-tree construction, instantiation, the profundity measure, the facts
-the build gathers about the source, and the per-shape free variables."""
+"""Forcing-tree construction, instantiation, the facts the build gathers
+about the source, and the per-shape free variables."""
 
 import random
 import sys
@@ -15,17 +15,14 @@ from semforce import (
     FreeVariableError,
     Imp,
     Invalid,
+    MarkingState,
     Not,
     Or,
     Var,
     build_initial_tree,
     complexity,
     decide,
-    init_marking,
-    instantiate_branch,
-    node_formula,
     parse_formula,
-    profundity,
     render_ascii,
     saturate,
 )
@@ -52,7 +49,7 @@ def test_one_node_per_occurrence():
     assert root.kind == "and"
     left, right = root.children
     assert left != right
-    assert node_formula(t, left) == node_formula(t, right)
+    assert t.node_formula(left) == t.node_formula(right)
 
 
 def test_free_formula_rejected():
@@ -66,91 +63,70 @@ def test_quantifier_has_template_child():
     assert q.kind == "forall" and len(q.children) == 1
     template = t.nodes[q.children[0]]
     assert template.fill_term is None
-    assert not t.is_ground_node(template.nid)
+    assert not template.ground
 
 
 def test_a_template_decodes_its_open_positions_as_anonymous_placeholders():
     t = build_initial_tree(parse_formula("forall x. forall y. R(x,y)"))
     inner = t.nodes[t.root].children[0]
     atom = t.nodes[inner].children[0]
-    assert node_formula(t, atom) == Atom("R", (Slot(), Slot()))
+    assert t.node_formula(atom) == Atom("R", (Slot(), Slot()))
     # the index one binder past the template reads the term, the other stays open
     assert t.instance_formula(inner, Const("c")) == Atom("R", (Slot(), Const("c")))
 
 
 def test_instantiate_adds_ground_branch():
     t = build_initial_tree(parse_formula("forall x. P(x)"))
-    child = instantiate_branch(t, t.root, Const("c"))
-    assert t.is_ground_node(child)
-    assert node_formula(t, child) == parse_formula("P(c)")
+    child = t.instantiate(t.root, Const("c"))
+    assert t.nodes[child].ground
+    assert t.node_formula(child) == parse_formula("P(c)")
     # the template branch is untouched
     template = t.nodes[t.root].children[0]
-    assert not t.is_ground_node(template)
+    assert not t.nodes[template].ground
     assert t.instance_terms(t.root) == [Const("c")]
 
 
 def test_nested_instantiation():
     t = build_initial_tree(parse_formula("forall x. exists y. R(x,y)"))
-    c1 = instantiate_branch(t, t.root, Const("a"))
-    assert node_formula(t, c1) == parse_formula("exists y. R(a,y)")
-    c2 = instantiate_branch(t, c1, Const("b"))
-    assert node_formula(t, c2) == parse_formula("R(a,b)")
+    c1 = t.instantiate(t.root, Const("a"))
+    assert t.node_formula(c1) == parse_formula("exists y. R(a,y)")
+    c2 = t.instantiate(c1, Const("b"))
+    assert t.node_formula(c2) == parse_formula("R(a,b)")
 
 
 def test_quantifier_formula_uses_bound_variable():
     t = build_initial_tree(parse_formula(ILLUSTRATIONS[6]))
-    assert node_formula(t, t.root) == parse_formula(ILLUSTRATIONS[6])
-
-
-def test_profundity_matches_complexity(rng):
-    for _ in range(10000):
-        f = random_formula(rng, rng.randint(0, 7))
-        t = build_initial_tree(f)
-        assert profundity(t, t.root) == complexity(f)
-
-
-def test_profundity_of_a_deep_negation_chain_matches_complexity():
-    # the parser recurses once per `~`, which 900 levels fit; the build,
-    # complexity and profundity walk without recursion
-    f = parse_formula("~" * 900 + "P(a)")
-    t = build_initial_tree(f)
-    assert t.profundity() == complexity(f) == 900
-
-
-def test_profundity_of_atoms_is_zero():
-    t = build_initial_tree(parse_formula("P(a) -> Q(b)"))
-    for c in t.nodes[t.root].children:
-        assert profundity(t, c) == 0
+    assert t.node_formula(t.root) == parse_formula(ILLUSTRATIONS[6])
 
 
 def test_instance_shares_quantifier_shape():
     t = build_initial_tree(parse_formula("forall x. (P(x) & Q(c))"))
-    child = instantiate_branch(t, t.root, Const("d"))
+    child = t.instantiate(t.root, Const("d"))
     # the constant subformula inside the instance is the same ground formula
     # as in the template
     template = t.nodes[t.root].children[0]
     t_q = t.nodes[template].children[1]
     i_q = t.nodes[child].children[1]
-    assert node_formula(t, t_q) == node_formula(t, i_q) == parse_formula("Q(c)")
+    assert t.node_formula(t_q) == t.node_formula(i_q) == parse_formula("Q(c)")
 
 
 def test_clone_keeps_an_instance_branch_inside_the_template():
     t = build_initial_tree(parse_formula("forall x. (P(x) & exists y. Q(y))"))
     template = t.nodes[t.root].children[0]
     inner = t.nodes[template].children[1]
-    inner_instance = instantiate_branch(t, inner, Const("c"))
-    assert node_formula(t, inner_instance) == parse_formula("Q(c)")
-    clone = instantiate_branch(t, t.root, Const("a"))
-    assert node_formula(t, clone) == parse_formula("P(a) & exists y. Q(y)")
+    inner_instance = t.instantiate(inner, Const("c"))
+    assert t.node_formula(inner_instance) == parse_formula("Q(c)")
+    clone = t.instantiate(t.root, Const("a"))
+    assert t.node_formula(clone) == parse_formula("P(a) & exists y. Q(y)")
     cloned_inner = t.nodes[clone].children[1]
     # the copied quantifier keeps its template and its instance branch
     cloned_template, cloned_instance = t.nodes[cloned_inner].children
-    assert t.nodes[cloned_template].fill_term is None and not t.is_ground_node(cloned_template)
+    assert t.nodes[cloned_template].fill_term is None and not t.nodes[cloned_template].ground
     assert t.instance_terms(cloned_inner) == [Const("c")]
     assert t.nodes[cloned_instance].fill_term == Const("c")
-    assert node_formula(t, cloned_inner) == parse_formula("exists y. Q(y)")
-    assert node_formula(t, cloned_instance) == parse_formula("Q(c)")
-    assert node_formula(t, t.root) == parse_formula("forall x. (P(x) & exists y. Q(y))")
+    assert t.node_formula(cloned_inner) == parse_formula("exists y. Q(y)")
+    assert t.node_formula(cloned_instance) == parse_formula("Q(c)")
+    assert t.node_formula(t.root) == parse_formula("forall x. (P(x) & exists y. Q(y))")
 
 
 def _scanned_classes(t):
@@ -174,7 +150,7 @@ def test_truncate_restores_the_classes_in_their_key_order():
     for term in (Const("a"), Const("b")):
         snaps[len(t.nodes) + 1] = _snapshot(t)
         before = set(t.classes)
-        child = instantiate_branch(t, q, term)
+        child = t.instantiate(q, term)
         assert list(t.classes.items()) == list(_scanned_classes(t).items())
         assert t.classes[t.nodes[child].shape][-1] == child
     # the clone with a joins the class of the initial P(a); the one with b
@@ -192,7 +168,7 @@ def test_truncate_restores_the_classes_in_their_key_order():
 def test_instance_formula_is_the_formula_of_the_instance_branch(k):
     f = parse_formula(ILLUSTRATIONS[k])
     t = build_initial_tree(f)
-    registry = init_marking(t).domain_registry + [Const("w1"), Var("v1")]
+    registry = MarkingState(t).domain_registry + [Const("w1"), Var("v1")]
     quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier]
     # instantiating in node order copies earlier instance branches into later
     # clones, and the clones' own quantifiers get a second round
@@ -202,9 +178,9 @@ def test_instance_formula_is_the_formula_of_the_instance_branch(k):
                 expected = t.instance_formula(q, term)
                 key = t.instance_class(q, term)
                 child = t.instantiate(q, term)
-                assert node_formula(t, child) == expected
+                assert t.node_formula(child) == expected
                 # instance_class interns the branch's shape before it exists
-                assert key == (t.nodes[child].shape if t.is_ground_node(child) else None)
+                assert key == (t.nodes[child].shape if t.nodes[child].ground else None)
         quantifiers = [n for n in t.nodes if t.nodes[n].is_quantifier and n not in quantifiers]
 
 
@@ -297,7 +273,7 @@ def test_building_a_deep_formula_does_not_recurse(drop):
 
     negated = _nest(Atom("P", (Const("a"),)), Not, 3000)
     t = build(negated)
-    assert len(t) == 3001 and t.profundity() == 3000
+    assert len(t) == 3001
     assert t.node_formula(t.root) == negated
     # a run of vacuous binders over a ground body, and one below a binder
     # that stays over a body naming it
@@ -317,7 +293,7 @@ def test_instantiating_a_deep_template_does_not_recurse():
     # one contiguous range of ids, in preorder
     assert list(t.preorder(child)) == list(range(child, child + 2001)) and len(t) == child + 2000
     assert t.node_formula(child) == _nest(Atom("P", (Const("c"),)), Not, 2000)
-    assert t.is_ground_node(child) and t.classes[t.nodes[child].shape] == [child]
+    assert t.nodes[child].ground and t.classes[t.nodes[child].shape] == [child]
 
 
 def test_the_formula_walks_and_the_renderer_do_not_recurse():
@@ -333,7 +309,7 @@ def test_the_formula_walks_and_the_renderer_do_not_recurse():
     assert within_a_shallow_stack(lambda: complexity(negated)) == within_a_shallow_stack(lambda: complexity(left)) == 2000
     assert within_a_shallow_stack(lambda: is_ground(left))
     assert not within_a_shallow_stack(lambda: is_ground(_nest(Atom("P", (Slot(),)), Not, 2000)))
-    lines = within_a_shallow_stack(lambda: render_ascii(init_marking(build_initial_tree(negated)))).splitlines()
+    lines = within_a_shallow_stack(lambda: render_ascii(MarkingState(build_initial_tree(negated)))).splitlines()
     assert len(lines) == 2001
     assert lines[0] == "~ [?]" and lines[-1] == "  " * 2000 + "P(a) [?]"
 
@@ -466,14 +442,13 @@ def test_decide_builds_the_tree_of_the_formula_without_its_vacuous_binders(monke
 
 def _assert_shape_free_variables(s):
     """Every node's per-shape variable set is its decoded formula's free
-    variables, and the frames and witness entries hold the same sets."""
+    variables, and each witness entry names a live instance child filled
+    with that witness, whose shape the frames and entries read."""
     t = s.tree
     for n in t.nodes:
         assert t.node_free_variables(n) == free_variables(t.node_formula(n)), n
-    for frame in s.scopes:
-        assert frame.free_vars == free_variables(t.node_formula(frame.node))
-    for child, fv in s.witness_registry.values():
-        assert fv == free_variables(t.node_formula(child))
+    for name, child in s.witness_registry.items():
+        assert t.nodes[child].fill_term == Const(name)
 
 
 def test_shape_free_variables_match_the_decoded_formulas_of_decided_states():
@@ -490,7 +465,7 @@ def test_shape_free_variables_match_the_decoded_formulas_of_decided_states():
 
 def test_shape_free_variables_survive_a_rollback():
     f = parse_formula(ILLUSTRATIONS[6])
-    s = init_marking(build_initial_tree(f))
+    s = MarkingState(build_initial_tree(f))
     t = s.tree
     s.open_supposition(t.root, 0, kind="RR")
     cp = s.checkpoint()
@@ -501,7 +476,7 @@ def test_shape_free_variables_survive_a_rollback():
         # a supposition on a fresh instance of the universal that v1 fills
         q = next(n for n in t.nodes if t.nodes[n].kind == "forall" and t.node_free_variables(n) == {"v1"})
         child = s.instantiate(q, Const("w1"), PERMISSION["forall"])
-        assert s.open_supposition(child, 1).free_vars == {"v1"}
+        assert t.node_free_variables(s.open_supposition(child, 1).node) == {"v1"}
         _assert_shape_free_variables(s)
         s.rollback(cp)
         assert s.generic is None and not s.witness_registry

@@ -29,9 +29,9 @@ from semforce import (
     parse_formula,
 )
 from semforce.formulas import Slot
-from semforce.marking import DoubleMark, Justification, TraceStep
+from semforce.marking import DoubleMark, TraceStep
 from semforce.models import Signature, ValidUpTo
-from semforce.rules import CATALOG
+from semforce.rules import CATALOG, RuleSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,7 +83,6 @@ def test_repr_names_the_fields():
     assert repr(parse_formula("forall x. ~P(x)")) == (
         "Forall(var='x', body=Not(sub=Atom(pred='P', args=(Var(name='x'),))))"
     )
-    assert repr(Justification("A∧", (1,))) == "Justification(rule='A∧', premises=(1,))"
     assert repr(TraceStep(1, 2, 0, "RR", ())) == (
         "TraceStep(step=1, node=2, value=0, rule='RR', premises=(), absorbed=False)"
     )
@@ -168,7 +167,10 @@ def test_keyword_construction():
     step = TraceStep(4, 2, 1, "A∧", (3,), absorbed=True)
     assert step.absorbed and step.premises == (3,)
     assert TraceStep(step=4, node=2, value=1, rule="A∧", premises=(3,), absorbed=True) == step
-    assert Justification("RR") == Justification(rule="RR", premises=())
+    assert RuleSpec("A∧", "and", (("k", 1),), (("i", 1), ("d", 1))) == RuleSpec(
+        name="A∧", connective="and", premises=(("k", 1),), conclusions=(("i", 1), ("d", 1)),
+        primitive=False, equal_children=False,
+    )
 
 
 def test_positional_patterns_match_fields():

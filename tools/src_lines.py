@@ -1,4 +1,5 @@
-"""Print the total lines and the code lines of the engine's modules.
+"""Print the total lines and the code lines of each of the engine's modules,
+then of all of them.
 
 Code lines leave out blank lines, lines holding only a comment, and the
 lines of docstrings, so that deleting a comment does not read as less code.
@@ -48,6 +49,7 @@ def main(argv: list[str]) -> None:
     for path in paths:
         t, c = count(path.read_text(encoding="utf-8"))
         total, code = total + t, code + c
+        print(f"{path.name:<14} lines: {t:>5}  code lines: {c:>5}")
     print(f"lines: {total}  code lines: {code}")
 
 
