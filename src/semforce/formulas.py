@@ -75,21 +75,33 @@ class FrozenRecord(Record):
 
 
 class _Named(FrozenRecord):
+    """A term named by a string, interned (hash-consed): each class holds one
+    object per name, so `Const("a") is Const("a")`. Pickling and copying go
+    through the constructor and so give back that object too."""
+
     __match_args__ = __slots__ = ("name",)
+    _interned: dict[str, _Named]
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+    def __init_subclass__(cls) -> None:
+        cls._interned = {}
 
-    # written out, not inherited: terms are compared and hashed in every shape
-    # key, and the base versions, which build a tuple of the fields, cost about
-    # a tenth of decide_per_s on monadic-batch and fo2-batch
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.name == other.name
+    def __new__(cls, name: str) -> _Named:
+        term = cls._interned.get(name)
+        if term is None:
+            term = object.__new__(cls)
+            _set(term, "name", name)
+            # setdefault, so that two threads naming one term get one object
+            term = cls._interned.setdefault(name, term)
+        return term
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    # object's own, which run in C: terms are hashed and compared in every
+    # shape key and fill-memo key, and interning makes equal terms one object,
+    # so identity is equality and no key costs a Python call per term (a
+    # written-out hash of the name was one call per term). __new__ has set
+    # the name
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.name
@@ -431,18 +443,6 @@ def free_variables(f: Formula) -> set[str]:
 def constants_of(f: Formula) -> list[str]:
     """Constant names in first-occurrence order."""
     return list(dict.fromkeys(t.name for g in _postorder(f) if type(g) is Atom for t in g.args if type(t) is Const))
-
-
-def identifiers_of(f: Formula) -> set[str]:
-    """Every identifier used in f: predicates, constants, variable names."""
-    out: set[str] = set()
-    for g in _postorder(f):
-        if type(g) is Atom:
-            out.add(g.pred)
-            out.update(t.name for t in g.args if isinstance(t, (Var, Const)))
-        elif isinstance(g, QUANTIFIERS):
-            out.add(g.var)
-    return out
 
 
 def predicate_arities(f: Formula) -> dict[str, int]:

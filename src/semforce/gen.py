@@ -55,29 +55,3 @@ def random_monadic(
 
     return go(max_complexity, ())
 
-
-def random_ground(
-    rng: random.Random,
-    max_complexity: int = 6,
-    monadic: Sequence[str] = ("P", "Q"),
-    dyadic: Sequence[str] = ("R",),
-    consts: Sequence[str] = ("a", "b"),
-) -> Formula:
-    """A quantifier-free formula whose atoms are ground."""
-
-    def atom() -> Formula:
-        if dyadic and rng.random() < 0.4:
-            pred = rng.choice(list(dyadic))
-            return Atom(pred, (Const(rng.choice(list(consts))), Const(rng.choice(list(consts)))))
-        pred = rng.choice(list(monadic))
-        return Atom(pred, (Const(rng.choice(list(consts))),))
-
-    def go(budget: int) -> Formula:
-        if budget == 0 or rng.random() < 0.2:
-            return atom()
-        if rng.random() < 0.25:
-            return Not(go(budget - 1))
-        op = rng.choice(BINARY)
-        return op(go(rng.randint(0, budget - 1)), go(rng.randint(0, budget - 1)))
-
-    return go(max_complexity)

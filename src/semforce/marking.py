@@ -15,12 +15,16 @@ the reserved names from the facts the tree build gathered about the source.
 The one formula a decision walks here is an instance branch's, which
 `is_independent` decodes to list the constants it names.
 
-State mutates in place. Every mark and registry insertion after construction
-pushes one entry on an undo trail, so `checkpoint` copies only the dirty set
-(below) and `rollback` costs the changes made since. The formula classes of
-nodes live on the tree and go with the nodes that `truncate` removes.
-Rolled-back trace steps are kept, flagged absorbed, so step numbering stays
-dense and premise references stay meaningful.
+State mutates in place, and every change after construction is undone by
+popping a stack back to a length. The marked nodes are listed in marking
+order, and the registry holds its individuals in order of entry, so a
+checkpoint records the two lengths and copies only the dirty set (below), and
+`rollback` costs the changes made since: each node it pops takes its mark,
+its step and the `consensus` entry it made with it, each individual its
+witness registry entry. The formula classes of nodes live on the tree and go
+with the nodes that `truncate` removes. Rolled-back trace steps are kept,
+flagged absorbed, so step numbering stays dense and premise references stay
+meaningful.
 
 Saturation visits only dirty anchors. The invariant, while no double mark
 stands: a node that is not dirty has an empty `forced_for_anchor` output, or
@@ -46,7 +50,8 @@ there, each dirtying only the anchors that can now conclude:
   since a marked member can now iterate into the clone. The clone itself is
   unmarked, so it concludes nothing, and neither does a parent inside it. A
   class has a `consensus` entry exactly while a member is marked: its first
-  mark makes it, and the trail undoes that mark after every later one.
+  mark makes it, and `rollback`, popping marks newest first, removes it with
+  that mark, after every later one.
 - `rollback` restores the dirty set its checkpoint saved. It leaves marks,
   nodes, registries, frames and the double mark as they were there, so that
   set covers the state again.
@@ -122,13 +127,16 @@ class Frame(Record):
 
 
 class Checkpoint(Record):
-    __match_args__ = __slots__ = ("trail_len", "scopes_len", "trace_len", "next_nid", "dm", "dirty")
+    __match_args__ = __slots__ = ("marked_len", "registry_len", "scopes_len", "trace_len", "next_nid", "dm", "dirty")
 
     def __init__(
-        self, trail_len: int, scopes_len: int, trace_len: int, next_nid: int, dm: Optional[DoubleMark],
-        dirty: frozenset[int],
+        self, marked_len: int, registry_len: int, scopes_len: int, trace_len: int, next_nid: int,
+        dm: Optional[DoubleMark], dirty: frozenset[int],
     ) -> None:
-        self.trail_len = trail_len
+        # the number of marked nodes and of registry individuals: rollback
+        # pops both stacks back to these lengths
+        self.marked_len = marked_len
+        self.registry_len = registry_len
         self.scopes_len = scopes_len
         self.trace_len = trace_len
         self.next_nid = next_nid
@@ -158,10 +166,6 @@ _CHECKS = {
     for r in CATALOG.values()
 }
 
-# the entry of an unmarked node, so that a mark is read as marks.get(n, _UNMARKED)[0]
-_UNMARKED = (None, 0)
-
-
 # the value an option rule or its failure concludes, and the complaint otherwise
 _OPTION_VALUE = {
     "OA": (1, "acceptance option assumes 1"),
@@ -181,8 +185,9 @@ class MarkingState:
 
     def __init__(self, tree: ForcingTree):
         self.tree = tree
-        # node -> (value, the trace step that marked it)
-        self.marks: dict[int, tuple[Mark, int]] = {}
+        # node -> its value, and node -> the trace step that marked it
+        self.marks: dict[int, Mark] = {}
+        self.steps: dict[int, int] = {}
         # formula class -> (value, first node marked with it); ground nodes only
         self.consensus: dict[int, tuple[Mark, int]] = {}
         self.domain_registry: list[Term] = [Const(c) for c in tree.constants]
@@ -197,11 +202,8 @@ class MarkingState:
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
-        # (undo, argument) pairs, one per insertion, popped by rollback; each
-        # undo is a method of a container, not of the state, so that a trail
-        # entry does not keep a finished state alive until the cycle
-        # collector runs
-        self._trail: list[tuple] = []
+        # the marked nodes in marking order, popped by rollback (module docstring)
+        self._marked: list[int] = []
 
     # ------------------------------------------------------------- inspection
 
@@ -214,13 +216,11 @@ class MarkingState:
         return None
 
     def marked(self, nid: int) -> Optional[Mark]:
-        got = self.marks.get(nid)
-        return None if got is None else got[0]
+        return self.marks.get(nid)
 
     def step_of(self, nid: int) -> Optional[int]:
         """The trace step that marked nid, None while it is unmarked."""
-        got = self.marks.get(nid)
-        return None if got is None else got[1]
+        return self.steps.get(nid)
 
     def key(self, nid: int) -> Optional[int]:
         """Formula class of the node; None while placeholders are unfilled."""
@@ -246,7 +246,8 @@ class MarkingState:
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
-            trail_len=len(self._trail),
+            marked_len=len(self._marked),
+            registry_len=len(self.domain_registry),
             scopes_len=len(self.scopes),
             trace_len=len(self.trace),
             next_nid=len(self.tree.nodes) + 1,
@@ -256,13 +257,22 @@ class MarkingState:
 
     def rollback(self, cp: Checkpoint) -> None:
         """Undo everything since cp. Checkpoints are rolled back innermost
-        first; popping the trail restores every dict's key order too."""
-        trail = self._trail
-        if len(trail) < cp.trail_len:
+        first; popping newest first restores every dict's key order too."""
+        marked, registry = self._marked, self.domain_registry
+        if len(marked) < cp.marked_len or len(registry) < cp.registry_len:
             raise StateError("an enclosing checkpoint was already rolled back")
-        for _ in range(len(trail) - cp.trail_len):
-            undo, arg = trail.pop()
-            undo(arg)
+        marks, steps, consensus, nodes = self.marks, self.steps, self.consensus, self.tree.nodes
+        for _ in range(len(marked) - cp.marked_len):
+            n = marked.pop()
+            del marks[n], steps[n]
+            k = nodes[n].shape
+            if consensus[k][1] == n:
+                del consensus[k]
+        for _ in range(len(registry) - cp.registry_len):
+            term = registry.pop()
+            # a witness; the one Var an individual can be is the generic
+            if type(term) is Const:
+                del self.witness_registry[term.name]
         del self.scopes[cp.scopes_len:]
         for rec in self.trace[cp.trace_len:]:
             rec.absorbed = True
@@ -276,7 +286,7 @@ class MarkingState:
                 premise_steps: Optional[tuple[int, ...]] = None) -> int:
         step = len(self.trace) + 1
         if premise_steps is None:
-            premise_steps = tuple(self.marks[p][1] for p in premise_nodes if p in self.marks)
+            premise_steps = tuple(self.steps[p] for p in premise_nodes if p in self.steps)
         self.trace.append(TraceStep(step, node, value, rule, premise_steps))
         return step
 
@@ -297,7 +307,6 @@ class MarkingState:
             n += 1
         generic = Var(f"v{n}")
         self.domain_registry.append(generic)
-        self._trail.append((self.domain_registry.pop, -1))
         return generic
 
     # ------------------------------------------------------------ set_mark
@@ -317,42 +326,40 @@ class MarkingState:
         marks = self.marks
         current = marks.get(n)
         if current is not None:
-            if current[0] == v:
+            if current == v:
                 return
             step = self._record(n, v, rule, premises)
             self.dm = DoubleMark(n, n)
-            self._record(n, None, "DM", (), (current[1], step))
+            self._record(n, None, "DM", (), (self.steps[n], step))
             return
         # _record, inline: this is the path every forced mark takes
-        trace = self.trace
+        trace, steps = self.trace, self.steps
         step = len(trace) + 1
-        trace.append(TraceStep(step, n, v, rule, tuple([marks[p][1] for p in premises if p in marks])))
+        trace.append(TraceStep(step, n, v, rule, tuple([steps[p] for p in premises if p in steps])))
         k = node.shape
-        marks[n] = (v, step)
-        trail = self._trail
-        trail.append((marks.pop, n))
+        marks[n] = v
+        steps[n] = step
+        self._marked.append(n)
         # the anchors this mark can make conclude (module docstring); a mark
         # pattern, the key of a `FORCING` entry, is read in place
         dirty, get = self._dirty, marks.get
         kind, kids = node.kind, node.children
         if node.is_quantifier or len(self.tree.classes[k]) > 1 or kind in _LIVE and (
-                (v, get(kids[0], _UNMARKED)[0]) if len(kids) == 1
-                else (v, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])) in _LIVE[kind]:
+                (v, get(kids[0])) if len(kids) == 1 else (v, get(kids[0]), get(kids[1]))) in _LIVE[kind]:
             dirty.add(n)
         parent = node.parent
         if parent is not None:
             pnode = self.tree.nodes[parent]
-            kids, pv = pnode.children, get(parent, _UNMARKED)[0]
-            if pnode.is_quantifier or ((pv, v) if len(kids) == 1 else (
-                    pv, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])) in _LIVE[pnode.kind]:
+            kids, pv = pnode.children, get(parent)
+            if pnode.is_quantifier or (
+                    (pv, v) if len(kids) == 1 else (pv, get(kids[0]), get(kids[1]))) in _LIVE[pnode.kind]:
                 dirty.add(parent)
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)
-            trail.append((self.consensus.pop, k))
         elif hit[0] != v:
             self.dm = DoubleMark(hit[1], n)
-            self._record(n, None, "DM", (), (self.step_of(hit[1]), step))
+            self._record(n, None, "DM", (), (steps[hit[1]], step))
 
     def _validate(self, n: int, v: Mark, rule: str, premises: tuple[int, ...]) -> TreeNode:
         """Raise PremiseError unless rule licenses marking n with v over the
@@ -384,7 +391,7 @@ class MarkingState:
                 raise _rejected(rule, "rule does not conclude this mark at this position")
             kids = anchor.children
             for i, val, pos in premises:
-                if marks.get(kids[i] if i >= 0 else anchor.nid, _UNMARKED)[0] != val:
+                if marks.get(kids[i] if i >= 0 else anchor.nid) != val:
                     raise _rejected(rule, f"premise {pos}={val} does not hold")
         elif rule == "RR":
             if n != tree.root or v != 0:
@@ -407,8 +414,7 @@ class MarkingState:
             if len(premises) != 1:
                 raise _rejected(rule, "iteration cites one source node")
             src = premises[0]
-            got = marks.get(src)
-            if got is None or got[0] != v:
+            if marks.get(src) != v:
                 raise _rejected(rule, "source node does not carry the iterated value")
             if self.key(src) != node.shape:
                 raise _rejected(rule, "iteration requires nodes associated with one formula")
@@ -419,8 +425,7 @@ class MarkingState:
                 raise _rejected(rule, "no quantifier above this node")
             if nodes[parent].kind != want_kind:
                 raise _rejected(rule, f"parent is not a {want_kind} node")
-            got = marks.get(parent)
-            if got is None or got[0] != want_v:
+            if marks.get(parent) != want_v:
                 raise _rejected(rule, "quantifier does not carry the required mark")
             if node.fill_term is None:
                 raise _rejected(rule, "rule applies to instantiated branches only")
@@ -440,8 +445,7 @@ class MarkingState:
             child = nodes.get(c)
             if child is None or child.parent != n or child.fill_term is None:
                 raise _rejected(rule, "premise is not an instance branch of this quantifier")
-            got = marks.get(c)
-            if got is None or got[0] != want_v:
+            if marks.get(c) != want_v:
                 raise _rejected(rule, "instance branch does not carry the required mark")
             if GENERALIZATION[want_kind, want_v][1]:
                 term = child.fill_term
@@ -489,11 +493,8 @@ class MarkingState:
                 dirty.update(classes[node.shape])
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
-            trail = self._trail
             self.witness_registry[term.name] = child
-            trail.append((self.witness_registry.pop, term.name))
             self.domain_registry.append(term)
-            trail.append((self.domain_registry.pop, -1))
         return child
 
     # ----------------------------------------------------------- independence
@@ -540,7 +541,7 @@ class MarkingState:
         """
         if not self.scopes or self.scopes[-1] is not frame:
             raise StateError("only the innermost supposition can be discharged")
-        assumed, sup_step = self.marks[frame.node]
+        assumed, sup_step = self.marks[frame.node], self.steps[frame.node]
         if outcome in ("contradiction", "exhausted"):
             if outcome == "contradiction":
                 if self.dm is None:
@@ -598,14 +599,13 @@ class MarkingState:
         double mark, so only same-value repeats are dropped."""
         nodes, marks = self.tree.nodes, self.marks
         node, get = nodes[n], marks.get
-        mark = get(n, _UNMARKED)[0]
+        mark = get(n)
         out: list[tuple[int, Mark, str, tuple[int, ...]]] = []
         table = FORCING.get(node.kind)
         if table is not None:
             kids = node.children
             # the mark pattern, read in place
-            vals = (mark, get(kids[0], _UNMARKED)[0]) if len(kids) == 1 else (
-                mark, get(kids[0], _UNMARKED)[0], get(kids[1], _UNMARKED)[0])
+            vals = (mark, get(kids[0])) if len(kids) == 1 else (mark, get(kids[0]), get(kids[1]))
             at = (n, *kids)
             for rule, premises, conclusions in table[vals]:
                 prem = tuple(map(at.__getitem__, premises))
@@ -621,15 +621,13 @@ class MarkingState:
                     w = self.witness_child(n)
                     kids = () if w is None else (w,)
                 for c in kids:
-                    got = marks.get(c)
-                    if (got is None or got[0] != mark) and nodes[c].ground:
+                    if get(c) != mark and nodes[c].ground:
                         out.append((c, mark, inst.marking, (n,)))
             else:
                 for c in kids:
-                    got = marks.get(c)
-                    if got is None:
+                    cv = get(c)
+                    if cv is None:
                         continue
-                    cv = got[0]
                     up, independent = GENERALIZATION[node.kind, cv]
                     term = nodes[c].fill_term
                     if not independent or (isinstance(term, Var) and self.is_independent(term.name, c)):
@@ -640,9 +638,7 @@ class MarkingState:
             # a marked node is ground, and so is every member of its class
             rule = "IA" if mark == 1 else "IR"
             for other in self.tree.classes.get(node.shape, ()):
-                if other != n:
-                    got = marks.get(other)
-                    if got is None or got[0] != mark:
+                if other != n and get(other) != mark:
                         out.append((other, mark, rule, (n,)))
         return out
 
@@ -712,8 +708,8 @@ def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
     nodes, marks = s.tree.nodes, s.marks
     out = []
     for nid in s.relevant_quantifiers():
-        got = marks.get(nid)
-        if got is not None and INSTANTIATION[nodes[nid].kind, got[0]].witness is witness:
+        mark = marks.get(nid)
+        if mark is not None and INSTANTIATION[nodes[nid].kind, mark].witness is witness:
             out.append(nid)
     return out
 

@@ -1,7 +1,8 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
-isomorphism canonicalizer, a broad random formula generator, a lowered
-recursion limit for the tests of walks that must not recurse, and a hook that
-fails a test raising RecursionError at once."""
+isomorphism canonicalizer, a broad random formula generator and a ground one,
+the identifiers of a formula, a lowered recursion limit for the tests of walks
+that must not recurse, and a hook that fails a test raising RecursionError at
+once."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from semforce import And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, Var, parse_formula
-from semforce.formulas import Dyadic2Var, classify_fragment
+from semforce.formulas import BINARY, QUANTIFIERS, Dyadic2Var, _postorder, classify_fragment
 from semforce.gen import random_monadic
 
 ILLUSTRATIONS = {
@@ -92,6 +93,39 @@ def random_formula(rng: random.Random, budget: int, bound: tuple[str, ...] = ())
     fresh = next(v for v in pool + tuple(f"x{k}" for k in range(1, 40)) if v not in bound)
     body = random_formula(rng, budget - 1, bound + (fresh,))
     return (Forall if pick == "forall" else Exists)(fresh, body)
+
+
+def random_ground(rng: random.Random, max_complexity: int = 6, monadic=("P", "Q"), dyadic=("R",), consts=("a", "b")):
+    """A quantifier-free formula whose atoms are ground."""
+
+    def atom():
+        if dyadic and rng.random() < 0.4:
+            pred = rng.choice(list(dyadic))
+            return Atom(pred, (Const(rng.choice(list(consts))), Const(rng.choice(list(consts)))))
+        pred = rng.choice(list(monadic))
+        return Atom(pred, (Const(rng.choice(list(consts))),))
+
+    def go(budget: int):
+        if budget == 0 or rng.random() < 0.2:
+            return atom()
+        if rng.random() < 0.25:
+            return Not(go(budget - 1))
+        op = rng.choice(BINARY)
+        return op(go(rng.randint(0, budget - 1)), go(rng.randint(0, budget - 1)))
+
+    return go(max_complexity)
+
+
+def identifiers_of(f) -> set[str]:
+    """Every identifier used in f: predicates, constants, variable names."""
+    out: set[str] = set()
+    for g in _postorder(f):
+        if type(g) is Atom:
+            out.add(g.pred)
+            out.update(t.name for t in g.args if isinstance(t, (Var, Const)))
+        elif isinstance(g, QUANTIFIERS):
+            out.add(g.var)
+    return out
 
 
 def balanced_pairs(n: int) -> str:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure
+from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure, random_ground
 from test_rules import CORRUPTED
 
 from semforce import (
@@ -36,7 +36,7 @@ from semforce import (
     verify_derived_rule,
 )
 from semforce.formulas import format_formula
-from semforce.gen import random_ground, random_monadic
+from semforce.gen import random_monadic
 from semforce.marking import MarkingState, saturate
 from semforce.rules import CATALOG, NON_PROPOSITIONAL
 

@@ -1,0 +1,61 @@
+"""tools/bench_pairs.py: the pair summary, on canned benchmark summary lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
+def line(per_s, p50, failed=2, correct=True):
+    """A run's last line, as perfbench/run.py prints it."""
+    metrics = {"setup_s": 0.06, "decide_per_s": per_s, "decide_p50_ms": p50, "decide_tail_ms": 3.0,
+               "peak_rss_mb": 22.0}
+    units = {spec["name"]: spec["unit"] for spec in END_TO_END}
+    return json.dumps({"correct": correct, "attempted": 30, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}})
+
+
+def test_the_summary_counts_wins_and_applies_the_gain_rule():
+    parent = [json.loads(line(400 + k, 2.0 + k / 100)) for k in range(10)]
+    # decide_per_s: the change wins 9 of 10 and its median beats the parent's
+    # by 40/s, against a parent IQR of 4.5/s; decide_p50_ms: it wins 5, loses 5
+    change = [json.loads(line(440 + k if k else 300, 2.0 + k / 100 + (0.05 if k % 2 else -0.05)))
+              for k in range(10)]
+    rows = {r["name"]: r for r in bench_pairs.summarize(END_TO_END, parent, change)}
+    assert list(rows) == [spec["name"] for spec in END_TO_END]
+    per_s = rows["decide_per_s"]
+    assert (per_s["parent_median"], per_s["parent_iqr"], per_s["change_median"]) == (404.5, 4.5, 444.5)
+    assert per_s["ratio"] == 444.5 / 404.5
+    assert (per_s["wins"], per_s["pairs"], per_s["gain"]) == (9, 10, True)
+    p50 = rows["decide_p50_ms"]
+    assert (p50["wins"], p50["gain"]) == (5, False)
+    # equal values tie, and a tie counts for neither side
+    assert (rows["setup_s"]["wins"], rows["setup_s"]["gain"]) == (0, False)
+    table = bench_pairs.format_rows(list(rows.values()))
+    assert "decide_per_s" in table and " 9/10" in table and "passes" in table
+    assert bench_pairs.problems(parent, change) == []
+
+
+def test_eight_wins_of_ten_or_a_gap_inside_the_iqr_is_no_gain():
+    parent = [json.loads(line(400 + 10 * k, 2.0)) for k in range(10)]
+    eight = [json.loads(line(500 + 10 * k if k > 1 else 300, 2.0)) for k in range(10)]
+    assert bench_pairs.summarize(END_TO_END, parent, eight)[1]["gain"] is False
+    # every pair won, but by less than the parent's IQR of 45/s
+    close = [json.loads(line(401 + 10 * k, 2.0)) for k in range(10)]
+    row = bench_pairs.summarize(END_TO_END, parent, close)[1]
+    assert (row["wins"], row["parent_iqr"], row["gain"]) == (10, 45.0, False)
+
+
+def test_runs_that_are_wrong_or_fail_more_are_named():
+    parent = [json.loads(line(400, 2.0)), json.loads(line(400, 2.0))]
+    change = [json.loads(line(410, 2.0, failed=3)), json.loads(line(410, 2.0, correct=False))]
+    assert bench_pairs.problems(parent, change) == [
+        "pair 1 change: 3 failed, against 2 in the parent's first run",
+        "pair 2 change: not correct",
+    ]

@@ -472,6 +472,7 @@ def snapshot(s):
     """Every structure rollback restores, with its key order."""
     return {
         "marks": list(s.marks.items()),
+        "steps": list(s.steps.items()),
         "consensus": list(s.consensus.items()),
         "classes": [(k, list(v)) for k, v in s.tree.classes.items()],
         "witnesses": list(s.witness_registry.items()),
@@ -522,6 +523,30 @@ def test_nested_rollbacks_restore_every_structure_in_order():
     assert_consensus_follows_marks(s)
     with pytest.raises(StateError):
         s.rollback(cp2)
+
+
+def test_every_rollback_of_a_search_restores_its_checkpoints_state(monkeypatch):
+    # checkpoint id -> (the checkpoint, kept alive so its id stays unique, and
+    # the state it was taken in)
+    taken = {}
+    checks = []
+    checkpoint, rollback = MarkingState.checkpoint, MarkingState.rollback
+
+    def checked_checkpoint(s):
+        cp = checkpoint(s)
+        taken[id(cp)] = (cp, snapshot(s))
+        return cp
+
+    def checked_rollback(s, cp):
+        rollback(s, cp)
+        assert snapshot(s) == taken[id(cp)][1]
+        checks.append(cp)
+
+    monkeypatch.setattr(MarkingState, "checkpoint", checked_checkpoint)
+    monkeypatch.setattr(MarkingState, "rollback", checked_rollback)
+    for f in differential_formulas():
+        decide(f)
+    assert checks
 
 
 def test_a_class_has_a_consensus_entry_exactly_while_a_member_is_marked(monkeypatch):

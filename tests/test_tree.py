@@ -32,7 +32,6 @@ from semforce.formulas import (
     format_formula,
     free_variables,
     Slot,
-    identifiers_of,
     is_ground,
     predicate_arities,
     _postorder,
@@ -40,7 +39,7 @@ from semforce.formulas import (
 from semforce.rules import PERMISSION
 from semforce.tree import ForcingTree
 
-from conftest import ILLUSTRATIONS, differential_formulas, random_formula, within_a_shallow_stack
+from conftest import ILLUSTRATIONS, differential_formulas, identifiers_of, random_formula, within_a_shallow_stack
 
 
 def test_one_node_per_occurrence():

@@ -60,9 +60,21 @@ def test_terms_compare_by_type_and_name():
 )
 def test_equal_values_hash_alike(make):
     a, b = make(), make()
-    assert a is not b
+    # terms are interned: equal terms are one object
+    assert (a is b) == isinstance(a, (Var, Const))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_copies_of_terms_are_the_interned_terms():
+    f = parse_formula("P(a) & Q(a)")
+    a = f.left.args[0]
+    assert a is f.right.args[0] is Const("a")
+    assert Var("x") is not Const("x") and Var("x") != Const("x")
+    for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        assert copier(a) is a and copier(Var("x")) is Var("x")
+        twin = copier(f)
+        assert twin.left.args[0] is a and twin.right.args[0] is a
 
 
 def test_values_of_different_fields_differ():

@@ -1,0 +1,126 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs of runs.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload large-formula \
+        --pairs 10 --seconds 30 --seed 7
+
+Each pair runs `python3 perfbench/run.py --workload W --seed K --seconds S
+--trace 0` once in each directory, the parent first on odd pairs and the
+change first on even ones, and prints each run's last line, its JSON summary,
+as it completes. Then, for each end-to-end metric that the change
+directory's BENCHMARK.json lists, it prints the parent's median and
+interquartile range, the change's median, their ratio, and the number of
+pairs the change won (a tie counts for neither side). A gain passes when the
+change won at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's interquartile range. A run that is not
+correct, or fails more formulas than the other side's first run, is
+reported below the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in directory; its JSON summary line, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=directory, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, the median and the upper quartile."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
+    """One row per end-to-end metric, from the summary lines of the two sides'
+    runs; parent[i] and change[i] are the runs of pair i."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need one parent run and one change run per pair, and at least one pair")
+    rows = []
+    for spec in end_to_end:
+        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+        before = [run["metrics"][name]["value"] for run in parent]
+        after = [run["metrics"][name]["value"] for run in change]
+        q1, base, q3 = quartiles(before)
+        median = statistics.median(after)
+        wins = sum(sign * (b - a) > 0 for a, b in zip(before, after))
+        rows.append({
+            "name": name,
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "parent_median": base,
+            "parent_iqr": q3 - q1,
+            "change_median": median,
+            "ratio": median / base if base else float("nan"),
+            "wins": wins,
+            "pairs": len(before),
+            "gain": 10 * wins >= 9 * len(before) and sign * (median - base) > q3 - q1,
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    head = f"{'metric':<16} {'unit':<4} {'parent median':>14} {'parent IQR':>11} {'change median':>14} " \
+           f"{'ratio':>7} {'won':>6}  gain"
+    lines = [head]
+    for r in rows:
+        lines.append(
+            f"{r['name']:<16} {r['unit']:<4} {r['parent_median']:>14.6g} {r['parent_iqr']:>11.4g} "
+            f"{r['change_median']:>14.6g} {r['ratio']:>7.4f} {r['wins']:>3}/{r['pairs']:<2}  "
+            f"{'passes' if r['gain'] else 'no'} ({r['better']} is better)"
+        )
+    return "\n".join(lines)
+
+
+def problems(parent: list[dict], change: list[dict]) -> list[str]:
+    """Runs that are not correct, or that fail more formulas than the first run."""
+    out = []
+    baseline = parent[0]["failed"]
+    for side, runs in (("parent", parent), ("change", change)):
+        for i, run in enumerate(runs, 1):
+            if not run["correct"]:
+                out.append(f"pair {i} {side}: not correct")
+            if run["failed"] > baseline:
+                out.append(f"pair {i} {side}: {run['failed']} failed, against {baseline} in the parent's first run")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=424242)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(1, args.pairs + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            summary = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            runs[side].append(summary)
+            print(f"pair {i} {side}: {json.dumps(summary)}", flush=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    print(format_rows(summarize(spec["end_to_end"], runs["parent"], runs["change"])))
+    for line in problems(runs["parent"], runs["change"]):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
