@@ -4,12 +4,21 @@ Concrete syntax: quantifiers `forall v.` / `exists v.`, negation `~`, the
 binary operators of `_BINARY_OPS` (`&` > `|` > `->` > `<->`, all binding
 looser than `~` and the quantifiers, `->` right-associative), atoms `P(t)` /
 `R(t,u)`. An identifier occurrence is a variable exactly when an enclosing
-quantifier binds it; any other occurrence is a constant.
+quantifier binds it; any other occurrence is a constant. A name is a run of
+letters, digits and underscores that starts with a letter.
+
+Text is read in two steps. One compiled regular expression splits it into
+tokens, scanning in C, and each distinct token is checked once. A recursive
+descent parser then reads the token list by index: it recurses once per `~`,
+quantifier and `->` link and twice per parenthesis, reads everything else
+inline, and finds a token's position in the text only for an error.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from itertools import islice
+from typing import Iterator, NoReturn
 
 from .errors import FreeVariableError, ParseError
 
@@ -251,71 +260,83 @@ def _parts(g: Formula) -> tuple[object, tuple[Formula, ...]]:
 # --------------------------------------------------------------------- parser
 
 _KEYWORDS = frozenset(KIND_OF[cls] for cls in QUANTIFIERS)
-# every operator symbol by its first character, which no two symbols share
-_SYMBOL_AT = {sym[0]: sym for sym in (*_BINARY_OPS, "~", "(", ")", ",", ".")}
+_SYMBOLS = frozenset((*_BINARY_OPS, "~", "(", ")", ",", "."))
+# the tokens that cannot name a term or a bound variable: the symbols, the
+# keywords and "", which ends every token list; _tokenize has checked every
+# other token to be a name
+_NOT_NAMES = _SYMBOLS | _KEYWORDS | {""}
+# the tokens that open a unary formula other than an atom, with its class
+_PREFIXES = {"~": Not, "(": None, **{KIND_OF[cls]: cls for cls in QUANTIFIERS}}
+# one match per token, scanned in C: a symbol, longest first so that `<->`
+# and `->` win over `<` and `-`; a run of word characters; or any other
+# character, which is an error. Whitespace only separates tokens
+_TOKEN = re.compile("|".join([*map(re.escape, sorted(_SYMBOLS, key=lambda sym: (-len(sym), sym))), r"\w+", r"\S"]))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], "name", i))
-            i = j
-            continue
-        sym = _SYMBOL_AT.get(c)
-        if sym is None or not text.startswith(sym, i):
-            raise ParseError(f"unexpected character {c!r}", i)
-        toks.append((sym, "op", i))
-        i += len(sym)
-    toks.append(("", "eof", n))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "". A run of word characters is a name when
+    its first character is a letter; any token that is neither a name nor a
+    symbol raises, the first such in the text. Each distinct token is checked
+    once, since a formula repeats its names and symbols."""
+    toks = _TOKEN.findall(text)
+    if not all(tok[0].isalpha() for tok in set(toks).difference(_SYMBOLS)):
+        bad = next(m for m in _TOKEN.finditer(text) if m[0] not in _SYMBOLS and not m[0][0].isalpha())
+        raise ParseError(f"unexpected character {bad[0][0]!r}", bad.start())
+    toks.append("")
     return toks
 
 
 def is_name(text: str) -> bool:
     """Whether the tokenizer reads text as one name that is not a keyword:
     a predicate, constant or variable name."""
-    try:
-        toks = _tokenize(text)
-    except ParseError:
-        return False
-    return len(toks) == 2 and toks[0][:2] == (text, "name") and text not in _KEYWORDS
+    return _TOKEN.findall(text) == [text] and text[0].isalpha() and text not in _KEYWORDS
 
 
 class _Parser:
+    """Recursive descent over the token list by index: `k` is the next token.
+    `unary` recurses once per `~` and per quantifier, `formula` once per `->`
+    link, and `unary` into `formula` once per parenthesis; everything else,
+    atoms above all, is read inline. A token's position in the text is found
+    only when an error names it.
+
+    `formula` runs three frames below parse_formula's caller, as in the
+    per-token reference parser under tests/, and each frame meets the
+    recursion limit at the token it did there: so a run of `~`, quantifiers or
+    parentheses parses to the same depth and fails at the same token."""
+
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.k = 0
         self.arities: dict[str, int] = {}
         self.bound: list[str] = []
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.k]
+    def position(self, k: int) -> int:
+        """Where token k starts in the text; the text's length for the end."""
+        m = next(islice(_TOKEN.finditer(self.text), k, None), None)
+        return len(self.text) if m is None else m.start()
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.toks[self.k]
-        self.k += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, _, pos = self.peek()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", pos)
-        self.advance()
+    def fail(self, message: str, k: int) -> NoReturn:
+        raise ParseError(message, self.position(k))
 
     def parse(self) -> Formula:
+        try:
+            return self.whole()
+        except RecursionError:
+            raise ParseError("formula nested too deeply", self.position(self.k)) from None
+
+    def whole(self) -> Formula:
         f = self.formula()
-        tok, kind, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing {tok!r}", pos)
+        tok = self.toks[self.k]
+        if tok:
+            self.fail(f"unexpected trailing {tok!r}", self.k)
         return f
+
+    def expect(self, want: str) -> None:
+        tok = self.toks[self.k]
+        if tok != want:
+            self.fail(f"expected {want!r}, found {tok!r}", self.k)
+        self.k += 1
 
     def formula(self, floor: int = 0) -> Formula:
         """Precedence climbing: a unary formula, then each binary operator
@@ -323,64 +344,73 @@ class _Parser:
         at the floor its associativity sets. So a left-associative chain is a
         loop, and a right-associative one costs one frame per link."""
         f = self.unary()
+        toks = self.toks
         while True:
-            op = _BINARY_OPS.get(self.peek()[0])
+            op = _BINARY_OPS.get(toks[self.k])
             if op is None or op[1] < floor:
                 return f
-            self.advance()
+            self.k += 1
             cls, strength, right = op
             f = cls(f, self.formula(strength if right else strength + 1))
 
     def unary(self) -> Formula:
-        tok, kind, pos = self.peek()
-        if tok == "~":
-            self.advance()
+        # membership tests only, up to the recursive call: on 3.10 and 3.11 a
+        # comparison or a call of a builtin would spend a level of the
+        # recursion limit before the token is consumed
+        toks, k = self.toks, self.k
+        tok = toks[k]
+        if tok not in _PREFIXES:
+            if tok in _NOT_NAMES:
+                self.fail(f"expected a formula, found {tok!r}", k)
+            return Atom(tok, self.arguments(tok))
+        cls = _PREFIXES[tok]
+        self.k = k + 1
+        if cls is Not:
             return Not(self.unary())
-        if tok in _KEYWORDS:
-            self.advance()
-            name, nkind, npos = self.advance()
-            if nkind != "name" or name in _KEYWORDS:
-                raise ParseError(f"expected a variable name after {tok!r}", npos)
-            self.expect(".")
-            self.bound.append(name)
-            try:
-                body = self.unary()
-            finally:
-                self.bound.pop()
-            return CLASS_OF[tok](name, body)
-        if tok == "(":
-            self.advance()
+        if cls is None:
             f = self.formula()
             self.expect(")")
             return f
-        if kind == "name":
-            return self.atom()
-        raise ParseError(f"expected a formula, found {tok!r}", pos)
+        name = toks[k + 1]
+        if name in _NOT_NAMES:
+            self.fail(f"expected a variable name after {tok!r}", k + 1)
+        self.k = k + 2
+        self.expect(".")
+        self.bound.append(name)
+        try:
+            body = self.unary()
+        finally:
+            self.bound.pop()
+        return cls(name, body)
 
-    def atom(self) -> Formula:
-        name, _, pos = self.advance()
-        if name in _KEYWORDS:
-            raise ParseError(f"{name!r} is a reserved word", pos)
+    def arguments(self, name: str) -> tuple[Term, ...]:
+        """The parenthesized terms after predicate `name`, `k`'s token, read
+        inline: atoms hold most of a formula's tokens. The `(` is read by a
+        call, and `k` moves past each term before the term is made, as in the
+        reference parser: both set the token at which an atom deep enough to
+        meet the recursion limit fails."""
+        toks, bound, at = self.toks, self.bound, self.k
+        self.k = k = at + 1
         self.expect("(")
-        args = [self.term()]
-        while self.peek()[0] == ",":
-            self.advance()
-            args.append(self.term())
-        self.expect(")")
-        if len(args) > 2:
-            raise ParseError(f"predicate {name!r} has arity {len(args)}; only 1 and 2 are supported", pos)
-        prev = self.arities.get(name)
-        if prev is None:
-            self.arities[name] = len(args)
-        elif prev != len(args):
-            raise ParseError(f"predicate {name!r} used with arity {len(args)} after arity {prev}", pos)
-        return Atom(name, tuple(args))
-
-    def term(self) -> Term:
-        tok, kind, pos = self.advance()
-        if kind != "name" or tok in _KEYWORDS:
-            raise ParseError(f"expected a term, found {tok!r}", pos)
-        return Var(tok) if tok in self.bound else Const(tok)
+        args = []
+        while True:
+            tok = toks[k + 1]
+            if tok in _NOT_NAMES:
+                self.fail(f"expected a term, found {tok!r}", k + 1)
+            k = self.k = k + 2
+            args.append(Var(tok) if tok in bound else Const(tok))
+            if toks[k] != ",":
+                break
+        if toks[k] != ")":
+            self.fail(f"expected ')', found {toks[k]!r}", k)
+        self.k = k + 1
+        n = len(args)
+        if n > 2:
+            self.fail(f"predicate {name!r} has arity {n}; only 1 and 2 are supported", at)
+        prev = self.arities.setdefault(name, n)
+        if prev != n:
+            self.fail(f"predicate {name!r} used with arity {n} after arity {prev}", at)
+        return tuple(args)
 
 
 def parse_formula(text: str) -> Formula:
@@ -391,11 +421,7 @@ def parse_formula(text: str) -> Formula:
     lets the parser go: it spends one frame per `~`, per quantifier prefix
     and per `->` link, and two per parenthesis.
     """
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
+    return _Parser(text).parse()
 
 
 # -------------------------------------------------------------------- printer

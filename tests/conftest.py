@@ -1,14 +1,16 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
 isomorphism canonicalizer, a broad random formula generator and a ground one,
-the identifiers of a formula, a lowered recursion limit for the tests of walks
+the identifiers of a formula, the benchmark's workload texts, a lowered recursion limit for the tests of walks
 that must not recurse, and a hook that fails a test raising RecursionError at
 once."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,24 @@ def balanced_pairs(n: int) -> str:
     while len(parts) > 1:
         parts = [f"({a} & {b})" if b else a for a, b in zip(parts[::2], parts[1::2] + [""])]
     return "~" + parts[0]
+
+
+def bench_workloads():
+    """perfbench/workloads.py, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_texts(name: str, seed: int = 424242) -> list[str]:
+    """The formula texts of a benchmark workload, at its default seed unless given."""
+    from semforce import formulas, gen
+
+    return [item.text for item in bench_workloads().generate(name, seed, formulas, gen)]
 
 
 def within_a_shallow_stack(read, spare: int = 100):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -59,3 +61,33 @@ def test_runs_that_are_wrong_or_fail_more_are_named():
         "pair 1 change: 3 failed, against 2 in the parent's first run",
         "pair 2 change: not correct",
     ]
+
+
+PER_LAYER = {spec["name"]: spec["unit"]
+             for spec in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+
+
+def traced_line(parse_s, visits):
+    """A traced run's last line, with two of its per-layer metrics."""
+    metrics = {"formulas.parse_s": parse_s, "marking.anchor_visits": visits}
+    return json.dumps({"correct": True, "attempted": 30, "failed": 2,
+                       "metrics": {k: {"value": v, "unit": PER_LAYER[k]} for k, v in metrics.items()}})
+
+
+def test_the_named_layers_of_one_traced_run_per_side_print_side_by_side():
+    parent, change = json.loads(traced_line(0.0167, 7150)), json.loads(traced_line(0.0112, 5940))
+    names = ["formulas.parse_s", "marking.anchor_visits", "tree.build_s"]
+    table = bench_pairs.format_layers(names, PER_LAYER, parent, change).splitlines()
+    assert len(table) == 4 and table[0].split() == ["per-layer", "metric", "unit", "parent", "change", "ratio"]
+    assert table[1].split() == ["formulas.parse_s", "s", "0.0167", "0.0112", f"{0.0112 / 0.0167:.4f}"]
+    assert table[2].split() == ["marking.anchor_visits", "count", "7150", "5940", f"{5940 / 7150:.4f}"]
+    # a metric neither run reports reads "-", and so does its ratio
+    assert table[3].split() == ["tree.build_s", "s", "-", "-", "-"]
+
+
+def test_a_layer_that_is_no_per_layer_metric_is_refused(capsys):
+    # refused before any run starts
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main([str(ROOT), str(ROOT), "--workload", "large-formula", "--layer", "formulas.parse"])
+    assert refused.value.code == 2
+    assert "not a per-layer metric of BENCHMARK.json: formulas.parse" in capsys.readouterr().err

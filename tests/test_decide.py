@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, balanced_pairs, canonical_structure
+from conftest import (
+    EXPECTED_VERDICT,
+    ILLUSTRATIONS,
+    REFERENCE_MODELS,
+    balanced_pairs,
+    bench_workloads,
+    canonical_structure,
+    workload_texts,
+)
 
 from semforce import (
     EngineConfig,
@@ -402,30 +410,9 @@ def test_an_instance_search_ended_by_a_double_mark():
     assert isinstance(oracle_validity(f, fragment_bounds(classify_fragment(f))[1]), Refuted)
 
 
-def _workloads():
-    """perfbench/workloads.py, imported by path."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class body runs
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _stream(name: str) -> list[str]:
-    """The formula texts of a benchmark workload at its default seed."""
-    from semforce import formulas, gen
-
-    return [item.text for item in _workloads().generate(name, 424242, formulas, gen)]
-
-
 def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
     # 200 of the monadic stream's 500 formulas keep this test under a second
-    texts = _stream("monadic-batch")[:200] + _stream("fo2-batch") + list(ILLUSTRATIONS.values())
+    texts = workload_texts("monadic-batch")[:200] + workload_texts("fo2-batch") + list(ILLUSTRATIONS.values())
     dropped = 0
     for text in texts:
         f = parse_formula(text)
@@ -454,7 +441,7 @@ def test_no_validity_the_oracle_refutes_on_a_stream_the_benchmark_does_not_draw(
     # formulas take about 2 s (Python 3.11, shared 2-core machine)
     from semforce import formulas
 
-    fo2 = _workloads().random_fo2
+    fo2 = bench_workloads().random_fo2
     rng = random.Random(20240817)
     for k in range(3500):
         if k % 2:

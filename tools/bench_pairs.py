@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs of runs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload large-formula \
-        --pairs 10 --seconds 30 --seed 7
+        --pairs 10 --seconds 30 --seed 7 [--layer formulas.parse_s tree.build_s ...]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed K --seconds S
 --trace 0` once in each directory, the parent first on odd pairs and the
@@ -13,7 +13,10 @@ pairs the change won (a tie counts for neither side). A gain passes when the
 change won at least nine tenths of the pairs and its median beats the
 parent's by more than the parent's interquartile range. A run that is not
 correct, or fails more formulas than the other side's first run, is
-reported below the table.
+reported below the table. With --layer, one traced run per side follows
+(`--trace 1 --seconds 0`, at the same seed), and the named per-layer metrics
+of BENCHMARK.json are printed side by side: one run each, so a count
+compares exactly and a time only roughly.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in directory; its JSON summary line, parsed."""
+def run_once(directory: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in directory, untraced unless trace is 1; its JSON
+    summary line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=directory, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -83,6 +87,18 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def format_layers(names: list[str], units: dict[str, str], parent: dict, change: dict) -> str:
+    """The named per-layer metrics of one traced run per side, side by side;
+    a metric a run lacks reads "-"."""
+    lines = [f"{'per-layer metric':<32} {'unit':<5} {'parent':>12} {'change':>12} {'ratio':>7}"]
+    for name in names:
+        before, after = (run["metrics"].get(name, {}).get("value") for run in (parent, change))
+        ratio = "-" if before is None or after is None or not before else f"{after / before:.4f}"
+        shown = ["-" if v is None else f"{v:.6g}" for v in (before, after)]
+        lines.append(f"{name:<32} {units[name]:<5} {shown[0]:>12} {shown[1]:>12} {ratio:>7}")
+    return "\n".join(lines)
+
+
 def problems(parent: list[dict], change: list[dict]) -> list[str]:
     """Runs that are not correct, or that fail more formulas than the first run."""
     out = []
@@ -104,10 +120,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=424242)
+    parser.add_argument("--layer", nargs="+", default=[], metavar="NAME",
+                        help="per-layer metrics to compare in one traced run per side")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    units = {layer["name"]: layer["unit"] for layer in spec["per_layer"]}
+    unknown = [name for name in args.layer if name not in units]
+    if unknown:
+        parser.error(f"--layer: not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
@@ -119,6 +141,11 @@ def main(argv: list[str] | None = None) -> int:
     print(format_rows(summarize(spec["end_to_end"], runs["parent"], runs["change"])))
     for line in problems(runs["parent"], runs["change"]):
         print(line)
+    if args.layer:
+        traced = {side: run_once(getattr(args, side), args.workload, args.seed, 0, trace=1)
+                  for side in ("parent", "change")}
+        print(f"one traced run per side (--trace 1 --seconds 0, seed {args.seed})")
+        print(format_layers(args.layer, units, traced["parent"], traced["change"]))
     return 0
 
 
