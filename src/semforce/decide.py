@@ -48,14 +48,14 @@ from .formulas import (
 from .marking import (
     Frame,
     MarkingState,
+    TraceStep,
     # decide makes its states through this name, which perfbench/tracer.py
     # patches by attribute to keep the state of the last decision
     MarkingState as init_marking,
     capped_obligations,
-    missing_instances,
     saturate,
 )
-from .models import evaluate, extract_model
+from .models import Interpretation, evaluate, extract_model
 from .rules import DISCHARGE, PERMISSION
 from .tree import build_initial_tree
 
@@ -81,13 +81,25 @@ class EngineConfig(Record):
 class Valid(Record):
     __match_args__ = __slots__ = ("trace", "state")
 
+    def __init__(self, trace: list[TraceStep], state: MarkingState) -> None:
+        self.trace = trace
+        self.state = state
+
 
 class Invalid(Record):
     __match_args__ = __slots__ = ("model", "state")
 
+    def __init__(self, model: Interpretation, state: MarkingState) -> None:
+        self.model = model
+        self.state = state
+
 
 class NoCountermodelUpTo(Record):
     __match_args__ = __slots__ = ("bound", "state")
+
+    def __init__(self, bound: int, state: MarkingState) -> None:
+        self.bound = bound
+        self.state = state
 
 
 Verdict = Valid | Invalid | NoCountermodelUpTo
@@ -263,8 +275,8 @@ def _permission_pass(s: MarkingState) -> bool:
     """Materialize every missing registry instance of unmarked ground
     quantifiers so sweeps can reach marks inside them."""
     changed = False
-    for nid, missing in missing_instances(s):
-        for term in missing:
+    for nid in s.classify_quantifiers()[2]:
+        for term in s.missing_terms(nid):
             s.instantiate(nid, term, PERMISSION[s.tree.nodes[nid].kind])
             changed = True
     return changed

@@ -32,8 +32,14 @@ class Record:
     fields, equality by type and fields, and pickling and copying through the
     constructor. The fields are `__match_args__`, in constructor order. A
     record is unhashable, since it can change (defining `__eq__` sets
-    `__hash__` to None). Hot constructors are written out; this one takes
-    fields by position or keyword, or from `_defaults`."""
+    `__hash__` to None). This constructor takes fields by position or
+    keyword, or from `_defaults`, and costs a few microseconds a call. The
+    constructors of the records built per node, per search branch or per
+    decision are written out, so that they cost only their field stores:
+    the terms and formulas here, `Monadic` and `Dyadic2Var` (one per
+    decision), `TreeNode`, marking's `TraceStep`, `DoubleMark`, `Frame` and
+    `Checkpoint`, models' `Interpretation`, and decide's verdicts and
+    `EngineConfig`."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -507,9 +513,15 @@ def complexity(f: Formula) -> int:
 class Monadic(FrozenRecord):
     __match_args__ = __slots__ = ("n",)
 
+    def __init__(self, n: int) -> None:
+        _set(self, "n", n)
+
 
 class Dyadic2Var(FrozenRecord):
     __match_args__ = __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        _set(self, "n", n)
 
 
 class Outside(FrozenRecord):
@@ -625,7 +637,3 @@ def alpha_normalize(f: Formula) -> Formula:
 
     return go(f, {}, 0)
 
-
-def is_ground(f: Formula) -> bool:
-    """True when no unfilled placeholder (Slot) occurs in f."""
-    return not any(type(t) is Slot for g in _postorder(f) if type(g) is Atom for t in g.args)

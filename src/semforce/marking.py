@@ -62,11 +62,18 @@ there, each dirtying only the anchors that can now conclude:
 A marked quantifier's obligation is read from its kind and mark
 (`INSTANTIATION`), and its witness from the witness registry, which names the
 instance child each fresh witness constant was introduced for.
+`classify_quantifiers` sorts the relevant quantifiers, which the preorder walk
+of `relevant()` collects, in one pass: those obliged to a fresh witness, those
+obliged to an instance per individual, and the unmarked ground ones. It keeps
+the result until a mark, an instance or a rollback changes what it read, so
+saturation's quantifier phase classifies once in a round that adds nothing,
+and `capped_obligations`, called on the state saturation left, reads the
+lists of its last round. `decide`'s permission pass reads them too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import PremiseError, StateError
 from .formulas import (
@@ -75,6 +82,7 @@ from .formulas import (
     Record,
     Term,
     Var,
+    _set,
     # not called here: the name stays importable because perfbench/tracer.py
     # patches marking.alpha_normalize by attribute
     alpha_normalize,  # noqa: F401
@@ -117,6 +125,10 @@ class TraceStep(Record):
 class DoubleMark(FrozenRecord):
     __match_args__ = __slots__ = ("n1", "n2")
 
+    def __init__(self, n1: int, n2: int) -> None:
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
+
 
 class Frame(Record):
     """One open supposition: a provisional mark whose scope absorbs later
@@ -124,6 +136,11 @@ class Frame(Record):
     stands as long as the frame, and its free variables its node's shape's."""
 
     __match_args__ = __slots__ = ("node", "kind", "checkpoint")
+
+    def __init__(self, node: int, kind: str, checkpoint: Checkpoint) -> None:
+        self.node = node
+        self.kind = kind
+        self.checkpoint = checkpoint
 
 
 class Checkpoint(Record):
@@ -200,6 +217,10 @@ class MarkingState:
         # read only: the tree's own set of the source's identifiers
         self._reserved = tree.identifiers
         self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
+        # the last classify_quantifiers result, keyed by (tree version, trace
+        # length): every mark and instance adds a trace step, and rollback,
+        # which removes marks without one, drops it
+        self._classified: Optional[tuple[tuple[int, int], tuple[list[int], list[int], list[int]]]] = None
         # anchors whose forced_for_anchor output may be non-empty (module docstring)
         self._dirty: set[int] = set()
         # the marked nodes in marking order, popped by rollback (module docstring)
@@ -246,13 +267,8 @@ class MarkingState:
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
-            marked_len=len(self._marked),
-            registry_len=len(self.domain_registry),
-            scopes_len=len(self.scopes),
-            trace_len=len(self.trace),
-            next_nid=len(self.tree.nodes) + 1,
-            dm=self.dm,
-            dirty=frozenset(self._dirty),
+            len(self._marked), len(self.domain_registry), len(self.scopes), len(self.trace),
+            len(self.tree.nodes) + 1, self.dm, frozenset(self._dirty),
         )
 
     def rollback(self, cp: Checkpoint) -> None:
@@ -279,6 +295,7 @@ class MarkingState:
         self.dm = cp.dm
         self.tree.truncate(cp.next_nid)
         self._dirty = set(cp.dirty)
+        self._classified = None
 
     # ----------------------------------------------------------- trace output
 
@@ -286,7 +303,8 @@ class MarkingState:
                 premise_steps: Optional[tuple[int, ...]] = None) -> int:
         step = len(self.trace) + 1
         if premise_steps is None:
-            premise_steps = tuple(self.steps[p] for p in premise_nodes if p in self.steps)
+            # steps are numbered from 1, so filter drops only the unmarked premises
+            premise_steps = tuple(filter(None, map(self.steps.get, premise_nodes)))
         self.trace.append(TraceStep(step, node, value, rule, premise_steps))
         return step
 
@@ -335,7 +353,7 @@ class MarkingState:
         # _record, inline: this is the path every forced mark takes
         trace, steps = self.trace, self.steps
         step = len(trace) + 1
-        trace.append(TraceStep(step, n, v, rule, tuple([steps[p] for p in premises if p in steps])))
+        trace.append(TraceStep(step, n, v, rule, tuple(filter(None, map(steps.get, premises)))))
         k = node.shape
         marks[n] = v
         steps[n] = step
@@ -477,8 +495,9 @@ class MarkingState:
         if rule in WITNESS_RULES:
             if not isinstance(term, Const):
                 raise PremiseError("a witness must be a fresh constant")
-            used = {t.name for t in self.domain_registry} | self._reserved
-            if term.name in used:
+            # by name: a constant is not fresh while a variable of its name is registered
+            name = term.name
+            if name in self._reserved or any(t.name == name for t in self.domain_registry):
                 raise PremiseError(f"witness {term.name!r} is not fresh")
         tree = self.tree
         child = tree.instantiate(qnid, term)
@@ -647,14 +666,17 @@ class MarkingState:
     def relevant(self, order: str = "pre") -> list[int]:
         """Nodes in preorder ("pre") or postorder, skipping a quantifier's
         template subtree once the quantifier has instance children. The list
-        is cached per tree version and shared: callers must not mutate it."""
+        is cached per tree version and shared: callers must not mutate it. A
+        preorder walk also collects `relevant_quantifiers`."""
         version = self.tree.version
-        hit = self._relevant_cache.get(order)
+        cache = self._relevant_cache
+        hit = cache.get(order)
         if hit is not None and hit[0] == version:
             return hit[1]
         nodes = self.tree.nodes
         pre = order == "pre"
         out: list[int] = []
+        quantifiers: list[int] = []
         stack = [self.tree.root]
         while stack:
             nid = stack.pop()
@@ -662,29 +684,65 @@ class MarkingState:
             node = nodes[nid]
             kids = node.children
             if kids:
-                if node.is_quantifier and len(kids) > 1:
-                    kids = kids[1:]
+                if node.is_quantifier:
+                    quantifiers.append(nid)
+                    if len(kids) > 1:
+                        kids = kids[1:]
                 # postorder is the reverse of a preorder that takes children right to left
                 stack += kids[::-1] if pre else kids
-        if not pre:
+        if pre:
+            cache["quantifiers"] = (version, quantifiers)
+        else:
             out.reverse()
-        self._relevant_cache[order] = (version, out)
+        cache[order] = (version, out)
         return out
 
     def relevant_quantifiers(self) -> list[int]:
         """The quantifier nodes of relevant() in preorder, cached per tree
         version beside it; shared, so callers must not mutate it."""
-        version = self.tree.version
         hit = self._relevant_cache.get("quantifiers")
-        if hit is not None and hit[0] == version:
+        if hit is None or hit[0] != self.tree.version:
+            self.relevant()
+            hit = self._relevant_cache["quantifiers"]
+        return hit[1]
+
+    def classify_quantifiers(self) -> tuple[list[int], list[int], list[int]]:
+        """One pass over relevant_quantifiers(): the marked quantifiers obliged
+        to a fresh witness, those obliged to an instance per individual
+        (`INSTANTIATION`), and the unmarked ground ones, each in relevant
+        order. Cached until the marks or the tree change, and shared: callers
+        must not mutate the lists."""
+        key = (self.tree.version, len(self.trace))
+        hit = self._classified
+        if hit is not None and hit[0] == key:
             return hit[1]
-        nodes = self.tree.nodes
-        out = [nid for nid in self.relevant() if nodes[nid].is_quantifier]
-        self._relevant_cache["quantifiers"] = (version, out)
+        nodes, get = self.tree.nodes, self.marks.get
+        witness: list[int] = []
+        instance: list[int] = []
+        unmarked: list[int] = []
+        for nid in self.relevant_quantifiers():
+            mark = get(nid)
+            node = nodes[nid]
+            if mark is None:
+                if node.ground:
+                    unmarked.append(nid)
+            elif INSTANTIATION[node.kind, mark].witness:
+                witness.append(nid)
+            else:
+                instance.append(nid)
+        out = witness, instance, unmarked
+        self._classified = (key, out)
         return out
 
+    def missing_terms(self, qnid: int) -> list[Term]:
+        """The registry individuals quantifier qnid has no instance branch
+        for, in registry order."""
+        have = set(self.tree.instance_terms(qnid))
+        return [t for t in self.domain_registry if t not in have]
+
     def unmarked_relevant_ground(self) -> list[int]:
-        return [n for n in self.relevant() if self.marked(n) is None and self.key(n) is not None]
+        marks, nodes = self.marks, self.tree.nodes
+        return [n for n in self.relevant() if n not in marks and nodes[n].ground]
 
 
 # ------------------------------------------------------------------ saturation
@@ -697,81 +755,58 @@ def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     # an instance already carrying the required value settles the obligation
     marked, children = s.marked, s.tree.instance_children
     return [
-        nid for nid in _marked_quantifiers(s, witness=True)
+        nid for nid in s.classify_quantifiers()[0]
         if s.witness_child(nid) is None and marked(nid) not in map(marked, children(nid))
     ]
 
 
-def _marked_quantifiers(s: MarkingState, witness: bool) -> list[int]:
-    """Marked quantifiers obliged to a fresh witness (witness=True) or to an
-    instance per individual (witness=False), in relevant order."""
-    nodes, marks = s.tree.nodes, s.marks
-    out = []
-    for nid in s.relevant_quantifiers():
-        mark = marks.get(nid)
-        if mark is not None and INSTANTIATION[nodes[nid].kind, mark].witness is witness:
-            out.append(nid)
-    return out
-
-
-def missing_instances(s: MarkingState) -> Iterator[tuple[int, list[Term]]]:
-    """Unmarked ground quantifiers in relevant order, each with the registry
-    individuals it has no instance branch for yet (read when it is reached)."""
-    for nid in s.relevant_quantifiers():
-        if s.marked(nid) is None and s.key(nid) is not None:
-            have = set(s.tree.instance_terms(nid))
-            yield nid, [t for t in s.domain_registry if t not in have]
-
-
-def _expand_obligations(s: MarkingState, budget: Optional[int]) -> bool:
-    """Witness obligations first (they create individuals), then instantiation
-    of accepted universals and rejected existentials over the registry. A
+def _quantifier_phase(s: MarkingState, budget: Optional[int]) -> bool:
+    """One round's quantifier steps, in this order: a fresh witness for each
+    marked quantifier obliged to one (only these create individuals), the
+    missing instances over the registry for each obliged to one per
+    individual, then remote instances of unmarked ground quantifiers. A
     generic variable enters only when nothing else will ever populate the
-    registry, since models are nonempty."""
-    changed = False
-    for nid in _marked_quantifiers(s, witness=True):
-        # only this loop adds individuals, so the budget stays reached
-        if budget is not None and len(s.domain_registry) >= budget:
+    registry, since models are nonempty.
+
+    Each step reads its list from `classify_quantifiers`, which classifies
+    again only when a step before it changed the marks or the tree. Returns
+    whether anything was added; stops at a double mark."""
+    nodes, registry = s.tree.nodes, s.domain_registry
+    added = False
+    for nid in s.classify_quantifiers()[0]:
+        # the budget stays reached once it is
+        if budget is not None and len(registry) >= budget:
             break
         if s.witness_child(nid) is not None:
             continue
-        mark = s.marked(nid)
-        inst = INSTANTIATION[s.tree.nodes[nid].kind, mark]
+        mark = s.marks[nid]
+        inst = INSTANTIATION[nodes[nid].kind, mark]
         child = s.instantiate(nid, Const(s.fresh_witness()), inst.rule)
         s.set_mark(child, mark, inst.marking, (nid,))
-        changed = True
+        added = True
         if s.dm is not None:
-            return changed
-    universal = _marked_quantifiers(s, witness=False)
-    if universal and not s.domain_registry:
+            return added
+    universal = s.classify_quantifiers()[1]
+    if universal and not registry:
         s.introduce_generic()
-        changed = True
+        added = True
     for nid in universal:
-        mark = s.marked(nid)
-        inst = INSTANTIATION[s.tree.nodes[nid].kind, mark]
-        have = set(s.tree.instance_terms(nid))
-        for term in list(s.domain_registry):
-            if term in have:
-                continue
+        mark = s.marks[nid]
+        inst = INSTANTIATION[nodes[nid].kind, mark]
+        for term in s.missing_terms(nid):
             child = s.instantiate(nid, term, inst.rule)
             s.set_mark(child, mark, inst.marking, (nid,))
-            changed = True
+            added = True
             if s.dm is not None:
-                return changed
-    return changed
-
-
-def _remote_instances(s: MarkingState) -> bool:
-    """Materialize a permitted instance of an unmarked quantifier when a node
-    elsewhere already carries that instance's formula with a mark that lets the
-    quantifier itself be marked."""
-    changed = False
-    for nid, missing in missing_instances(s):
-        if s.dm is not None:
-            return changed
-        kind = s.tree.nodes[nid].kind
-        for term in missing:
-            hit = s.consensus.get(s.tree.instance_class(nid, term))
+                return added
+    # remote instances: materialize a permitted instance of an unmarked
+    # quantifier when a node elsewhere already carries that instance's formula
+    # with a mark that lets the quantifier itself be marked; one per quantifier
+    consensus = s.consensus
+    for nid in s.classify_quantifiers()[2]:
+        kind = nodes[nid].kind
+        for term in s.missing_terms(nid):
+            hit = consensus.get(s.tree.instance_class(nid, term))
             if hit is None:
                 continue
             val, src = hit
@@ -782,19 +817,24 @@ def _remote_instances(s: MarkingState) -> bool:
             s.set_mark(child, val, "IA" if val == 1 else "IR", (src,))
             if s.dm is None and not (independent and not s.is_independent(term.name, child)):
                 s.set_mark(nid, val, up, (child,))
-            changed = True
+            added = True
+            if s.dm is not None:
+                return added
             break
-    return changed
+    return added
 
 
 def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Optional[DoubleMark]:
     """Apply forced rules to fixpoint: rule sweeps in the given traversal order
-    until one marks nothing, then instantiation obligations, then remote
-    instances. Returns the first double mark, or None at a consistent
-    fixpoint. The fixpoint stands once a round's two quantifier phases add
-    nothing: the state is then the one their quiet sweep left, so another
-    round would find no dirty anchor and add nothing again. Fresh witnesses
-    stop once the registry holds budget individuals, when budget is set.
+    until one marks nothing, then the quantifier phase (fresh witnesses,
+    instances over the registry, remote instances), which reads one
+    classified list of the relevant quantifiers. Returns the first double
+    mark, or None at a consistent fixpoint. The fixpoint stands once a
+    round's quantifier phase adds nothing: the state is then the one its
+    quiet sweep left, so another round would find no dirty anchor and add
+    nothing again; such a round costs one pass over the relevant
+    quantifiers. Fresh witnesses stop once the registry holds budget
+    individuals, when budget is set.
 
     A sweep skips the anchors that are not dirty: by the invariant in the
     module docstring they would conclude nothing, so the firings and their
@@ -824,9 +864,7 @@ def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") 
                 # relevant() skips (module docstring)
                 dirty.clear()
                 break
-        added = _expand_obligations(s, budget)
-        if s.dm is None:
-            added = _remote_instances(s) or added
+        added = _quantifier_phase(s, budget)
         if s.dm is not None:
             return s.dm
         if not added:

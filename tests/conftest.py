@@ -1,8 +1,8 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
 isomorphism canonicalizer, a broad random formula generator and a ground one,
-the identifiers of a formula, the benchmark's workload texts, a lowered recursion limit for the tests of walks
-that must not recurse, and a hook that fails a test raising RecursionError at
-once."""
+the groundness test and the identifiers of a formula, the benchmark's
+workload texts, a lowered recursion limit for the tests of walks that must
+not recurse, and a hook that fails a test raising RecursionError at once."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from semforce import And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, Var, parse_formula
-from semforce.formulas import BINARY, QUANTIFIERS, Dyadic2Var, _postorder, classify_fragment
+from semforce.formulas import BINARY, QUANTIFIERS, Dyadic2Var, Slot, _postorder, classify_fragment
 from semforce.gen import random_monadic
 
 ILLUSTRATIONS = {
@@ -116,6 +116,11 @@ def random_ground(rng: random.Random, max_complexity: int = 6, monadic=("P", "Q"
         return op(go(rng.randint(0, budget - 1)), go(rng.randint(0, budget - 1)))
 
     return go(max_complexity)
+
+
+def is_ground(f) -> bool:
+    """True when no unfilled placeholder (Slot) occurs in f."""
+    return not any(type(t) is Slot for g in _postorder(f) if type(g) is Atom for t in g.args)
 
 
 def identifiers_of(f) -> set[str]:

@@ -29,10 +29,10 @@ from semforce import (
     format_formula,
     parse_formula,
 )
-from semforce.formulas import constants_of, free_variables, is_ground, predicate_arities
+from semforce.formulas import constants_of, free_variables, predicate_arities
 from semforce.gen import random_monadic
 
-from conftest import ILLUSTRATIONS, random_formula
+from conftest import ILLUSTRATIONS, is_ground, random_formula
 
 
 def test_atom_parsing():

@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from conftest import ILLUSTRATIONS, differential_formulas
+from conftest import ILLUSTRATIONS, differential_formulas, is_ground
+from reference_phases import _expand_obligations, _marked_quantifiers, _remote_instances, missing_instances
 
 from semforce import (
     Const,
@@ -27,7 +28,7 @@ from semforce import (
     saturate,
 )
 from semforce.cli import model_json
-from semforce.formulas import Atom, alpha_normalize, is_ground
+from semforce.formulas import Atom, alpha_normalize
 from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, PERMISSION, rules_for
 
 
@@ -353,6 +354,15 @@ def test_witness_must_be_fresh():
         s.instantiate(q, Var("x"), "IR∀")
     with pytest.raises(PremiseError, match="not fresh"):
         s.instantiate(q, Const("a"), "IR∀")
+    # freshness is by name: a name of the source, a registered witness's, or
+    # the generic variable's, whose Const is another term
+    w = Const(s.fresh_witness())
+    s.instantiate(q, w, "IR∀")
+    generic = s.introduce_generic()
+    for name in ("P", w.name, generic.name):
+        with pytest.raises(PremiseError, match="not fresh"):
+            s.instantiate(q, Const(name), "IR∀")
+    assert s.domain_registry == [Const("a"), w, generic]
 
 
 def test_witness_rules_check_the_quantifier_mark():
@@ -724,21 +734,21 @@ def test_saturation_leaves_of_the_first_worked_formula():
 
 def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchanged(monkeypatch):
     # per saturate call, the (trace steps, nodes) each round's quantifier
-    # phases start from: one pair twice in a row is a round that changed nothing
+    # phase starts from: one pair twice in a row is a round that changed nothing
     decide_module = sys.modules["semforce.decide"]
-    expand = marking._expand_obligations
+    phase = marking._quantifier_phase
     rounds = []
 
     def counted_saturate(s, budget=None, order="pre"):
         rounds.append([])
         return saturate(s, budget, order)
 
-    def counted_expand(s, budget):
+    def counted_phase(s, budget):
         rounds[-1].append((len(s.trace), len(s.tree.nodes)))
-        return expand(s, budget)
+        return phase(s, budget)
 
     monkeypatch.setattr(decide_module, "saturate", counted_saturate)
-    monkeypatch.setattr(marking, "_expand_obligations", counted_expand)
+    monkeypatch.setattr(marking, "_quantifier_phase", counted_phase)
     for f in differential_formulas():
         decide(f)
     assert not [r for r in rounds if any(a == b for a, b in zip(r, r[1:]))]
@@ -749,8 +759,10 @@ def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchange
 
 
 def full_sweep_saturate(s, budget=None, order="pre"):
-    """saturate as a sweep over every relevant node, with no dirty set: the
-    reference the dirty-anchor sweep must match firing for firing."""
+    """saturate as a sweep over every relevant node, with no dirty set, and
+    the three-scan quantifier phases of `reference_phases`: the reference the
+    dirty-anchor sweep and the one-list quantifier phase must match firing
+    for firing."""
     if s.dm is not None:
         return s.dm
     while True:
@@ -766,11 +778,11 @@ def full_sweep_saturate(s, budget=None, order="pre"):
             if not swept:
                 break
             changed = True
-        if marking._expand_obligations(s, budget):
+        if _expand_obligations(s, budget):
             changed = True
         if s.dm is not None:
             return s.dm
-        if marking._remote_instances(s):
+        if _remote_instances(s):
             changed = True
         if s.dm is not None:
             return s.dm
@@ -802,6 +814,10 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
         out = saturate(s, budget, order)
         if out is None:
             quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant(order)))
+            # the one-pass classification is the three reference scans'
+            reference = (_marked_quantifiers(s, True), _marked_quantifiers(s, False),
+                         [nid for nid, _ in missing_instances(s)])
+            quiet.append(s.classify_quantifiers() == reference)
         return out
 
     # the package attribute `decide` is the function; the module binds saturate
@@ -884,11 +900,8 @@ def test_forcing_table_matches_the_generic_rule_loop(monkeypatch):
 def obligations(s):
     """Each relevant quantifier's witness, then the marked quantifiers obliged
     to a fresh witness and those obliged to an instance per individual."""
-    return (
-        {q: s.witness_child(q) for q in s.relevant_quantifiers()},
-        marking._marked_quantifiers(s, witness=True),
-        marking._marked_quantifiers(s, witness=False),
-    )
+    witness, instance, _ = s.classify_quantifiers()
+    return {q: s.witness_child(q) for q in s.relevant_quantifiers()}, witness, instance
 
 
 def test_rollback_restores_the_witnesses_and_obligations():
@@ -908,6 +921,15 @@ def test_rollback_restores_the_witnesses_and_obligations():
     w3 = s.instantiate(q2, Const(s.fresh_witness()), "IR∀")
     s.set_mark(w3, 0, "R∀", (q2,))
     assert obligations(s) == ({q1: w1, q2: w3}, [q1, q2], [])
+    s.rollback(cp)
+    assert obligations(s) == before
+    assert marking.capped_obligations(s, 1) == []
+    # a rollback that removes a mark and no node leaves the tree version and
+    # the trace length as they were, and the obligations still follow it
+    cp = s.checkpoint()
+    s.set_mark(q2, 0, "OR")
+    assert obligations(s) == ({q1: w1, q2: None}, [q1, q2], [])
+    assert marking.capped_obligations(s, 1) == [q2]
     s.rollback(cp)
     assert obligations(s) == before
     assert marking.capped_obligations(s, 1) == []

@@ -32,14 +32,15 @@ from semforce.formulas import (
     format_formula,
     free_variables,
     Slot,
-    is_ground,
     predicate_arities,
     _postorder,
 )
 from semforce.rules import PERMISSION
 from semforce.tree import ForcingTree
 
-from conftest import ILLUSTRATIONS, differential_formulas, identifiers_of, random_formula, within_a_shallow_stack
+from conftest import (
+    ILLUSTRATIONS, differential_formulas, identifiers_of, is_ground, random_formula, within_a_shallow_stack,
+)
 
 
 def test_one_node_per_occurrence():

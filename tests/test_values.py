@@ -22,14 +22,16 @@ from semforce import (
     Interpretation,
     Invalid,
     Monadic,
+    NoCountermodelUpTo,
     Not,
     Outside,
+    Valid,
     Var,
     decide,
     parse_formula,
 )
-from semforce.formulas import Slot
-from semforce.marking import DoubleMark, TraceStep
+from semforce.formulas import FrozenRecord, Slot
+from semforce.marking import Checkpoint, DoubleMark, Frame, TraceStep
 from semforce.models import Signature, ValidUpTo
 from semforce.rules import CATALOG, RuleSpec
 
@@ -183,6 +185,47 @@ def test_keyword_construction():
         name="A∧", connective="and", premises=(("k", 1),), conclusions=(("i", 1), ("d", 1)),
         primitive=False, equal_children=False,
     )
+
+
+# the records whose constructors are written out, each with one set of field
+# values and its repr; the values are plain, so that copies compare equal
+_CHECKPOINT = Checkpoint(2, 1, 0, 5, 9, DoubleMark(3, 4), frozenset({7}))
+WRITTEN_OUT = [
+    (DoubleMark, (1, 2), "DoubleMark(n1=1, n2=2)"),
+    (Monadic, (2,), "Monadic(n=2)"),
+    (Dyadic2Var, (1,), "Dyadic2Var(n=1)"),
+    (Checkpoint, (2, 1, 0, 5, 9, DoubleMark(3, 4), frozenset({7})),
+     "Checkpoint(marked_len=2, registry_len=1, scopes_len=0, trace_len=5, next_nid=9, "
+     "dm=DoubleMark(n1=3, n2=4), dirty=frozenset({7}))"),
+    (Frame, (3, "OA", _CHECKPOINT), f"Frame(node=3, kind='OA', checkpoint={_CHECKPOINT!r})"),
+    (Valid, ([TraceStep(1, 1, 0, "RR", ())], None),
+     "Valid(trace=[TraceStep(step=1, node=1, value=0, rule='RR', premises=(), absorbed=False)], state=None)"),
+    (Invalid, (Interpretation(("a",)), None),
+     "Invalid(model=Interpretation(domain=('a',), monadic={}, dyadic={}, constants={}), state=None)"),
+    (NoCountermodelUpTo, (4, None), "NoCountermodelUpTo(bound=4, state=None)"),
+]
+
+
+@pytest.mark.parametrize("cls,args,text", WRITTEN_OUT, ids=[cls.__name__ for cls, _, _ in WRITTEN_OUT])
+def test_written_out_constructors_keep_the_record_semantics(cls, args, text):
+    value = cls(*args)
+    assert repr(value) == text
+    assert value == cls(**dict(zip(cls.__match_args__, args)))
+    assert value != cls(*args[:-1], "other")
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(cls.__match_args__, args)), other=None)
+    field = cls.__match_args__[0]
+    if isinstance(value, FrozenRecord):
+        with pytest.raises(AttributeError):
+            setattr(value, field, args[0])
+        assert hash(value) == hash(cls(*args))
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_positional_patterns_match_fields():
