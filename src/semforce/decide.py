@@ -248,8 +248,8 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
         # build's own error
         domain_bound(classify_fragment(f), cfg)
         raise
-    # the tree build gathered the arities, so f is walked again only when dyadic
-    fragment = classify_arities(tree.arities, f)
+    # the tree build gathered the arities and the width, so f is not walked again
+    fragment = classify_arities(tree.arities, tree.width)
     budget = domain_bound(fragment, cfg)
     if cfg.allow_direct and tree.nodes[tree.root].kind in ("imp", "or"):
         direct = direct_force(tree.node_formula(tree.root), cfg)

@@ -535,23 +535,27 @@ OUTSIDE = Outside()
 
 def classify_fragment(f: Formula) -> FragmentClass:
     """Monadic(n) with n distinct monadic predicates; Dyadic2Var(n) when some
-    dyadic predicate occurs and f is two-variable after renaming; else
-    Outside.
-
-    f is two-variable after renaming exactly when no subformula has more than
-    two free variables: renaming top-down, each quantifier's variable can take
-    whichever of two names its body's other free variable does not carry."""
-    return classify_arities(predicate_arities(f), f)
+    predicate is not monadic and f is two-variable after renaming; else
+    Outside. The width, the largest number of free variables of a
+    subformula, comes from one fold over f (`_free_sets`)."""
+    return classify_arities(predicate_arities(f), max(map(len, _free_sets(f))))
 
 
-def classify_arities(arities: dict[str, int], f: Formula) -> FragmentClass:
-    """`classify_fragment` of f given f's predicate arities; f is walked only
-    when some predicate is dyadic."""
+def classify_arities(arities: dict[str, int], width: int | None) -> FragmentClass:
+    """The fragment of a formula from its predicate arities and its width,
+    the largest number of free variables of a subformula: Monadic(n) when
+    all n predicates are monadic, else Dyadic2Var(n) when the width is at
+    most 2, else Outside. The width is read only when some predicate is not
+    monadic; `decide` takes both from its forcing tree (`tree.py`), and
+    `classify_fragment` from the formula.
+
+    A formula is two-variable after renaming exactly when no subformula has
+    more than two free variables: renaming top-down, each quantifier's
+    variable can take whichever of two names its body's other free variable
+    does not carry."""
     if all(a == 1 for a in arities.values()):
         return Monadic(len(arities))
-    if all(len(free) <= 2 for free in _free_sets(f)):
-        return Dyadic2Var(len(arities))
-    return OUTSIDE
+    return Dyadic2Var(len(arities)) if width <= 2 else OUTSIDE
 
 
 def _postorder(f: Formula) -> Iterator[Formula]:

@@ -23,10 +23,12 @@ quantifier that binds it, counting template edges only, since an instance
 child lies outside its quantifier's binder. A connective's shape is its kind
 and its children's ids, a quantifier's is its kind and its template's id. So
 two nodes share a shape id exactly when their formulas are equal up to
-renaming of bound variables. A clone's shapes are its source's with one index
-filled (`_filled`). A node is ground when no index in its shape points past
-the node. Formula classes for iteration and double marks are the ids of
-ground shapes.
+renaming of bound variables. Each shape carries a mask of the indices that
+point past it: an atom sets bit a for each index a it holds, a quantifier
+takes its template's mask shifted down by one (index 0 is its own binder),
+and a connective the union of its children's. A node is ground when its mask
+is 0. Formula classes for iteration and double marks are the ids of ground
+shapes.
 
 `node_formula` reads a node's formula back from the shapes below it and the
 variables of the quantifiers on the way. An index that points past the node
@@ -36,9 +38,14 @@ pointing a single binder past a template as the instance's term instead.
 Each shape also keeps the names of the `Var` terms its atoms carry: these
 are the free variables of the node's formula (`node_free_variables`). The
 source is closed, so in a tree from `build_initial_tree` they come only from
-fill terms such as the generic variable. Every shape, from `_build` or from
-`_filled`, is interned by one `_intern` call, which composes a new shape's
-reach and names from its key and its children's.
+fill terms such as the generic variable. In the tree as built, a node's
+formula has as many free variables as its mask has bits plus its shape has
+names (an index and a name never stand for one variable), and the build
+records the largest such count as the tree's `width`, which the fragment
+test reads (`formulas.classify_arities`); it does so only when some
+predicate is not monadic, and dropping a vacuous binder changes no count.
+Every shape is interned by one `_intern` call, which composes a new shape's
+mask and names from its key and its children's.
 
 `_build` makes the nodes in one preorder pass over the source, then interns
 their shapes from the newest node back, and neither recurses. The pass also
@@ -48,6 +55,14 @@ test and model extraction read these facts from the tree instead of walking
 the source again. With drop_vacuous it leaves out each vacuous binder, its
 body in its place, and so builds the tree of `drop_vacuous(f)`; at the first
 binder it meets, one more loop over the source finds them all.
+
+`_clone` copies a template subtree in one preorder walk, as `_build` makes
+nodes: a copy whose source mask has no index at or above the filled one keeps
+its source's shape, and a copied atom gets its filled shape at once. Then the
+other copies' shapes are interned from the newest copy back, children before
+parents (`_intern_up`, shared with `_build`), and ground and classes are set
+last, in id order. `_filled` computes the same filled shape without a copy,
+for `instance_class`.
 """
 
 from __future__ import annotations
@@ -87,8 +102,8 @@ class TreeNode(Record):
         self.kind = kind
         self.children = children
         # the interned id of the node's shape, from which its formula is read, and
-        # whether that formula is ground (module docstring); set once, when the
-        # node is created or, in the initial tree, once the build is done
+        # whether that formula is ground (module docstring); set once, by the
+        # build or the clone that makes the node
         self.shape = shape
         self.ground = ground
         # whether kind is a quantifier kind; set when the node is created
@@ -113,12 +128,12 @@ class ForcingTree:
         self.constants: dict[str, None] = {}
         self.arities: dict[str, int] = {}
         self.identifiers: set[str] = set()
-        # interned shapes: key -> id, and per id its key, its reach, one more
-        # than the largest index pointing above the shape (0 when ground), and
+        # interned shapes: key -> id, and per id its key, its mask, with bit a
+        # set for each index a pointing above the shape (0 when ground), and
         # the names of the variables its atoms carry
         self._shape_ids: dict[tuple, int] = {}
         self._shape_keys: list[tuple] = []
-        self._reach: list[int] = []
+        self._mask: list[int] = []
         self._free: list[frozenset[str]] = []
         # (shape, index, term) -> _filled's answer, for the shapes index reaches
         self._fills: dict[tuple[int, int, Term], int] = {}
@@ -127,10 +142,12 @@ class ForcingTree:
         self.classes: dict[int, list[int]] = {}
         self._build(formula, drop_vacuous)
         self.root = 1
-        for nid, node in self.nodes.items():
-            node.ground = self._reach[node.shape] == 0
-            if node.ground:
-                self.classes.setdefault(node.shape, []).append(nid)
+        self._file_ground(1)
+        # the largest number of free variables of a node's formula, read over
+        # the shapes, which are the nodes' shapes; the fragment test reads it
+        # only when some predicate is not monadic, and it is None when none is
+        self.width = max(m.bit_count() + len(n) for m, n in zip(self._mask, self._free)) \
+            if any(a != 1 for a in self.arities.values()) else None
         # _build named the binders; a bound variable's name is its binder's
         self.identifiers.update(self.arities, self.constants, self.node_free_variables(self.root))
 
@@ -141,7 +158,7 @@ class ForcingTree:
         left out and its body in its place, then intern their shapes from the
         newest node back. Also records f's constants, its predicate arities
         (raising on a predicate used with two) and the binders' names."""
-        nodes, intern, shape_ids = self.nodes, self._intern, self._shape_ids
+        nodes, intern = self.nodes, self._intern
         constants, arities = self.constants, self.arities
         # (subformula, parent id, parent's children, levels, depth): levels maps
         # a bound variable to the number of binders above its quantifier, depth
@@ -185,43 +202,44 @@ class ForcingTree:
                 stack.append((g.sub, nid, node.children, levels, depth))
             else:
                 stack += (g.right, nid, node.children, levels, depth), (g.left, nid, node.children, levels, depth)
-        # a connective's shape is its kind and its children's shapes, a
-        # quantifier's its kind and its template's, each interned before it
-        for node in reversed(nodes.values()):
-            kids = node.children
-            if kids:
-                if len(kids) == 1:
+        self._intern_up(1)
+
+    def _intern_up(self, first: int) -> None:
+        """Intern the shape of each node numbered first or above that has
+        none yet (-1), from the newest back, so each child's before its
+        parent's: a connective's is its kind and its children's shapes, a
+        quantifier's its kind and its template's, never its instances'."""
+        nodes, shape_ids = self.nodes, self._shape_ids
+        for nid in range(len(nodes), first - 1, -1):
+            node = nodes[nid]
+            if node.shape < 0:
+                kids = node.children
+                if len(kids) == 1 or node.is_quantifier:
                     key = (node.kind, nodes[kids[0]].shape)
                 else:
                     key = (node.kind, nodes[kids[0]].shape, nodes[kids[1]].shape)
                 sid = shape_ids.get(key)
-                node.shape = sid if sid is not None else intern(key)
+                node.shape = sid if sid is not None else self._intern(key)
 
     def _intern(self, key: tuple) -> int:
-        """key's shape id; a new shape's reach and variable names are
-        composed from its key and its children's."""
+        """key's shape id; a new shape's mask and variable names are composed
+        from its key and its children's."""
         sid = self._shape_ids.get(key)
         if sid is not None:
             return sid
-        kind, reach, free = key[0], self._reach, self._free
+        kind, mask, free = key[0], self._mask, self._free
         if kind == "atom":
-            r, names = 0, []
-            for a in key[2]:
-                if type(a) is int:
-                    r = max(r, a + 1)
-                elif type(a) is Var:
-                    names.append(a.name)
-            reach.append(r)
-            free.append(frozenset(names))
+            mask.append(sum({1 << a for a in key[2] if type(a) is int}))
+            free.append(frozenset([a.name for a in key[2] if type(a) is Var]))
         elif kind in _QUANT_KINDS:
             # the quantifier binds index 0 of its template, which names no
             # variable of its own
-            reach.append(max(reach[key[1]] - 1, 0))
+            mask.append(mask[key[1]] >> 1)
             free.append(free[key[1]])
         else:
             # a connective's children; a negation's one child is both
             a, b = key[1], key[-1]
-            reach.append(max(reach[a], reach[b]))
+            mask.append(mask[a] | mask[b])
             free.append(free[a] | free[b] if free[b] else free[a])
         sid = self._shape_ids[key] = len(self._shape_keys)
         self._shape_keys.append(key)
@@ -230,32 +248,31 @@ class ForcingTree:
     def _filled(self, shape: int, index: int, term: Term) -> int:
         """The shape with de Bruijn index `index` filled by term and the
         indices above it lowered by one, as they lose the binder filled:
-        interned, memoized, and the shape itself when its reach is at most
-        index. Walks without recursion."""
-        reach, fills, keys = self._reach, self._fills, self._shape_keys
-        if reach[shape] <= index:
-            return shape
-        got = fills.get((shape, index, term))
-        if got is not None:
-            return got
+        interned, memoized, and the shape itself when its mask has no index
+        at or above index. Walks without recursion."""
+        mask, fills, keys = self._mask, self._fills, self._shape_keys
         stack = [(shape, index, False)]
         while stack:
             sid, i, expanded = stack.pop()
-            if reach[sid] <= i or (sid, i, term) in fills:
+            if not mask[sid] >> i or (sid, i, term) in fills:
                 continue
             kind, *rest = keys[sid]
-            if kind == "atom":
-                args = tuple(a if type(a) is not int or a < i else term if a == i else a - 1 for a in rest[1])
-                fills[sid, i, term] = self._intern((kind, rest[0], args))
-                continue
             # a quantifier's template lies one binder deeper
             j = i + 1 if kind in _QUANT_KINDS else i
-            if expanded:
+            if kind == "atom":
+                fills[sid, i, term] = self._filled_atom(sid, i, term)
+            elif expanded:
                 fills[sid, i, term] = self._intern((kind, *(fills.get((c, j, term), c) for c in rest)))
             else:
                 stack.append((sid, i, True))
                 stack.extend((c, j, False) for c in reversed(rest))
-        return fills[shape, index, term]
+        return fills.get((shape, index, term), shape)
+
+    def _filled_atom(self, sid: int, i: int, term: Term) -> int:
+        """Atom shape sid with index i filled by term, those above lowered."""
+        _, pred, args = self._shape_keys[sid]
+        return self._intern(("atom", pred, tuple(a if type(a) is not int or a < i else term if a == i else a - 1
+                                                 for a in args)))
 
     def instantiate(self, qnid: int, term: Term) -> int:
         """Clone the template subtree of quantifier node qnid with its bound
@@ -290,46 +307,51 @@ class ForcingTree:
     def _clone(self, src_nid: int, parent: int, term: Term) -> int:
         """Copy src_nid's subtree under parent as an instance child whose
         shapes have the instantiated binder's index filled by term; the copy's
-        ids are one contiguous range in preorder, and the first is returned."""
-        nodes, classes, reach = self.nodes, self.classes, self._reach
+        ids are one contiguous range in preorder, and the first is returned.
+        One walk makes the copies, each atom with its filled shape and each
+        other copy with its source's where that has no index at or above the
+        filled one; `_intern_up` then interns the rest."""
+        nodes, mask = self.nodes, self._mask
         first = len(nodes) + 1
         # (source node, its copy's parent and fill term, the filled index there)
         stack: list[tuple] = [(src_nid, parent, term, 0)]
         while stack:
             n, p, fill, depth = stack.pop()
             src = nodes[n]
-            sid = self._filled(src.shape, depth, term)
+            sid = src.shape
+            if mask[sid] >> depth:
+                sid = self._filled_atom(sid, depth, term) if src.kind == "atom" else -1
             nid = len(nodes) + 1
-            ground = reach[sid] == 0
-            nodes[nid] = TreeNode(nid, p, src.kind, [], sid, ground, src.is_quantifier, src.var, fill)
+            nodes[nid] = TreeNode(nid, p, src.kind, [], sid, False, src.is_quantifier, src.var, fill)
             nodes[p].children.append(nid)
-            if ground:
-                classes.setdefault(sid, []).append(nid)
             # instance branches inside the copied subtree stay instance branches
             # of the copied quantifier, so their fill survives; only a template
             # edge crosses a binder
             kids = src.children
             for i in range(len(kids) - 1, -1, -1):
                 stack.append((kids[i], nid, nodes[kids[i]].fill_term, depth + (i == 0 and src.is_quantifier)))
+        self._intern_up(first)
+        self._file_ground(first)
         return first
+
+    def _file_ground(self, first: int) -> None:
+        """Set ground, and file in classes, each node numbered first or above,
+        in id order, once its shape is interned."""
+        nodes, mask, classes = self.nodes, self._mask, self.classes
+        for nid in range(first, len(nodes) + 1):
+            node = nodes[nid]
+            if not mask[node.shape]:
+                node.ground = True
+                classes.setdefault(node.shape, []).append(nid)
 
     # --------------------------------------------------------------- formulas
 
-    def node_formula(self, nid: int) -> Formula:
-        """The formula this node stands for; unfilled placeholders print as `_`
-        and make the node non-ground. Stable over the node's lifetime."""
-        return self._decode(nid)
-
-    def instance_formula(self, qnid: int, term: Term) -> Formula:
-        """The formula an instance branch of quantifier qnid filled with term
-        carries, whether or not that branch exists."""
-        return self._decode(self.nodes[qnid].children[0], term)
-
-    def _decode(self, nid: int, fill: Term = _SLOT) -> Formula:
-        """nid's formula from the atom shapes below it and the variables of
-        the quantifiers on the way; an index pointing one binder past nid
-        reads fill, any further one the placeholder. Walks without
-        recursion."""
+    def node_formula(self, nid: int, fill: Term = _SLOT) -> Formula:
+        """The formula this node stands for, read from the atom shapes below
+        it and the variables of the quantifiers on the way; an index pointing
+        one binder past nid reads fill, any further one the placeholder, which
+        prints as `_` and makes the node non-ground. Stable over the node's
+        lifetime. Walks without recursion."""
         nodes, keys = self.nodes, self._shape_keys
         # variables of the binders above the node being visited, outermost
         # first; a preorder walk overwrites only the entries it has left
@@ -362,6 +384,11 @@ class ForcingTree:
                     stack.extend((c, depth, False) for c in reversed(node.children))
         return done[0]
 
+    def instance_formula(self, qnid: int, term: Term) -> Formula:
+        """The formula an instance branch of quantifier qnid filled with term
+        carries, whether or not that branch exists."""
+        return self.node_formula(self.nodes[qnid].children[0], term)
+
     def node_free_variables(self, nid: int) -> frozenset[str]:
         """Names of the free variables of the node's formula, read from its
         shape: `free_variables(node_formula(nid))`, without the decode."""
@@ -374,7 +401,7 @@ class ForcingTree:
         term carries, whether or not that branch exists; None when that
         formula is not ground."""
         sid = self._filled(self.nodes[self.nodes[qnid].children[0]].shape, 0, term)
-        return sid if self._reach[sid] == 0 else None
+        return sid if not self._mask[sid] else None
 
     def atom_class(self, pred: str, args: tuple[Term, ...]) -> Optional[int]:
         """The formula class of the ground atom pred(args); None when no shape

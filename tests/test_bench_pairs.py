@@ -74,15 +74,41 @@ def traced_line(parse_s, visits):
                        "metrics": {k: {"value": v, "unit": PER_LAYER[k]} for k, v in metrics.items()}})
 
 
-def test_the_named_layers_of_one_traced_run_per_side_print_side_by_side():
-    parent, change = json.loads(traced_line(0.0167, 7150)), json.loads(traced_line(0.0112, 5940))
+def test_the_named_layers_print_each_sides_quartiles_over_its_traced_runs():
+    # five traced runs per side; the parent's parse times are listed out of order
+    parent = [json.loads(traced_line(p, 7150)) for p in (0.0170, 0.0150, 0.0167, 0.0190, 0.0160)]
+    change = [json.loads(traced_line(p, 5940)) for p in (0.0110, 0.0112, 0.0130, 0.0100, 0.0115)]
     names = ["formulas.parse_s", "marking.anchor_visits", "tree.build_s"]
     table = bench_pairs.format_layers(names, PER_LAYER, parent, change).splitlines()
-    assert len(table) == 4 and table[0].split() == ["per-layer", "metric", "unit", "parent", "change", "ratio"]
-    assert table[1].split() == ["formulas.parse_s", "s", "0.0167", "0.0112", f"{0.0112 / 0.0167:.4f}"]
-    assert table[2].split() == ["marking.anchor_visits", "count", "7150", "5940", f"{5940 / 7150:.4f}"]
-    # a metric neither run reports reads "-", and so does its ratio
-    assert table[3].split() == ["tree.build_s", "s", "-", "-", "-"]
+    assert len(table) == 4 and table[0].split() == [
+        "per-layer", "metric", "unit", "parent", "q1", "median", "q3", "change", "q1", "median", "q3", "ratio"]
+    # inclusive quartiles of five values: the second, third and fourth in order
+    assert table[1].split() == ["formulas.parse_s", "s", "0.016", "0.0167", "0.017",
+                                "0.011", "0.0112", "0.0115", f"{0.0112 / 0.0167:.4f}"]
+    assert table[2].split() == ["marking.anchor_visits", "count", "7150", "7150", "7150",
+                                "5940", "5940", "5940", f"{5940 / 7150:.4f}"]
+    # a metric no run reports reads "-", and so does its ratio
+    assert table[3].split() == ["tree.build_s", "s"] + ["-"] * 7
+
+
+def test_the_layers_come_from_one_traced_run_per_side_and_pair_in_the_pairs_order(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(directory, workload, seed, seconds, trace=0):
+        calls.append((directory.name, seconds, trace))
+        return json.loads(line(400, 2.0) if not trace else traced_line(0.0167, 7150))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
+    assert bench_pairs.main([str(parent), str(change), "--workload", "fo2-batch", "--pairs", "2",
+                             "--seconds", "30", "--layer", "formulas.parse_s"]) == 0
+    assert calls == [("parent", 30.0, 0), ("change", 30.0, 0), ("parent", 0, 1), ("change", 0, 1),
+                     ("change", 30.0, 0), ("parent", 30.0, 0), ("change", 0, 1), ("parent", 0, 1)]
+    out = capsys.readouterr().out
+    assert "one traced run per side and pair" in out
+    assert out.splitlines()[-1].split()[:5] == ["formulas.parse_s", "s", "0.0167", "0.0167", "0.0167"]
 
 
 def test_a_layer_that_is_no_per_layer_metric_is_refused(capsys):

@@ -15,6 +15,7 @@ from conftest import (
     balanced_pairs,
     bench_workloads,
     canonical_structure,
+    differential_formulas,
     workload_texts,
 )
 
@@ -24,6 +25,7 @@ from semforce import (
     Invalid,
     MarkingState,
     NoCountermodelUpTo,
+    ParseError,
     Refuted,
     Valid,
     ValidUpTo,
@@ -38,10 +40,11 @@ from semforce import (
     parse_formula,
     render_trace,
 )
+from semforce import cli
 from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _search, fragment_bounds
-from semforce.formulas import Monadic, classify_fragment, format_formula
+from semforce.formulas import Monadic, _free_sets, classify_arities, classify_fragment, format_formula
 from semforce.gen import random_monadic
-from semforce.tree import TreeNode
+from semforce.tree import ForcingTree, TreeNode
 
 
 @pytest.mark.parametrize("k", sorted(ILLUSTRATIONS))
@@ -221,6 +224,77 @@ def test_fragment_outside_both_classes_needs_an_explicit_budget():
         decide(f)
     verdict = decide(f, EngineConfig(max_individuals=2))
     assert isinstance(verdict, Invalid)
+
+
+# hand cases for the fragment read from the tree: vacuous binders, three free
+# variables, a ternary predicate, and open formulas, one of which names the
+# variable a binder below it binds
+FRAGMENT_CASES = [
+    "exists x. forall x. R(x,x)",
+    "exists y. exists x. exists y. forall x. forall x. R(x,x)",
+    "forall z. forall x. forall y. (R(x,y) | P(a))",
+    "forall x. forall y. forall z. (R(x,y) & R(y,z) -> R(x,z))",
+    "forall x. forall y. forall z. T(x,y,z)",
+    "T(a,b,c) -> P(a)",
+    "forall x. P(x) -> exists y. Q(y)",
+]
+
+
+def _open_fragment_cases():
+    from semforce import And, Atom, Forall, Var
+
+    x, y, z = (Var(v) for v in "xyz")
+    return [
+        Forall("y", Atom("R", (x, y))),
+        And(Atom("R", (x, y)), Atom("P", (z,))),
+        And(Atom("P", (x,)), Forall("x", Atom("R", (x, x)))),
+        Forall("x", Forall("x", And(Atom("R", (x, y)), Atom("P", (z,))))),
+        _open_outside(),
+    ]
+
+
+def _fragment_formulas():
+    texts = FRAGMENT_CASES + [entry for name in ("monadic-batch", "fo2-batch", "large-formula")
+                              for entry in workload_texts(name)]
+    corpus = Path(__file__).resolve().parent.parent / "src" / "semforce" / "data" / "illustrations.corpus"
+    texts += [text for text, _ in cli._parse_corpus(corpus.read_text(encoding="utf-8"))]
+    out = differential_formulas() + _open_fragment_cases()
+    for text in texts:
+        try:
+            out.append(parse_formula(text))
+        except ParseError:
+            pass  # large-formula's nesting past the parser's depth
+    return out
+
+
+def test_the_fragment_read_from_the_tree_is_the_fragment_of_the_formula():
+    formulas = _fragment_formulas()
+    assert len(formulas) > 700
+    seen = set()
+    for f in formulas:
+        # the tree decide builds; an open formula gets one too, before
+        # build_initial_tree rejects it
+        tree = ForcingTree(f, drop_vacuous=True)
+        expected = classify_fragment(f)
+        assert classify_arities(tree.arities, tree.width) == expected, format_formula(f)
+        seen.add(type(expected).__name__)
+        if isinstance(expected, Monadic):
+            assert tree.width is None
+        else:
+            assert tree.width == max(map(len, _free_sets(f))), format_formula(f)
+    assert seen == {"Monadic", "Dyadic2Var", "Outside"}
+
+
+def test_decide_classifies_dyadic_input_without_walking_the_formula(monkeypatch):
+    formulas = [f for f in differential_formulas() if not isinstance(classify_fragment(f), Monadic)]
+    expected = [type(decide(f)) for f in formulas]
+
+    def refuse(f):
+        raise AssertionError("decide walked the formula for its free variables")
+
+    monkeypatch.setattr(sys.modules["semforce.formulas"], "_free_sets", refuse)
+    assert [type(decide(f)) for f in formulas] == expected
+    assert {Valid, Invalid} <= set(expected)
 
 
 def test_vacuous_quantifiers_survive_instantiation():

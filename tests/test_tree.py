@@ -1,6 +1,8 @@
 """Forcing-tree construction, instantiation, the facts the build gathers
 about the source, and the per-shape free variables."""
 
+import functools
+import operator
 import random
 import sys
 
@@ -185,33 +187,34 @@ def test_instance_formula_is_the_formula_of_the_instance_branch(k):
 
 
 def _composed_facts(t):
-    """Every shape's reach and free variable names, composed from its key
+    """Every shape's mask and free variable names, composed from its key
     alone, in id order: an atom's from its arguments, a quantifier's from its
-    template's (index 0 is its own binder), a connective's as the largest
-    reach and the union of names of its children."""
-    reach, free = [], []
+    template's (index 0 is its own binder, and each other index is one lower
+    above it), a connective's as the union of masks and of names of its
+    children."""
+    mask, free = [], []
     for key in t._shape_keys:
         kind, *rest = key
         if kind == "atom":
-            reach.append(max([a + 1 for a in rest[1] if type(a) is int], default=0))
+            mask.append(sum({1 << a for a in rest[1] if type(a) is int}))
             free.append(frozenset(a.name for a in rest[1] if type(a) is Var))
         elif kind in ("forall", "exists"):
-            reach.append(max(reach[rest[0]] - 1, 0))
+            mask.append(mask[rest[0]] >> 1)
             free.append(free[rest[0]])
         else:
-            reach.append(max(reach[c] for c in rest))
+            mask.append(functools.reduce(operator.or_, (mask[c] for c in rest)))
             free.append(frozenset().union(*(free[c] for c in rest)))
-    return reach, free
+    return mask, free
 
 
 def _assert_interned_facts(t):
-    reach, free = _composed_facts(t)
-    assert t._reach == reach and t._free == free
+    mask, free = _composed_facts(t)
+    assert t._mask == mask and t._free == free
     assert all(t._shape_ids[key] == sid for sid, key in enumerate(t._shape_keys))
     assert len(t._shape_ids) == len(t._shape_keys)
     expected = {}
     for nid, node in t.nodes.items():
-        assert node.ground == (reach[node.shape] == 0), nid
+        assert node.ground == (mask[node.shape] == 0), nid
         if node.ground:
             expected.setdefault(node.shape, []).append(nid)
     assert list(t.classes.items()) == list(expected.items())
@@ -256,7 +259,13 @@ def test_decoding_a_deep_formula_does_not_recurse():
 def test_filling_a_deep_shape_does_not_recurse():
     t = build_initial_tree(parse_formula("forall x. " + "~" * 600 + "P(x)"))
     key = within_a_shallow_stack(lambda: t.instance_class(t.root, Const("c")))
-    assert key == t.nodes[t.instantiate(t.root, Const("c"))].shape
+    child = within_a_shallow_stack(lambda: t.instantiate(t.root, Const("c")))
+    # the clone's one walk gets the shape instance_class predicted, and each
+    # of its 601 nodes is ground and alone in its class
+    assert t.nodes[child].shape == key and len(t) == 2 * 602 - 1
+    for nid in range(child, child + 601):
+        assert t.nodes[nid].ground and t.classes[t.nodes[nid].shape] == [nid]
+    assert t._shape_keys[t.nodes[child + 600].shape] == ("atom", "P", (Const("c"),))
 
 
 def _nest(leaf, wrap, depth):

@@ -13,10 +13,13 @@ pairs the change won (a tie counts for neither side). A gain passes when the
 change won at least nine tenths of the pairs and its median beats the
 parent's by more than the parent's interquartile range. A run that is not
 correct, or fails more formulas than the other side's first run, is
-reported below the table. With --layer, one traced run per side follows
-(`--trace 1 --seconds 0`, at the same seed), and the named per-layer metrics
-of BENCHMARK.json are printed side by side: one run each, so a count
-compares exactly and a time only roughly.
+reported below the table. With --layer, each pair also makes one traced
+run per side (`--trace 1 --seconds 0`, at the same seed, in the pair's
+order), and for each named per-layer metric of BENCHMARK.json the table
+gives each side's lower quartile, median and upper quartile over those runs
+and the ratio of the medians: a layer's self time moves between two traced
+runs by more than a change of a few percent, so one run per side cannot
+show where a saving sits.
 """
 
 from __future__ import annotations
@@ -87,15 +90,22 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def format_layers(names: list[str], units: dict[str, str], parent: dict, change: dict) -> str:
-    """The named per-layer metrics of one traced run per side, side by side;
-    a metric a run lacks reads "-"."""
-    lines = [f"{'per-layer metric':<32} {'unit':<5} {'parent':>12} {'change':>12} {'ratio':>7}"]
+def format_layers(names: list[str], units: dict[str, str], parent: list[dict], change: list[dict]) -> str:
+    """The quartiles of the named per-layer metrics over each side's traced
+    runs, side by side; a metric no run of a side reports reads "-"."""
+    head = f"{'per-layer metric':<32} {'unit':<5} {'parent q1':>10} {'median':>10} {'q3':>10} " \
+           f"{'change q1':>10} {'median':>10} {'q3':>10} {'ratio':>7}"
+    lines = [head]
     for name in names:
-        before, after = (run["metrics"].get(name, {}).get("value") for run in (parent, change))
+        cells, medians = [], []
+        for runs in (parent, change):
+            values = [run["metrics"][name]["value"] for run in runs if name in run["metrics"]]
+            q = quartiles(values) if values else None
+            cells += ["-"] * 3 if q is None else [f"{v:.6g}" for v in q]
+            medians.append(None if q is None else q[1])
+        before, after = medians
         ratio = "-" if before is None or after is None or not before else f"{after / before:.4f}"
-        shown = ["-" if v is None else f"{v:.6g}" for v in (before, after)]
-        lines.append(f"{name:<32} {units[name]:<5} {shown[0]:>12} {shown[1]:>12} {ratio:>7}")
+        lines.append(f"{name:<32} {units[name]:<5} " + " ".join(f"{c:>10}" for c in cells) + f" {ratio:>7}")
     return "\n".join(lines)
 
 
@@ -121,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=424242)
     parser.add_argument("--layer", nargs="+", default=[], metavar="NAME",
-                        help="per-layer metrics to compare in one traced run per side")
+                        help="per-layer metrics to compare over one traced run per side and pair")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -131,20 +141,22 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"--layer: not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    traced: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
             summary = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
             runs[side].append(summary)
             print(f"pair {i} {side}: {json.dumps(summary)}", flush=True)
+        if args.layer:
+            for side in order:
+                traced[side].append(run_once(getattr(args, side), args.workload, args.seed, 0, trace=1))
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(format_rows(summarize(spec["end_to_end"], runs["parent"], runs["change"])))
     for line in problems(runs["parent"], runs["change"]):
         print(line)
     if args.layer:
-        traced = {side: run_once(getattr(args, side), args.workload, args.seed, 0, trace=1)
-                  for side in ("parent", "change")}
-        print(f"one traced run per side (--trace 1 --seconds 0, seed {args.seed})")
+        print(f"one traced run per side and pair (--trace 1 --seconds 0, seed {args.seed})")
         print(format_layers(args.layer, units, traced["parent"], traced["change"]))
     return 0
 
