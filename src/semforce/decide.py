@@ -273,7 +273,7 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
 
 def _permission_pass(s: MarkingState) -> bool:
     """Materialize every missing registry instance of unmarked ground
-    quantifiers so sweeps can reach marks inside them."""
+    quantifiers so saturation can reach marks inside them."""
     changed = False
     for nid in s.classify_quantifiers()[2]:
         for term in s.missing_terms(nid):

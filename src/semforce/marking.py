@@ -18,7 +18,7 @@ The one formula a decision walks here is an instance branch's, which
 State mutates in place, and every change after construction is undone by
 popping a stack back to a length. The marked nodes are listed in marking
 order, and the registry holds its individuals in order of entry, so a
-checkpoint records the two lengths and copies only the dirty set (below), and
+checkpoint records the two lengths and copies only the agenda (below), and
 `rollback` costs the changes made since: each node it pops takes its mark,
 its step and the `consensus` entry it made with it, each individual its
 witness registry entry. The formula classes of nodes live on the tree and go
@@ -26,38 +26,51 @@ with the nodes that `truncate` removes. Rolled-back trace steps are kept,
 flagged absorbed, so step numbering stays dense and premise references stay
 meaningful.
 
-Saturation visits only dirty anchors. The invariant, while no double mark
-stands: a node that is not dirty has an empty `forced_for_anchor` output, or
-lies in a template subtree that `relevant()` skips. A sweep that marks nothing
-leaves only such nodes dirty, and `saturate` drops them; a rollback past the
-instance that hid them restores a dirty set saved while they showed. A fresh
-state holds the invariant with nothing dirty. Nothing is marked yet; the
-`FORCING` entry of every all-unmarked connective is empty; and instantiation,
-generalization and iteration each read a mark on the quantifier, an instance
-child or the node itself. So no node of a fresh tree concludes anything, and
-the first sweep visits only what the RR mark dirties. An anchor's output reads
-the marks of itself and its children, its instance children, the members of
-its formula class and the open frames. Four hooks keep the invariant from
-there, each dirtying only the anchors that can now conclude:
+Saturation pops its anchors from an agenda, an ordered set (a dict) that it
+pops newest first, so that the order is the language's and not a hash's. The
+invariant, while no double mark stands: any anchor whose `forced_for_anchor`
+output is non-empty is on the agenda or hidden, in a template subtree that
+`relevant()` skips. A node's `binder` names the nearest quantifier whose
+template holds it, so a popped anchor is found hidden by walking those
+quantifiers, and is dropped, as a sweep over `relevant()` never reaches it; a
+rollback past the instance that hid it restores an agenda copied while it
+showed. A fresh state holds the invariant with an empty agenda. Nothing is
+marked yet; the `FORCING` entry of every all-unmarked connective is empty; and
+instantiation, generalization and iteration each read a mark on the
+quantifier, an instance child or the node itself. So no node of a fresh tree
+concludes anything, and the first saturation pops only what the RR mark
+pushes. An anchor's output reads the marks of itself and its children, its
+instance children, the members of its formula class and the open frames.
+Four hooks keep the invariant from there, each pushing only the anchors that
+can now conclude:
 
-- `set_mark` on n dirties n when it is a quantifier, when its class has
+- `set_mark` on n pushes n when it is a quantifier, when its class has
   another member (IA/IR), or when its new mark pattern is live (`_LIVE`: its
   `FORCING` entry concludes a mark the pattern does not show); and n's
   parent when that is a quantifier or its new pattern is live. Class-mates
   only lose conclusions by a new mark.
-- `instantiate` dirties the quantifier, and every member of each class a
+- `instantiate` pushes the quantifier, and every member of each class a
   cloned ground node belongs to when that class has a `consensus` entry,
   since a marked member can now iterate into the clone. The clone itself is
   unmarked, so it concludes nothing, and neither does a parent inside it. A
   class has a `consensus` entry exactly while a member is marked: its first
   mark makes it, and `rollback`, popping marks newest first, removes it with
   that mark, after every later one.
-- `rollback` restores the dirty set its checkpoint saved. It leaves marks,
+- `rollback` restores the agenda its checkpoint copied. It leaves marks,
   nodes, registries, frames and the double mark as they were there, so that
-  set covers the state again.
-- `commit_frames` dirties every node when a closed frame named a free
+  agenda covers the state again.
+- `commit_frames` pushes every node when a closed frame named a free
   variable, since generalization over it may be licensed again at any
   quantifier.
+
+The rules only add marks, so the marks a saturation reaches, or its reaching
+a double mark, do not depend on the order the anchors are popped in; only
+the order of the trace steps does, and which double mark is met first. One
+rule reads more than the marks being present: generalization at an unmarked
+quantifier takes the first instance child marked at its visit, so instances
+marked both ways in one saturation could make the order matter. The tests
+check the fixpoint against sweeps in preorder, in postorder and in a random
+agenda order at every saturation of a few thousand decisions.
 
 A marked quantifier's obligation is read from its kind and mark
 (`INSTANTIATION`), and its witness from the witness registry, which names the
@@ -144,11 +157,11 @@ class Frame(Record):
 
 
 class Checkpoint(Record):
-    __match_args__ = __slots__ = ("marked_len", "registry_len", "scopes_len", "trace_len", "next_nid", "dm", "dirty")
+    __match_args__ = __slots__ = ("marked_len", "registry_len", "scopes_len", "trace_len", "next_nid", "dm", "agenda")
 
     def __init__(
         self, marked_len: int, registry_len: int, scopes_len: int, trace_len: int, next_nid: int,
-        dm: Optional[DoubleMark], dirty: frozenset[int],
+        dm: Optional[DoubleMark], agenda: dict[int, None],
     ) -> None:
         # the number of marked nodes and of registry individuals: rollback
         # pops both stacks back to these lengths
@@ -158,9 +171,9 @@ class Checkpoint(Record):
         self.trace_len = trace_len
         self.next_nid = next_nid
         self.dm = dm
-        # the dirty anchors: rollback leaves every structure forced_for_anchor
-        # reads as it was here, so this set covers the state again
-        self.dirty = dirty
+        # a copy of the agenda: rollback leaves every structure
+        # forced_for_anchor reads as it was here, so it covers the state again
+        self.agenda = agenda
 
 
 # per connective, the mark patterns whose `FORCING` entry concludes a mark the
@@ -216,13 +229,15 @@ class MarkingState:
         self._witness_counter = 0
         # read only: the tree's own set of the source's identifiers
         self._reserved = tree.identifiers
-        self._relevant_cache: dict[str, tuple[int, list[int]]] = {}
+        # (tree version, relevant(), its quantifiers)
+        self._relevant_cache: Optional[tuple[int, list[int], list[int]]] = None
         # the last classify_quantifiers result, keyed by (tree version, trace
         # length): every mark and instance adds a trace step, and rollback,
         # which removes marks without one, drops it
         self._classified: Optional[tuple[tuple[int, int], tuple[list[int], list[int], list[int]]]] = None
-        # anchors whose forced_for_anchor output may be non-empty (module docstring)
-        self._dirty: set[int] = set()
+        # anchors whose forced_for_anchor output may be non-empty, an ordered
+        # set that saturate pops newest first (module docstring)
+        self._agenda: dict[int, None] = {}
         # the marked nodes in marking order, popped by rollback (module docstring)
         self._marked: list[int] = []
 
@@ -268,7 +283,7 @@ class MarkingState:
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
             len(self._marked), len(self.domain_registry), len(self.scopes), len(self.trace),
-            len(self.tree.nodes) + 1, self.dm, frozenset(self._dirty),
+            len(self.tree.nodes) + 1, self.dm, self._agenda.copy(),
         )
 
     def rollback(self, cp: Checkpoint) -> None:
@@ -294,7 +309,7 @@ class MarkingState:
             rec.absorbed = True
         self.dm = cp.dm
         self.tree.truncate(cp.next_nid)
-        self._dirty = set(cp.dirty)
+        self._agenda = cp.agenda.copy()
         self._classified = None
 
     # ----------------------------------------------------------- trace output
@@ -360,18 +375,18 @@ class MarkingState:
         self._marked.append(n)
         # the anchors this mark can make conclude (module docstring); a mark
         # pattern, the key of a `FORCING` entry, is read in place
-        dirty, get = self._dirty, marks.get
+        agenda, get = self._agenda, marks.get
         kind, kids = node.kind, node.children
         if node.is_quantifier or len(self.tree.classes[k]) > 1 or kind in _LIVE and (
                 (v, get(kids[0])) if len(kids) == 1 else (v, get(kids[0]), get(kids[1]))) in _LIVE[kind]:
-            dirty.add(n)
+            agenda[n] = None
         parent = node.parent
         if parent is not None:
             pnode = self.tree.nodes[parent]
             kids, pv = pnode.children, get(parent)
             if pnode.is_quantifier or (
                     (pv, v) if len(kids) == 1 else (pv, get(kids[0]), get(kids[1]))) in _LIVE[pnode.kind]:
-                dirty.add(parent)
+                agenda[parent] = None
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)
@@ -501,15 +516,15 @@ class MarkingState:
                 raise PremiseError(f"witness {term.name!r} is not fresh")
         tree = self.tree
         child = tree.instantiate(qnid, term)
-        nodes, classes, consensus, dirty = tree.nodes, tree.classes, self.consensus, self._dirty
+        nodes, classes, consensus, agenda = tree.nodes, tree.classes, self.consensus, self._agenda
         # the clone, whose ids _clone numbered in one range, is unmarked and
         # concludes nothing; the anchors that read it are q and the marked
         # members of its classes, which can iterate into it (module docstring)
-        dirty.add(qnid)
+        agenda[qnid] = None
         for nid in range(child, len(nodes) + 1):
             node = nodes[nid]
             if node.ground and node.shape in consensus:
-                dirty.update(classes[node.shape])
+                agenda.update(dict.fromkeys(classes[node.shape]))
         self._record(child, None, rule, (qnid,))
         if rule in WITNESS_RULES:
             self.witness_registry[term.name] = child
@@ -602,9 +617,9 @@ class MarkingState:
         """Keep all provisional marks as final (a consistent completion
         stands). Once a frame naming a free variable is gone, generalization
         over that variable may be licensed again, at any quantifier, so every
-        node is dirtied."""
+        node goes on the agenda."""
         if any(self.tree.node_free_variables(frame.node) for frame in self.scopes):
-            self._dirty.update(self.tree.nodes)
+            self._agenda.update(dict.fromkeys(self.tree.nodes))
         self.scopes.clear()
 
     # --------------------------------------------------- forced consequences
@@ -663,18 +678,16 @@ class MarkingState:
 
     # ------------------------------------------------------------ traversal
 
-    def relevant(self, order: str = "pre") -> list[int]:
-        """Nodes in preorder ("pre") or postorder, skipping a quantifier's
-        template subtree once the quantifier has instance children. The list
-        is cached per tree version and shared: callers must not mutate it. A
-        preorder walk also collects `relevant_quantifiers`."""
+    def relevant(self) -> list[int]:
+        """Nodes in preorder, skipping a quantifier's template subtree once
+        the quantifier has instance children. The list is cached per tree
+        version and shared: callers must not mutate it. The walk also
+        collects `relevant_quantifiers`."""
         version = self.tree.version
-        cache = self._relevant_cache
-        hit = cache.get(order)
+        hit = self._relevant_cache
         if hit is not None and hit[0] == version:
             return hit[1]
         nodes = self.tree.nodes
-        pre = order == "pre"
         out: list[int] = []
         quantifiers: list[int] = []
         stack = [self.tree.root]
@@ -688,23 +701,18 @@ class MarkingState:
                     quantifiers.append(nid)
                     if len(kids) > 1:
                         kids = kids[1:]
-                # postorder is the reverse of a preorder that takes children right to left
-                stack += kids[::-1] if pre else kids
-        if pre:
-            cache["quantifiers"] = (version, quantifiers)
-        else:
-            out.reverse()
-        cache[order] = (version, out)
+                stack += kids[::-1]
+        self._relevant_cache = (version, out, quantifiers)
         return out
 
     def relevant_quantifiers(self) -> list[int]:
         """The quantifier nodes of relevant() in preorder, cached per tree
         version beside it; shared, so callers must not mutate it."""
-        hit = self._relevant_cache.get("quantifiers")
+        hit = self._relevant_cache
         if hit is None or hit[0] != self.tree.version:
             self.relevant()
-            hit = self._relevant_cache["quantifiers"]
-        return hit[1]
+            hit = self._relevant_cache
+        return hit[2]
 
     def classify_quantifiers(self) -> tuple[list[int], list[int], list[int]]:
         """One pass over relevant_quantifiers(): the marked quantifiers obliged
@@ -824,46 +832,41 @@ def _quantifier_phase(s: MarkingState, budget: Optional[int]) -> bool:
     return added
 
 
-def saturate(s: MarkingState, budget: Optional[int] = None, order: str = "pre") -> Optional[DoubleMark]:
-    """Apply forced rules to fixpoint: rule sweeps in the given traversal order
-    until one marks nothing, then the quantifier phase (fresh witnesses,
-    instances over the registry, remote instances), which reads one
-    classified list of the relevant quantifiers. Returns the first double
-    mark, or None at a consistent fixpoint. The fixpoint stands once a
-    round's quantifier phase adds nothing: the state is then the one its
-    quiet sweep left, so another round would find no dirty anchor and add
-    nothing again; such a round costs one pass over the relevant
-    quantifiers. Fresh witnesses stop once the registry holds budget
+def saturate(s: MarkingState, budget: Optional[int] = None) -> Optional[DoubleMark]:
+    """Apply forced rules to fixpoint: pop the agenda's anchors until it is
+    empty, then the quantifier phase (fresh witnesses, instances over the
+    registry, remote instances), which reads one classified list of the
+    relevant quantifiers. Returns the first double mark, or None at a
+    consistent fixpoint. The fixpoint stands once a round's quantifier phase
+    adds nothing: the agenda is then empty, so another round would visit no
+    anchor and add nothing again; such a round costs one pass over the
+    relevant quantifiers. Fresh witnesses stop once the registry holds budget
     individuals, when budget is set.
 
-    A sweep skips the anchors that are not dirty: by the invariant in the
-    module docstring they would conclude nothing, so the firings and their
-    order are those of a sweep over every relevant node. A dirty anchor is
-    cleared just before its visit, and the hooks dirty it again if its own
+    By the invariant in the module docstring, an anchor off the agenda, or
+    hidden, concludes nothing, so the marks reached are those of sweeps over
+    every relevant node until one marks nothing. A popped anchor leaves the
+    agenda before its visit, and the hooks push it again if its own
     conclusions change its inputs."""
     if s.dm is not None:
         return s.dm
-    # the hooks add to this set; only rollback, never run here, replaces it
-    dirty = s._dirty
+    # the hooks push onto this dict; only rollback, never run here, replaces it
+    agenda, nodes = s._agenda, s.tree.nodes
     while True:
-        while True:
-            swept = False
-            for nid in s.relevant(order) if dirty else ():
-                if nid not in dirty:
-                    continue
-                dirty.remove(nid)
-                for t, v, rule, prem in s.forced_for_anchor(nid):
-                    s.set_mark(t, v, rule, prem)
-                    swept = True
-                    if s.dm is not None:
-                        # the rest of nid's conclusions were not applied
-                        dirty.add(nid)
-                        return s.dm
-            if not swept:
-                # nothing was marked, so the nodes still dirty are the ones
-                # relevant() skips (module docstring)
-                dirty.clear()
-                break
+        while agenda:
+            nid = agenda.popitem()[0]
+            # hidden when a quantifier whose template holds it has an instance
+            q = nodes[nid].binder
+            while q is not None and len(nodes[q].children) == 1:
+                q = nodes[q].binder
+            if q is not None:
+                continue
+            for t, v, rule, prem in s.forced_for_anchor(nid):
+                s.set_mark(t, v, rule, prem)
+                if s.dm is not None:
+                    # the rest of nid's conclusions were not applied
+                    agenda[nid] = None
+                    return s.dm
         added = _quantifier_phase(s, budget)
         if s.dm is not None:
             return s.dm

@@ -90,12 +90,13 @@ _SLOT = Slot()
 
 class TreeNode(Record):
     __match_args__ = __slots__ = (
-        "nid", "parent", "kind", "children", "shape", "ground", "is_quantifier", "var", "fill_term",
+        "nid", "parent", "kind", "children", "shape", "ground", "is_quantifier", "var", "fill_term", "binder",
     )
 
     def __init__(
         self, nid: int, parent: Optional[int], kind: str, children: list[int], shape: int = -1,
         ground: bool = False, is_quantifier: bool = False, var: Optional[str] = None, fill_term: Optional[Term] = None,
+        binder: Optional[int] = None,
     ) -> None:
         self.nid = nid
         self.parent = parent
@@ -112,6 +113,9 @@ class TreeNode(Record):
         self.var = var
         # instance children: the term the parent quantifier was instantiated with
         self.fill_term = fill_term
+        # the nearest quantifier whose template subtree holds the node, None
+        # outside every template; set when the node is created
+        self.binder = binder
 
 
 class ForcingTree:
@@ -160,13 +164,14 @@ class ForcingTree:
         (raising on a predicate used with two) and the binders' names."""
         nodes, intern = self.nodes, self._intern
         constants, arities = self.constants, self.arities
-        # (subformula, parent id, parent's children, levels, depth): levels maps
-        # a bound variable to the number of binders above its quantifier, depth
-        # counts those above the subformula; a bound index is depth - 1 - level
-        stack: list[tuple] = [(f, None, [], {}, 0)]
+        # (subformula, parent id, parent's children, levels, depth, binder):
+        # levels maps a bound variable to the number of binders above its
+        # quantifier, depth counts those above the subformula; a bound index
+        # is depth - 1 - level
+        stack: list[tuple] = [(f, None, [], {}, 0, None)]
         vacuous: Optional[set[int]] = None
         while stack:
-            g, parent, siblings, levels, depth = stack.pop()
+            g, parent, siblings, levels, depth, binder = stack.pop()
             kind = KIND_OF[type(g)]
             quantifier = kind in _QUANT_KINDS
             if quantifier and drop_vacuous:
@@ -174,10 +179,10 @@ class ForcingTree:
                 if vacuous is None:
                     vacuous = _vacuous_binders(f)
                 if id(g) in vacuous:
-                    stack.append((g.body, parent, siblings, levels, depth))
+                    stack.append((g.body, parent, siblings, levels, depth, binder))
                     continue
             nid = len(nodes) + 1
-            nodes[nid] = node = TreeNode(nid, parent, kind, [], -1, False, quantifier)
+            nodes[nid] = node = TreeNode(nid, parent, kind, [], -1, False, quantifier, None, None, binder)
             siblings.append(nid)
             if kind == "atom":
                 pred, args = g.pred, g.args
@@ -197,11 +202,12 @@ class ForcingTree:
             elif quantifier:
                 node.var = g.var
                 self.identifiers.add(g.var)
-                stack.append((g.body, nid, node.children, {**levels, g.var: depth}, depth + 1))
+                stack.append((g.body, nid, node.children, {**levels, g.var: depth}, depth + 1, nid))
             elif kind == "not":
-                stack.append((g.sub, nid, node.children, levels, depth))
+                stack.append((g.sub, nid, node.children, levels, depth, binder))
             else:
-                stack += (g.right, nid, node.children, levels, depth), (g.left, nid, node.children, levels, depth)
+                stack += (g.right, nid, node.children, levels, depth, binder), \
+                    (g.left, nid, node.children, levels, depth, binder)
         self._intern_up(1)
 
     def _intern_up(self, first: int) -> None:
@@ -313,23 +319,25 @@ class ForcingTree:
         filled one; `_intern_up` then interns the rest."""
         nodes, mask = self.nodes, self._mask
         first = len(nodes) + 1
-        # (source node, its copy's parent and fill term, the filled index there)
-        stack: list[tuple] = [(src_nid, parent, term, 0)]
+        # (source node, its copy's parent, fill term and binder, the filled
+        # index there); an instance child lies outside its quantifier's template
+        stack: list[tuple] = [(src_nid, parent, term, nodes[parent].binder, 0)]
         while stack:
-            n, p, fill, depth = stack.pop()
+            n, p, fill, binder, depth = stack.pop()
             src = nodes[n]
             sid = src.shape
             if mask[sid] >> depth:
                 sid = self._filled_atom(sid, depth, term) if src.kind == "atom" else -1
             nid = len(nodes) + 1
-            nodes[nid] = TreeNode(nid, p, src.kind, [], sid, False, src.is_quantifier, src.var, fill)
+            nodes[nid] = TreeNode(nid, p, src.kind, [], sid, False, src.is_quantifier, src.var, fill, binder)
             nodes[p].children.append(nid)
             # instance branches inside the copied subtree stay instance branches
             # of the copied quantifier, so their fill survives; only a template
             # edge crosses a binder
             kids = src.children
             for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], nid, nodes[kids[i]].fill_term, depth + (i == 0 and src.is_quantifier)))
+                template = i == 0 and src.is_quantifier
+                stack.append((kids[i], nid, nodes[kids[i]].fill_term, nid if template else binder, depth + template))
         self._intern_up(first)
         self._file_ground(first)
         return first

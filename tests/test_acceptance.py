@@ -12,6 +12,7 @@ import time
 import pytest
 
 from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure, random_ground
+from reference_phases import reference_saturate
 from test_rules import CORRUPTED
 
 from semforce import (
@@ -128,18 +129,19 @@ def test_criterion_5():
             constants={"a": "a", "b": "b"},
         )
         states = []
-        for order in ("pre", "post"):
+        # the engine's agenda, then reference sweeps in preorder and postorder
+        for order in (None, "pre", "post"):
             s = MarkingState(build_initial_tree(f))
             for nid in s.tree.preorder():
                 g = s.tree.node_formula(nid)
                 if isinstance(g, Atom) and s.marked(nid) is None:
                     s.set_mark(nid, atoms[g], "m")
-            out = saturate(s, order=order)
+            out = saturate(s) if order is None else reference_saturate(s, order=order)
             assert out is None, f"#{k}: {format_formula(f)}"
             marking = {n: s.marked(n) for n in s.tree.preorder()}
             assert all(v is not None for v in marking.values()), f"#{k}: partial marking"
             states.append((s, marking))
-        assert states[0][1] == states[1][1], f"#{k}: sweep orders disagree"
+        assert states[0][1] == states[1][1] == states[2][1], f"#{k}: sweep orders disagree"
         s, marking = states[0]
         for nid, v in marking.items():
             assert v == evaluate(i, s.tree.node_formula(nid)), f"#{k}: node {nid}"

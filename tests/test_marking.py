@@ -1,13 +1,14 @@
 """Marking engine: rule validation, double marks, suppositions, saturation."""
 
+import random
 import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from conftest import ILLUSTRATIONS, differential_formulas, is_ground
-from reference_phases import _expand_obligations, _marked_quantifiers, _remote_instances, missing_instances
+from conftest import ILLUSTRATIONS, bench_workloads, differential_formulas, is_ground, workload_texts
+from reference_phases import _marked_quantifiers, missing_instances, reference_saturate, relevant_postorder
 
 from semforce import (
     Const,
@@ -16,6 +17,7 @@ from semforce import (
     Invalid,
     MarkingState,
     Or,
+    ParseError,
     PremiseError,
     StateError,
     Var,
@@ -29,6 +31,7 @@ from semforce import (
 )
 from semforce.cli import model_json
 from semforce.formulas import Atom, alpha_normalize
+from semforce.gen import random_monadic
 from semforce.rules import CATALOG, FORCING, GENERALIZATION, INSTANTIATION, PERMISSION, rules_for
 
 
@@ -562,8 +565,8 @@ def test_every_rollback_of_a_search_restores_its_checkpoints_state(monkeypatch):
 def test_a_class_has_a_consensus_entry_exactly_while_a_member_is_marked(monkeypatch):
     saturated = []
 
-    def checked_saturate(s, budget=None, order="pre"):
-        out = saturate(s, budget, order)
+    def checked_saturate(s, budget=None):
+        out = saturate(s, budget)
         assert_consensus_follows_marks(s)
         saturated.append(out)
         return out
@@ -583,14 +586,14 @@ def test_relevant_follows_the_tree_after_a_rollback():
     cp = s.checkpoint()
     a = s.instantiate(q1, Const("c"), "I∀")
     assert s.relevant() == [root, q1, a, q2, t2]
-    assert s.relevant("post") == [a, q1, t2, q2, root]
+    assert relevant_postorder(s) == [a, q1, t2, q2, root]
     size = len(s.tree.nodes)
     s.rollback(cp)
     # same node count and same next id, over a different tree
     b = s.instantiate(q2, Const("c"), "I∀")
     assert b == a and len(s.tree.nodes) == size
     assert s.relevant() == [root, q1, t1, q2, b]
-    assert s.relevant("post") == [t1, q1, b, q2, root]
+    assert relevant_postorder(s) == [t1, q1, b, q2, root]
 
 
 # ------------------------------------------------------ suppositions
@@ -702,12 +705,11 @@ def test_the_forced_conclusions_of_an_accepted_conjunction():
 
 
 def test_saturation_is_deterministic_across_sweep_orders():
-    s1 = state_for(ILLUSTRATIONS[1])
-    s2 = state_for(ILLUSTRATIONS[1])
-    for s, order in ((s1, "pre"), (s2, "post")):
+    states = [state_for(ILLUSTRATIONS[1]) for _ in range(3)]
+    for s, run in zip(states, (saturate, reference_saturate, lambda s: reference_saturate(s, order="post"))):
         s.open_supposition(s.tree.root, 0, kind="RR")
-        assert saturate(s, order=order) is None
-    assert leaf_marks(s1) == leaf_marks(s2)
+        assert run(s) is None
+    assert leaf_marks(states[0]) == leaf_marks(states[1]) == leaf_marks(states[2])
 
 
 def test_saturation_refutes_the_second_worked_formula():
@@ -739,9 +741,9 @@ def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchange
     phase = marking._quantifier_phase
     rounds = []
 
-    def counted_saturate(s, budget=None, order="pre"):
+    def counted_saturate(s, budget=None):
         rounds.append([])
-        return saturate(s, budget, order)
+        return saturate(s, budget)
 
     def counted_phase(s, budget):
         rounds[-1].append((len(s.trace), len(s.tree.nodes)))
@@ -758,62 +760,39 @@ def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchange
 # ------------------------------------------------------------- dirty anchors
 
 
-def full_sweep_saturate(s, budget=None, order="pre"):
-    """saturate as a sweep over every relevant node, with no dirty set, and
-    the three-scan quantifier phases of `reference_phases`: the reference the
-    dirty-anchor sweep and the one-list quantifier phase must match firing
-    for firing."""
-    if s.dm is not None:
-        return s.dm
-    while True:
-        changed = False
-        while True:
-            swept = False
-            for nid in s.relevant(order):
-                for t, v, rule, prem in s.forced_for_anchor(nid):
-                    s.set_mark(t, v, rule, prem)
-                    swept = True
-                    if s.dm is not None:
-                        return s.dm
-            if not swept:
-                break
-            changed = True
-        if _expand_obligations(s, budget):
-            changed = True
-        if s.dm is not None:
-            return s.dm
-        if _remote_instances(s):
-            changed = True
-        if s.dm is not None:
-            return s.dm
-        if not changed:
-            return None
+def outcome(f):
+    """What the search decides about f, whatever order its saturations fire
+    the rules in: the verdict class, the countermodel as the CLI prints it
+    (or the bound), the final node count and the number of saturations (the
+    search's branches); and of a conditional or disjunction, whether direct
+    forcing accepts it."""
+    branches = 0
+    decide_module = sys.modules["semforce.decide"]
+    run = decide_module.saturate
 
+    def counted(s, budget=None):
+        nonlocal branches
+        branches += 1
+        return run(s, budget)
 
-def behaviour(f):
-    """Everything a decision shows: verdict, trace, countermodel, bound, tree
-    size, and the direct-mode trace of a conditional or disjunction."""
-    v = decide(f)
-    out = [
-        type(v).__name__,
-        [(t.step, t.node, t.value, t.rule, t.premises, t.absorbed) for t in v.state.trace],
-        model_json(v.model) if isinstance(v, Invalid) else getattr(v, "bound", None),
-        len(v.state.tree.nodes),
-    ]
-    if isinstance(f, (Imp, Or)):
-        d = direct_force(f)
-        out.append(None if d is None else [(t.step, t.rule, t.premises) for t in d.trace])
-    return out
+    decide_module.saturate = counted
+    try:
+        v = decide(f)
+    finally:
+        decide_module.saturate = run
+    direct = direct_force(f) is not None if isinstance(f, (Imp, Or)) else None
+    model = model_json(v.model) if isinstance(v, Invalid) else getattr(v, "bound", None)
+    return type(v).__name__, model, len(v.state.tree.nodes), branches, direct
 
 
 def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
     formulas = differential_formulas()
     quiet = []
 
-    def checked(s, budget=None, order="pre"):
-        out = saturate(s, budget, order)
+    def checked(s, budget=None):
+        out = saturate(s, budget)
         if out is None:
-            quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant(order)))
+            quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant()))
             # the one-pass classification is the three reference scans'
             reference = (_marked_quantifiers(s, True), _marked_quantifiers(s, False),
                          [nid for nid, _ in missing_instances(s)])
@@ -823,12 +802,66 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
     # the package attribute `decide` is the function; the module binds saturate
     decide_module = sys.modules["semforce.decide"]
     monkeypatch.setattr(decide_module, "saturate", checked)
-    engine = [behaviour(f) for f in formulas]
+    engine = [outcome(f) for f in formulas]
     assert quiet and all(quiet)
-    monkeypatch.setattr(decide_module, "saturate", full_sweep_saturate)
-    reference = [behaviour(f) for f in formulas]
+    monkeypatch.setattr(decide_module, "saturate", lambda s, budget=None: reference_saturate(s, budget, every=True))
+    reference = [outcome(f) for f in formulas]
     for f, got, want in zip(formulas, engine, reference):
         assert got == want, format_formula(f)
+
+
+def stream_slice(n, seed=2):
+    """The first n formulas of the seeded stream that alternates fo2-batch's
+    generator at complexity 3-8 with monadic formulas over one to three
+    predicates and two constants."""
+    from semforce import formulas
+
+    fo2 = bench_workloads().random_fo2
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        if k % 2:
+            preds = ("P", "Q", "R")[: rng.randint(1, 3)]
+            out.append(random_monadic(rng, preds=preds, max_complexity=rng.randint(3, 8), consts=("a", "b")))
+        else:
+            out.append(fo2(rng, formulas, rng.randint(3, 8)))
+    return out
+
+
+def test_saturation_reaches_one_fixpoint_in_every_anchor_order(monkeypatch):
+    """At every saturation of a decision, reference saturations by sweeps
+    over every relevant node in preorder and in postorder, which do not read
+    the agenda, and in a seeded random agenda order, each run from the state
+    the engine starts from and rolled back, reach the marks the engine's
+    agenda reaches, or a double mark each when it does."""
+    rng = random.Random(31)
+    reached = Counter()
+
+    def compared(s, budget=None):
+        cp, counter = s.checkpoint(), s._witness_counter
+        outcomes = []
+        for order in ("pre", "post", rng):
+            out = reference_saturate(s, budget, order, every=True)
+            outcomes.append(dict(s.marks) if out is None else "double mark")
+            s.rollback(cp)
+            s._witness_counter = counter
+        out = saturate(s, budget)
+        assert outcomes == [dict(s.marks) if out is None else "double mark"] * 3
+        reached[out is None] += 1
+        return out
+
+    monkeypatch.setattr(sys.modules["semforce.decide"], "saturate", compared)
+    texts = [t for name in ("monadic-batch", "fo2-batch", "large-formula") for t in workload_texts(name)]
+    formulas = differential_formulas() + stream_slice(2000)
+    for text in texts:
+        try:
+            formulas.append(parse_formula(text))
+        except ParseError:
+            # large-formula's two items nested deeper than the parser goes
+            continue
+    for f in formulas:
+        decide(f)
+    assert reached[True] and reached[False]
 
 
 def generic_forced_for_anchor(s, n):
@@ -978,24 +1011,24 @@ def test_only_an_instance_of_the_quantifiers_value_settles_a_capped_obligation()
 
 
 def assert_dirty_covers(s):
-    """The dirty-anchor invariant: a node that relevant() visits and that is
-    not dirty concludes nothing. A node it skips, in a template subtree whose
-    quantifier has an instance, may be dropped from the dirty set."""
+    """The agenda's invariant: a node that relevant() visits and that is not
+    on the agenda concludes nothing. A node it skips, in a template subtree
+    whose quantifier has an instance, may be dropped from the agenda."""
     assert s.dm is None
     for nid in s.relevant():
         if s.forced_for_anchor(nid):
-            assert nid in s._dirty, nid
+            assert nid in s._agenda, nid
 
 
 def test_a_fresh_marking_dirties_nothing():
     for f in differential_formulas():
         s = MarkingState(build_initial_tree(f))
-        assert not s._dirty, format_formula(f)
+        assert not s._agenda, format_formula(f)
         assert_dirty_covers(s)
         # the first sweep starts from what the RR mark dirties: at most the
         # root, which a rejected conjunction or a lone atom, say, leaves clean
         s.open_supposition(s.tree.root, 0, kind="RR")
-        assert s._dirty <= {s.tree.root}
+        assert s._agenda.keys() <= {s.tree.root}
         assert_dirty_covers(s)
 
 
@@ -1008,7 +1041,7 @@ def test_unmarking_dirties_a_marked_class_mate():
     cp = s.checkpoint()
     s.set_mark(p2, 1, "m")
     assert saturate(s) is None
-    assert p1 not in s._dirty
+    assert p1 not in s._agenda
     s.rollback(cp)
     # p1 can iterate into its unmarked class-mate again
     assert (p2, 1, "IA", (p1,)) in s.forced_for_anchor(p1)
@@ -1025,7 +1058,7 @@ def test_a_double_mark_found_mid_visit_leaves_the_anchor_dirty():
     # A∧ concludes left=1 against its standing 0: no mark changes
     assert isinstance(saturate(s), DoubleMark)
     s.rollback(cp)
-    assert root in s._dirty
+    assert root in s._agenda
     assert_dirty_covers(s)
     assert isinstance(saturate(s), DoubleMark)
 
@@ -1043,7 +1076,7 @@ def test_instantiation_and_rollback_keep_the_dirty_invariant():
     assert saturate(s) is None
     assert_dirty_covers(s)
     s.rollback(cp)
-    assert c not in s.tree.nodes and c not in s._dirty
+    assert c not in s.tree.nodes and c not in s._agenda
     assert_dirty_covers(s)
     assert saturate(s) is None
     assert_dirty_covers(s)
@@ -1060,7 +1093,7 @@ def test_closing_a_frame_over_the_generic_variable_dirties_every_anchor():
     assert s.tree.node_free_variables(frame.node) == {g.name}
     # the open frame blocks Aa∀ over the generic variable at q1
     assert saturate(s) is None
-    assert s.marked(q1) is None and q1 not in s._dirty
+    assert s.marked(q1) is None and q1 not in s._agenda
     s.rollback(frame.checkpoint)
     assert s.forced_for_anchor(q1) == [(q1, 1, "Aa∀", (c1,))]
     assert_dirty_covers(s)
@@ -1092,8 +1125,8 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
     state_cls = marking.MarkingState
     instantiate, rollback = state_cls.instantiate, state_cls.rollback
 
-    def checked_saturate(s, budget=None, order="pre"):
-        out = saturate(s, budget, order)
+    def checked_saturate(s, budget=None):
+        out = saturate(s, budget)
         if out is None:
             assert_dirty_covers(s)
             checked["saturate"] += 1
@@ -1108,7 +1141,7 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
 
     def checked_rollback(s, cp):
         rollback(s, cp)
-        assert s._dirty == cp.dirty
+        assert list(s._agenda) == list(cp.agenda)
         if s.dm is None:
             assert_dirty_covers(s)
             checked["rollback"] += 1
@@ -1123,55 +1156,49 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
     assert all(checked[k] for k in ("saturate", "instantiate", "rollback")), checked
 
 
-def test_no_saturation_starts_with_a_sweep_that_visits_nothing(monkeypatch):
-    # in each of these decisions a ground node of a quantifier's template is
-    # dirtied (by iteration into it, say) after the quantifier got an
-    # instance, so relevant() no longer visits it; a saturation entered with
-    # only such nodes dirty would walk the relevant nodes for nothing
-    events = []
-    decide_module = sys.modules["semforce.decide"]
-    state_cls = marking.MarkingState
-    relevant, forced = state_cls.relevant, state_cls.forced_for_anchor
+def test_saturation_visits_no_anchor_that_relevant_skips(monkeypatch):
+    # in the first two decisions a ground node of a quantifier's template is
+    # pushed (by iteration into it, say) after the quantifier got an
+    # instance, so relevant() no longer lists it: saturate must drop it
+    # unvisited, as a sweep over relevant() would never reach it
+    forced, set_mark = MarkingState.forced_for_anchor, MarkingState.set_mark
+    hidden = []
 
-    def counted_saturate(s, budget=None, order="pre"):
-        events.append("saturate")
-        return saturate(s, budget, order)
-
-    def counted_relevant(s, order="pre"):
-        if sys._getframe(1).f_code is saturate.__code__:
-            events.append("sweep")
-        return relevant(s, order)
-
-    def counted_forced(s, nid):
-        events.append("visit")
+    def checked_forced(s, nid):
+        assert nid in s.relevant(), nid
         return forced(s, nid)
 
-    monkeypatch.setattr(decide_module, "saturate", counted_saturate)
-    monkeypatch.setattr(state_cls, "relevant", counted_relevant)
-    monkeypatch.setattr(state_cls, "forced_for_anchor", counted_forced)
+    def pushed(s, *args):
+        set_mark(s, *args)
+        shown = s.relevant()
+        hidden.append(any(n not in shown for n in s._agenda))
+
+    monkeypatch.setattr(MarkingState, "forced_for_anchor", checked_forced)
+    monkeypatch.setattr(MarkingState, "set_mark", pushed)
     for src in ("G(e) & exists z. (exists p. G(p) & F(z))",
                 "exists z. ((G(z) | (F(e) <-> F(z))) -> exists p. F(p))"):
-        events.clear()
+        hidden.clear()
         decide(parse_formula(src))
-        # a saturation that sweeps at all visits an anchor in its first sweep
-        starts = [events[i + 1:i + 3] for i, e in enumerate(events) if e == "saturate"]
-        starts = [start for start in starts if start[:1] == ["sweep"]]
-        assert starts and all(start == ["sweep", "visit"] for start in starts), (src, events)
+        assert any(hidden), src
+    for f in differential_formulas():
+        decide(f)
+        if isinstance(f, (Imp, Or)):
+            direct_force(f)
 
 
 def test_rollback_restores_the_dirty_set_of_its_checkpoint():
     s = state_for("forall x. (P(x) -> Q(x)) & (P(a) | Q(b))")
     q, disj = s.tree.nodes[s.tree.root].children
     s.set_mark(q, 1, "OA")
-    saved = set(s._dirty)
+    saved = list(s._agenda)
     cp = s.checkpoint()
-    assert cp.dirty == saved
+    assert list(cp.agenda) == saved
     s.set_mark(disj, 0, "OR")
     s.instantiate(q, Const("a"), "I∀")
     assert saturate(s) is None
-    assert s._dirty != saved
+    assert list(s._agenda) != saved
     s.rollback(cp)
-    assert s._dirty == saved
+    assert list(s._agenda) == saved
     assert_dirty_covers(s)
 
 
@@ -1180,16 +1207,16 @@ def test_a_fresh_clone_dirties_its_quantifier_and_marked_classes_only():
     q, conj = s.tree.nodes[s.tree.root].children
     pa = s.tree.nodes[conj].children[0]
     s.set_mark(pa, 1, "m")
-    before = set(s._dirty)
+    before = set(s._agenda)
     # no class of the clone of P(b) | Q(b) is marked
     s.instantiate(q, Const("b"), "I∀")
-    assert s._dirty == before | {q}
+    assert s._agenda.keys() == before | {q}
     assert_dirty_covers(s)
     # the clone of P(a) | Q(a) joins P(a)'s class, whose member is marked
     c = s.instantiate(q, Const("a"), "I∀")
     p_clone = s.tree.nodes[c].children[0]
     assert s.key(p_clone) == s.key(pa)
-    assert s._dirty == before | {q, pa, p_clone}
+    assert s._agenda.keys() == before | {q, pa, p_clone}
     assert (p_clone, 1, "IA", (pa,)) in s.forced_for_anchor(pa)
     assert_dirty_covers(s)
 

@@ -189,14 +189,14 @@ def test_keyword_construction():
 
 # the records whose constructors are written out, each with one set of field
 # values and its repr; the values are plain, so that copies compare equal
-_CHECKPOINT = Checkpoint(2, 1, 0, 5, 9, DoubleMark(3, 4), frozenset({7}))
+_CHECKPOINT = Checkpoint(2, 1, 0, 5, 9, DoubleMark(3, 4), {7: None})
 WRITTEN_OUT = [
     (DoubleMark, (1, 2), "DoubleMark(n1=1, n2=2)"),
     (Monadic, (2,), "Monadic(n=2)"),
     (Dyadic2Var, (1,), "Dyadic2Var(n=1)"),
-    (Checkpoint, (2, 1, 0, 5, 9, DoubleMark(3, 4), frozenset({7})),
+    (Checkpoint, (2, 1, 0, 5, 9, DoubleMark(3, 4), {7: None}),
      "Checkpoint(marked_len=2, registry_len=1, scopes_len=0, trace_len=5, next_nid=9, "
-     "dm=DoubleMark(n1=3, n2=4), dirty=frozenset({7}))"),
+     "dm=DoubleMark(n1=3, n2=4), agenda={7: None})"),
     (Frame, (3, "OA", _CHECKPOINT), f"Frame(node=3, kind='OA', checkpoint={_CHECKPOINT!r})"),
     (Valid, ([TraceStep(1, 1, 0, "RR", ())], None),
      "Valid(trace=[TraceStep(step=1, node=1, value=0, rule='RR', premises=(), absorbed=False)], state=None)"),
