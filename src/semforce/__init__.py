@@ -41,7 +41,6 @@ from .formulas import (
     alpha_normalize,
     classify_fragment,
     complexity,
-    drop_vacuous,
     format_formula,
     parse_formula,
 )

@@ -17,14 +17,13 @@ import random
 import sys
 from typing import Optional
 
-from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, domain_bound, fragment_bounds
+from .decide import EngineConfig, Invalid, NoCountermodelUpTo, Valid, decide, fragment_bounds, initial_tree
 from .errors import FragmentError, ParseError, ResourceLimitError, SemforceError
-from .formulas import Formula, classify_fragment, format_formula, is_name, parse_formula
+from .formulas import FragmentClass, classify_arities, classify_fragment, format_formula, is_name, parse_formula
 from .gen import random_monadic
 from .marking import MarkingState, saturate
 from .models import Interpretation, OracleLimitError, Refuted, ValidUpTo, oracle_validity
 from .render import render_ascii, render_dot, render_trace
-from .tree import build_initial_tree
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -87,12 +86,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
-    cfg = _engine_config(args)
-    budget = domain_bound(classify_fragment(f), cfg)
-    # the tree decide searches: each vacuous binder would add an individual.
-    # One saturation at the full budget, decide's last level, and no search
-    s = MarkingState(build_initial_tree(f, drop_vacuous=True))
-    searched = s.tree.node_formula(s.tree.root)
+    # the tree decide searches, and its budget. One saturation at the full
+    # budget, decide's last level, and no search
+    tree, budget = initial_tree(f, _engine_config(args), True)
+    s = MarkingState(tree)
+    searched = tree.node_formula(tree.root)
     s.open_supposition(s.tree.root, 0, kind="RR")
     saturate(s, budget)
     if s.dm is None and not s.unmarked_relevant_ground():
@@ -104,16 +102,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_VALID
 
 
-def _oracle_bound(f: Formula, flag: Optional[int]) -> Optional[int]:
+def _oracle_bound(fragment: FragmentClass, flag: Optional[int]) -> Optional[int]:
     if flag is not None:
         return flag
-    bounds = fragment_bounds(classify_fragment(f))
+    bounds = fragment_bounds(fragment)
     return None if bounds is None else bounds[1]
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
-    bound = _oracle_bound(f, args.max_domain)
+    # no decision, so no tree: the fragment is read from the formula
+    bound = _oracle_bound(classify_fragment(f), args.max_domain)
     if bound is None:
         print("an explicit --max-domain is required outside the decidable fragments", file=sys.stderr)
         return EXIT_DATA
@@ -160,7 +159,9 @@ def _check_entry(text: str, expect: Optional[str], cfg: EngineConfig, max_domain
     problems = []
     if expect is not None and word != expect:
         problems.append(f"expected {expect}")
-    bound = _oracle_bound(f, max_domain)
+    # the fragment of the tree the decision searched
+    tree = verdict.state.tree
+    bound = _oracle_bound(classify_arities(tree.arities, tree.width), max_domain)
     if bound is not None:
         try:
             oracle = oracle_validity(f, bound)

@@ -24,7 +24,9 @@ that gave it.
 
 The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options. Both run
-on `drop_vacuous(f)`: the one build from f leaves its vacuous binders out.
+on one tree, which the one build from f makes without f's vacuous binders,
+and at one budget, read from that tree's fragment; a failed direct attempt
+rolls the tree back to its initial nodes, as a closed level does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Iterator, Optional
 
 from .errors import FragmentError, FreeVariableError, ResourceLimitError, StateError
 from .formulas import (
-    KIND_OF,
     Dyadic2Var,
     Formula,
     FragmentClass,
@@ -57,7 +58,7 @@ from .marking import (
 )
 from .models import Interpretation, evaluate, extract_model
 from .rules import DISCHARGE, PERMISSION
-from .tree import build_initial_tree
+from .tree import ForcingTree, build_initial_tree
 
 DEFAULT_DYADIC_BOUND = 8
 DEFAULT_DYADIC_ORACLE_BOUND = 2
@@ -213,13 +214,30 @@ def _levels(budget: int) -> list[int]:
     return levels
 
 
+def initial_tree(f: Formula, cfg: EngineConfig, drop_vacuous: bool) -> tuple[ForcingTree, int]:
+    """f's initial tree, with drop_vacuous without f's vacuous binders
+    (`build_initial_tree`), and the individual budget read from that tree's
+    fragment: the tree build gathered the arities and the width, so f is not
+    walked again. An open or ill-typed f has no tree: the fragment checks
+    speak first (an arity clash, then FragmentError when no bound applies),
+    and only then the build's own error."""
+    try:
+        tree = build_initial_tree(f, drop_vacuous=drop_vacuous)
+    except FreeVariableError:
+        domain_bound(classify_fragment(f), cfg)
+        raise
+    return tree, domain_bound(classify_arities(tree.arities, tree.width), cfg)
+
+
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
-    Both procedures run on `drop_vacuous(f)`: the search on the tree that
-    `build_initial_tree(f, drop_vacuous=True)` builds, direct forcing
-    (`allow_direct`) on that tree's root formula; a verdict's state numbers
-    that tree's nodes. The search runs at individual budget 1, 2, 4, ... and
+    Both procedures run on the tree `initial_tree(f, cfg, True)` builds, the
+    tree of f without its vacuous binders (each marked for a witness would
+    add an individual, and every universal an instance for it), at the
+    budget read from it; a verdict's state numbers that tree's nodes. Direct
+    forcing (`allow_direct`) goes first, and a failed attempt leaves the
+    tree as built. The search runs at individual budget 1, 2, 4, ... and
     then at the full budget (`_levels`), each level with a fresh marking and
     the full `branch_limit`, and stops at the first level with a verdict:
 
@@ -237,22 +255,9 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     verdict carries the state, and so the trace, of the level that gave it.
     """
     cfg = cfg or EngineConfig()
-    try:
-        # without its vacuous binders: each marked for a witness would add an
-        # individual, and every universal an instance for it. No subformula's
-        # free-variable count changes, so neither does the fragment.
-        tree = build_initial_tree(f, drop_vacuous=True)
-    except FreeVariableError:
-        # an open or ill-typed AST: the fragment checks speak first (an arity
-        # clash, then FragmentError when no bound applies), and only then the
-        # build's own error
-        domain_bound(classify_fragment(f), cfg)
-        raise
-    # the tree build gathered the arities and the width, so f is not walked again
-    fragment = classify_arities(tree.arities, tree.width)
-    budget = domain_bound(fragment, cfg)
+    tree, budget = initial_tree(f, cfg, True)
     if cfg.allow_direct and tree.nodes[tree.root].kind in ("imp", "or"):
-        direct = direct_force(tree.node_formula(tree.root), cfg)
+        direct = _direct(tree, budget)
         if direct is not None:
             return direct
     for level in _levels(budget):
@@ -282,21 +287,19 @@ def _permission_pass(s: MarkingState) -> bool:
     return changed
 
 
-def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Valid]:
-    """Try to accept a conditional or disjunction root directly: suppose one
+def _direct(tree: ForcingTree, budget: int) -> Optional[Valid]:
+    """Direct forcing of tree's conditional or disjunction root, one
+    `DISCHARGE` strategy at a time, each with a fresh marking: suppose one
     side, saturate (no options), and discharge when the other side's mark is
-    forced. Returns None when no supposition strategy reaches its goal."""
-    if not isinstance(f, (Imp, Or)):
-        raise ValueError("direct forcing applies to conditional or disjunction roots only")
-    cfg = cfg or EngineConfig()
-    budget = domain_bound(classify_fragment(f), cfg)
+    forced. A failed attempt rolls back to its frame's checkpoint, so the
+    tree keeps only its initial nodes. None when no strategy reaches its
+    goal."""
+    root = tree.nodes[tree.root]
     for connective, sup_kind, sup_idx, goal_val in DISCHARGE:
-        if connective != KIND_OF[type(f)]:
+        if connective != root.kind:
             continue
-        tree = build_initial_tree(f)
         s = init_marking(tree)
         s.introduce_generic()
-        root = tree.nodes[tree.root]
         sup, goal = root.children[sup_idx], root.children[1 - sup_idx]
         frame = s.open_supposition(sup, 1 if sup_kind == "OA" else 0)
         while saturate(s, budget) is None:
@@ -305,4 +308,14 @@ def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Val
                 return Valid(list(s.trace), s)
             if not _permission_pass(s):
                 break
+        s.rollback(frame.checkpoint)
     return None
+
+
+def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Valid]:
+    """Try to accept a conditional or disjunction root directly, on f's
+    initial tree at the budget read from it (`_direct`). Returns None when
+    no supposition strategy reaches its goal."""
+    if not isinstance(f, (Imp, Or)):
+        raise ValueError("direct forcing applies to conditional or disjunction roots only")
+    return _direct(*initial_tree(f, cfg or EngineConfig(), False))

@@ -467,16 +467,6 @@ def _operand(g: Formula, bare: bool) -> tuple:
 # ---------------------------------------------------------------- analysis
 
 
-def free_variables(f: Formula) -> set[str]:
-    """Names of variables with at least one free occurrence."""
-    return set(list(_free_sets(f))[-1])
-
-
-def constants_of(f: Formula) -> list[str]:
-    """Constant names in first-occurrence order."""
-    return list(dict.fromkeys(t.name for g in _postorder(f) if type(g) is Atom for t in g.args if type(t) is Const))
-
-
 def predicate_arities(f: Formula) -> dict[str, int]:
     """Predicate name -> arity; raises on inconsistent programmatic ASTs.
     A plain preorder loop, cheaper than `_postorder` on the bench's set-up."""
@@ -592,32 +582,6 @@ def _free_sets(f: Formula) -> Iterator[frozenset[str]]:
             right = done.pop()
             done[-1] = done[-1] | right
         yield done[-1]
-
-
-def drop_vacuous(f: Formula) -> Formula:
-    """f without its vacuous binders: the quantifiers whose variable is not
-    free in their body, such as the outer one of `exists x. forall x. P(x)`.
-    Models are nonempty, so Qx.A is equivalent to A when x is not free in A.
-    Returns f itself when no binder is vacuous. One postorder pass that
-    composes free variables bottom-up and rebuilds only what changed."""
-    done: list[tuple[Formula, frozenset[str]]] = []
-    for g in _postorder(f):
-        if isinstance(g, Atom):
-            done.append((g, frozenset(t.name for t in g.args if isinstance(t, Var))))
-        elif isinstance(g, Not):
-            sub, free = done[-1]
-            done[-1] = (g if sub is g.sub else Not(sub), free)
-        elif isinstance(g, BINARY):
-            right, rfree = done.pop()
-            left, lfree = done.pop()
-            same = left is g.left and right is g.right
-            done.append((g if same else type(g)(left, right), lfree | rfree))
-        else:
-            body, free = done[-1]
-            # a vacuous binder leaves its body in its place
-            if g.var in free:
-                done[-1] = (g if body is g.body else type(g)(g.var, body), free - {g.var})
-    return done[0][0]
 
 
 def alpha_normalize(f: Formula) -> Formula:

@@ -10,10 +10,9 @@ A ground node's formula class is its tree's shape id (`tree.py`): formulas
 equal up to renaming of bound variables share it, and it is composed when
 the node is created. Iteration, consensus and the double-mark test key on
 that int, and the members of a class are read from `tree.classes`. The names
-of a node's free variables are read from its shape too, and the registry and
-the reserved names from the facts the tree build gathered about the source.
-The one formula a decision walks here is an instance branch's, which
-`is_independent` decodes to list the constants it names.
+of a node's free variables and constants are read from its shape too, and the
+registry and the reserved names from the facts the tree build gathered about
+the source. No decision decodes a formula.
 
 State mutates in place, and every change after construction is undone by
 popping a stack back to a length. The marked nodes are listed in marking
@@ -99,7 +98,6 @@ from .formulas import (
     # not called here: the name stays importable because perfbench/tracer.py
     # patches marking.alpha_normalize by attribute
     alpha_normalize,  # noqa: F401
-    constants_of,
 )
 from .rules import (
     CATALOG,
@@ -544,7 +542,7 @@ class MarkingState:
         for frame in self.scopes:
             if var in free(frame.node):
                 return False
-        for c in constants_of(self.tree.node_formula(n)):
+        for c in self.tree.node_constants(n):
             child = self.witness_registry.get(c)
             if child is not None and var in free(child):
                 return False
@@ -756,9 +754,9 @@ class MarkingState:
 # ------------------------------------------------------------------ saturation
 
 
-def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
+def capped_obligations(s: MarkingState, budget: int) -> list[int]:
     """Quantifiers whose fresh-witness rule is suppressed by the budget."""
-    if budget is None or len(s.domain_registry) < budget:
+    if len(s.domain_registry) < budget:
         return []
     # an instance already carrying the required value settles the obligation
     marked, children = s.marked, s.tree.instance_children
@@ -768,7 +766,7 @@ def capped_obligations(s: MarkingState, budget: Optional[int]) -> list[int]:
     ]
 
 
-def _quantifier_phase(s: MarkingState, budget: Optional[int]) -> bool:
+def _quantifier_phase(s: MarkingState, budget: int) -> bool:
     """One round's quantifier steps, in this order: a fresh witness for each
     marked quantifier obliged to one (only these create individuals), the
     missing instances over the registry for each obliged to one per
@@ -783,7 +781,7 @@ def _quantifier_phase(s: MarkingState, budget: Optional[int]) -> bool:
     added = False
     for nid in s.classify_quantifiers()[0]:
         # the budget stays reached once it is
-        if budget is not None and len(registry) >= budget:
+        if len(registry) >= budget:
             break
         if s.witness_child(nid) is not None:
             continue
@@ -832,7 +830,7 @@ def _quantifier_phase(s: MarkingState, budget: Optional[int]) -> bool:
     return added
 
 
-def saturate(s: MarkingState, budget: Optional[int] = None) -> Optional[DoubleMark]:
+def saturate(s: MarkingState, budget: int) -> Optional[DoubleMark]:
     """Apply forced rules to fixpoint: pop the agenda's anchors until it is
     empty, then the quantifier phase (fresh witnesses, instances over the
     registry, remote instances), which reads one classified list of the
@@ -841,7 +839,8 @@ def saturate(s: MarkingState, budget: Optional[int] = None) -> Optional[DoubleMa
     adds nothing: the agenda is then empty, so another round would visit no
     anchor and add nothing again; such a round costs one pass over the
     relevant quantifiers. Fresh witnesses stop once the registry holds budget
-    individuals, when budget is set.
+    individuals: without that bound a witness can oblige the next one
+    forever, as in `~forall x. exists y. R(x,y)`.
 
     By the invariant in the module docstring, an anchor off the agenda, or
     hidden, concludes nothing, so the marks reached are those of sweeps over

@@ -27,9 +27,6 @@ from .formulas import (
     # not called here: the name stays importable because perfbench/tracer.py
     # patches models.alpha_normalize by attribute
     alpha_normalize,  # noqa: F401
-    constants_of,
-    free_variables,
-    predicate_arities,
 )
 from .rules import TRUTH_TABLE
 from .tree import ForcingTree
@@ -70,10 +67,18 @@ OracleResult = ValidUpTo | Refuted
 
 
 def signature_of(f: Formula) -> Signature:
-    arities = predicate_arities(f)
+    """f's predicates by arity, each sorted, and its constants in
+    first-occurrence order, read from f's forcing tree (`_signature`);
+    raises FreeVariableError on a predicate used with two arities."""
+    return _signature(ForcingTree(f))
+
+
+def _signature(t: ForcingTree) -> Signature:
+    """The signature of t's source, from the facts its build gathered."""
+    arities = t.arities
     monadic = tuple(sorted(p for p, a in arities.items() if a == 1))
     dyadic = tuple(sorted(p for p, a in arities.items() if a == 2))
-    return Signature(monadic, dyadic, tuple(constants_of(f)))
+    return Signature(monadic, dyadic, tuple(t.constants))
 
 
 def _denote(i: Interpretation, term, env: Env) -> Element:
@@ -187,12 +192,14 @@ def oracle_validity(f: Formula, max_domain: int) -> OracleResult:
     """Exhaustive refutation search over all domains up to max_domain,
     smallest first. Before each domain it counts the interpretations up to
     that size, and raises OracleLimitError once they pass `ORACLE_LIMIT`:
-    a countermodel found on a smaller domain still answers."""
+    a countermodel found on a smaller domain still answers. The signature
+    and the closedness test read f's one forcing tree."""
     if max_domain < 1:
         raise ValueError("models are nonempty: max_domain must be at least 1")
-    if free_variables(f):
+    t = ForcingTree(f)
+    if t.node_free_variables(t.root):
         raise FreeVariableError("the oracle decides closed formulas only")
-    sig = signature_of(f)
+    sig = _signature(t)
     total = 0
     for size in range(1, max_domain + 1):
         total += interpretation_count(sig, size)

@@ -51,10 +51,12 @@ mask and names from its key and its children's.
 their shapes from the newest node back, and neither recurses. The pass also
 gathers the source's constants in first-occurrence order, its predicate
 arities and every identifier it uses, so the marking state, the fragment
-test and model extraction read these facts from the tree instead of walking
-the source again. With drop_vacuous it leaves out each vacuous binder, its
-body in its place, and so builds the tree of `drop_vacuous(f)`; at the first
-binder it meets, one more loop over the source finds them all.
+test, model extraction and the oracle's signature read these facts from the
+tree instead of walking the source again; the oracle's closedness test reads
+the root's free variables. With drop_vacuous it leaves out each vacuous
+binder, a quantifier whose variable no atom below it uses, its body in its
+place; at the first binder it meets, one more loop over the source finds
+them all.
 
 `_clone` copies a template subtree in one preorder walk, as `_build` makes
 nodes: a copy whose source mask has no index at or above the filled one keeps
@@ -399,8 +401,22 @@ class ForcingTree:
 
     def node_free_variables(self, nid: int) -> frozenset[str]:
         """Names of the free variables of the node's formula, read from its
-        shape: `free_variables(node_formula(nid))`, without the decode."""
+        shape, without the decode."""
         return self._free[self.nodes[nid].shape]
+
+    def node_constants(self, nid: int) -> set[str]:
+        """Names of the constants the node's formula carries, read from the
+        atom shapes below its shape, without the decode."""
+        keys = self._shape_keys
+        out: set[str] = set()
+        stack = [self.nodes[nid].shape]
+        while stack:
+            key = keys[stack.pop()]
+            if key[0] == "atom":
+                out.update([a.name for a in key[2] if type(a) is Const])
+            else:
+                stack += key[1:]
+        return out
 
     # ------------------------------------------------------------------ shapes
 
@@ -437,8 +453,9 @@ class ForcingTree:
 
 def _vacuous_binders(f: Formula) -> set[int]:
     """ids of f's quantifier subformulas whose variable is free in no atom
-    below them, the binders `drop_vacuous` drops. Vacuity depends on the
-    subformula alone, so one id stands for every occurrence of a shared one."""
+    below them, the binders the build with drop_vacuous leaves out. Vacuity
+    depends on the subformula alone, so one id stands for every occurrence of
+    a shared one."""
     binders: list[Formula] = []
     named: set[int] = set()
     # (subformula, bound variable -> its binder's index in binders)
@@ -461,7 +478,7 @@ def _vacuous_binders(f: Formula) -> set[int]:
 
 
 def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree:
-    """Initial tree of closed f, or of `drop_vacuous(f)` with drop_vacuous:
+    """Initial tree of closed f, with drop_vacuous without its vacuous binders:
     quantifier bodies carry placeholders where the bound variable occurred.
     Raises FreeVariableError on an open f and on a predicate of two arities."""
     t = ForcingTree(f, drop_vacuous)

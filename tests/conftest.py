@@ -1,8 +1,11 @@
 """Shared fixtures: the worked formulas, reference countermodels, an
 isomorphism canonicalizer, a broad random formula generator and a ground one,
-the groundness test and the identifiers of a formula, the benchmark's
-workload texts, a lowered recursion limit for the tests of walks that must
-not recurse, and a hook that fails a test raising RecursionError at once."""
+the groundness test and the identifiers of a formula, the formula walkers
+that the tree's facts are checked against (free variables, constants, the
+formula without its vacuous binders), a node-by-node check of a
+countermodel against the marks, the benchmark's workload texts, a lowered
+recursion limit for the tests of walks that must not recurse, and a hook
+that fails a test raising RecursionError at once."""
 
 from __future__ import annotations
 
@@ -14,8 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from semforce import And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, Var, parse_formula
-from semforce.formulas import BINARY, QUANTIFIERS, Dyadic2Var, Slot, _postorder, classify_fragment
+from semforce import (
+    And, Atom, Const, Exists, Forall, Iff, Imp, Interpretation, Not, Or, ParseError, Signature, Var, domain_bound,
+    marks_from_model, parse_formula,
+)
+from semforce.formulas import (
+    BINARY, QUANTIFIERS, Dyadic2Var, Formula, Slot, _free_sets, _postorder, classify_arities, classify_fragment,
+    predicate_arities,
+)
 from semforce.gen import random_monadic
 
 ILLUSTRATIONS = {
@@ -135,6 +144,71 @@ def identifiers_of(f) -> set[str]:
     return out
 
 
+def free_variables(f: Formula) -> set[str]:
+    """Names of variables with at least one free occurrence."""
+    return set(list(_free_sets(f))[-1])
+
+
+def constants_of(f: Formula) -> list[str]:
+    """Constant names in first-occurrence order."""
+    return list(dict.fromkeys(t.name for g in _postorder(f) if type(g) is Atom for t in g.args if type(t) is Const))
+
+
+def drop_vacuous(f: Formula) -> Formula:
+    """f without its vacuous binders: the quantifiers whose variable is not
+    free in their body, such as the outer one of `exists x. forall x. P(x)`.
+    Models are nonempty, so Qx.A is equivalent to A when x is not free in A.
+    Returns f itself when no binder is vacuous. One postorder pass that
+    composes free variables bottom-up and rebuilds only what changed. The
+    tree build with drop_vacuous makes this formula's tree."""
+    done: list[tuple[Formula, frozenset[str]]] = []
+    for g in _postorder(f):
+        if isinstance(g, Atom):
+            done.append((g, frozenset(t.name for t in g.args if isinstance(t, Var))))
+        elif isinstance(g, Not):
+            sub, free = done[-1]
+            done[-1] = (g if sub is g.sub else Not(sub), free)
+        elif isinstance(g, BINARY):
+            right, rfree = done.pop()
+            left, lfree = done.pop()
+            same = left is g.left and right is g.right
+            done.append((g if same else type(g)(left, right), lfree | rfree))
+        else:
+            body, free = done[-1]
+            # a vacuous binder leaves its body in its place
+            if g.var in free:
+                done[-1] = (g if body is g.body else type(g)(g.var, body), free - {g.var})
+    return done[0][0]
+
+
+def ast_signature(f: Formula) -> Signature:
+    """f's oracle signature from walks of f: predicates by arity, sorted,
+    and constants in first-occurrence order."""
+    arities = predicate_arities(f)
+    monadic = tuple(sorted(p for p, a in arities.items() if a == 1))
+    dyadic = tuple(sorted(p for p, a in arities.items() if a == 2))
+    return Signature(monadic, dyadic, tuple(constants_of(f)))
+
+
+def assert_marks_hold_in_the_countermodel(verdict) -> None:
+    """The paper's countermodel theorem, node by node: every marked node of
+    an Invalid verdict's tree is ground, and its mark is its truth value in
+    the extracted model, with the generic variable denoting the element
+    `extract_model` names for it (the domain lists the registry in order)."""
+    s, model = verdict.state, verdict.model
+    element = dict(zip(s.domain_registry, model.domain))
+    env = {t.name: element[t] for t in s.domain_registry if type(t) is Var}
+    truth = marks_from_model(model, s.tree, env)
+    wrong = {n: (v, truth.get(n)) for n, v in s.marks.items() if truth.get(n) != v}
+    assert not wrong, f"node: (mark, truth value) {wrong}"
+
+
+def fragment_budget(t) -> int:
+    """The individual budget decide gives the source of tree t: its
+    fragment's default."""
+    return domain_bound(classify_arities(t.arities, t.width))
+
+
 def balanced_pairs(n: int) -> str:
     """~ over a balanced conjunction of n (P(ci) | Q(ci)): its search nests
     one supposition per disjunction before it finds a countermodel."""
@@ -153,6 +227,19 @@ def bench_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def workload_formulas() -> list[Formula]:
+    """Every formula of the three benchmark workloads that parses: two of
+    large-formula's nest deeper than the parser goes."""
+    out = []
+    for name in ("monadic-batch", "fo2-batch", "large-formula"):
+        for text in workload_texts(name):
+            try:
+                out.append(parse_formula(text))
+            except ParseError:
+                pass
+    return out
 
 
 def workload_texts(name: str, seed: int = 424242) -> list[str]:

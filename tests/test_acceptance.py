@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure, random_ground
+from conftest import EXPECTED_VERDICT, ILLUSTRATIONS, REFERENCE_MODELS, canonical_structure, fragment_budget, random_ground
 from reference_phases import reference_saturate
 from test_rules import CORRUPTED
 
@@ -136,7 +136,7 @@ def test_criterion_5():
                 g = s.tree.node_formula(nid)
                 if isinstance(g, Atom) and s.marked(nid) is None:
                     s.set_mark(nid, atoms[g], "m")
-            out = saturate(s) if order is None else reference_saturate(s, order=order)
+            out = saturate(s, fragment_budget(s.tree)) if order is None else reference_saturate(s, order=order)
             assert out is None, f"#{k}: {format_formula(f)}"
             marking = {n: s.marked(n) for n in s.tree.preorder()}
             assert all(v is not None for v in marking.values()), f"#{k}: partial marking"

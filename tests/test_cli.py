@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ILLUSTRATIONS, balanced_pairs, within_a_shallow_stack
 
-from semforce import Interpretation, Invalid, NoCountermodelUpTo, Valid, models
+from semforce import Interpretation, Invalid, MarkingState, NoCountermodelUpTo, Valid, build_initial_tree, models
 from semforce.gen import random_monadic
 from semforce.cli import (
     EXIT_DATA,
@@ -438,8 +438,13 @@ def test_corpus_flags_a_wrong_expectation(tmp_path, capsys):
 )
 def test_corpus_fails_a_verdict_the_oracle_contradicts(tmp_path, capsys, monkeypatch, text, verdict, reason):
     # no verdict of the engine disagrees with the oracle, so a wrong one is
-    # put in its place
-    monkeypatch.setattr("semforce.cli.decide", lambda f, cfg: verdict)
+    # put in its place, with the state of the tree decide searches, from
+    # which corpus reads the oracle's bound
+    def wrong(f, cfg):
+        verdict.state = MarkingState(build_initial_tree(f, drop_vacuous=True))
+        return verdict
+
+    monkeypatch.setattr("semforce.cli.decide", wrong)
     path = tmp_path / "wrong.corpus"
     path.write_text(text + "\n")
     code, out, _ = run(capsys, "corpus", str(path))

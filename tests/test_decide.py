@@ -16,11 +16,16 @@ from conftest import (
     bench_workloads,
     canonical_structure,
     differential_formulas,
+    drop_vacuous,
+    free_variables,
+    workload_formulas,
     workload_texts,
 )
 
 from semforce import (
     EngineConfig,
+    Imp,
+    Or,
     FragmentError,
     Invalid,
     MarkingState,
@@ -33,7 +38,6 @@ from semforce import (
     decide,
     direct_force,
     domain_bound,
-    drop_vacuous,
     evaluate,
     extract_model,
     oracle_validity,
@@ -277,6 +281,9 @@ def test_the_fragment_read_from_the_tree_is_the_fragment_of_the_formula():
         tree = ForcingTree(f, drop_vacuous=True)
         expected = classify_fragment(f)
         assert classify_arities(tree.arities, tree.width) == expected, format_formula(f)
+        # the tree is drop_vacuous(f)'s, whose fragment and free variables are f's
+        assert classify_fragment(drop_vacuous(f)) == expected, format_formula(f)
+        assert tree.node_free_variables(tree.root) == free_variables(f), format_formula(f)
         seen.add(type(expected).__name__)
         if isinstance(expected, Monadic):
             assert tree.width is None
@@ -589,6 +596,57 @@ def test_allow_direct_config_forces_the_formula_without_its_vacuous_binders():
     verdict = decide(parse_formula("forall x. (P(a) -> P(a))"), EngineConfig(allow_direct=True))
     assert isinstance(verdict, Valid)
     assert verdict.trace[-1].rule == "OAi-Ad→"
+
+
+def test_no_decision_decodes_a_formula(monkeypatch):
+    # the fragment, the budget, the constants an instance branch names and
+    # the direct attempt's sides are all read from the tree, never from a
+    # formula decoded out of it
+    def refuse(self, nid, fill=None):
+        raise AssertionError("a decision decoded a formula")
+
+    formulas = differential_formulas() + workload_formulas()
+    monkeypatch.setattr(ForcingTree, "node_formula", refuse)
+    for cfg in (EngineConfig(), EngineConfig(allow_direct=True)):
+        for f in formulas:
+            decide(f, cfg)
+
+
+def test_direct_forcing_builds_one_tree(monkeypatch):
+    decide_module = sys.modules["semforce.decide"]
+    build = decide_module.build_initial_tree
+    built = []
+
+    def counted(f, **kwargs):
+        built.append(f)
+        return build(f, **kwargs)
+
+    monkeypatch.setattr(decide_module, "build_initial_tree", counted)
+    # 3 is forced by its first strategy, 6 fails both and is searched
+    for k in (3, 6):
+        f = parse_formula(ILLUSTRATIONS[k])
+        for run in (lambda: decide(f, EngineConfig(allow_direct=True)), lambda: direct_force(f)):
+            built.clear()
+            run()
+            assert len(built) == 1, k
+
+
+def test_a_failed_direct_attempt_leaves_no_trace_on_the_levels():
+    failed = 0
+    for f in differential_formulas() + workload_formulas():
+        # decide forces the formula without its vacuous binders
+        g = drop_vacuous(f)
+        if isinstance(g, (Imp, Or)):
+            if direct_force(g) is not None:
+                continue
+            failed += 1
+        direct, searched = decide(f, EngineConfig(allow_direct=True)), decide(f)
+        assert type(direct) is type(searched), format_formula(f)
+        assert direct.state.trace == searched.state.trace, format_formula(f)
+        assert len(direct.state.tree.nodes) == len(searched.state.tree.nodes)
+        if isinstance(searched, Invalid):
+            assert direct.model == searched.model, format_formula(f)
+    assert failed > 100
 
 
 def test_the_bench_tracer_patches_names_that_exist_and_restores_them():

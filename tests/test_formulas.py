@@ -25,14 +25,13 @@ from semforce import (
     alpha_normalize,
     classify_fragment,
     complexity,
-    drop_vacuous,
     format_formula,
     parse_formula,
 )
-from semforce.formulas import constants_of, free_variables, predicate_arities
+from semforce.formulas import predicate_arities
 from semforce.gen import random_monadic
 
-from conftest import ILLUSTRATIONS, is_ground, random_formula
+from conftest import ILLUSTRATIONS, constants_of, drop_vacuous, free_variables, is_ground, random_formula
 
 
 def test_atom_parsing():

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import ILLUSTRATIONS, bench_workloads, differential_formulas, is_ground, workload_texts
+from conftest import ILLUSTRATIONS, bench_workloads, differential_formulas, fragment_budget, is_ground, workload_texts
 from reference_phases import _marked_quantifiers, missing_instances, reference_saturate, relevant_postorder
 
 from semforce import (
@@ -565,7 +565,7 @@ def test_every_rollback_of_a_search_restores_its_checkpoints_state(monkeypatch):
 def test_a_class_has_a_consensus_entry_exactly_while_a_member_is_marked(monkeypatch):
     saturated = []
 
-    def checked_saturate(s, budget=None):
+    def checked_saturate(s, budget):
         out = saturate(s, budget)
         assert_consensus_follows_marks(s)
         saturated.append(out)
@@ -628,7 +628,7 @@ def test_an_unknown_supposition_kind_is_refused():
 def test_contradiction_discharge_concludes_the_opposite_value():
     s = state_for("P(a) & ~P(a)")
     frame = s.open_supposition(s.tree.root, 1)
-    out = saturate(s)
+    out = saturate(s, fragment_budget(s.tree))
     assert isinstance(out, DoubleMark)
     rule = s.discharge(frame, "contradiction")
     assert rule == "OA-DM"
@@ -658,7 +658,7 @@ def test_goal_discharge_accepts_the_conditional():
     s = state_for("P(a) -> P(a)")
     left, right = s.tree.nodes[s.tree.root].children
     frame = s.open_supposition(left, 1)
-    saturate(s)
+    saturate(s, fragment_budget(s.tree))
     assert s.marked(right) == 1  # iterated from the supposed antecedent
     rule = s.discharge(frame, (right, 1))
     assert rule == "OAi-Ad→"
@@ -706,7 +706,7 @@ def test_the_forced_conclusions_of_an_accepted_conjunction():
 
 def test_saturation_is_deterministic_across_sweep_orders():
     states = [state_for(ILLUSTRATIONS[1]) for _ in range(3)]
-    for s, run in zip(states, (saturate, reference_saturate, lambda s: reference_saturate(s, order="post"))):
+    for s, run in zip(states, (lambda s: saturate(s, fragment_budget(s.tree)), reference_saturate, lambda s: reference_saturate(s, order="post"))):
         s.open_supposition(s.tree.root, 0, kind="RR")
         assert run(s) is None
     assert leaf_marks(states[0]) == leaf_marks(states[1]) == leaf_marks(states[2])
@@ -715,7 +715,7 @@ def test_saturation_is_deterministic_across_sweep_orders():
 def test_saturation_refutes_the_second_worked_formula():
     s = state_for(ILLUSTRATIONS[2])
     s.open_supposition(s.tree.root, 0, kind="RR")
-    out = saturate(s)
+    out = saturate(s, fragment_budget(s.tree))
     assert isinstance(out, DoubleMark)
     assert s.key(out.n1) == s.key(out.n2)
 
@@ -723,7 +723,7 @@ def test_saturation_refutes_the_second_worked_formula():
 def test_saturation_leaves_of_the_first_worked_formula():
     s = state_for(ILLUSTRATIONS[1])
     s.open_supposition(s.tree.root, 0, kind="RR")
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert leaf_marks(s) == {
         "P(w1)": 1,
         "R(w1,w1)": 1,
@@ -734,6 +734,17 @@ def test_saturation_leaves_of_the_first_worked_formula():
     assert not s.unmarked_relevant_ground()
 
 
+def test_a_witness_chain_saturates_within_the_budget():
+    # each witness w_k obliges an instance of the universal, whose witness
+    # is w_{k+1}: only the budget ends the chain
+    s = state_for("~forall x. exists y. R(x,y)")
+    assert fragment_budget(s.tree) == 8
+    s.open_supposition(s.tree.root, 0, kind="RR")
+    assert saturate(s, 8) is None
+    assert len(s.domain_registry) <= 8
+    assert marking.capped_obligations(s, 8)
+
+
 def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchanged(monkeypatch):
     # per saturate call, the (trace steps, nodes) each round's quantifier
     # phase starts from: one pair twice in a row is a round that changed nothing
@@ -741,7 +752,7 @@ def test_saturation_runs_no_round_on_a_state_its_quantifier_phases_left_unchange
     phase = marking._quantifier_phase
     rounds = []
 
-    def counted_saturate(s, budget=None):
+    def counted_saturate(s, budget):
         rounds.append([])
         return saturate(s, budget)
 
@@ -770,7 +781,7 @@ def outcome(f):
     decide_module = sys.modules["semforce.decide"]
     run = decide_module.saturate
 
-    def counted(s, budget=None):
+    def counted(s, budget):
         nonlocal branches
         branches += 1
         return run(s, budget)
@@ -789,7 +800,7 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
     formulas = differential_formulas()
     quiet = []
 
-    def checked(s, budget=None):
+    def checked(s, budget):
         out = saturate(s, budget)
         if out is None:
             quiet.append(all(not s.forced_for_anchor(n) for n in s.relevant()))
@@ -804,7 +815,7 @@ def test_dirty_anchor_saturation_matches_a_full_sweep(monkeypatch):
     monkeypatch.setattr(decide_module, "saturate", checked)
     engine = [outcome(f) for f in formulas]
     assert quiet and all(quiet)
-    monkeypatch.setattr(decide_module, "saturate", lambda s, budget=None: reference_saturate(s, budget, every=True))
+    monkeypatch.setattr(decide_module, "saturate", lambda s, budget: reference_saturate(s, budget, every=True))
     reference = [outcome(f) for f in formulas]
     for f, got, want in zip(formulas, engine, reference):
         assert got == want, format_formula(f)
@@ -837,7 +848,7 @@ def test_saturation_reaches_one_fixpoint_in_every_anchor_order(monkeypatch):
     rng = random.Random(31)
     reached = Counter()
 
-    def compared(s, budget=None):
+    def compared(s, budget):
         cp, counter = s.checkpoint(), s._witness_counter
         outcomes = []
         for order in ("pre", "post", rng):
@@ -1040,7 +1051,7 @@ def test_unmarking_dirties_a_marked_class_mate():
     s.set_mark(p1, 1, "m")
     cp = s.checkpoint()
     s.set_mark(p2, 1, "m")
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert p1 not in s._agenda
     s.rollback(cp)
     # p1 can iterate into its unmarked class-mate again
@@ -1056,29 +1067,29 @@ def test_a_double_mark_found_mid_visit_leaves_the_anchor_dirty():
     s.set_mark(root, 1, "OA")
     cp = s.checkpoint()
     # A∧ concludes left=1 against its standing 0: no mark changes
-    assert isinstance(saturate(s), DoubleMark)
+    assert isinstance(saturate(s, fragment_budget(s.tree)), DoubleMark)
     s.rollback(cp)
     assert root in s._agenda
     assert_dirty_covers(s)
-    assert isinstance(saturate(s), DoubleMark)
+    assert isinstance(saturate(s, fragment_budget(s.tree)), DoubleMark)
 
 
 def test_instantiation_and_rollback_keep_the_dirty_invariant():
     s = state_for("forall x. (P(x) -> Q(x)) & P(a)")
     q, pa = s.tree.nodes[s.tree.root].children
     s.set_mark(q, 1, "OA")
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     cp = s.checkpoint()
     c = s.instantiate(q, Const("b"), "I∀")
     assert_dirty_covers(s)
     s.set_mark(pa, 1, "m")
     assert_dirty_covers(s)
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert_dirty_covers(s)
     s.rollback(cp)
     assert c not in s.tree.nodes and c not in s._agenda
     assert_dirty_covers(s)
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert_dirty_covers(s)
 
 
@@ -1092,12 +1103,12 @@ def test_closing_a_frame_over_the_generic_variable_dirties_every_anchor():
     frame = s.open_supposition(c2, 0)
     assert s.tree.node_free_variables(frame.node) == {g.name}
     # the open frame blocks Aa∀ over the generic variable at q1
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert s.marked(q1) is None and q1 not in s._agenda
     s.rollback(frame.checkpoint)
     assert s.forced_for_anchor(q1) == [(q1, 1, "Aa∀", (c1,))]
     assert_dirty_covers(s)
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert s.marked(q1) == 1
 
 
@@ -1125,7 +1136,7 @@ def test_the_dirty_set_covers_every_step_of_a_decision(monkeypatch):
     state_cls = marking.MarkingState
     instantiate, rollback = state_cls.instantiate, state_cls.rollback
 
-    def checked_saturate(s, budget=None):
+    def checked_saturate(s, budget):
         out = saturate(s, budget)
         if out is None:
             assert_dirty_covers(s)
@@ -1195,7 +1206,7 @@ def test_rollback_restores_the_dirty_set_of_its_checkpoint():
     assert list(cp.agenda) == saved
     s.set_mark(disj, 0, "OR")
     s.instantiate(q, Const("a"), "I∀")
-    assert saturate(s) is None
+    assert saturate(s, fragment_budget(s.tree)) is None
     assert list(s._agenda) != saved
     s.rollback(cp)
     assert list(s._agenda) == saved

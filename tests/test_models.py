@@ -4,10 +4,14 @@ and the bridges between markings and interpretations."""
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import ILLUSTRATIONS
+from conftest import (
+    ILLUSTRATIONS, assert_marks_hold_in_the_countermodel, ast_signature, differential_formulas, fragment_budget,
+    workload_formulas,
+)
 
 from semforce import (
     And,
@@ -17,6 +21,7 @@ from semforce import (
     Forall,
     FreeVariableError,
     Interpretation,
+    Invalid,
     Not,
     Refuted,
     ValidUpTo,
@@ -32,6 +37,7 @@ from semforce import (
     parse_formula,
     signature_of,
 )
+from semforce.cli import _parse_corpus
 from semforce.formulas import format_formula
 from semforce.models import ORACLE_LIMIT, _domain_names, _element_names, interpretation_count
 from semforce.marking import MarkingState, saturate
@@ -171,8 +177,28 @@ def test_oracle_answers_from_a_domain_below_the_limit():
 
 
 def test_oracle_rejects_open_formulas():
-    with pytest.raises(FreeVariableError):
+    with pytest.raises(FreeVariableError, match="the oracle decides closed formulas only"):
         oracle_validity(Forall("y", Atom("R", (Var("x"), Var("y")))), 2)
+
+
+def test_the_oracle_rejects_a_predicate_used_with_two_arities():
+    clash = And(Atom("P", (Const("a"),)), Forall("x", Atom("P", (Var("x"), Const("a")))))
+    for read in (lambda: oracle_validity(clash, 2), lambda: signature_of(clash)):
+        with pytest.raises(FreeVariableError, match="predicate 'P' used with arities 1 and 2"):
+            read()
+
+
+def test_the_signature_read_from_the_tree_is_the_signature_of_the_formula():
+    corpus = Path(__file__).resolve().parent.parent / "src" / "semforce" / "data" / "illustrations.corpus"
+    formulas = differential_formulas() + workload_formulas()
+    formulas += [parse_formula(text) for text, _ in _parse_corpus(corpus.read_text(encoding="utf-8"))]
+    unsorted = 0
+    for f in formulas:
+        sig = signature_of(f)
+        assert sig == ast_signature(f), format_formula(f)
+        unsorted += list(sig.constants) != sorted(sig.constants)
+    # the constants keep their first-occurrence order
+    assert unsorted > 0
 
 
 def test_classical_quantifier_dualities(rng):
@@ -196,7 +222,7 @@ def test_extract_model_from_the_first_worked_formula():
     t = build_initial_tree(f)
     s = MarkingState(t)
     s.open_supposition(t.root, 0, kind="RR")
-    saturate(s)
+    saturate(s, fragment_budget(t))
     s.commit_frames()
     i = extract_model(s)
     assert i.domain == ("w1", "w2")
@@ -224,6 +250,17 @@ def test_marks_from_model_reproduces_the_leaf_marks():
         "R(w2,w1)": 0,
         "R(w2,w2)": 0,
     }
+
+
+def test_every_mark_of_an_invalid_verdict_is_its_truth_value_in_the_countermodel():
+    invalid = generic = 0
+    for f in differential_formulas() + workload_formulas():
+        verdict = decide(f)
+        if isinstance(verdict, Invalid):
+            assert_marks_hold_in_the_countermodel(verdict)
+            invalid += 1
+            generic += verdict.state.generic is not None
+    assert invalid > 500 and generic > 0
 
 
 def test_marks_from_model_skips_nodes_with_unfilled_placeholders():

@@ -29,10 +29,7 @@ from semforce import (
     saturate,
 )
 from semforce.formulas import (
-    constants_of,
-    drop_vacuous,
     format_formula,
-    free_variables,
     Slot,
     predicate_arities,
     _postorder,
@@ -41,7 +38,8 @@ from semforce.rules import PERMISSION
 from semforce.tree import ForcingTree
 
 from conftest import (
-    ILLUSTRATIONS, differential_formulas, identifiers_of, is_ground, random_formula, within_a_shallow_stack,
+    ILLUSTRATIONS, constants_of, differential_formulas, drop_vacuous, free_variables, identifiers_of, is_ground,
+    random_formula, within_a_shallow_stack,
 )
 
 
@@ -451,11 +449,13 @@ def test_decide_builds_the_tree_of_the_formula_without_its_vacuous_binders(monke
 
 def _assert_shape_free_variables(s):
     """Every node's per-shape variable set is its decoded formula's free
-    variables, and each witness entry names a live instance child filled
+    variables, the constants read from its shape are those its decoded
+    formula names, and each witness entry names a live instance child filled
     with that witness, whose shape the frames and entries read."""
     t = s.tree
     for n in t.nodes:
         assert t.node_free_variables(n) == free_variables(t.node_formula(n)), n
+        assert t.node_constants(n) == set(constants_of(t.node_formula(n))), n
     for name, child in s.witness_registry.items():
         assert t.nodes[child].fill_term == Const(name)
 
