@@ -88,7 +88,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     # the tree decide searches, and its budget. One saturation at the full
     # budget, decide's last level, and no search
-    tree, budget = initial_tree(f, _engine_config(args), True)
+    tree, budget = initial_tree(f, _engine_config(args))
     s = MarkingState(tree)
     searched = tree.node_formula(tree.root)
     s.open_supposition(s.tree.root, 0, kind="RR")

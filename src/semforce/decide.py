@@ -24,9 +24,9 @@ that gave it.
 
 The direct procedure supposes one side of a conditional or disjunction root
 and tries to force the other side's discharge mark without options. Both run
-on one tree, which the one build from f makes without f's vacuous binders,
-and at one budget, read from that tree's fragment; a failed direct attempt
-rolls the tree back to its initial nodes, as a closed level does.
+on f's one tree, which leaves out f's vacuous binders, and at one budget,
+read from that tree's fragment; a failed direct attempt rolls the tree back
+to its initial nodes, as a closed level does.
 """
 
 from __future__ import annotations
@@ -214,15 +214,15 @@ def _levels(budget: int) -> list[int]:
     return levels
 
 
-def initial_tree(f: Formula, cfg: EngineConfig, drop_vacuous: bool) -> tuple[ForcingTree, int]:
-    """f's initial tree, with drop_vacuous without f's vacuous binders
-    (`build_initial_tree`), and the individual budget read from that tree's
-    fragment: the tree build gathered the arities and the width, so f is not
-    walked again. An open or ill-typed f has no tree: the fragment checks
-    speak first (an arity clash, then FragmentError when no bound applies),
-    and only then the build's own error."""
+def initial_tree(f: Formula, cfg: EngineConfig) -> tuple[ForcingTree, int]:
+    """f's initial tree (`build_initial_tree`), without f's vacuous binders,
+    and the individual budget read from that tree's fragment: the tree build
+    gathered the arities and the width, so f is not walked again. An open or
+    ill-typed f has no tree: the fragment checks speak first (an arity
+    clash, then FragmentError when no bound applies), and only then the
+    build's own error."""
     try:
-        tree = build_initial_tree(f, drop_vacuous=drop_vacuous)
+        tree = build_initial_tree(f)
     except FreeVariableError:
         domain_bound(classify_fragment(f), cfg)
         raise
@@ -232,8 +232,8 @@ def initial_tree(f: Formula, cfg: EngineConfig, drop_vacuous: bool) -> tuple[For
 def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     """Decide A-validity of closed formula f.
 
-    Both procedures run on the tree `initial_tree(f, cfg, True)` builds, the
-    tree of f without its vacuous binders (each marked for a witness would
+    Both procedures run on the tree `initial_tree(f, cfg)` builds, the tree
+    of f without its vacuous binders (each marked for a witness would
     add an individual, and every universal an instance for it), at the
     budget read from it; a verdict's state numbers that tree's nodes. Direct
     forcing (`allow_direct`) goes first, and a failed attempt leaves the
@@ -255,7 +255,7 @@ def decide(f: Formula, cfg: Optional[EngineConfig] = None) -> Verdict:
     verdict carries the state, and so the trace, of the level that gave it.
     """
     cfg = cfg or EngineConfig()
-    tree, budget = initial_tree(f, cfg, True)
+    tree, budget = initial_tree(f, cfg)
     if cfg.allow_direct and tree.nodes[tree.root].kind in ("imp", "or"):
         direct = _direct(tree, budget)
         if direct is not None:
@@ -314,8 +314,9 @@ def _direct(tree: ForcingTree, budget: int) -> Optional[Valid]:
 
 def direct_force(f: Formula, cfg: Optional[EngineConfig] = None) -> Optional[Valid]:
     """Try to accept a conditional or disjunction root directly, on f's
-    initial tree at the budget read from it (`_direct`). Returns None when
-    no supposition strategy reaches its goal."""
+    initial tree at the budget read from it (`_direct`): the tree and the
+    budget of `decide`'s direct attempt, so both give one trace. Returns
+    None when no supposition strategy reaches its goal."""
     if not isinstance(f, (Imp, Or)):
         raise ValueError("direct forcing applies to conditional or disjunction roots only")
-    return _direct(*initial_tree(f, cfg or EngineConfig(), False))
+    return _direct(*initial_tree(f, cfg or EngineConfig()))

@@ -15,15 +15,16 @@ registry and the reserved names from the facts the tree build gathered about
 the source. No decision decodes a formula.
 
 State mutates in place, and every change after construction is undone by
-popping a stack back to a length. The marked nodes are listed in marking
-order, and the registry holds its individuals in order of entry, so a
-checkpoint records the two lengths and copies only the agenda (below), and
-`rollback` costs the changes made since: each node it pops takes its mark,
-its step and the `consensus` entry it made with it, each individual its
-witness registry entry. The formula classes of nodes live on the tree and go
-with the nodes that `truncate` removes. Rolled-back trace steps are kept,
-flagged absorbed, so step numbering stays dense and premise references stay
-meaningful.
+walking or popping a list back to a length. The trace lists the marks in
+marking order, and the registry holds its individuals in order of entry, so
+a checkpoint records lengths and copies only the agenda (below), and
+`rollback` costs the changes made since. It walks the trace steps made since
+newest first, and each that still is its node's marking step (`steps`) takes
+the mark, the step and the `consensus` entry made with it; each individual
+it pops takes its witness registry entry. The formula classes of nodes live
+on the tree and go with the nodes that `truncate` removes. Rolled-back trace
+steps are kept, flagged absorbed, so step numbering stays dense and premise
+references stay meaningful.
 
 Saturation pops its anchors from an agenda, an ordered set (a dict) that it
 pops newest first, so that the order is the language's and not a hash's. The
@@ -162,7 +163,7 @@ class Checkpoint(Record):
         dm: Optional[DoubleMark], agenda: dict[int, None],
     ) -> None:
         # the number of marked nodes and of registry individuals: rollback
-        # pops both stacks back to these lengths
+        # brings both back to these
         self.marked_len = marked_len
         self.registry_len = registry_len
         self.scopes_len = scopes_len
@@ -236,8 +237,6 @@ class MarkingState:
         # anchors whose forced_for_anchor output may be non-empty, an ordered
         # set that saturate pops newest first (module docstring)
         self._agenda: dict[int, None] = {}
-        # the marked nodes in marking order, popped by rollback (module docstring)
-        self._marked: list[int] = []
 
     # ------------------------------------------------------------- inspection
 
@@ -280,31 +279,33 @@ class MarkingState:
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
-            len(self._marked), len(self.domain_registry), len(self.scopes), len(self.trace),
+            len(self.marks), len(self.domain_registry), len(self.scopes), len(self.trace),
             len(self.tree.nodes) + 1, self.dm, self._agenda.copy(),
         )
 
     def rollback(self, cp: Checkpoint) -> None:
         """Undo everything since cp. Checkpoints are rolled back innermost
-        first; popping newest first restores every dict's key order too."""
-        marked, registry = self._marked, self.domain_registry
-        if len(marked) < cp.marked_len or len(registry) < cp.registry_len:
+        first; undoing newest first restores every dict's key order too."""
+        marks, registry = self.marks, self.domain_registry
+        if len(marks) < cp.marked_len or len(registry) < cp.registry_len:
             raise StateError("an enclosing checkpoint was already rolled back")
-        marks, steps, consensus, nodes = self.marks, self.steps, self.consensus, self.tree.nodes
-        for _ in range(len(marked) - cp.marked_len):
-            n = marked.pop()
-            del marks[n], steps[n]
-            k = nodes[n].shape
-            if consensus[k][1] == n:
-                del consensus[k]
+        steps, consensus, nodes = self.steps, self.consensus, self.tree.nodes
+        for rec in reversed(self.trace[cp.trace_len:]):
+            rec.absorbed = True
+            # the step that marked its node, and not a conflicting mark, a
+            # double mark, an instance or a step an earlier rollback undid
+            n = rec.node
+            if n is not None and steps.get(n) == rec.step:
+                del marks[n], steps[n]
+                k = nodes[n].shape
+                if consensus[k][1] == n:
+                    del consensus[k]
         for _ in range(len(registry) - cp.registry_len):
             term = registry.pop()
             # a witness; the one Var an individual can be is the generic
             if type(term) is Const:
                 del self.witness_registry[term.name]
         del self.scopes[cp.scopes_len:]
-        for rec in self.trace[cp.trace_len:]:
-            rec.absorbed = True
         self.dm = cp.dm
         self.tree.truncate(cp.next_nid)
         self._agenda = cp.agenda.copy()
@@ -370,7 +371,6 @@ class MarkingState:
         k = node.shape
         marks[n] = v
         steps[n] = step
-        self._marked.append(n)
         # the anchors this mark can make conclude (module docstring); a mark
         # pattern, the key of a `FORCING` entry, is read in place
         agenda, get = self._agenda, marks.get
@@ -458,8 +458,8 @@ class MarkingState:
                 raise _rejected(rule, f"parent is not a {want_kind} node")
             if marks.get(parent) != want_v:
                 raise _rejected(rule, "quantifier does not carry the required mark")
-            if node.fill_term is None:
-                raise _rejected(rule, "rule applies to instantiated branches only")
+            # n is ground, so an instance branch: a template names its
+            # binder's variable, as the build leaves out vacuous binders
             if v != want_v:
                 raise _rejected(rule, "wrong conclusion value")
             if INSTANTIATION[want_kind, want_v].witness and not self._is_witness(n):

@@ -43,7 +43,7 @@ formula has as many free variables as its mask has bits plus its shape has
 names (an index and a name never stand for one variable), and the build
 records the largest such count as the tree's `width`, which the fragment
 test reads (`formulas.classify_arities`); it does so only when some
-predicate is not monadic, and dropping a vacuous binder changes no count.
+predicate is not monadic, and leaving out a vacuous binder changes no count.
 Every shape is interned by one `_intern` call, which composes a new shape's
 mask and names from its key and its children's.
 
@@ -53,10 +53,14 @@ gathers the source's constants in first-occurrence order, its predicate
 arities and every identifier it uses, so the marking state, the fragment
 test, model extraction and the oracle's signature read these facts from the
 tree instead of walking the source again; the oracle's closedness test reads
-the root's free variables. With drop_vacuous it leaves out each vacuous
-binder, a quantifier whose variable no atom below it uses, its body in its
-place; at the first binder it meets, one more loop over the source finds
-them all.
+the root's free variables. It leaves out each vacuous binder, a quantifier
+whose variable no atom below it uses, its body in its place: models are
+nonempty, so Qx.A is equivalent to A when x is not free in A, and a kept
+binder would only add a witness or an instance per individual to the
+search. So a formula has one tree, which every command reads. At the first
+binder the pass meets, one more loop over the source finds them all.
+Leaving a binder out changes no gathered fact but its name among the
+identifiers.
 
 `_clone` copies a template subtree in one preorder walk, as `_build` makes
 nodes: a copy whose source mask has no index at or above the filled one keeps
@@ -123,7 +127,7 @@ class TreeNode(Record):
 class ForcingTree:
     """Mutable node store; grows monotonically under instantiation."""
 
-    def __init__(self, formula: Formula, drop_vacuous: bool = False):
+    def __init__(self, formula: Formula):
         self.nodes: dict[int, TreeNode] = {}
         # bumped whenever nodes are removed, or added after construction; it
         # only increases, so a (version, value) pair never goes stale
@@ -146,7 +150,7 @@ class ForcingTree:
         # formula class -> ids of the ground nodes carrying it, in id order;
         # filled, and ground set, once _build has interned every shape
         self.classes: dict[int, list[int]] = {}
-        self._build(formula, drop_vacuous)
+        self._build(formula)
         self.root = 1
         self._file_ground(1)
         # the largest number of free variables of a node's formula, read over
@@ -159,11 +163,11 @@ class ForcingTree:
 
     # ------------------------------------------------------------ construction
 
-    def _build(self, f: Formula, drop_vacuous: bool) -> None:
-        """Make f's nodes in preorder, with drop_vacuous each vacuous binder
-        left out and its body in its place, then intern their shapes from the
-        newest node back. Also records f's constants, its predicate arities
-        (raising on a predicate used with two) and the binders' names."""
+    def _build(self, f: Formula) -> None:
+        """Make f's nodes in preorder, each vacuous binder left out and its
+        body in its place, then intern their shapes from the newest node back.
+        Also records f's constants, its predicate arities (raising on a
+        predicate used with two) and the kept binders' names."""
         nodes, intern = self.nodes, self._intern
         constants, arities = self.constants, self.arities
         # (subformula, parent id, parent's children, levels, depth, binder):
@@ -176,7 +180,7 @@ class ForcingTree:
             g, parent, siblings, levels, depth, binder = stack.pop()
             kind = KIND_OF[type(g)]
             quantifier = kind in _QUANT_KINDS
-            if quantifier and drop_vacuous:
+            if quantifier:
                 # found at the first binder, so a formula without any is walked once
                 if vacuous is None:
                     vacuous = _vacuous_binders(f)
@@ -440,8 +444,8 @@ class ForcingTree:
 
     # ------------------------------------------------------------- traversal
 
-    def preorder(self, start: Optional[int] = None) -> Iterator[int]:
-        stack = [self.root if start is None else start]
+    def preorder(self) -> Iterator[int]:
+        stack = [self.root]
         while stack:
             nid = stack.pop()
             yield nid
@@ -453,9 +457,8 @@ class ForcingTree:
 
 def _vacuous_binders(f: Formula) -> set[int]:
     """ids of f's quantifier subformulas whose variable is free in no atom
-    below them, the binders the build with drop_vacuous leaves out. Vacuity
-    depends on the subformula alone, so one id stands for every occurrence of
-    a shared one."""
+    below them, the binders the build leaves out. Vacuity depends on the
+    subformula alone, so one id stands for every occurrence of a shared one."""
     binders: list[Formula] = []
     named: set[int] = set()
     # (subformula, bound variable -> its binder's index in binders)
@@ -477,11 +480,11 @@ def _vacuous_binders(f: Formula) -> set[int]:
     return {id(q) for k, q in enumerate(binders) if k not in named}
 
 
-def build_initial_tree(f: Formula, *, drop_vacuous: bool = False) -> ForcingTree:
-    """Initial tree of closed f, with drop_vacuous without its vacuous binders:
-    quantifier bodies carry placeholders where the bound variable occurred.
-    Raises FreeVariableError on an open f and on a predicate of two arities."""
-    t = ForcingTree(f, drop_vacuous)
+def build_initial_tree(f: Formula) -> ForcingTree:
+    """Initial tree of closed f without its vacuous binders: quantifier
+    bodies carry placeholders where the bound variable occurred. Raises
+    FreeVariableError on an open f and on a predicate of two arities."""
+    t = ForcingTree(f)
     fv = t.node_free_variables(t.root)
     if fv:
         raise FreeVariableError(f"tree construction needs a closed formula; free: {sorted(fv)}")

@@ -441,7 +441,7 @@ def test_corpus_fails_a_verdict_the_oracle_contradicts(tmp_path, capsys, monkeyp
     # put in its place, with the state of the tree decide searches, from
     # which corpus reads the oracle's bound
     def wrong(f, cfg):
-        verdict.state = MarkingState(build_initial_tree(f, drop_vacuous=True))
+        verdict.state = MarkingState(build_initial_tree(f))
         return verdict
 
     monkeypatch.setattr("semforce.cli.decide", wrong)

@@ -12,6 +12,7 @@ from conftest import (
     EXPECTED_VERDICT,
     ILLUSTRATIONS,
     REFERENCE_MODELS,
+    assert_marks_hold_in_the_countermodel,
     balanced_pairs,
     bench_workloads,
     canonical_structure,
@@ -190,9 +191,9 @@ def test_a_dyadic_closure_that_caps_at_every_level_is_bounded_by_the_budget():
 def test_the_levels_share_one_tree(monkeypatch):
     builds = []
 
-    def counted_build(f, **kwargs):
+    def counted_build(f):
         builds.append(f)
-        return build_initial_tree(f, **kwargs)
+        return build_initial_tree(f)
 
     monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", counted_build)
     # a vacuous binder is dropped within the one build
@@ -257,12 +258,16 @@ def _open_fragment_cases():
     ]
 
 
+def _corpus_formulas():
+    """The formulas of the bundled corpus."""
+    corpus = Path(__file__).resolve().parent.parent / "src" / "semforce" / "data" / "illustrations.corpus"
+    return [parse_formula(text) for text, _ in cli._parse_corpus(corpus.read_text(encoding="utf-8"))]
+
+
 def _fragment_formulas():
     texts = FRAGMENT_CASES + [entry for name in ("monadic-batch", "fo2-batch", "large-formula")
                               for entry in workload_texts(name)]
-    corpus = Path(__file__).resolve().parent.parent / "src" / "semforce" / "data" / "illustrations.corpus"
-    texts += [text for text, _ in cli._parse_corpus(corpus.read_text(encoding="utf-8"))]
-    out = differential_formulas() + _open_fragment_cases()
+    out = differential_formulas() + _open_fragment_cases() + _corpus_formulas()
     for text in texts:
         try:
             out.append(parse_formula(text))
@@ -278,7 +283,7 @@ def test_the_fragment_read_from_the_tree_is_the_fragment_of_the_formula():
     for f in formulas:
         # the tree decide builds; an open formula gets one too, before
         # build_initial_tree rejects it
-        tree = ForcingTree(f, drop_vacuous=True)
+        tree = ForcingTree(f)
         expected = classify_fragment(f)
         assert classify_arities(tree.arities, tree.width) == expected, format_formula(f)
         # the tree is drop_vacuous(f)'s, whose fragment and free variables are f's
@@ -441,6 +446,8 @@ def test_a_decided_state_is_freed_without_the_cycle_collector(k):
 
 # four vacuous binders around forall x. R(x,x)
 DEEP_DYADIC = "exists y. exists x. exists y. forall x. forall x. R(x,x)"
+# five alternating binders, each of whose variable an atom below it uses
+DEEP_INSTANCES = "exists x. (R(x,x) | forall y. (R(y,y) & exists x. (Q(x) | exists y. (R(x,y) | forall x. R(x,x)))))"
 
 
 def test_the_renamed_deep_dyadic_formula_completes():
@@ -452,16 +459,17 @@ def test_the_renamed_deep_dyadic_formula_completes():
     assert len(verdict.state.tree.nodes) == 3
 
 
-def test_the_deep_instance_search_of_the_vacuous_binders_completes():
-    # the search decide made on this formula before it dropped vacuous
-    # binders, once 38 s long: every binder marked for a witness adds an
-    # individual, and every universal an instance for it
-    f = parse_formula(DEEP_DYADIC)
+def test_a_deep_instance_search_completes():
+    # the search at the full budget alone, without the levels below it:
+    # every binder marked for a witness adds an individual, and every
+    # universal an instance for it
+    f = parse_formula(DEEP_INSTANCES)
     s = MarkingState(build_initial_tree(f))
+    assert len(s.tree.nodes) == 14
     s.open_supposition(s.tree.root, 0, kind="RR")
     assert _search(s, DEFAULT_DYADIC_BOUND, EngineConfig().branch_limit) == (False, True)
-    assert len(s.tree.nodes) == 4382
-    assert len(s.trace) == 4346
+    assert len(s.tree.nodes) == 5362
+    assert len(s.trace) == 5820
     s.commit_frames()
     assert evaluate(extract_model(s), f, {}) == 0
 
@@ -518,8 +526,9 @@ def test_no_validity_the_oracle_refutes_on_a_stream_the_benchmark_does_not_draw(
     # unfiltered random_fo2 formulas at complexity 3-8 (the fo2 workload
     # draws complexity 5 only, and keeps the dyadic ones): a Valid must
     # survive the oracle (at min(2^n, 3) for monadic input, 2 for dyadic)
-    # and an Invalid its re-check; a bounded verdict promises neither. 3500
-    # formulas take about 2 s (Python 3.11, shared 2-core machine)
+    # and an Invalid its re-check, and each of its marks must be its node's
+    # truth value in the countermodel; a bounded verdict promises neither.
+    # 3500 formulas take about 1.2 s (Python 3.11.7, shared 2-core machine)
     from semforce import formulas
 
     fo2 = bench_workloads().random_fo2
@@ -533,6 +542,7 @@ def test_no_validity_the_oracle_refutes_on_a_stream_the_benchmark_does_not_draw(
         verdict = decide(f)
         if isinstance(verdict, Invalid):
             assert evaluate(verdict.model, f, {}) == 0, format_formula(f)
+            assert_marks_hold_in_the_countermodel(verdict)
         elif isinstance(verdict, Valid):
             fragment = classify_fragment(f)
             bound = min(2**fragment.n, 3) if isinstance(fragment, Monadic) else 2
@@ -617,9 +627,9 @@ def test_direct_forcing_builds_one_tree(monkeypatch):
     build = decide_module.build_initial_tree
     built = []
 
-    def counted(f, **kwargs):
+    def counted(f):
         built.append(f)
-        return build(f, **kwargs)
+        return build(f)
 
     monkeypatch.setattr(decide_module, "build_initial_tree", counted)
     # 3 is forced by its first strategy, 6 fails both and is searched
@@ -629,6 +639,26 @@ def test_direct_forcing_builds_one_tree(monkeypatch):
             built.clear()
             run()
             assert len(built) == 1, k
+
+
+def test_direct_forcing_and_the_direct_attempt_of_decide_give_one_trace():
+    # both run on the one tree of f, so a formula direct forcing accepts is
+    # accepted by decide's direct attempt, step for step
+    def steps(verdict):
+        return [(t.step, t.node, t.value, t.rule, t.premises, t.absorbed) for t in verdict.trace]
+
+    forced = 0
+    for f in differential_formulas() + workload_formulas() + _corpus_formulas():
+        if not isinstance(f, (Imp, Or)):
+            continue
+        direct = direct_force(f)
+        if direct is None:
+            continue
+        forced += 1
+        verdict = decide(f, EngineConfig(allow_direct=True))
+        assert isinstance(verdict, Valid), format_formula(f)
+        assert steps(verdict) == steps(direct), format_formula(f)
+    assert forced > 20
 
 
 def test_a_failed_direct_attempt_leaves_no_trace_on_the_levels():

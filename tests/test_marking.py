@@ -184,8 +184,9 @@ _REJECTED = {
     "marking-kind": ("~P(a)", lambda s: (2, 1, "A∀", (1,)), "A∀: parent is not a forall node"),
     "marking-unmarked-quantifier": ("forall x. P(x)", lambda s: (_instance(s), 1, "A∀", (1,)),
                                     "A∀: quantifier does not carry the required mark"),
-    "marking-template": ("forall x. P(a)", lambda s: (2, 1, "A∀", (_mark(s, 1, 1, "OA"),)),
-                         "A∀: rule applies to instantiated branches only"),
+    # a template names its binder's variable, so it is never ground
+    "marking-template": ("forall x. P(x)", lambda s: (2, 1, "A∀", (_mark(s, 1, 1, "OA"),)),
+                         "node 2 has unfilled placeholders and cannot be marked"),
     "marking-value": ("forall x. P(x)", lambda s: (_instance(s, q=1), 0, "A∀", (1,)),
                       "A∀: wrong conclusion value"),
     "marking-witness": ("exists x. P(x)", lambda s: (_instance(s, q=1), 1, "A∃", (1,)),
@@ -536,6 +537,30 @@ def test_nested_rollbacks_restore_every_structure_in_order():
     assert_consensus_follows_marks(s)
     with pytest.raises(StateError):
         s.rollback(cp2)
+
+
+@pytest.mark.parametrize("between", ["mark", "witness"])
+def test_a_rollback_past_an_enclosing_rollback_is_refused(between):
+    # between the two checkpoints one stack grows: the marks, or the
+    # registry alone
+    s = state_for("forall x. P(x) | forall y. Q(y)")
+    q1 = s.tree.nodes[s.tree.root].children[0]
+    if between == "witness":
+        s.set_mark(q1, 0, "OR")
+    outer = s.checkpoint()
+    if between == "mark":
+        s.set_mark(q1, 0, "OR")
+    else:
+        s.instantiate(q1, Const(s.fresh_witness()), "IR∀")
+    inner = s.checkpoint()
+    s.rollback(outer)
+    before = snapshot(s)
+    with pytest.raises(StateError, match="an enclosing checkpoint was already rolled back"):
+        s.rollback(inner)
+    assert snapshot(s) == before
+    # a checkpoint whose lengths the state still reaches rolls back again
+    s.rollback(outer)
+    assert snapshot(s) == before
 
 
 def test_every_rollback_of_a_search_restores_its_checkpoints_state(monkeypatch):
@@ -980,22 +1005,23 @@ def test_rollback_restores_the_witnesses_and_obligations():
 
 
 def test_a_witness_copied_into_a_clone_is_no_witness_of_the_copy():
-    s = state_for("forall x. exists y. P(y)")
+    s = state_for("forall x. (P(x) & exists y. P(y))")
     q = s.tree.root
-    e = s.tree.nodes[q].children[0]
+    e = s.tree.nodes[s.tree.nodes[q].children[0]].children[1]
     s.set_mark(e, 1, "OA")
     w = s.instantiate(e, Const(s.fresh_witness()), "IA∃")
     clone = s.instantiate(q, Const("c"), "I∀")
     # the clone copies e's witness branch, which no rule made in the clone
-    copied = s.tree.nodes[clone].children[1]
+    e_copy = s.tree.nodes[clone].children[1]
+    copied = s.tree.nodes[e_copy].children[1]
     assert s.tree.nodes[copied].fill_term == Const("w1") and s.witness_registry["w1"] == w
-    assert s.witness_child(clone) is None
+    assert s.witness_child(e_copy) is None
     assert s.witness_child(e) == w
     # so A∃ may conclude on the witness branch but not on its copy
     s.set_mark(w, 1, "A∃", (e,))
-    s.set_mark(clone, 1, "OA")
+    s.set_mark(e_copy, 1, "OA")
     with pytest.raises(PremiseError, match="fresh-witness branch only"):
-        s.set_mark(copied, 1, "A∃", (clone,))
+        s.set_mark(copied, 1, "A∃", (e_copy,))
 
 
 def test_a_witness_rule_rejects_a_branch_a_permission_made():

@@ -24,6 +24,7 @@ from semforce import (
     build_initial_tree,
     complexity,
     decide,
+    direct_force,
     parse_formula,
     render_ascii,
     saturate,
@@ -246,12 +247,15 @@ def test_decoding_a_deep_formula_does_not_recurse():
     negated = parse_formula("~" * 600 + "P(a)")
     t = build_initial_tree(negated)
     assert _postorder_labels(within_a_shallow_stack(lambda: t.node_formula(t.root))) == _postorder_labels(negated)
-    nested = parse_formula("forall x. " * 300 + "P(x)")
+    # 300 binders, each of whose variable its own atom uses
+    px = Atom("P", (Var("x"),))
+    nested = _nest(px, lambda g: Forall("x", Or(px, g)), 300)
     t = build_initial_tree(nested)
     assert _postorder_labels(within_a_shallow_stack(lambda: t.node_formula(t.root))) == _postorder_labels(nested)
-    # the root's template filled with c: 299 quantifiers, the innermost binds P's x
+    # the root's template filled with c: c fills the first atom, and the
+    # 299 quantifiers below it bind their own x
     got = within_a_shallow_stack(lambda: t.instance_formula(t.root, Const("c")))
-    assert _postorder_labels(got) == _postorder_labels(nested.body)
+    assert _postorder_labels(got) == _postorder_labels(Or(Atom("P", (Const("c"),)), nested.body.right))
 
 
 def test_filling_a_deep_shape_does_not_recurse():
@@ -273,32 +277,36 @@ def _nest(leaf, wrap, depth):
     return leaf
 
 
-@pytest.mark.parametrize("drop", [False, True], ids=["kept", "dropped"])
-def test_building_a_deep_formula_does_not_recurse(drop):
-    def build(f):
-        return within_a_shallow_stack(lambda: build_initial_tree(f, drop_vacuous=drop))
-
-    negated = _nest(Atom("P", (Const("a"),)), Not, 3000)
-    t = build(negated)
-    assert len(t) == 3001
-    assert t.node_formula(t.root) == negated
+def _deep_formulas(binders):
+    """Deep formulas whose binders the build keeps, or leaves out, with the
+    node count of each tree."""
+    if binders == "kept":
+        px = Atom("P", (Var("x"),))
+        # 3000 negations, and 3000 binders whose variable each names
+        return [(_nest(Atom("P", (Const("a"),)), Not, 3000), 3001),
+                (_nest(px, lambda g: Forall("x", Or(px, g)), 3000), 9001)]
     # a run of vacuous binders over a ground body, and one below a binder
     # that stays over a body naming it
-    ground = _nest(Atom("P", (Const("c"),)), lambda g: Exists("x", g), 3000)
-    named = Forall("y", _nest(Atom("P", (Var("y"),)), lambda g: Exists("x", g), 3000))
-    for f in (ground, named):
-        t = build(f)
-        assert t.node_formula(t.root) == (drop_vacuous(f) if drop else f)
-        assert _tree_facts(t) == _tree_facts(build_initial_tree(drop_vacuous(f) if drop else f))
-    assert len(build(ground)) == (1 if drop else 3001)
-    assert len(build(named)) == (2 if drop else 3002)
+    return [(_nest(Atom("P", (Const("c"),)), lambda g: Exists("x", g), 3000), 1),
+            (Forall("y", _nest(Atom("P", (Var("y"),)), lambda g: Exists("x", g), 3000)), 2)]
+
+
+@pytest.mark.parametrize("binders", ["kept", "dropped"])
+def test_building_a_deep_formula_does_not_recurse(binders):
+    for f, size in _deep_formulas(binders):
+        t = within_a_shallow_stack(lambda: build_initial_tree(f))
+        assert len(t) == size
+        g = drop_vacuous(f)
+        assert (g is f) is (binders == "kept")
+        assert t.node_formula(t.root) == g
+        assert _tree_facts(t) == _tree_facts(build_initial_tree(g))
 
 
 def test_instantiating_a_deep_template_does_not_recurse():
     t = within_a_shallow_stack(lambda: build_initial_tree(Forall("x", _nest(Atom("P", (Var("x"),)), Not, 2000))))
     child = within_a_shallow_stack(lambda: t.instantiate(t.root, Const("c")))
-    # one contiguous range of ids, in preorder
-    assert list(t.preorder(child)) == list(range(child, child + 2001)) and len(t) == child + 2000
+    # the root's last child, so the tail of the preorder: one contiguous range of ids
+    assert list(t.preorder())[-2001:] == list(range(child, child + 2001)) and len(t) == child + 2000
     assert t.node_formula(child) == _nest(Atom("P", (Const("c"),)), Not, 2000)
     assert t.nodes[child].ground and t.classes[t.nodes[child].shape] == [child]
 
@@ -326,9 +334,10 @@ def test_a_vacuous_binder_shared_by_both_sides_is_dropped_from_each():
     vacuous = Exists("x", Atom("P", (Var("y"),)))
     binding = Exists("x", Atom("R", (Var("x"), Var("y"))))
     f = Forall("y", And(Or(vacuous, binding), Imp(binding, Not(vacuous))))
-    t = build_initial_tree(f, drop_vacuous=True)
+    t = build_initial_tree(f)
     assert _tree_facts(t) == _tree_facts(build_initial_tree(drop_vacuous(f)))
-    assert len(t) == len(build_initial_tree(f)) - 2
+    # one node per occurrence of a subformula but the vacuous one's two binders
+    assert len(t) == len(list(_postorder(f))) - 2
 
 
 # ------------------------------------------- facts gathered by the build
@@ -350,7 +359,8 @@ def _ladder():
 def _assert_facts_match_the_walkers(t, f):
     assert list(t.constants) == constants_of(f)
     assert t.arities == predicate_arities(f)
-    assert t.identifiers == identifiers_of(f)
+    # the build leaves the vacuous binders out, and their names with them
+    assert t.identifiers == identifiers_of(drop_vacuous(f))
     assert t.node_free_variables(t.root) == free_variables(f)
 
 
@@ -417,16 +427,17 @@ _VACUOUS = [
     ("P(a) -> P(a)", False),
 ])
 def test_the_build_flags_a_binder_whose_variable_no_atom_uses(text, vacuous):
-    # asked to, the build leaves out exactly the binders it flags
+    # the build leaves out exactly the binders it flags: it makes one node
+    # per occurrence of a subformula but those
     f = parse_formula(text)
-    dropped = build_initial_tree(f, drop_vacuous=True)
-    assert (len(dropped) < len(build_initial_tree(f))) is vacuous
-    assert _tree_facts(dropped) == _tree_facts(build_initial_tree(drop_vacuous(f)))
+    t = build_initial_tree(f)
+    assert (len(t) < len(list(_postorder(f)))) is vacuous
+    assert _tree_facts(t) == _tree_facts(build_initial_tree(drop_vacuous(f)))
 
 
 def test_decide_builds_the_tree_of_the_formula_without_its_vacuous_binders(monkeypatch):
-    def build(f, **kwargs):
-        raise _Built(_tree_facts(build_initial_tree(f, **kwargs)))
+    def build(f):
+        raise _Built(_tree_facts(build_initial_tree(f)))
 
     monkeypatch.setattr(sys.modules["semforce.decide"], "build_initial_tree", build)
     rng = random.Random(5)
@@ -438,9 +449,14 @@ def test_decide_builds_the_tree_of_the_formula_without_its_vacuous_binders(monke
         with pytest.raises(_Built) as built:
             decide(f)
         assert built.value.args[0] == _tree_facts(build_initial_tree(g)), format_formula(f)
+        # direct forcing builds the same tree
+        if isinstance(f, (Imp, Or)):
+            with pytest.raises(_Built) as direct:
+                direct_force(f)
+            assert direct.value.args == built.value.args, format_formula(f)
     assert dropped > 100
     # a dropped binder's name is no identifier, so the fresh names may take it
-    facts = _tree_facts(ForcingTree(parse_formula(_VACUOUS[-2]), drop_vacuous=True))
+    facts = _tree_facts(ForcingTree(parse_formula(_VACUOUS[-2])))
     assert facts[-1] == {"P", "Q", "a", "v1"}
 
 
