@@ -290,8 +290,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except RecursionError:
-        # a formula the parser accepts can still be too deep for evaluate, in
-        # decide's re-check of a countermodel or in the oracle: a long flat chain
+        # the parser reports its own depth limit as a ParseError, and no walk
+        # after it recurses once per level; a guard, so that a recursion past
+        # the interpreter's limit still ends in an exit code, not a traceback
         print("resource limit: formula nested too deeply for the interpreter's recursion limit", file=sys.stderr)
         return EXIT_INTERNAL
     except SemforceError as exc:

@@ -44,11 +44,21 @@ instance children, the members of its formula class and the open frames.
 Four hooks keep the invariant from there, each pushing only the anchors that
 can now conclude:
 
-- `set_mark` on n pushes n when it is a quantifier, when its class has
-  another member (IA/IR), or when its new mark pattern is live (`_LIVE`: its
-  `FORCING` entry concludes a mark the pattern does not show); and n's
-  parent when that is a quantifier or its new pattern is live. Class-mates
-  only lose conclusions by a new mark.
+- `set_mark` on n pushes n when it is a quantifier with an instance child,
+  when its class has a member it can iterate into (IA/IR: a third member, or
+  a mate not marked like n), or when its new mark pattern is live (`_LIVE`:
+  its `FORCING` entry concludes a mark the pattern does not show). It
+  pushes n's parent when that is a quantifier not marked like n (it may
+  generalize n's mark, or conclude against it) or a connective whose new
+  pattern is live. Class-mates only lose conclusions by a new mark. So it
+  leaves out what would conclude nothing: (a) a connective parent whose
+  pattern is now fully marked and not live, with no class-mate, which it
+  also drops from the agenda, as that pattern stays until a rollback; (b) n
+  and its mate in a class of two once both carry n's value, dropping the
+  mate too when it is an atom, which concludes by iteration only; (c) a
+  marked quantifier with no instance child, which `instantiate` pushes with
+  its first one; (d) a marked quantifier parent when its instance n takes
+  the quantifier's own value, which only settles what it concluded.
 - `instantiate` pushes the quantifier, and every member of each class a
   cloned ground node belongs to when that class has a `consensus` entry,
   since a marked member can now iterate into the clone. The clone itself is
@@ -371,20 +381,40 @@ class MarkingState:
         k = node.shape
         marks[n] = v
         steps[n] = step
-        # the anchors this mark can make conclude (module docstring); a mark
+        # the anchors this mark can make conclude, and those it leaves with
+        # nothing to conclude, cases (a)-(d) of the module docstring; a mark
         # pattern, the key of a `FORCING` entry, is read in place
         agenda, get = self._agenda, marks.get
-        kind, kids = node.kind, node.children
-        if node.is_quantifier or len(self.tree.classes[k]) > 1 or kind in _LIVE and (
-                (v, get(kids[0])) if len(kids) == 1 else (v, get(kids[0]), get(kids[1]))) in _LIVE[kind]:
+        nodes, classes = self.tree.nodes, self.tree.classes
+        kind, kids, members = node.kind, node.children, classes[k]
+        if len(members) == 2:
+            mate = members[1] if members[0] == n else members[0]
+            iterates = get(mate) != v
+            # (b)
+            if not iterates and nodes[mate].kind == "atom":
+                agenda.pop(mate, None)
+        else:
+            iterates = len(members) > 2
+        # (c): a quantifier's first child is its template
+        if iterates or (len(kids) > 1 if node.is_quantifier else kind in _LIVE and (
+                (v, get(kids[0])) if len(kids) == 1 else (v, get(kids[0]), get(kids[1]))) in _LIVE[kind]):
             agenda[n] = None
         parent = node.parent
         if parent is not None:
-            pnode = self.tree.nodes[parent]
-            kids, pv = pnode.children, get(parent)
-            if pnode.is_quantifier or (
-                    (pv, v) if len(kids) == 1 else (pv, get(kids[0]), get(kids[1]))) in _LIVE[pnode.kind]:
-                agenda[parent] = None
+            pnode = nodes[parent]
+            pv = get(parent)
+            if pnode.is_quantifier:
+                # (d)
+                if pv != v:
+                    agenda[parent] = None
+            else:
+                kids = pnode.children
+                pattern = (pv, v) if len(kids) == 1 else (pv, get(kids[0]), get(kids[1]))
+                if pattern in _LIVE[pnode.kind]:
+                    agenda[parent] = None
+                elif None not in pattern and len(classes[pnode.shape]) == 1:
+                    # (a)
+                    agenda.pop(parent, None)
         hit = self.consensus.get(k)
         if hit is None:
             self.consensus[k] = (v, n)

@@ -3,9 +3,10 @@ isomorphism canonicalizer, a broad random formula generator and a ground one,
 the groundness test and the identifiers of a formula, the formula walkers
 that the tree's facts are checked against (free variables, constants, the
 formula without its vacuous binders), a node-by-node check of a
-countermodel against the marks, the benchmark's workload texts, a lowered
-recursion limit for the tests of walks that must not recurse, and a hook
-that fails a test raising RecursionError at once."""
+countermodel against the marks, the benchmark's workload texts, a random
+formula stream for the oracle, a lowered recursion limit for the tests of
+walks that must not recurse, and a hook that fails a test raising
+RecursionError at once."""
 
 from __future__ import annotations
 
@@ -247,6 +248,23 @@ def workload_texts(name: str, seed: int = 424242) -> list[str]:
     from semforce import formulas, gen
 
     return [item.text for item in bench_workloads().generate(name, seed, formulas, gen)]
+
+
+def oracle_stream(count: int):
+    """count formulas the benchmark does not draw: monadic formulas over one
+    to three predicates with two constants at complexity 3-8, alternating
+    with unfiltered random_fo2 formulas at complexity 3-8 (the fo2 workload
+    draws complexity 5 only, and keeps the dyadic ones)."""
+    from semforce import formulas
+
+    fo2 = bench_workloads().random_fo2
+    rng = random.Random(20240817)
+    for k in range(count):
+        if k % 2:
+            preds = ("P", "Q", "R")[: rng.randint(1, 3)]
+            yield random_monadic(rng, preds=preds, max_complexity=rng.randint(3, 8), consts=("a", "b"))
+        else:
+            yield fo2(rng, formulas, rng.randint(3, 8))
 
 
 def within_a_shallow_stack(read, spare: int = 100):

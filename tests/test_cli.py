@@ -174,21 +174,25 @@ def test_a_quantifier_chain_as_deep_as_the_parser_goes_is_checked(capsys, quanti
 
 
 @pytest.mark.parametrize("op", ["&", "|", "<->"])
-def test_a_flat_chain_too_deep_for_evaluate_is_a_resource_limit(capsys, tmp_path, op):
-    # the parser reads the chain in a loop, but it builds a 1200-deep left
-    # spine that evaluate recurses on: in decide's re-check of the
-    # countermodel, and in the oracle
+def test_a_flat_chain_of_1200_operators_is_decided(capsys, tmp_path, op):
+    # the parser reads the chain in a loop into a 1200-deep left spine, which
+    # evaluate walks with an explicit stack: in decide's re-check of the
+    # countermodel, and in the oracle. P(a) false refutes each chain, the
+    # `<->` one too, as it links an odd number of atoms
     text = f"P(a) {op} " * 1200 + "P(a)"
     corpus = tmp_path / "chain.corpus"
     corpus.write_text(text + "\n")
-    for argv in (["check", text], ["oracle", text], ["corpus", str(corpus)]):
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_INTERNAL, argv[0]
-        assert err.startswith("resource limit:") and "Traceback" not in err
+    for command in ("check", "oracle"):
+        code, out, err = run(capsys, command, text)
+        assert (code, err) == (EXIT_INVALID, ""), command
+        assert out.splitlines()[0] == "invalid"
+    code, out, err = run(capsys, "corpus", str(corpus))
+    assert (code, err) == (EXIT_VALID, "")
+    assert out.splitlines()[0].startswith("ok   invalid") and out.splitlines()[1] == "1 formulas, 1 ok, 0 failing"
 
 
 @pytest.mark.parametrize("op", ["&", "|", "<->"])
-def test_a_flat_chain_too_deep_for_evaluate_is_rendered(capsys, op):
+def test_a_flat_chain_of_1200_operators_is_rendered(capsys, op):
     # the tree build, the saturation and the renderer walk without recursion
     code, out, err = run(capsys, "render", f"P(a) {op} " * 1200 + "P(a)")
     assert code == EXIT_VALID and err == ""

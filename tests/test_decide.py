@@ -1,7 +1,6 @@
 """End-to-end decisions: verdicts, countermodels, budgets, direct mode."""
 
 import importlib.util
-import random
 import sys
 import time
 from pathlib import Path
@@ -14,11 +13,11 @@ from conftest import (
     REFERENCE_MODELS,
     assert_marks_hold_in_the_countermodel,
     balanced_pairs,
-    bench_workloads,
     canonical_structure,
     differential_formulas,
     drop_vacuous,
     free_variables,
+    oracle_stream,
     workload_formulas,
     workload_texts,
 )
@@ -48,7 +47,6 @@ from semforce import (
 from semforce import cli
 from semforce.decide import DEFAULT_DYADIC_BOUND, _levels, _search, fragment_bounds
 from semforce.formulas import Monadic, _free_sets, classify_arities, classify_fragment, format_formula
-from semforce.gen import random_monadic
 from semforce.tree import ForcingTree, TreeNode
 
 
@@ -522,23 +520,12 @@ def test_dropping_vacuous_binders_keeps_every_verdict_and_countermodel():
 
 
 def test_no_validity_the_oracle_refutes_on_a_stream_the_benchmark_does_not_draw():
-    # monadic formulas over one to three predicates with two constants, and
-    # unfiltered random_fo2 formulas at complexity 3-8 (the fo2 workload
-    # draws complexity 5 only, and keeps the dyadic ones): a Valid must
-    # survive the oracle (at min(2^n, 3) for monadic input, 2 for dyadic)
+    # on conftest.oracle_stream, a Valid must survive the oracle (at
+    # min(2^n, 3) for monadic input, 2 for dyadic)
     # and an Invalid its re-check, and each of its marks must be its node's
     # truth value in the countermodel; a bounded verdict promises neither.
     # 3500 formulas take about 1.2 s (Python 3.11.7, shared 2-core machine)
-    from semforce import formulas
-
-    fo2 = bench_workloads().random_fo2
-    rng = random.Random(20240817)
-    for k in range(3500):
-        if k % 2:
-            preds = ("P", "Q", "R")[: rng.randint(1, 3)]
-            f = random_monadic(rng, preds=preds, max_complexity=rng.randint(3, 8), consts=("a", "b"))
-        else:
-            f = fo2(rng, formulas, rng.randint(3, 8))
+    for f in oracle_stream(3500):
         verdict = decide(f)
         if isinstance(verdict, Invalid):
             assert evaluate(verdict.model, f, {}) == 0, format_formula(f)

@@ -1225,18 +1225,109 @@ def test_saturation_visits_no_anchor_that_relevant_skips(monkeypatch):
 
 def test_rollback_restores_the_dirty_set_of_its_checkpoint():
     s = state_for("forall x. (P(x) -> Q(x)) & (P(a) | Q(b))")
-    q, disj = s.tree.nodes[s.tree.root].children
-    s.set_mark(q, 1, "OA")
+    root = s.tree.root
+    q = s.tree.nodes[root].children[0]
+    # an accepted conjunction concludes both conjuncts (A∧), so the agenda the
+    # checkpoint copies holds it
+    s.set_mark(root, 1, "OA")
     saved = list(s._agenda)
+    assert saved == [root]
     cp = s.checkpoint()
     assert list(cp.agenda) == saved
-    s.set_mark(disj, 0, "OR")
     s.instantiate(q, Const("a"), "I∀")
     assert saturate(s, fragment_budget(s.tree)) is None
     assert list(s._agenda) != saved
     s.rollback(cp)
     assert list(s._agenda) == saved
     assert_dirty_covers(s)
+
+
+def test_a_connective_whose_marks_are_complete_leaves_the_agenda():
+    # (a): once the accepted conjunction's children carry their marks, its
+    # pattern (1, 1, 1) concludes nothing and never changes again, and its
+    # class has no other member to iterate into
+    s = state_for("P(a) & Q(b)")
+    root = s.tree.root
+    left, right = s.tree.nodes[root].children
+    s.set_mark(root, 1, "OA")
+    s.set_mark(left, 1, "m")
+    assert root in s._agenda
+    s.set_mark(right, 1, "m")
+    assert root not in s._agenda
+    assert_dirty_covers(s)
+
+
+def test_two_class_mates_marked_alike_leave_the_agenda():
+    # (b): each could iterate into the other while that one was unmarked;
+    # marked alike, neither can, and an atom concludes nothing else
+    s = state_for("P(a) | (Q(b) & P(a))")
+    p1, conj = s.tree.nodes[s.tree.root].children
+    p2 = s.tree.nodes[conj].children[1]
+    s.set_mark(p1, 1, "m")
+    assert p1 in s._agenda
+    s.set_mark(p2, 1, "m")
+    assert p1 not in s._agenda and p2 not in s._agenda
+    assert_dirty_covers(s)
+    # a mate that is a connective may still conclude by its own pattern, so it
+    # stays
+    s = state_for("(P(a) & Q(b)) | ~(P(a) & Q(b))")
+    c1, neg = s.tree.nodes[s.tree.root].children
+    c2 = s.tree.nodes[neg].children[0]
+    s.set_mark(c1, 1, "OA")
+    s.set_mark(c2, 1, "OA")
+    assert c1 in s._agenda and c2 in s._agenda
+    assert_dirty_covers(s)
+
+
+def test_a_marked_quantifier_without_instances_waits_for_its_first():
+    # (c): a marked quantifier concludes only on its instances, and
+    # instantiate queues it when the first is made
+    s = state_for("forall x. P(x) | Q(a)")
+    q = s.tree.nodes[s.tree.root].children[0]
+    s.set_mark(q, 1, "OA")
+    assert q not in s._agenda
+    assert_dirty_covers(s)
+    s.instantiate(q, Const("a"), "I∀")
+    assert q in s._agenda
+    assert_dirty_covers(s)
+
+
+def test_an_instance_marked_like_its_quantifier_does_not_queue_it_again(monkeypatch):
+    # (d): A∀ marks the instance 1, as the quantifier is, which leaves the
+    # quantifier nothing more to conclude; so it is visited once
+    s = state_for("forall x. P(x) | Q(a)")
+    q = s.tree.nodes[s.tree.root].children[0]
+    s.set_mark(q, 1, "OA")
+    c = s.instantiate(q, Const("a"), "I∀")
+    forced, visits = MarkingState.forced_for_anchor, Counter()
+
+    def counted(s, n):
+        visits[n] += 1
+        return forced(s, n)
+
+    monkeypatch.setattr(MarkingState, "forced_for_anchor", counted)
+    assert saturate(s, fragment_budget(s.tree)) is None
+    assert s.marked(c) == 1 and visits[q] == 1
+    assert_dirty_covers(s)
+
+
+def test_no_anchor_visit_on_the_large_formulas_concludes_nothing(monkeypatch):
+    forced, visits = MarkingState.forced_for_anchor, []
+
+    def checked(s, n):
+        out = forced(s, n)
+        assert out, format_formula(s.tree.node_formula(n))
+        visits.append(n)
+        return out
+
+    monkeypatch.setattr(MarkingState, "forced_for_anchor", checked)
+    for text in workload_texts("large-formula"):
+        try:
+            f = parse_formula(text)
+        except ParseError:
+            continue
+        decide(f)
+    assert len(visits) > 4000
 
 
 def test_a_fresh_clone_dirties_its_quantifier_and_marked_classes_only():

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import (
     ILLUSTRATIONS, assert_marks_hold_in_the_countermodel, ast_signature, differential_formulas, fragment_budget,
-    workload_formulas,
+    oracle_stream, within_a_shallow_stack, workload_formulas,
 )
+from reference_evaluate import reference_evaluate
 
 from semforce import (
     And,
@@ -20,10 +21,14 @@ from semforce import (
     Exists,
     Forall,
     FreeVariableError,
+    Iff,
+    Imp,
     Interpretation,
     Invalid,
     Not,
+    Or,
     Refuted,
+    StateError,
     ValidUpTo,
     Var,
     alpha_normalize,
@@ -38,7 +43,7 @@ from semforce import (
     signature_of,
 )
 from semforce.cli import _parse_corpus
-from semforce.formulas import format_formula
+from semforce.formulas import Slot, format_formula
 from semforce.models import ORACLE_LIMIT, _domain_names, _element_names, interpretation_count
 from semforce.marking import MarkingState, saturate
 
@@ -103,6 +108,97 @@ def test_a_binder_leaves_the_callers_environment_as_it_was():
     env = {"x": "a"}
     assert evaluate(TWO, f, env) == 1
     assert env == {"x": "a"}
+
+
+def _chain(cls, n, atom):
+    """n operators of cls over n + 1 copies of atom, nested to the left as
+    the parser nests a flat chain."""
+    f = atom
+    for _ in range(n):
+        f = cls(f, atom)
+    return f
+
+
+def _nest(wrap, n, f):
+    for _ in range(n):
+        f = wrap(f)
+    return f
+
+
+def test_evaluate_walks_deep_formulas_without_recursion():
+    pa, pb = Atom("P", (Const("a"),)), Atom("P", (Const("b"),))
+    x = Atom("Q", (Var("x"),))
+    cases = [
+        (_nest(Not, 5000, pb), 0), (_nest(Not, 5001, pb), 1),
+        # every operand is read: no left operand decides these
+        (_chain(And, 5000, pa), 1), (_chain(Or, 5000, pb), 0), (_chain(Iff, 5000, pb), 0),
+        (_chain(Iff, 5001, pb), 1),
+        # the parser nests `->` to the right; a true antecedent leaves each
+        # link open
+        (_nest(lambda f: Imp(pa, f), 5000, pb), 0), (_chain(Imp, 5000, pb), 0),
+        (_nest(lambda f: Forall("x", f), 2000, x), 1), (_nest(lambda f: Exists("x", Not(f)), 2000, x), 1),
+    ]
+    for f, want in cases:
+        assert within_a_shallow_stack(lambda: evaluate(TWO, f)) == want
+
+
+def test_a_connective_skips_its_right_operand_once_the_left_decides_it():
+    # R(x,x) names a variable neither a binder nor env assigns, so reading it
+    # raises; P(a) is true in TWO and P(b) false
+    free = Atom("R", (Var("x"), Var("x")))
+    pa, pb = Atom("P", (Const("a"),)), Atom("P", (Const("b"),))
+    for f, value in ((And(pb, free), 0), (Or(pa, free), 1), (Imp(pb, free), 1)):
+        assert evaluate(TWO, f) == value
+    # where the left value leaves the connective open, the right one is read;
+    # `<->` is never decided by its left operand
+    for f in (And(pa, free), Or(pb, free), Imp(pa, free), Iff(pa, free), Iff(pb, free)):
+        with pytest.raises(FreeVariableError, match="variable 'x' has no assignment"):
+            evaluate(TWO, f)
+    # the left operand comes first even where the right one would decide
+    with pytest.raises(FreeVariableError):
+        evaluate(TWO, And(free, pb))
+    # a quantifier stops at the first element that settles it: for y = a,
+    # Q(a) decides the disjunction; the universal goes on to y = b, where
+    # P(b) is false and R(x,y) is read
+    assert evaluate(TWO, Exists("y", Or(Atom("Q", (Var("y"),)), free))) == 1
+    with pytest.raises(FreeVariableError):
+        evaluate(TWO, Forall("y", Or(Atom("P", (Var("y"),)), Atom("R", (Var("x"), Var("y"))))))
+
+
+def test_evaluate_raises_where_it_reaches_a_name_that_denotes_nothing():
+    pb, free = Atom("P", (Const("b"),)), Atom("R", (Const("a"), Var("x")))
+    unknown, placeholder = Atom("P", (Const("zzz"),)), Atom("P", (Slot(),))
+    errors = [
+        (free, FreeVariableError, "variable 'x' has no assignment"),
+        (unknown, FreeVariableError, "constant 'zzz' has no denotation"),
+        (placeholder, StateError, "unfilled placeholders"),
+    ]
+    for atom, error, message in errors:
+        # deep in a chain's last right operand, under a negation tower, and in
+        # a quantifier body at its second element
+        for f in (Or(_chain(Or, 1500, pb), atom),
+                  _nest(Not, 1500, And(Atom("Q", (Const("a"),)), atom)),
+                  Forall("y", Or(Atom("P", (Var("y"),)), atom))):
+            with pytest.raises(error, match=message):
+                within_a_shallow_stack(lambda: evaluate(TWO, f))
+    # the first argument that denotes nothing is named
+    with pytest.raises(FreeVariableError, match="variable 'y'"):
+        evaluate(TWO, Atom("R", (Var("y"), Const("zzz"))))
+    with pytest.raises(StateError, match="unfilled placeholders"):
+        evaluate(TWO, Atom("R", (Slot(), Var("y"))))
+
+
+def test_evaluate_agrees_with_the_recursive_reference_on_the_oracle_stream():
+    # every interpretation of domain size 1 and the first 24 of size 2, for
+    # each of 1000 formulas of the stream
+    compared = 0
+    for f in oracle_stream(1000):
+        sig = signature_of(f)
+        for size in (1, 2):
+            for i in itertools.islice(enumerate_interpretations(sig, size), 24):
+                assert evaluate(i, f, {}) == reference_evaluate(i, f, {}), format_formula(f)
+                compared += 1
+    assert compared > 15000
 
 
 def test_forty_binders_of_one_variable_evaluate_in_polynomial_time():
